@@ -18,11 +18,11 @@
 #include "obs/trace.hpp"
 #include "synth/workload.hpp"
 #include "tracestore/cache.hpp"
-#include "tracestore/format.hpp"
 #include "tracestore/shard.hpp"
 #include "tracestore/store.hpp"
 #include "util/cancel.hpp"
 #include "util/fsutil.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "workloads/suite.hpp"
 
@@ -253,7 +253,7 @@ campaignSpecDigest(const CampaignConfig &config)
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(
-                      fnv1a(canonical.data(), canonical.size())));
+                      fnv1a(canonical)));
     return buf;
 }
 

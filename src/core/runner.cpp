@@ -1,13 +1,21 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
+#include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "bp/factory.hpp"
 #include "obs/metrics.hpp"
@@ -429,10 +437,198 @@ characterize(const Workload &workload, size_t input_idx,
 
 namespace {
 
+/** Busy-wait hint: lets a spinning hyperthread yield its pipeline. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * Wait until `ready()` holds: spin with a pause hint for a short
+ * while, then keep polling with std::this_thread::yield(). A handoff
+ * is normally tens of microseconds away, so spinning catches it
+ * without a kernel wake-up; yielding afterwards gives the core back
+ * when the machine is oversubscribed and the peer is not running.
+ */
+template <typename Ready>
+void
+spinThenYield(Ready &&ready)
+{
+    constexpr unsigned kSpinPolls = 1u << 12;
+    for (unsigned polls = 0; !ready(); ++polls) {
+        if (polls < kSpinPolls)
+            cpuRelax();
+        else
+            std::this_thread::yield();
+    }
+}
+
+/**
+ * The IPC study's fan-out. Buffers the trace into blocks and hands
+ * each block to a fixed team of threads, the calling (producing)
+ * thread among them. Every member owns whole column groups — a
+ * PredictorSim followed by its CoreModels — round-robin, and feeds
+ * them record by record, so each consumer sees exactly the stream and
+ * the sim-before-cores order a serial FanoutSink would give it; only
+ * independent columns run concurrently. The caller takes the last
+ * (never larger) share because it also produces the trace; a team of
+ * one starts no threads.
+ *
+ * Blocks are handed off synchronously: the producer publishes a block,
+ * runs its own share, and waits for every worker before refilling it.
+ * onEnd() flushes the partial block and forwards onEnd() to every
+ * group; a stream cut short without one (a cancelled replay, whose
+ * partial results are discarded) never delivers its last partial
+ * block. An exception thrown by a worker's groups is rethrown on the
+ * producer; the workers are joined on destruction.
+ */
+class ColumnTeamSink : public TraceSink
+{
+  public:
+    /** Records per block (~192 KiB of TraceRecords). */
+    static constexpr size_t kBlockRecords = 4096;
+
+    ColumnTeamSink(std::vector<FanoutSink> &column_groups,
+                   unsigned members)
+        : block(kBlockRecords), shares(members)
+    {
+        for (size_t g = 0; g < column_groups.size(); ++g)
+            shares[g % members].push_back(&column_groups[g]);
+        try {
+            for (unsigned m = 0; m + 1 < members; ++m)
+                workers.emplace_back([this, m]() { work(m); });
+        } catch (...) {
+            stop();
+            throw;
+        }
+    }
+
+    ~ColumnTeamSink() override
+    {
+        awaitWorkers();   // idle unless a dispatch was cut short
+        stop();
+    }
+
+    ColumnTeamSink(const ColumnTeamSink &) = delete;
+    ColumnTeamSink &operator=(const ColumnTeamSink &) = delete;
+
+    void
+    onRecord(const TraceRecord &rec) override
+    {
+        block[filled++] = rec;
+        if (filled == kBlockRecords)
+            dispatch(Step::Records);
+    }
+
+    void onEnd() override { dispatch(Step::End); }
+
+  private:
+    enum class Step : uint8_t { Records, End, Exit };
+
+    /** Deliver the filled block (and an End) to every share. */
+    void
+    dispatch(Step step)
+    {
+        publish(filled, step);
+        feed(shares.back(), filled, step);
+        awaitWorkers();
+        filled = 0;
+        std::lock_guard<std::mutex> lock(failureMutex);
+        if (failure)
+            std::rethrow_exception(std::exchange(failure, nullptr));
+    }
+
+    void
+    awaitWorkers() const
+    {
+        spinThenYield([this]() {
+            return busy.load(std::memory_order_acquire) == 0;
+        });
+    }
+
+    /** Release one step to the workers (they start at once). */
+    void
+    publish(size_t count, Step step)
+    {
+        stepCount = count;
+        stepKind = step;
+        busy.store(static_cast<unsigned>(workers.size()),
+                   std::memory_order_relaxed);
+        generation.fetch_add(1, std::memory_order_release);
+    }
+
+    void
+    stop()
+    {
+        publish(0, Step::Exit);
+        for (std::thread &t : workers)
+            t.join();
+    }
+
+    void
+    feed(const std::vector<FanoutSink *> &share, size_t count,
+         Step step) const
+    {
+        for (FanoutSink *group : share) {
+            for (size_t i = 0; i < count; ++i)
+                group->onRecord(block[i]);
+            if (step == Step::End)
+                group->onEnd();
+        }
+    }
+
+    void
+    work(unsigned member)
+    {
+        uint64_t seen = 0;
+        for (;;) {
+            spinThenYield([&]() {
+                return generation.load(std::memory_order_acquire) !=
+                       seen;
+            });
+            ++seen;
+            if (stepKind == Step::Exit)
+                return;
+            try {
+                feed(shares[member], stepCount, stepKind);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(failureMutex);
+                if (!failure)
+                    failure = std::current_exception();
+            }
+            busy.fetch_sub(1, std::memory_order_release);
+        }
+    }
+
+    std::vector<TraceRecord> block;
+    size_t filled = 0;
+    std::vector<std::vector<FanoutSink *>> shares;
+
+    // Written by the producer before the generation bump, read by the
+    // workers after observing it.
+    size_t stepCount = 0;
+    Step stepKind = Step::Records;
+
+    alignas(64) std::atomic<uint64_t> generation{0};
+    alignas(64) std::atomic<unsigned> busy{0};
+
+    std::mutex failureMutex;
+    std::exception_ptr failure;   ///< first worker exception, if any
+
+    std::vector<std::thread> workers;
+};
+
 /**
  * The single-pass many-consumer study over any trace source: builds
  * one PredictorSim per predictor and one CoreModel per (predictor,
- * scale), runs the trace once, and collects the grid.
+ * scale) on the calling thread, runs the trace once through a
+ * ColumnTeamSink with one thread per column (up to the hardware's
+ * concurrency), and collects the grid once the team is joined.
  */
 template <typename RunTraceFn>
 IpcStudyResult
@@ -449,21 +645,26 @@ runIpcStudyOver(
 
     std::vector<std::unique_ptr<PredictorSim>> sims;
     std::vector<std::vector<std::unique_ptr<CoreModel>>> cores;
-    std::vector<TraceSink *> sinks;
+    std::vector<FanoutSink> groups(predictors.size());
     const CoreConfig base = CoreConfig::skylake();
-    for (auto &[name, bp] : predictors) {
+    for (size_t p = 0; p < predictors.size(); ++p) {
         sims.push_back(std::make_unique<PredictorSim>(
-            *bp, /*collect_per_branch=*/false));
-        sinks.push_back(sims.back().get());
+            *predictors[p].second, /*collect_per_branch=*/false));
+        groups[p].add(sims.back().get());
         cores.emplace_back();
         for (unsigned scale : scales) {
             cores.back().push_back(std::make_unique<CoreModel>(
                 base.scaled(scale), *sims.back()));
-            sinks.push_back(cores.back().back().get());
+            groups[p].add(cores.back().back().get());
         }
     }
 
-    run_trace(sinks);
+    const unsigned members = static_cast<unsigned>(std::min<size_t>(
+        groups.size(), std::max(1u, std::thread::hardware_concurrency())));
+    {
+        ColumnTeamSink team(groups, members);
+        run_trace(std::vector<TraceSink *>{&team});
+    }
 
     for (size_t p = 0; p < predictors.size(); ++p) {
         IpcColumn col;

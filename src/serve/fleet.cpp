@@ -18,7 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "serve/client.hpp"        // isIdempotentRequest
-#include "tracestore/format.hpp"   // fnv1a
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/signals.hpp"
 

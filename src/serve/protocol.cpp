@@ -6,7 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "tracestore/format.hpp"   // fnv1a, the repo's one checksum
+#include "util/hash.hpp"
 
 namespace bpnsp::serve {
 

@@ -535,7 +535,9 @@ ServeServer::ioLoop()
 
     // Shutdown: close every connection. Workers are already gone (the
     // drain joins them before the io thread), so nobody writes.
-    for (const auto &conn : conns)
+    // closeConn() erases from conns, so walk a copy.
+    const std::vector<std::shared_ptr<Conn>> remaining = conns;
+    for (const auto &conn : remaining)
         closeConn(conn);
     conns.clear();
 }

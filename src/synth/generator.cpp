@@ -226,7 +226,7 @@ generateProgram(const SynthProfile &profile, uint64_t seed,
     // of the profile's canonical rendering and the seed, which is the
     // whole determinism contract.
     Rng structRng = Rng::stream(splitmix64(seed) ^
-                                    fnv1a64(profile.render()),
+                                    fnv1a(profile.render()),
                                 "synth.structure");
     ProgramBuilder b(program_name, seed);
     Assembler &a = b.text();
@@ -434,7 +434,7 @@ programDigest(const Program &program)
     std::snprintf(
         buf, sizeof(buf), "%016llx",
         static_cast<unsigned long long>(
-            fnv1a64(renderProgramListing(program))));
+            fnv1a(renderProgramListing(program))));
     return buf;
 }
 

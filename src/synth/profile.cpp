@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/fsutil.hpp"
+#include "util/hash.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
 
@@ -291,7 +292,7 @@ SynthProfile::digest() const
 {
     char buf[20];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(render())));
+                  static_cast<unsigned long long>(fnv1a(render())));
     return buf;
 }
 

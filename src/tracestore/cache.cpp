@@ -113,7 +113,7 @@ traceCacheDigest(const TraceCacheKey &key)
         std::to_string(key.seed) + "\n" +
         std::to_string(key.instructions) + "\nstore-v" +
         std::to_string(kStoreVersion);
-    const uint64_t hash = fnv1a(canonical.data(), canonical.size());
+    const uint64_t hash = fnv1a(canonical);
 
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",

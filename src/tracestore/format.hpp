@@ -31,6 +31,7 @@
 
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
+#include "util/hash.hpp"   // fnv1a, the format's only checksum
 #include "util/status.hpp"
 
 namespace bpnsp {
@@ -110,19 +111,6 @@ struct StoreTrailer
     uint32_t reserved;
 };
 static_assert(sizeof(StoreTrailer) == 48, "unexpected trailer size");
-
-/** FNV-1a 64-bit over a byte range (the format's only checksum). */
-inline uint64_t
-fnv1a(const void *data, size_t len, uint64_t seed = 0xcbf29ce484222325ull)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    uint64_t hash = seed;
-    for (size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 /** Append an LEB128 varint. */
 void putVarint(std::vector<uint8_t> &out, uint64_t value);

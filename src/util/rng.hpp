@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "util/hash.hpp"
+
 namespace bpnsp {
 
 /** One splitmix64 mixing step (also usable as a 64-bit hash finisher). */
@@ -34,18 +36,6 @@ splitmix64(uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
-}
-
-/** FNV-1a over a byte string, for deriving streams from names. */
-inline uint64_t
-fnv1a64(std::string_view bytes)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
 }
 
 /** xoshiro256** PRNG with splitmix64 seeding. */
@@ -140,7 +130,7 @@ class Rng
     static Rng
     stream(uint64_t seed, std::string_view name)
     {
-        return Rng(splitmix64(seed) ^ fnv1a64(name));
+        return Rng(splitmix64(seed) ^ fnv1a(name));
     }
 
   private:

@@ -6,12 +6,154 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <stdexcept>
+
 #include "bp/factory.hpp"
 #include "bp/oracle.hpp"
 #include "core/runner.hpp"
+#include "util/cancel.hpp"
 #include "workloads/suite.hpp"
 
 using namespace bpnsp;
+
+namespace {
+
+using Predictors =
+    std::vector<std::pair<std::string, std::unique_ptr<BranchPredictor>>>;
+
+/** The Fig. 7 columns: every TAGE-SC-L size plus the perfect oracle. */
+const std::vector<std::string> kSevenColumns{
+    "tage-sc-l-8KB",   "tage-sc-l-64KB",  "tage-sc-l-128KB",
+    "tage-sc-l-256KB", "tage-sc-l-512KB", "tage-sc-l-1024KB",
+    "perfect"};
+
+const std::vector<unsigned> kStudyScales{1, 4, 32};
+
+Predictors
+makeColumns(const std::vector<std::string> &names)
+{
+    Predictors preds;
+    for (const std::string &name : names)
+        preds.emplace_back(name, makePredictor(name));
+    return preds;
+}
+
+/**
+ * The study's reference semantics, built by hand: one serial
+ * FanoutSink per column (its PredictorSim, then one CoreModel per
+ * scale), all driven by a single runTrace pass on this thread.
+ */
+IpcStudyResult
+serialStudy(const Program &program, const std::vector<std::string> &names,
+            const std::vector<unsigned> &scales, uint64_t instructions)
+{
+    Predictors preds = makeColumns(names);
+    std::vector<std::unique_ptr<PredictorSim>> sims;
+    std::vector<std::vector<std::unique_ptr<CoreModel>>> cores;
+    std::vector<std::unique_ptr<FanoutSink>> columns;
+    std::vector<TraceSink *> sinks;
+    for (auto &[name, bp] : preds) {
+        sims.push_back(std::make_unique<PredictorSim>(*bp, false));
+        columns.push_back(std::make_unique<FanoutSink>());
+        columns.back()->add(sims.back().get());
+        cores.emplace_back();
+        for (unsigned scale : scales) {
+            cores.back().push_back(std::make_unique<CoreModel>(
+                CoreConfig::skylake().scaled(scale), *sims.back()));
+            columns.back()->add(cores.back().back().get());
+        }
+        sinks.push_back(columns.back().get());
+    }
+    runTrace(program, sinks, instructions);
+
+    IpcStudyResult result;
+    result.scales = scales;
+    for (size_t p = 0; p < preds.size(); ++p) {
+        IpcColumn col;
+        col.name = preds[p].first;
+        col.accuracy = sims[p]->accuracy();
+        for (const auto &core : cores[p])
+            col.perScale.push_back(core->counters());
+        result.columns.push_back(std::move(col));
+    }
+    return result;
+}
+
+/** Every counter of every cell, and every accuracy, bit for bit. */
+void
+expectSameGrid(const IpcStudyResult &got, const IpcStudyResult &want)
+{
+    ASSERT_EQ(got.scales, want.scales);
+    ASSERT_EQ(got.columns.size(), want.columns.size());
+    for (size_t c = 0; c < want.columns.size(); ++c) {
+        const IpcColumn &g = got.columns[c];
+        const IpcColumn &w = want.columns[c];
+        SCOPED_TRACE(w.name);
+        EXPECT_EQ(g.name, w.name);
+        EXPECT_EQ(g.accuracy, w.accuracy);
+        ASSERT_EQ(g.perScale.size(), w.perScale.size());
+        for (size_t s = 0; s < w.perScale.size(); ++s) {
+            const PerfCounters &a = g.perScale[s];
+            const PerfCounters &b = w.perScale[s];
+            SCOPED_TRACE("scale index " + std::to_string(s));
+            EXPECT_EQ(a.instructions, b.instructions);
+            EXPECT_EQ(a.cycles, b.cycles);
+            EXPECT_EQ(a.condBranches, b.condBranches);
+            EXPECT_EQ(a.mispredicts, b.mispredicts);
+            EXPECT_EQ(a.targetMispredicts, b.targetMispredicts);
+            EXPECT_EQ(a.ftqStallCycles, b.ftqStallCycles);
+            EXPECT_EQ(a.directionFlushCycles, b.directionFlushCycles);
+            EXPECT_EQ(a.targetFlushCycles, b.targetFlushCycles);
+        }
+    }
+}
+
+/** A predictor that fails its `limit`-th prediction. */
+class FailingPredictor : public BranchPredictor
+{
+  public:
+    explicit FailingPredictor(uint64_t limit) : left(limit) {}
+
+    std::string name() const override { return "failing"; }
+
+    bool
+    predict(uint64_t, bool oracle_taken) override
+    {
+        if (--left == 0)
+            throw std::runtime_error("predictor failed");
+        return oracle_taken;
+    }
+
+    void update(uint64_t, bool, bool, uint64_t) override {}
+    uint64_t storageBits() const override { return 0; }
+
+  private:
+    uint64_t left;
+};
+
+/** Fresh trace-cache directory per test; removed on destruction. */
+class ScratchDir
+{
+  public:
+    explicit ScratchDir(const char *tag)
+        : path(std::string(::testing::TempDir()) + "bpnsp_core_" + tag)
+    {
+        std::filesystem::remove_all(path);
+        std::filesystem::create_directories(path);
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+
+    const std::string path;
+};
+
+} // namespace
 
 TEST(RunTrace, DeliversExactBudgetAndEnd)
 {
@@ -121,4 +263,124 @@ TEST(IpcStudy, PerfectH2pColumnBetweenBaselineAndPerfect)
     EXPECT_GT(h2p_ipc, base);
     EXPECT_GE(perfect * 1.001, h2p_ipc);
     EXPECT_GT((h2p_ipc - base) / (perfect - base), 0.6);
+}
+
+TEST(IpcStudy, ParallelGridMatchesSerialComposition)
+{
+    // Column counts above, below and at the single-column inline
+    // path; instruction counts around the 4096-record block size, so
+    // empty, partial and exact blocks and the onEnd flush all occur.
+    const std::vector<std::vector<std::string>> columnSets{
+        kSevenColumns, {"tage-sc-l-8KB", "perfect"}, {"tage-sc-l-64KB"}};
+    for (const char *name : {"mcf_like", "gcc_like"}) {
+        const Program p = findWorkload(name).build(0);
+        for (const auto &names : columnSets) {
+            for (uint64_t n : {uint64_t{1}, uint64_t{4095},
+                               uint64_t{4097}, uint64_t{100000}}) {
+                SCOPED_TRACE(std::string(name) + ", " +
+                             std::to_string(names.size()) +
+                             " columns, " + std::to_string(n) +
+                             " instructions");
+                expectSameGrid(
+                    runIpcStudy(p, makeColumns(names), kStudyScales, n),
+                    serialStudy(p, names, kStudyScales, n));
+            }
+        }
+    }
+}
+
+TEST(IpcStudy, TraceCacheColdAndWarmMatchVmDirect)
+{
+    const Workload w = findWorkload("gcc_like");
+    const uint64_t n = 60000;
+    const IpcStudyResult direct = runIpcStudy(
+        w.build(0), makeColumns(kSevenColumns), kStudyScales, n);
+
+    const ScratchDir dir("ipc_cache");
+    setTraceCacheDir(dir.path);
+    const IpcStudyResult cold = runIpcStudy(
+        w, 0, makeColumns(kSevenColumns), kStudyScales, n);
+    size_t entries = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir.path))
+        entries += e.path().extension() == ".bpt";
+    const IpcStudyResult warm = runIpcStudy(
+        w, 0, makeColumns(kSevenColumns), kStudyScales, n);
+    setTraceCacheDir("");
+
+    EXPECT_EQ(entries, 1u);
+    expectSameGrid(cold, direct);
+    expectSameGrid(warm, direct);
+}
+
+TEST(IpcStudy, ColumnExceptionReachesCallerWithWorkersJoined)
+{
+    // The middle column runs on a worker thread whenever there are
+    // two or more hardware threads, and on the caller otherwise.
+    const Program p = findWorkload("mcf_like").build(0);
+    Predictors preds;
+    preds.emplace_back("tage-sc-l-8KB", makePredictor("tage-sc-l-8KB"));
+    preds.emplace_back("failing", std::make_unique<FailingPredictor>(500));
+    preds.emplace_back("perfect", makePredictor("perfect"));
+    EXPECT_THROW(runIpcStudy(p, std::move(preds), kStudyScales, 100000),
+                 std::runtime_error);
+}
+
+TEST(IpcStudy, CancelledStudyReturnsPromptlyWithWorkersJoined)
+{
+    // Budgets no test could finish: only cancellation ends these runs
+    // (ctest's timeout catches a hang), and returning at all means
+    // every worker thread was joined.
+    const uint64_t forever = uint64_t{1} << 40;
+    const Workload w = findWorkload("mcf_like");
+    const Program p = w.build(0);
+    const auto start = std::chrono::steady_clock::now();
+    {
+        CancelToken fired;
+        fired.requestCancel();
+        CancelScope scope(fired);
+        const IpcStudyResult r = runIpcStudy(
+            p, makeColumns(kSevenColumns), kStudyScales, forever);
+        ASSERT_EQ(r.columns.size(), kSevenColumns.size());
+        for (const IpcColumn &col : r.columns)
+            for (const PerfCounters &pc : col.perScale)
+                EXPECT_EQ(pc.instructions, 0u);
+    }
+    {
+        // Mid-stream: the deadline fires while every column is busy.
+        CancelToken deadline;
+        deadline.setDeadlineAfterMs(50);
+        CancelScope scope(deadline);
+        const IpcStudyResult r = runIpcStudy(
+            p, makeColumns(kSevenColumns), kStudyScales, forever);
+        EXPECT_EQ(deadline.check().code(), StatusCode::DeadlineExceeded);
+        // Every core saw the same delivered prefix, and only that.
+        const uint64_t delivered = r.columns[0].perScale[0].instructions;
+        EXPECT_LT(delivered, forever);
+        for (const IpcColumn &col : r.columns)
+            for (const PerfCounters &pc : col.perScale)
+                EXPECT_EQ(pc.instructions, delivered);
+    }
+    {
+        // Through a warm trace cache: the fired token stops the replay
+        // before any record, so no onEnd() is ever delivered.
+        const uint64_t n = 20000;
+        const ScratchDir dir("ipc_cancel");
+        setTraceCacheDir(dir.path);
+        runIpcStudy(w, 0, makeColumns({"perfect"}), kStudyScales, n);
+        CancelToken fired;
+        fired.requestCancel();
+        {
+            CancelScope scope(fired);
+            const IpcStudyResult r = runIpcStudy(
+                w, 0, makeColumns(kSevenColumns), kStudyScales, n);
+            for (const IpcColumn &col : r.columns)
+                for (const PerfCounters &pc : col.perScale)
+                    EXPECT_EQ(pc.instructions, 0u);
+        }
+        setTraceCacheDir("");
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 30.0);
 }

@@ -894,6 +894,21 @@ TEST_F(ServeTest, DrainFinishesInFlightThenRefusesNewConnections)
     server.reset();   // already drained; destructor is a no-op
 }
 
+TEST_F(ServeTest, DrainClosesSeveralOpenConnections)
+{
+    // Shutdown closes every connection still open; with more than one
+    // it must not walk the connection list while erasing from it.
+    startServer();
+    std::vector<ServeClient> clients(3);
+    for (ServeClient &client : clients) {
+        ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+        std::string info;
+        ASSERT_TRUE(client.ping(&info).ok());   // accepted by now
+    }
+    server->drain();
+    server.reset();
+}
+
 TEST_F(ServeTest, LoadGenClosedLoopWithKillsAndVerify)
 {
     startServer(/*workers=*/3);

@@ -123,8 +123,15 @@ TEST(Rng, Fnv1a64Basis)
 {
     // Empty input returns the FNV offset basis; the probe string is
     // the classic reference vector.
-    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
-    EXPECT_NE(fnv1a64("a"), fnv1a64("b"));
+    EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_NE(fnv1a("a"), fnv1a("b"));
+    // The byte-range and string overloads are one hash, and a seed
+    // continues a running hash across pieces.
+    const std::string_view text = "branch";
+    EXPECT_EQ(fnv1a(text.data(), text.size()), fnv1a(text));
+    EXPECT_EQ(fnv1a(text.data() + 3, 3, fnv1a(text.substr(0, 3))),
+              fnv1a(text));
 }
 
 TEST(Rng, IndexedStreamsReproducibleAndIndependent)
