@@ -61,11 +61,6 @@ main(int argc, char **argv)
                 "retries per cell for transient failures");
     opts.addInt("backoff-ms", 100,
                 "base retry backoff, doubled per retry");
-    opts.addInt("stall-ms", 0,
-                "shard-worker stall watchdog timeout (0 = off)");
-    opts.addInt("shards", 0,
-                "replay cells across N shard workers through the "
-                "trace cache (0 = serial)");
     opts.addString("trace-cache", "",
                    "trace cache directory (also BPNSP_TRACE_CACHE)");
     opts.parse(argc, argv);
@@ -98,9 +93,6 @@ main(int argc, char **argv)
     config.maxRetries = static_cast<int>(opts.getInt("retries"));
     config.backoffMs =
         static_cast<uint64_t>(opts.getInt("backoff-ms"));
-    config.stallTimeoutMs =
-        static_cast<uint64_t>(opts.getInt("stall-ms"));
-    config.shards = static_cast<unsigned>(opts.getInt("shards"));
 
     obs::Registry::instance().setRunField("campaign_spec",
                                           campaignSpecDigest(config));

@@ -17,9 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "synth/workload.hpp"
-#include "tracestore/cache.hpp"
-#include "tracestore/shard.hpp"
-#include "tracestore/store.hpp"
 #include "util/cancel.hpp"
 #include "util/fsutil.hpp"
 #include "util/hash.hpp"
@@ -85,16 +82,13 @@ elapsedMs(std::chrono::steady_clock::time_point since)
 }
 
 /**
- * Execute one cell under the caller's (cell-scoped) cancel token.
- * Sharded mode replays the cell's trace-cache entry across a
- * supervised worker pool, one PredictorSim per shard, merged in shard
- * order — deterministic for a fixed shard count. Serial mode drives
- * one PredictorSim through runWorkloadTrace (which itself routes
- * through the trace cache when one is configured).
+ * Execute one cell under the caller's (cell-scoped) cancel token: one
+ * PredictorSim (plus a FrontendModel on frontend-axis cells) over the
+ * whole trace in program order, through runWorkloadTrace (which
+ * routes through the trace cache when one is configured).
  */
 Status
-executeCell(const CampaignCell &cell, const CampaignConfig &config,
-            CellResult *out)
+executeCell(const CampaignCell &cell, CellResult *out)
 {
     if (faultsim::evaluate("campaign.cell.fail"))
         return Status::ioError(
@@ -104,7 +98,6 @@ executeCell(const CampaignCell &cell, const CampaignConfig &config,
     if (cell.inputIdx >= workload.inputs.size())
         return Status::invalidArgument(
             "input index out of range for " + cell.workload);
-    CancelToken *cancel = currentCancelToken();
 
     // Frontend axis: a non-empty spec adds a FrontendModel beside the
     // PredictorSim (InvalidArgument is not retryable, so a malformed
@@ -116,66 +109,6 @@ executeCell(const CampaignCell &cell, const CampaignConfig &config,
             !st.ok())
             return st;
 
-    if (config.shards > 0 && !traceCacheDir().empty()) {
-        TraceCache cache(traceCacheDir());
-        const TraceCacheKey key{
-            cell.workload, workload.inputs[cell.inputIdx].label,
-            workload.inputs[cell.inputIdx].seed, cell.instructions};
-        if (!cache.contains(key)) {
-            // Capture pass: populate the cache entry (no sinks).
-            runWorkloadTrace(workload, cell.inputIdx, {},
-                             cell.instructions);
-            if (Status st = cancel->check(); !st.ok())
-                return st;
-        }
-        if (cache.contains(key)) {
-            Status st;
-            auto reader =
-                TraceStoreReader::open(cache.entryPath(key), &st);
-            if (reader == nullptr) {
-                cache.quarantine(key, st.str());
-                return st;
-            }
-            std::vector<std::unique_ptr<BranchPredictor>> predictors;
-            std::vector<std::unique_ptr<PredictorSim>> sims;
-            std::vector<std::unique_ptr<FrontendModel>> frontends;
-            std::vector<std::unique_ptr<FanoutSink>> fanouts;
-            ReplayShardsOptions shardOptions;
-            shardOptions.stallTimeoutMs = config.stallTimeoutMs;
-            Status replayStatus;
-            replayShards(
-                *reader, config.shards,
-                [&](const ShardSlice &) -> TraceSink & {
-                    predictors.push_back(
-                        makePredictor(cell.predictor));
-                    sims.push_back(std::make_unique<PredictorSim>(
-                        *predictors.back(), false));
-                    if (!feCfg.enabled)
-                        return *sims.back();
-                    // One frontend per shard, same merge-in-shard-order
-                    // determinism as the per-shard predictors.
-                    frontends.push_back(
-                        std::make_unique<FrontendModel>(feCfg));
-                    fanouts.push_back(std::make_unique<FanoutSink>(
-                        std::vector<TraceSink *>{
-                            sims.back().get(), frontends.back().get()}));
-                    return *fanouts.back();
-                },
-                &replayStatus, shardOptions);
-            if (!replayStatus.ok())
-                return replayStatus;
-            for (const auto &sim : sims) {
-                out->instructions += sim->instructions();
-                out->predictions += sim->condExecs();
-                out->mispredicts += sim->condMispreds();
-            }
-            for (const auto &fe : frontends)
-                out->targetMispredicts += fe->targetMispredicts();
-            return Status();
-        }
-        // Busy generation lock or publish failure: degrade to serial.
-    }
-
     const std::unique_ptr<BranchPredictor> predictor =
         makePredictor(cell.predictor);
     PredictorSim sim(*predictor, false);
@@ -185,7 +118,7 @@ executeCell(const CampaignCell &cell, const CampaignConfig &config,
         sinks.push_back(&fe);
     const uint64_t delivered = runWorkloadTrace(
         workload, cell.inputIdx, sinks, cell.instructions);
-    if (Status st = cancel->check(); !st.ok())
+    if (Status st = currentCancelToken()->check(); !st.ok())
         return st;
     if (delivered < cell.instructions)
         return Status::ioError("short delivery: " +
@@ -239,7 +172,9 @@ std::string
 campaignSpecDigest(const CampaignConfig &config)
 {
     std::ostringstream oss;
-    oss << "bpnsp-campaign-spec-v1|shards=" << config.shards << ";";
+    // The fixed "shards=0" keeps the digest, and so the resumability,
+    // of journals written while cells still had a shard-count knob.
+    oss << "bpnsp-campaign-spec-v1|shards=0;";
     for (const CampaignCell &cell : config.cells) {
         oss << cell.workload << '|' << cell.input << '|'
             << cell.predictor << '|' << cell.instructions;
@@ -353,7 +288,7 @@ runCampaign(const CampaignConfig &config)
                 // the id of the cell that drove it.
                 obs::ScopedTraceId cellTrace(i + 1);
                 obs::Span cellSpan("campaign.cell");
-                st = executeCell(config.cells[i], config, &cellResult);
+                st = executeCell(config.cells[i], &cellResult);
             }
             cellResult.wallMs = elapsedMs(start);
 
@@ -469,7 +404,6 @@ renderCampaignResults(const CampaignConfig &config,
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-campaign-results-v1\",\n"
         << "  \"spec\": \"" << campaignSpecDigest(config) << "\",\n"
-        << "  \"shards\": " << config.shards << ",\n"
         << "  \"cells_total\": " << result.outcomes.size() << ",\n"
         << "  \"cells_completed\": " << completed << ",\n"
         << "  \"cells\": [";

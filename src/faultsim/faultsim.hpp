@@ -46,10 +46,6 @@
  *   tracestore.cache.publish  entry rename into the cache fails
  *
  * Failpoints in the execution/supervision layer:
- *   tracestore.shard.stall    a shard replay worker stops making
- *                             progress (parks until the watchdog or a
- *                             cancel reaps it) — only meaningful with
- *                             a stall timeout configured
  *   campaign.journal.fsync    a journal append's durability barrier
  *                             fails (the append is rolled into the
  *                             cell's failure handling)

@@ -36,7 +36,7 @@
  *    (serve.hedges / serve.hedge_wins).
  *  - The monitor learns of worker deaths via SIGCHLD (self-pipe,
  *    util/signals.hpp) and of wedged workers via an mtime heartbeat
- *    file each worker touches (the campaign stall-watchdog pattern):
+ *    file each worker touches (the trace-cache lock-heartbeat pattern):
  *    a worker whose heartbeat goes stale is SIGKILLed and its death
  *    flows through the same respawn path.
  *  - Respawns back off exponentially (capped) while deaths are rapid.

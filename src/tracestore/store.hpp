@@ -9,10 +9,9 @@
  * several threads at once (all replay methods are const and share no
  * mutable state).
  *
- * Unlike the legacy trace/file.hpp format (uncompressed fixed-width
- * records, header patched in place), the store format is ~4x smaller,
- * supports O(1) seek to any record range through its footer index, and
- * detects corruption through per-chunk checksums.
+ * Records are delta/varint-encoded in chunks (~4x smaller than
+ * fixed-width records); the footer index gives O(1) seek to any record
+ * range, and per-chunk checksums detect corruption.
  *
  * Robustness contract (see DESIGN.md "Robustness & fault injection"):
  *  - The writer never fatal()s on I/O failure. It degrades into a

@@ -23,9 +23,8 @@
  * signature churn reads the *current* token — a thread-local pointer
  * defaulting to the global token that callers override with a
  * CancelScope around a unit of work. Worker threads do NOT inherit the
- * spawning thread's scope; fan-out code (tracestore::replayShards)
- * captures the current token before spawning and re-installs it inside
- * each worker.
+ * spawning thread's scope; code that hands work to other threads (the
+ * serve worker pool) installs a CancelScope inside each worker.
  *
  * Cost when idle: one relaxed atomic load per poll for an unarmed
  * token, plus one steady_clock read when a deadline is armed — cheap
@@ -50,7 +49,6 @@ enum class CancelCause : uint8_t
     User,       ///< explicit requestCancel() call
     Signal,     ///< SIGINT/SIGTERM (via the global token)
     Deadline,   ///< armed deadline expired
-    Watchdog,   ///< a supervisor detected stalled progress
 };
 
 /** Stable human-readable name of a cause ("signal", "deadline", ...). */

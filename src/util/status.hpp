@@ -22,8 +22,8 @@
  *                   crash, writer already failed, cooperative
  *                   cancellation via util/cancel.hpp).
  *  - DeadlineExceeded — a deadline or wall budget expired before the
- *                   operation finished (per-cell --deadline-ms, shard
- *                   watchdog stall detection).
+ *                   operation finished (per-cell --deadline-ms,
+ *                   campaign --budget-wall-ms).
  *  - InvalidArgument — the caller asked for something impossible
  *                   (range past end of store, malformed fault spec).
  *  - Unavailable  — the serving endpoint for this request is down

@@ -2,10 +2,11 @@
  * @file
  * Tests for the campaign subsystem and the cancellation layer it is
  * built on: cancel-token semantics and scoping, cancel/deadline cuts
- * through the VM delivery loop and the replay path, the shard-pool
- * watchdog, journal round-trips with torn tails, retry/poison
- * handling, kill-between-appends + --resume bit-identity, and the
- * heartbeat-TTL lock takeover.
+ * through the VM delivery loop and the replay path, journal
+ * round-trips with torn tails, retry/poison handling,
+ * kill-between-appends + --resume bit-identity, cell counts invariant
+ * to the trace cache and to resume, and the heartbeat-TTL lock
+ * takeover.
  */
 
 #include <gtest/gtest.h>
@@ -24,12 +25,14 @@
 #include <unistd.h>
 
 #include "campaign/campaign.hpp"
+#include "bp/factory.hpp"
+#include "bp/sim.hpp"
 #include "campaign/journal.hpp"
 #include "core/runner.hpp"
 #include "faultsim/faultsim.hpp"
+#include "frontend/frontend.hpp"
 #include "obs/metrics.hpp"
 #include "tracestore/cache.hpp"
-#include "tracestore/shard.hpp"
 #include "tracestore/store.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
@@ -100,7 +103,7 @@ TEST(CancelToken, FirstCauseWinsAndDeadlineLatches)
     EXPECT_TRUE(token.check().ok());
 
     token.requestCancel(CancelCause::User);
-    token.requestCancel(CancelCause::Watchdog);   // loses the race
+    token.requestCancel(CancelCause::Signal);   // loses the race
     EXPECT_TRUE(token.cancelled());
     EXPECT_EQ(token.cause(), CancelCause::User);
     EXPECT_EQ(token.check().code(), StatusCode::Cancelled);
@@ -193,43 +196,6 @@ TEST(Cancel, DeadlinePropagatesThroughReplay)
     CountingSink sink;
     st = reader->replay(sink, 0);
     EXPECT_EQ(st.code(), StatusCode::DeadlineExceeded);
-}
-
-TEST(Cancel, WatchdogReapsStalledShardWorker)
-{
-    ScratchDir dir("watchdog");
-    const Workload workload = findWorkload("mcf_like");
-    const std::string path = dir.file("trace.bpt");
-    {
-        TraceStoreWriter writer(path);
-        runTrace(workload.build(0), {&writer}, 400000);
-    }
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    ASSERT_NE(reader, nullptr) << st.str();
-    ASSERT_GE(reader->numChunks(), 2u);
-
-    const uint64_t firesBefore =
-        obs::counter("tracestore.shard.watchdog_fires").value();
-    ASSERT_TRUE(
-        faultsim::configure("tracestore.shard.stall*1").ok());
-    std::vector<std::unique_ptr<CountingSink>> sinks;
-    ReplayShardsOptions options;
-    options.stallTimeoutMs = 50;
-    Status replayStatus;
-    replayShards(
-        *reader, 2,
-        [&](const ShardSlice &) -> TraceSink & {
-            sinks.push_back(std::make_unique<CountingSink>());
-            return *sinks.back();
-        },
-        &replayStatus, options);
-    faultsim::reset();
-
-    EXPECT_EQ(replayStatus.code(), StatusCode::DeadlineExceeded)
-        << replayStatus.str();
-    EXPECT_GT(obs::counter("tracestore.shard.watchdog_fires").value(),
-              firesBefore);
 }
 
 // ---------------------------------------------------------------------
@@ -451,32 +417,153 @@ TEST(Campaign, KillBetweenAppendsThenResumeIsBitIdentical)
               renderCampaignResults(freshConfig, fresh));
 }
 
-TEST(Campaign, ShardedCellsMatchAcrossRuns)
+TEST(Campaign, CellCountsInvariantToExecutionKnobs)
 {
-    ScratchDir dir("sharded");
+    // A cell's counters are a function of its spec alone: trace cache
+    // off, cold or warm, and a resume from a partial journal must all
+    // reproduce a direct runTrace over the same predictor (and
+    // frontend) exactly. gcc_like and mcf_like have no target
+    // mispredicts, so vcall joins the frontend cells to give that
+    // counter something to check.
+    ScratchDir dir("knobs");
+    CampaignConfig config;
+    config.cells = buildCells("gcc_like,mcf_like", 1,
+                              "gshare,tage-sc-l-8KB", 200000);
+    const std::vector<CampaignCell> withFrontend = buildCells(
+        "gcc_like,mcf_like,vcall", 1, "gshare,tage-sc-l-8KB", 200000,
+        "default");
+    config.cells.insert(config.cells.end(), withFrontend.begin(),
+                        withFrontend.end());
+    ASSERT_EQ(config.cells.size(), 10u);
+    config.backoffMs = 1;
+
+    std::vector<CellResult> direct;
+    for (const CampaignCell &cell : config.cells) {
+        const auto predictor = makePredictor(cell.predictor);
+        PredictorSim sim(*predictor, false);
+        FrontendConfig feCfg = FrontendConfig::off();
+        if (!cell.frontend.empty()) {
+            ASSERT_TRUE(parseFrontendSpec(cell.frontend, &feCfg).ok());
+        }
+        FrontendModel fe(feCfg);
+        std::vector<TraceSink *> sinks{&sim};
+        if (feCfg.enabled)
+            sinks.push_back(&fe);
+        runTrace(findWorkload(cell.workload).build(cell.inputIdx),
+                 sinks, cell.instructions);
+        CellResult r;
+        r.instructions = sim.instructions();
+        r.predictions = sim.condExecs();
+        r.mispredicts = sim.condMispreds();
+        r.targetMispredicts = fe.targetMispredicts();
+        direct.push_back(r);
+    }
+    EXPECT_GT(direct.back().targetMispredicts, 0u);
+
+    const auto expectMatchesDirect = [&](const CampaignResult &result,
+                                         const char *knob) {
+        SCOPED_TRACE(knob);
+        ASSERT_TRUE(result.status.ok()) << result.status.str();
+        ASSERT_EQ(result.outcomes.size(), direct.size());
+        for (size_t i = 0; i < direct.size(); ++i) {
+            const CellOutcome &out = result.outcomes[i];
+            SCOPED_TRACE(out.cell.id());
+            ASSERT_EQ(out.state, CellState::Done) << out.error;
+            EXPECT_EQ(out.result.instructions, direct[i].instructions);
+            EXPECT_EQ(out.result.predictions, direct[i].predictions);
+            EXPECT_EQ(out.result.mispredicts, direct[i].mispredicts);
+            EXPECT_EQ(out.result.targetMispredicts,
+                      direct[i].targetMispredicts);
+        }
+    };
+
+    config.journalPath = dir.file("uncached.journal");
+    const CampaignResult uncached = runCampaign(config);
+    expectMatchesDirect(uncached, "trace cache off");
+
+    obs::Counter &hits = obs::counter("tracestore.cache.hits");
+    obs::Counter &misses = obs::counter("tracestore.cache.misses");
     setTraceCacheDir(dir.file("cache"));
-    CampaignConfig config = smallConfig(dir, "camp.journal");
-    config.cells.resize(1);
-    config.shards = 2;
-    const CampaignResult first = runCampaign(config);
-
-    CampaignConfig again = config;
-    again.journalPath = dir.file("again.journal");
-    const CampaignResult second = runCampaign(again);
+    config.journalPath = dir.file("cold.journal");
+    const uint64_t hitsBefore = hits.value();
+    const uint64_t missesBefore = misses.value();
+    const CampaignResult cold = runCampaign(config);
+    const uint64_t coldHits = hits.value() - hitsBefore;
+    const uint64_t coldMisses = misses.value() - missesBefore;
+    config.journalPath = dir.file("warm.journal");
+    const CampaignResult warm = runCampaign(config);
+    const uint64_t warmHits = hits.value() - hitsBefore - coldHits;
+    const uint64_t warmMisses =
+        misses.value() - missesBefore - coldMisses;
     setTraceCacheDir("");
+    expectMatchesDirect(cold, "trace cache cold");
+    expectMatchesDirect(warm, "trace cache warm");
+    // Three traces: the cold run generates each once and replays it
+    // for that trace's other cells; the warm run only replays.
+    EXPECT_EQ(coldMisses, 3u);
+    EXPECT_EQ(coldHits, config.cells.size() - 3);
+    EXPECT_EQ(warmMisses, 0u);
+    EXPECT_EQ(warmHits, config.cells.size());
 
-    ASSERT_TRUE(first.status.ok()) << first.status.str();
-    ASSERT_TRUE(second.status.ok()) << second.status.str();
-    ASSERT_EQ(first.done, 1u);
-    ASSERT_EQ(second.done, 1u);
-    // Same shard count -> same per-shard predictor warm-up -> same
-    // counters: the sharded path is deterministic too.
-    EXPECT_EQ(first.outcomes[0].result.instructions,
-              second.outcomes[0].result.instructions);
-    EXPECT_EQ(first.outcomes[0].result.predictions,
-              second.outcomes[0].result.predictions);
-    EXPECT_EQ(first.outcomes[0].result.mispredicts,
-              second.outcomes[0].result.mispredicts);
+    // Resume: keep the header and the first cell's start and done
+    // lines of the uncached journal; cell 0 then comes from the
+    // journal and the rest re-run.
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(dir.file("uncached.journal"));
+        for (std::string line; lines.size() < 3 &&
+                               std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 3u);
+    ASSERT_EQ(lines[2].rfind("D 0 ", 0), 0u) << lines[2];
+    {
+        std::ofstream out(dir.file("partial.journal"));
+        for (const std::string &line : lines)
+            out << line << '\n';
+    }
+    config.journalPath = dir.file("partial.journal");
+    config.resume = true;
+    const CampaignResult resumed = runCampaign(config);
+    expectMatchesDirect(resumed, "resumed from a partial journal");
+    EXPECT_EQ(resumed.skipped, 1u);
+    EXPECT_TRUE(resumed.outcomes[0].fromJournal);
+    EXPECT_EQ(resumed.done, config.cells.size() - 1);
+}
+
+TEST(Campaign, SpecDigestKeepsSerialJournalsResumable)
+{
+    // The digest still hashes the fixed "shards=0" prefix, so journals
+    // written when campaigns had a shard-count knob keep resuming when
+    // they ran serially, and are refused when they ran sharded (their
+    // counts came from per-shard cold predictors). The two digests
+    // are those of smallConfig()'s cells, as written by a serial and
+    // by a --shards=2 campaign before the knob was removed.
+    const std::string serialDigest = "7d18623b5b12bb28";
+    const std::string shardedDigest = "c0a4b95c8a87151a";
+    ScratchDir dir("digest");
+    CampaignConfig config = smallConfig(dir, "serial.journal");
+    EXPECT_EQ(campaignSpecDigest(config), serialDigest);
+
+    CampaignJournal journal;
+    ASSERT_TRUE(CampaignJournal::create(config.journalPath, serialDigest,
+                                        config.cells.size(), &journal)
+                    .ok());
+    journal.close();
+    config.resume = true;
+    const CampaignResult serial = runCampaign(config);
+    ASSERT_TRUE(serial.status.ok()) << serial.status.str();
+    EXPECT_EQ(serial.done, config.cells.size());
+
+    config.journalPath = dir.file("sharded.journal");
+    ASSERT_TRUE(CampaignJournal::create(config.journalPath, shardedDigest,
+                                        config.cells.size(), &journal)
+                    .ok());
+    journal.close();
+    const CampaignResult sharded = runCampaign(config);
+    EXPECT_EQ(sharded.status.code(), StatusCode::InvalidArgument)
+        << sharded.status.str();
+    EXPECT_EQ(sharded.done, 0u);
 }
 
 // ---------------------------------------------------------------------

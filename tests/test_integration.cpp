@@ -17,7 +17,7 @@
 #include "bp/oracle.hpp"
 #include "bp/tagescl.hpp"
 #include "core/runner.hpp"
-#include "trace/file.hpp"
+#include "tracestore/store.hpp"
 #include "workloads/suite.hpp"
 
 using namespace bpnsp;
@@ -176,22 +176,26 @@ TEST(Integration, RecurrenceIntervalsLongInLcf)
 
 TEST(Integration, TraceFileRoundTripPreservesPredictorResults)
 {
-    // Save a workload trace, replay it, and check the predictor sees
-    // the identical stream (same accuracy).
+    // Capture a workload trace into a store, replay it, and check the
+    // predictor sees the identical stream (same counts).
     const Program p = findWorkload("xz_like").build(0);
     const std::string path =
-        std::string(::testing::TempDir()) + "bpnsp_integ.trc";
+        std::string(::testing::TempDir()) + "bpnsp_integ.bpt";
+    auto bp = makePredictor("gshare");
+    PredictorSim live(*bp, false);
     {
-        TraceFileWriter writer(path);
-        auto bp = makePredictor("gshare");
-        PredictorSim live(*bp, false);
+        TraceStoreWriter writer(path);
         runTrace(p, {&writer, &live}, 200000);
-        auto bp2 = makePredictor("gshare");
-        PredictorSim replayed(*bp2, false);
-        TraceFileReader reader(path);
-        reader.replay(replayed);
-        EXPECT_EQ(replayed.condExecs(), live.condExecs());
-        EXPECT_EQ(replayed.condMispreds(), live.condMispreds());
+        ASSERT_TRUE(writer.status().ok()) << writer.status().str();
     }
+    Status st;
+    auto reader = TraceStoreReader::open(path, &st);
+    ASSERT_NE(reader, nullptr) << st.str();
+    auto bp2 = makePredictor("gshare");
+    PredictorSim replayed(*bp2, false);
+    ASSERT_TRUE(reader->replay(replayed, 0).ok());
+    EXPECT_EQ(replayed.instructions(), live.instructions());
+    EXPECT_EQ(replayed.condExecs(), live.condExecs());
+    EXPECT_EQ(replayed.condMispreds(), live.condMispreds());
     std::remove(path.c_str());
 }

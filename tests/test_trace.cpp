@@ -1,19 +1,16 @@
 /**
  * @file
- * Tests for the trace module: records, sinks, the binary file format,
- * and the slicer.
+ * Tests for the trace module: records, sinks, and the slicer.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
+#include <utility>
+#include <vector>
 
-#include "trace/file.hpp"
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
 #include "trace/slicer.hpp"
-#include "util/rng.hpp"
 
 using namespace bpnsp;
 
@@ -36,12 +33,6 @@ makeBranch(uint64_t ip, bool taken, uint64_t target)
     r.taken = taken;
     r.target = target;
     return r;
-}
-
-std::string
-tempPath(const char *tag)
-{
-    return std::string(::testing::TempDir()) + "bpnsp_" + tag + ".trc";
 }
 
 } // namespace
@@ -113,106 +104,6 @@ TEST(Sinks, LimitSink)
         limit.onRecord(makeRecord(i));
     EXPECT_EQ(inner.get().size(), 2u);
     EXPECT_TRUE(limit.exhausted());
-}
-
-TEST(TraceFile, RoundTrip)
-{
-    const std::string path = tempPath("roundtrip");
-    {
-        TraceFileWriter writer(path);
-        TraceRecord r = makeBranch(0x400100, true, 0x400200);
-        r.memAddr = 0x1234;
-        r.writtenValue = 99;
-        r.hasDst = true;
-        r.dst = 7;
-        r.numSrc = 2;
-        r.src[0] = 3;
-        r.src[1] = 4;
-        writer.onRecord(r);
-        writer.onRecord(makeRecord(0x400104, InstrClass::Load));
-        writer.onEnd();
-        EXPECT_EQ(writer.count(), 2u);
-    }
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.count(), 2u);
-    VectorSink sink;
-    EXPECT_EQ(reader.replay(sink), 2u);
-    ASSERT_EQ(sink.get().size(), 2u);
-    const TraceRecord &r = sink.get()[0];
-    EXPECT_EQ(r.ip, 0x400100u);
-    EXPECT_TRUE(r.taken);
-    EXPECT_EQ(r.target, 0x400200u);
-    EXPECT_EQ(r.memAddr, 0x1234u);
-    EXPECT_EQ(r.writtenValue, 99u);
-    EXPECT_TRUE(r.hasDst);
-    EXPECT_EQ(r.dst, 7);
-    EXPECT_EQ(r.numSrc, 2);
-    EXPECT_EQ(r.src[1], 4);
-    EXPECT_EQ(sink.get()[1].cls, InstrClass::Load);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ReplayLimit)
-{
-    const std::string path = tempPath("limit");
-    {
-        TraceFileWriter writer(path);
-        for (int i = 0; i < 10; ++i)
-            writer.onRecord(makeRecord(i));
-        writer.onEnd();
-    }
-    TraceFileReader reader(path);
-    VectorSink sink;
-    EXPECT_EQ(reader.replay(sink, 4), 4u);
-    EXPECT_EQ(sink.get().size(), 4u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, PropertyRandomRecordsSurviveRoundTrip)
-{
-    const std::string path = tempPath("prop");
-    Rng rng(0xf11e);
-    std::vector<TraceRecord> sent;
-    {
-        TraceFileWriter writer(path);
-        for (int i = 0; i < 200; ++i) {
-            TraceRecord r;
-            r.ip = rng.next();
-            r.memAddr = rng.next();
-            r.target = rng.next();
-            r.fallthrough = r.ip + 4;
-            r.writtenValue = static_cast<uint32_t>(rng.next());
-            r.cls = static_cast<InstrClass>(
-                rng.below(static_cast<uint64_t>(kMaxInstrClass) + 1));
-            r.numSrc = static_cast<uint8_t>(rng.below(4));
-            for (int s = 0; s < r.numSrc; ++s)
-                r.src[s] = static_cast<uint8_t>(rng.below(18));
-            r.hasDst = rng.chance(0.5);
-            r.dst = static_cast<uint8_t>(rng.below(18));
-            r.taken = rng.chance(0.5);
-            sent.push_back(r);
-            writer.onRecord(r);
-        }
-        writer.onEnd();
-    }
-    TraceFileReader reader(path);
-    VectorSink sink;
-    reader.replay(sink);
-    ASSERT_EQ(sink.get().size(), sent.size());
-    for (size_t i = 0; i < sent.size(); ++i) {
-        const TraceRecord &a = sent[i];
-        const TraceRecord &b = sink.get()[i];
-        EXPECT_EQ(a.ip, b.ip);
-        EXPECT_EQ(a.memAddr, b.memAddr);
-        EXPECT_EQ(a.target, b.target);
-        EXPECT_EQ(a.fallthrough, b.fallthrough);
-        EXPECT_EQ(a.writtenValue, b.writtenValue);
-        EXPECT_EQ(a.cls, b.cls);
-        EXPECT_EQ(a.numSrc, b.numSrc);
-        EXPECT_EQ(a.hasDst, b.hasDst);
-        EXPECT_EQ(a.taken, b.taken);
-    }
-    std::remove(path.c_str());
 }
 
 namespace {

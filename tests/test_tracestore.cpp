@@ -3,7 +3,7 @@
  * Tests for the on-disk trace store: varint/zigzag primitives, lossless
  * round-trips across field extremes, malformed-input rejection
  * (truncation, corrupted frames, bad versions — diagnostics, never
- * crashes), indexed seek, and shard-parallel replay.
+ * crashes), and indexed seek.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "tracestore/format.hpp"
-#include "tracestore/shard.hpp"
 #include "tracestore/store.hpp"
 #include "util/rng.hpp"
 
@@ -494,69 +493,6 @@ TEST(TraceStore, MissingFileRejected)
     EXPECT_EQ(st.code(), StatusCode::IoError);
 }
 
-TEST(ShardReplay, MatchesSerialReplay)
-{
-    const auto records = sequentialRecords(1000);
-    const std::string path = writeStore("shards", records, 64);
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    ASSERT_NE(reader, nullptr) << st.str();
-
-    DigestSink serial;
-    ASSERT_TRUE(reader->replay(serial, 0).ok());
-
-    for (const unsigned shards : {1u, 2u, 3u, 8u, 64u}) {
-        std::vector<std::unique_ptr<VectorSink>> sinks;
-        std::vector<ShardSlice> slices;
-        const uint64_t replayed = replayShards(
-            *reader, shards,
-            [&](const ShardSlice &slice) -> TraceSink & {
-                slices.push_back(slice);
-                sinks.push_back(std::make_unique<VectorSink>());
-                return *sinks.back();
-            },
-            &st);
-        ASSERT_EQ(replayed, records.size()) << st.str();
-        EXPECT_LE(slices.size(), static_cast<size_t>(shards));
-
-        // Concatenating the shards in order must reproduce the trace.
-        DigestSink merged;
-        uint64_t expectedFirst = 0;
-        for (size_t s = 0; s < sinks.size(); ++s) {
-            EXPECT_EQ(slices[s].firstRecord, expectedFirst);
-            EXPECT_EQ(slices[s].numRecords, sinks[s]->get().size());
-            expectedFirst += slices[s].numRecords;
-            for (const TraceRecord &rec : sinks[s]->get())
-                merged.onRecord(rec);
-        }
-        EXPECT_EQ(expectedFirst, records.size());
-        EXPECT_EQ(merged.digest(), serial.digest())
-            << shards << " shards";
-    }
-    std::remove(path.c_str());
-}
-
-TEST(ShardReplay, MoreShardsThanChunks)
-{
-    const std::string path =
-        writeStore("tiny", sequentialRecords(10), 4);   // 3 chunks
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    ASSERT_NE(reader, nullptr) << st.str();
-
-    std::vector<std::unique_ptr<CountingSink>> sinks;
-    const uint64_t replayed = replayShards(
-        *reader, 16,
-        [&](const ShardSlice &) -> TraceSink & {
-            sinks.push_back(std::make_unique<CountingSink>());
-            return *sinks.back();
-        },
-        &st);
-    EXPECT_EQ(replayed, 10u) << st.str();
-    EXPECT_EQ(sinks.size(), 3u);   // clamped to chunk count
-    std::remove(path.c_str());
-}
-
 TEST(TraceStore, ReplayRangeOutOfBoundsIsErrorNotAbort)
 {
     const std::string path =
@@ -671,53 +607,6 @@ TEST(TraceStore, CorruptionMatrixEveryRegionRejected)
             std::remove(path.c_str());
         }
     }
-}
-
-TEST(ShardReplay, AggregatesAllShardFailures)
-{
-    const auto records = sequentialRecords(500);
-    const std::string path =
-        writeStore("shard_errs", records, 64);   // 8 chunks
-
-    // Damage the payloads of the first and last chunks: with four
-    // 2-chunk shards, shards 0 and 3 must fail and 1 and 2 survive.
-    corruptByte(path,
-                chunkOffset(path, 0) + sizeof(StoreChunkHeader) + 5);
-    corruptByte(path,
-                chunkOffset(path, 7) + sizeof(StoreChunkHeader) + 5);
-
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    ASSERT_NE(reader, nullptr) << st.str();
-
-    std::vector<std::unique_ptr<CountingSink>> sinks;
-    std::vector<ShardSlice> slices;
-    const uint64_t replayed = replayShards(
-        *reader, 4,
-        [&](const ShardSlice &slice) -> TraceSink & {
-            slices.push_back(slice);
-            sinks.push_back(std::make_unique<CountingSink>());
-            return *sinks.back();
-        },
-        &st);
-
-    // The aggregated diagnostic names BOTH failing shards, not just
-    // the first.
-    EXPECT_EQ(st.code(), StatusCode::CorruptData);
-    EXPECT_NE(st.message().find("2 of 4 shards failed"),
-              std::string::npos)
-        << st.str();
-    EXPECT_NE(st.message().find("shard 0:"), std::string::npos)
-        << st.str();
-    EXPECT_NE(st.message().find("shard 3:"), std::string::npos)
-        << st.str();
-
-    // Healthy shards still delivered their complete slices.
-    ASSERT_EQ(slices.size(), 4u);
-    EXPECT_EQ(replayed, slices[1].numRecords + slices[2].numRecords);
-    EXPECT_EQ(sinks[1]->totalCount(), slices[1].numRecords);
-    EXPECT_EQ(sinks[2]->totalCount(), slices[2].numRecords);
-    std::remove(path.c_str());
 }
 
 TEST(DigestSinkTest, SensitiveToEveryField)
