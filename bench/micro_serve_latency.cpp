@@ -19,14 +19,6 @@
  * (obs/trace.hpp) and reports the tracing overhead as
  * bench.serve_latency.tracing.* gauges — the acceptance budget is
  * <= 2% on this path, checked from the same report.
- *
- * A final fleet-scale stage (compiled when BPNSP_SERVED_BIN points at
- * the daemon binary) sweeps a real multi-process fleet at 1/2/4/8
- * workers, with and without a mid-load SIGKILL of one worker, and
- * reports p50/p99 plus first-try availability per level as
- * bench.serve_latency.fleet.w<N>.{steady,chaos}.* gauges — the cost
- * of the router hop, and what a worker crash does to the tail when
- * retry-aware clients ride it out.
  */
 
 #include <cstdio>
@@ -34,14 +26,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#ifdef BPNSP_SERVED_BIN
-#include <chrono>
-#include <csignal>
-#include <thread>
-
-#include "serve/fleet.hpp"
-#endif
 
 #include "common.hpp"
 #include "obs/trace.hpp"
@@ -347,99 +331,6 @@ main(int argc, char **argv)
         std::printf("\n");
         emit(overloadTable, opts.getFlag("csv"));
     }
-
-#ifdef BPNSP_SERVED_BIN
-    // Fleet-scale sweep: a real supervised multi-process fleet on the
-    // same (already warm) corpus. Per worker count, one steady run and
-    // one chaos run where a worker is SIGKILLed mid-load and the
-    // retry-aware clients must absorb the outage. First-try fraction
-    // is the availability number: the share of requests that never
-    // needed a retry.
-    {
-        TextTable fleetTable("Fleet scale: latency + availability (" +
-                             w.name + ")");
-        fleetTable.setHeader({"workers", "chaos", "ok", "p50 ms",
-                              "p99 ms", "req/s", "first-try"});
-        for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-            for (const bool chaos : {false, true}) {
-                FleetConfig fc;
-                fc.socketPath = "/tmp/bpnsp-serve-bench-fleet.sock";
-                fc.workers = workers;
-                fc.workerCommand = {BPNSP_SERVED_BIN,
-                                    "--trace-cache=" + cacheDir,
-                                    "--threads=2",
-                                    "--batch=" + std::to_string(
-                                        opts.getInt("batch"))};
-                fc.heartbeatMs = 100;
-                fc.backoffBaseMs = 50;
-                fc.backoffCapMs = 500;
-                FleetSupervisor fleet(std::move(fc));
-                if (const Status st = fleet.start(); !st.ok())
-                    fatal("cannot start bench fleet: ", st.str());
-
-                std::thread killer;
-                if (chaos)
-                    killer = std::thread([&fleet] {
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(300));
-                        for (const ShardStatus &s :
-                             fleet.shardStatuses())
-                            if (s.pid != 0) {
-                                ::kill(s.pid, SIGKILL);
-                                break;
-                            }
-                    });
-
-                LoadGenConfig cfg;
-                cfg.socketPath = fleet.config().socketPath;
-                cfg.clients = 8;
-                cfg.requestsPerClient =
-                    static_cast<unsigned>(opts.getInt("requests"));
-                cfg.workload = w.name;
-                cfg.instructions = instructions;
-                cfg.sliceRecords = static_cast<uint64_t>(
-                    static_cast<double>(opts.getInt("slice")) *
-                    scale);
-                cfg.seed = 1000 + workers * 2 + (chaos ? 1 : 0);
-                cfg.retry.maxAttempts = 8;
-                cfg.retry.baseBackoffMs = 20;
-                const LoadGenResult r = runLoadGen(cfg);
-                if (killer.joinable())
-                    killer.join();
-                fleet.drain();
-
-                fleetTable.beginRow();
-                fleetTable.cell(static_cast<uint64_t>(workers));
-                fleetTable.cell(std::string(chaos ? "kill" : "-"));
-                fleetTable.cell(r.ok);
-                fleetTable.cell(r.p50Ms, 2);
-                fleetTable.cell(r.p99Ms, 2);
-                fleetTable.cell(r.requestsPerSecond(), 0);
-                fleetTable.cell(r.firstTryFraction(), 4);
-
-                const std::string prefix =
-                    "bench.serve_latency.fleet.w" +
-                    std::to_string(workers) +
-                    (chaos ? ".chaos." : ".steady.");
-                obs::gauge(prefix + "p50_ms").set(r.p50Ms);
-                obs::gauge(prefix + "p99_ms").set(r.p99Ms);
-                obs::gauge(prefix + "req_per_sec")
-                    .set(r.requestsPerSecond());
-                obs::gauge(prefix + "first_try_fraction")
-                    .set(r.firstTryFraction());
-                obs::gauge(prefix + "ok")
-                    .set(static_cast<double>(r.ok));
-                if (r.mismatches != 0 || r.gaveUp != 0)
-                    warn("fleet level w", workers,
-                         chaos ? " chaos" : " steady", ": ",
-                         r.mismatches, " mismatch(es), ", r.gaveUp,
-                         " gave up");
-            }
-        }
-        std::printf("\n");
-        emit(fleetTable, opts.getFlag("csv"));
-    }
-#endif
 
     std::printf("drained; corpus retained at %s\n", cacheDir.c_str());
     return 0;

@@ -28,14 +28,17 @@ validation failure without a generated program, and — from schema_rev
 obs.spans_dropped, serve.stats_requests) with their invariants: no
 span dropped unless spans were being recorded, and stats requests are
 a subset of serve.requests, and — from schema_rev 7 — the
-fleet-supervision / client-retry counters
-(serve.fleet.{worker_deaths,respawns,breaker_trips},
-serve.client.{retries,gave_up}) with their invariant: respawns never
-exceed worker deaths, since a respawn only ever answers a death, and —
-from schema_rev 8 — the overload counters
+client-retry counters (serve.client.{retries,gave_up}), plus, for
+revs 7 to 9 only, the fleet-supervision counters
+(serve.fleet.{worker_deaths,respawns,breaker_trips}) with their
+invariant: respawns never exceed worker deaths, since a respawn only
+ever answers a death (rev 10 dropped them with the multi-process
+fleet), and — from schema_rev 8 — the overload counters
 (serve.{shed,expired,hedges,hedge_wins}) with their invariants:
 hedge_wins never exceeds hedges, and shed + accepted never exceeds
-requests (a shed request is never also handed to a worker); the
+requests (a shed request is never also handed to a worker), and —
+from schema_rev 9 — the frontend counters (frontend.btb_miss,
+frontend.ras_over, frontend.ind_mispred, frontend.ftq_stall_cycles); the
 optional "snapshots" time-series
 section, when present, must be shaped like the sampler wrote it
 (period_ms, total, and a samples array of {t_s, counters, gauges,
@@ -106,16 +109,20 @@ REQUIRED_COUNTERS_REV6 = (
     "obs.spans_dropped",
     "serve.stats_requests",
 )
-# Added in schema_rev 7: the fleet-supervision / client-retry
-# contract. Every report proves whether the run supervised a worker
-# fleet, how many workers died and came back, whether any shard's
-# circuit breaker tripped, and whether clients needed retries.
+# Added in schema_rev 7: the client-retry contract. Every report
+# proves whether clients needed retries.
 REQUIRED_COUNTERS_REV7 = (
+    "serve.client.retries",
+    "serve.client.gave_up",
+)
+# Required in schema_rev 7 to 9 only: the fleet-supervision contract
+# (how many workers died and came back, whether any shard's circuit
+# breaker tripped). Rev 10 dropped these keys with the multi-process
+# fleet; older reports must still carry them.
+REQUIRED_COUNTERS_FLEET = (
     "serve.fleet.worker_deaths",
     "serve.fleet.respawns",
     "serve.fleet.breaker_trips",
-    "serve.client.retries",
-    "serve.client.gave_up",
 )
 # Added in schema_rev 8: the overload contract. Every report proves
 # how the run behaved past saturation — fair-share sheds, deadline
@@ -136,7 +143,7 @@ REQUIRED_COUNTERS_REV9 = (
     "frontend.ind_mispred",
     "frontend.ftq_stall_cycles",
 )
-MAX_KNOWN_SCHEMA_REV = 9
+MAX_KNOWN_SCHEMA_REV = 10
 
 
 def check(path):
@@ -193,6 +200,8 @@ def check(path):
         required = required + REQUIRED_COUNTERS_REV6
     if rev >= 7:
         required = required + REQUIRED_COUNTERS_REV7
+    if 7 <= rev <= 9:
+        required = required + REQUIRED_COUNTERS_FLEET
     if rev >= 8:
         required = required + REQUIRED_COUNTERS_REV8
     if rev >= 9:
@@ -277,7 +286,7 @@ def check(path):
                 f"{counters['serve.requests']}"
             )
 
-    if rev >= 7:
+    if 7 <= rev <= 9:
         # Fleet bookkeeping: a respawn only ever answers a death, so
         # the supervisor can never claim more revivals than losses.
         if counters["serve.fleet.respawns"] > counters[

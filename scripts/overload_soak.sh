@@ -9,10 +9,8 @@
 # they cost worker time, and answer every surviving request with the
 # bit-exact result (--verify). Client-side hedging must fire under the
 # induced slowness and every hedged duplicate must verify identically.
-# The drained report must validate as schema_rev 9 (shed / expired /
-# hedge accounting invariants). A final pass drives the same corpus
-# through a 2-worker fleet with router-side hedging enabled and
-# validates the fleet report under the same rev-8 invariants.
+# The drained report must validate as schema_rev 10 (shed / expired /
+# hedge accounting invariants).
 #
 # Usage: scripts/overload_soak.sh [BUILD_DIR]
 #
@@ -31,9 +29,8 @@ SOCKET="$WORK/served.sock"
 CACHE="$WORK/trace-cache"
 REPORT="$WORK/report.json"
 SERVED_PID=""
-FLEET_PID=""
 ABUSE_PID=""
-trap 'for p in "$SERVED_PID" "$FLEET_PID" "$ABUSE_PID"; do
+trap 'for p in "$SERVED_PID" "$ABUSE_PID"; do
           [ -n "$p" ] && kill "$p" 2>/dev/null || true
       done
       rm -rf "$WORK"' EXIT
@@ -157,9 +154,9 @@ print(
 )
 PY
 
-# Phase 3: drain and audit the rev-9 report: the overload counters
+# Phase 3: drain and audit the rev-10 report: the overload counters
 # must be present, additive, and non-trivial.
-echo "== phase 3: main report validation (schema_rev 9)"
+echo "== phase 3: main report validation (schema_rev 10)"
 kill -TERM "$SERVED_PID"
 SERVED_STATUS=0
 wait "$SERVED_PID" || SERVED_STATUS=$?
@@ -173,7 +170,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema_rev"] == 9, report["schema_rev"]
+assert report["schema_rev"] == 10, report["schema_rev"]
 c = report["counters"]
 assert c["serve.shed"] > 0, "cost-aware admission never shed: %r" % c
 assert c["serve.shed"] + c["serve.accepted"] <= c["serve.requests"], c
@@ -211,6 +208,11 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -S "$STALL_SOCKET" ] || { echo "stall daemon never bound" >&2; exit 1; }
+
+HEALTH_LOG="$WORK/health.log"
+"$CLIENT" --socket="$STALL_SOCKET" --op=health | tee "$HEALTH_LOG"
+grep -q "queued_cost_ms=" "$HEALTH_LOG" || {
+    echo "health rows carry no queue columns" >&2; exit 1; }
 
 # Distinct slices per blocker: identical slices would coalesce into
 # one batch and free the worker after a single stall.
@@ -250,67 +252,6 @@ with open(sys.argv[1]) as f:
     c = json.load(f)["counters"]
 assert c["serve.expired"] > 0, "no deadline ever expired: %r" % c
 print("deadline ok: %d expired in the queue" % c["serve.expired"])
-PY
-
-# Phase 5: the same corpus through a 2-worker fleet with router-side
-# hedging on. Health must report per-worker queue depth columns, the
-# verified load must pass, and the fleet report must satisfy the same
-# rev-8 invariants (hedge_wins <= hedges checked by the validator).
-echo "== phase 5: fleet mode with router hedging"
-FLEET_SOCKET="$WORK/fleet.sock"
-FLEET_REPORT="$WORK/fleet-report.json"
-"$SERVED" \
-    --socket="$FLEET_SOCKET" \
-    --trace-cache="$CACHE" \
-    --workers=2 \
-    --threads=2 \
-    --heartbeat-ms=100 \
-    --hedge-ms=25 \
-    --max-inflight-cost=50 \
-    --metrics-out="$FLEET_REPORT" \
-    &
-FLEET_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$FLEET_SOCKET" ] && break
-    sleep 0.1
-done
-[ -S "$FLEET_SOCKET" ] || {
-    echo "fleet never bound $FLEET_SOCKET" >&2; exit 1; }
-
-HEALTH_LOG="$WORK/health.log"
-"$CLIENT" --socket="$FLEET_SOCKET" --op=health | tee "$HEALTH_LOG"
-grep -q "queued_cost_ms=" "$HEALTH_LOG" || {
-    echo "health rows carry no queue columns" >&2; exit 1; }
-
-"$CLIENT" --socket="$FLEET_SOCKET" --op=loadgen \
-    --clients=8 --requests=16 \
-    --workload=mcf_like --instructions=200000 --count=50000 \
-    --predictor=gshare --seed=24 \
-    --retries=6 --verify --trace-cache="$CACHE" \
-    | tee "$WORK/fleet-load.log"
-grep -q " 0 mismatch(es)" "$WORK/fleet-load.log" || {
-    echo "fleet loadgen returned wrong answers" >&2; exit 1; }
-
-kill -TERM "$FLEET_PID"
-FLEET_STATUS=0
-wait "$FLEET_PID" || FLEET_STATUS=$?
-FLEET_PID=""
-[ "$FLEET_STATUS" -eq 0 ] || {
-    echo "fleet exited $FLEET_STATUS after SIGTERM" >&2; exit 1; }
-python3 "$CHECKER" "$FLEET_REPORT"
-python3 - "$FLEET_REPORT" <<'PY'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-c = report["counters"]
-assert c["serve.fleet.routed"] > 0, c
-assert c["serve.hedge_wins"] <= c["serve.hedges"], c
-print(
-    "fleet ok: %d routed, %d hedge(s), %d hedge win(s)"
-    % (c["serve.fleet.routed"], c["serve.hedges"], c["serve.hedge_wins"])
-)
 PY
 
 echo "== overload soak passed"

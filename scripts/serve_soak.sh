@@ -6,11 +6,9 @@
 # daemon runs with span tracing, snapshot sampling, and slow-request
 # logging on; mid-soak a Stats request must answer from the io thread,
 # the rotated Perfetto traces must pass check_trace.py, and the run
-# report must validate as schema_rev 9 with the serve.* and obs.*
-# contract counters. A second pass runs the daemon in fleet mode
-# (--workers=2) to prove the supervisor/router serves the same load,
-# and a final phase proves --watch survives a daemon restart by
-# reconnecting instead of exiting.
+# report must validate as schema_rev 10 with the serve.* and obs.*
+# contract counters. A final phase proves --watch survives a daemon
+# restart by reconnecting instead of exiting.
 #
 # Usage: scripts/serve_soak.sh [BUILD_DIR]
 #
@@ -30,10 +28,9 @@ SOCKET="$WORK/served.sock"
 CACHE="$WORK/trace-cache"
 REPORT="$WORK/report.json"
 SERVED_PID=""
-FLEET_PID=""
 WATCH_SERVED_PID=""
 WATCH_PID=""
-trap 'for p in "$SERVED_PID" "$FLEET_PID" "$WATCH_SERVED_PID" "$WATCH_PID"; do
+trap 'for p in "$SERVED_PID" "$WATCH_SERVED_PID" "$WATCH_PID"; do
           [ -n "$p" ] && kill "$p" 2>/dev/null || true
       done
       rm -rf "$WORK"' EXIT
@@ -146,7 +143,7 @@ wait "$LOAD_PID" 2>/dev/null || true
     exit 1
 }
 
-# Phase 3: the drained daemon's report must be a valid schema_rev 9
+# Phase 3: the drained daemon's report must be a valid schema_rev 10
 # run report whose serve.* counters prove the soak exercised every
 # path: admission, rejection, corruption, completion, introspection —
 # and whose snapshots section carries the sampled time series.
@@ -158,7 +155,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema_rev"] == 9, report["schema_rev"]
+assert report["schema_rev"] == 10, report["schema_rev"]
 c = report["counters"]
 assert c["serve.requests"] > 0, c
 assert c["serve.completed"] > 0, c
@@ -199,95 +196,10 @@ TRACES=("$WORK"/traces/*.json)
 }
 python3 "$TRACECHECK" "${TRACES[@]}"
 
-# Phase 5: the same corpus served through a 2-worker fleet. The
-# supervisor routes by trace-digest shard; a SIGKILL'd worker must be
-# respawned while retry-aware clients ride out the gap with zero
-# wrong answers, and the drained supervisor's report must carry the
-# rev-7 fleet counters.
-echo "== phase 5: fleet mode (--workers=2) with a worker kill"
-FLEET_SOCKET="$WORK/fleet.sock"
-FLEET_REPORT="$WORK/fleet-report.json"
-"$SERVED" \
-    --socket="$FLEET_SOCKET" \
-    --trace-cache="$CACHE" \
-    --workers=2 \
-    --threads=2 \
-    --heartbeat-ms=100 \
-    --metrics-out="$FLEET_REPORT" \
-    &
-FLEET_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$FLEET_SOCKET" ] && break
-    sleep 0.1
-done
-[ -S "$FLEET_SOCKET" ] || { echo "fleet never bound $FLEET_SOCKET" >&2; exit 1; }
-
-"$CLIENT" --socket="$FLEET_SOCKET" --op=health || {
-    echo "fleet health probe failed" >&2; exit 1; }
-"$CLIENT" --socket="$FLEET_SOCKET" --op=loadgen \
-    --clients=8 --requests=16 \
-    --workload=mcf_like --instructions=200000 --count=50000 \
-    --predictor=gshare --seed=11 \
-    --retries=6 --verify --trace-cache="$CACHE"
-
-# Kill one worker under load; retries must absorb the outage.
-VICTIM=$(pgrep -P "$FLEET_PID" | head -1)
-[ -n "$VICTIM" ] || { echo "no fleet worker children found" >&2; exit 1; }
-"$CLIENT" --socket="$FLEET_SOCKET" --op=loadgen \
-    --clients=8 --requests=16 \
-    --workload=mcf_like --instructions=200000 --count=50000 \
-    --predictor=gshare --seed=12 \
-    --retries=6 --verify --trace-cache="$CACHE" >"$WORK/fleet-load.log" 2>&1 &
-FLEET_LOAD_PID=$!
-sleep 0.2
-kill -KILL "$VICTIM"
-wait "$FLEET_LOAD_PID" || {
-    cat "$WORK/fleet-load.log" >&2
-    echo "fleet loadgen failed across a worker kill" >&2
-    exit 1
-}
-cat "$WORK/fleet-load.log"
-grep -q " 0 mismatch(es)" "$WORK/fleet-load.log" || {
-    echo "fleet loadgen returned wrong answers" >&2; exit 1; }
-
-# Give the supervisor a beat to respawn, then drain and audit.
-for _ in $(seq 1 50); do
-    "$CLIENT" --socket="$FLEET_SOCKET" --op=health >/dev/null 2>&1 && break
-    sleep 0.1
-done
-kill -TERM "$FLEET_PID"
-FLEET_STATUS=0
-wait "$FLEET_PID" || FLEET_STATUS=$?
-[ "$FLEET_STATUS" -eq 0 ] || {
-    echo "fleet exited $FLEET_STATUS after SIGTERM" >&2; exit 1; }
-python3 "$CHECKER" "$FLEET_REPORT"
-python3 - "$FLEET_REPORT" <<'PY'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-c = report["counters"]
-assert c["serve.fleet.worker_deaths"] >= 1, c
-assert c["serve.fleet.respawns"] >= 1, c
-assert c["serve.fleet.respawns"] <= c["serve.fleet.worker_deaths"], c
-assert c["serve.fleet.routed"] > 0, c
-print(
-    "fleet soak ok: %d routed, %d death(s), %d respawn(s), "
-    "%d breaker trip(s)"
-    % (
-        c["serve.fleet.routed"],
-        c["serve.fleet.worker_deaths"],
-        c["serve.fleet.respawns"],
-        c["serve.fleet.breaker_trips"],
-    )
-)
-PY
-
-# Phase 6: a stats --watch must outlive a daemon restart. Start a
+# Phase 5: a stats --watch must outlive a daemon restart. Start a
 # fresh single-process daemon, point a watch at it, bounce the
 # daemon, and check the watch reconnected instead of exiting.
-echo "== phase 6: --watch survives a daemon restart"
+echo "== phase 5: --watch survives a daemon restart"
 WATCH_SOCKET="$WORK/watch.sock"
 start_watch_daemon() {
     "$SERVED" --socket="$WATCH_SOCKET" --trace-cache="$CACHE" \

@@ -36,8 +36,6 @@ struct Point
 std::mutex gMutex;
 std::map<std::string, Point> gPoints;
 std::string gSpec;
-uint64_t gBaseSeed = kDefaultSeed;
-uint64_t gBump = 0;         // setStreamBump(): per-process decorrelation
 bool gConfigured = false;   // a spec was installed (even an empty one)
 
 /** Strict non-negative integer parse; false on junk or empty. */
@@ -138,13 +136,12 @@ installLocked(const std::string &spec, uint64_t seed,
 {
     gSpec = spec;
     gPoints = std::move(points);
-    gBaseSeed = seed;
-    // Per-point streams derive from (seed + bump, point name) through
-    // the shared audited scheme (util/rng.hpp), so a given (seed,
-    // spec, bump) reproduces the exact same failure schedule
-    // regardless of how other points interleave.
+    // Per-point streams derive from (seed, point name) through the
+    // shared audited scheme (util/rng.hpp), so a given (seed, spec)
+    // reproduces the exact same failure schedule regardless of how
+    // other points interleave.
     for (auto &[name, point] : gPoints)
-        point.rng = Rng::stream(seed + gBump, name);
+        point.rng = Rng::stream(seed, name);
     gConfigured = true;
     detail::gActive.store(!gPoints.empty(),
                           std::memory_order_relaxed);
@@ -245,22 +242,7 @@ void
 reset()
 {
     std::lock_guard<std::mutex> lock(gMutex);
-    gBump = 0;
     installLocked("", kDefaultSeed, {});
-}
-
-void
-setStreamBump(uint64_t bump)
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    if (bump == gBump)
-        return;
-    gBump = bump;
-    for (auto &[name, point] : gPoints) {
-        point.rng = Rng::stream(gBaseSeed + gBump, name);
-        point.evaluated = 0;
-        point.fired = 0;
-    }
 }
 
 bool

@@ -71,21 +71,6 @@
  *                             cancellable moment before executing,
  *                             exercising queue backpressure and the
  *                             drain path under a slow pool
- *   serve.worker.crash        a fleet worker process dies abruptly
- *                             (std::_Exit, nothing drained) from its
- *                             supervision loop — drives the respawn
- *                             and crash-loop-breaker paths
- *   serve.worker.wedge        a fleet worker stops heartbeating and
- *                             parks forever; the supervisor's
- *                             liveness watchdog must SIGKILL and
- *                             respawn it
- *
- * Both serve.worker.* points are also evaluated under a per-shard
- * name (`serve.worker.crash.w<i>` for shard i), so a soak can
- * crash-loop exactly one shard while the rest of the fleet stays
- * healthy. Fleet workers additionally decorrelate their per-point RNG
- * streams via setStreamBump() (`--faults-bump=<i+1>`), so N workers
- * given the same spec do not fail in lockstep.
  */
 
 #ifndef BPNSP_FAULTSIM_FAULTSIM_HPP
@@ -143,16 +128,6 @@ void configureFromOptions(const OptionParser &opts);
 
 /** Deactivate injection and clear all per-point state (tests). */
 void reset();
-
-/**
- * Decorrelate this process's per-point RNG streams from siblings
- * given the same (seed, spec): every point re-derives its stream from
- * seed + bump. Fleet workers pass their shard index + 1 so a
- * probabilistic failpoint does not fire in lockstep across the fleet;
- * bump 0 (the default) leaves the canonical schedule. Re-derivation
- * resets per-point evaluated/fired state.
- */
-void setStreamBump(uint64_t bump);
 
 /** True when a spec is active. */
 bool active();

@@ -267,15 +267,10 @@ renderRunReport()
           // requests.
           "obs.spans_recorded", "obs.spans_dropped",
           "serve.stats_requests",
-          // Fleet/retry counters (schema_rev 7): every report proves
-          // whether the run supervised a worker fleet (and how it
-          // fared) and whether its clients needed retries. Invariant
-          // checked downstream: serve.fleet.respawns never exceeds
-          // serve.fleet.worker_deaths — a respawn only ever answers a
-          // death.
-          "serve.fleet.worker_deaths", "serve.fleet.respawns",
-          "serve.fleet.breaker_trips", "serve.client.retries",
-          "serve.client.gave_up",
+          // Client-retry counters (schema_rev 7): every report proves
+          // whether the run's clients needed retries, and how many
+          // calls gave up after the retry budget.
+          "serve.client.retries", "serve.client.gave_up",
           // Overload counters (schema_rev 8): every report proves how
           // the run behaved past saturation — fair-share sheds,
           // deadline expiries swept before execution, and hedged
@@ -296,7 +291,7 @@ renderRunReport()
         reg.counter(name);
     }
 
-    // schema_rev bumps additively within the v1 schema: rev 2 added
+    // schema_rev bumps within the v1 schema: rev 2 added
     // the robustness counter contract, rev 3 the campaign /
     // cancellation contract, rev 4 the serving contract, rev 5 the
     // synthesis contract, rev 6 the tracing/introspection contract
@@ -305,12 +300,14 @@ renderRunReport()
     // client-retry contract, rev 8 the overload contract
     // (shed / expired / hedges / hedge_wins), rev 9 the frontend
     // contract above (btb_miss / ras_over / ind_mispred /
-    // ftq_stall_cycles) — nothing is ever renamed, so v1 consumers
-    // keep parsing and rev-aware consumers know the new keys are
-    // guaranteed present.
+    // ftq_stall_cycles). Rev 10 drops rev 7's three fleet-supervision
+    // keys (worker deaths, respawns, breaker trips) with the
+    // multi-process fleet they counted. Nothing is ever renamed, so
+    // v1 consumers keep parsing and rev-aware consumers know which
+    // keys are guaranteed present at each rev.
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-run-report-v1\",\n"
-        << "  \"schema_rev\": 9,\n  \"run\": {\n";
+        << "  \"schema_rev\": 10,\n  \"run\": {\n";
     for (const auto &[key, value] : reg.runFields())
         oss << "    " << quoted(key) << ": " << quoted(value) << ",\n";
     oss << "    \"git\": " << quoted(gitDescribe()) << ",\n"

@@ -11,11 +11,11 @@
  * verification) and prints its aggregate tally.
  *
  * --retries=N arms the client-side retry policy (serve/client.hpp):
- * idempotent requests that fail retryably — UNAVAILABLE from a
- * respawning fleet shard, BUSY, admission rejection, a dropped
- * connection — are retried up to N extra times with jittered
- * exponential backoff. This is how a client rides out fleet worker
- * crashes without scripting a loop.
+ * idempotent requests that fail retryably — UNAVAILABLE, BUSY,
+ * admission rejection, a dropped connection — are retried up to N
+ * extra times with jittered exponential backoff. This is how a client
+ * rides out overload shedding or a daemon restart without scripting a
+ * loop.
  *
  * Examples:
  *   bpnsp_client --socket=/tmp/b.sock --op=ping

@@ -55,7 +55,7 @@ bool
 isRetryableCode(WireCode code)
 {
     switch (code) {
-      case WireCode::Unavailable:       // shard down; respawn coming
+      case WireCode::Unavailable:       // endpoint down for now
       case WireCode::Busy:              // draining / lock contention
       case WireCode::ResourceExhausted: // admission queue full
         return true;
@@ -517,7 +517,7 @@ ServeClient::call(const ServeRequest &request, ServeReply *reply)
     for (unsigned attempt = 1;; ++attempt) {
         Status st;
         if (fd < 0 && endpoint != Endpoint::None)
-            st = reconnect();   // a respawned worker = a fresh socket
+            st = reconnect();   // a restarted server = a fresh socket
         if (st.ok())
             st = hedgeMs != 0 && isIdempotentRequest(request.type)
                      ? callHedged(request, reply)
@@ -561,8 +561,9 @@ ServeClient::call(const ServeRequest &request, ServeReply *reply)
         }
 
         // Jittered exponential backoff, floored by the server's
-        // retry-after hint: the hint knows when the shard could be
-        // back; the jitter keeps a retrying herd from stampeding it.
+        // retry-after hint: the hint knows when the server could have
+        // room again; the jitter keeps a retrying herd from stampeding
+        // it.
         if (jitterState == 0)
             jitterState = policy.seed * 0x9e3779b97f4a7c15ull | 1;
         uint64_t backoffMs =

@@ -10,20 +10,19 @@
  * running many clients, which is also what the server's batching is
  * designed to exploit.
  *
- * Retry contract (fleet mode): a RetryPolicy makes call() retry — with
- * bounded, jittered exponential backoff — when the failure is
- * *retryable* (UNAVAILABLE from a respawning/degraded shard, BUSY,
- * RESOURCE_EXHAUSTED admission rejection, or a transport error on a
- * request the client never saw answered) AND the request type is
- * idempotent. Every request this repo serves is a pure read or a
- * content-addressed materialization, so all request types qualify —
- * but the gate is structural (isIdempotentRequest), so a future
- * mutating type is excluded by default, not by vigilance. The server's
- * retry-after hint (reply.retryAfterMs) is a floor on the backoff.
- * serve.client.retries / serve.client.gave_up count what the policy
- * did; each give-up also bumps serve.client.gave_up.<code> with the
- * terminal wire code, so a soak can tell shed from corrupt from
- * timeout.
+ * Retry contract: a RetryPolicy makes call() retry — with bounded,
+ * jittered exponential backoff — when the failure is *retryable*
+ * (UNAVAILABLE, BUSY, RESOURCE_EXHAUSTED admission rejection, or a
+ * transport error on a request the client never saw answered) AND
+ * the request type is idempotent. Every request this repo serves is
+ * a pure read or a content-addressed materialization, so all request
+ * types qualify — but the gate is structural (isIdempotentRequest),
+ * so a future mutating type is excluded by default, not by vigilance.
+ * The server's retry-after hint (reply.retryAfterMs) is a floor on
+ * the backoff. serve.client.retries / serve.client.gave_up count what
+ * the policy did; each give-up also bumps serve.client.gave_up.<code>
+ * with the terminal wire code, so a soak can tell shed from corrupt
+ * from timeout.
  *
  * Hedge contract (tail tolerance): with setHedgeMs(ms != 0), an
  * idempotent call that has not been answered after the observed p95
@@ -86,7 +85,7 @@ class ServeClient
 
     /**
      * Re-establish the last connectUnix/connectTcp endpoint (retry
-     * path: a respawned worker means a fresh socket).
+     * path: a restarted server means a fresh socket).
      */
     Status reconnect();
 
@@ -143,10 +142,10 @@ class ServeClient
     Status stats(std::string *json, uint64_t *trace_id_out = nullptr);
 
     /**
-     * Per-shard readiness probe (Health/HealthReply). A single-process
-     * server answers one ready row; a fleet supervisor answers one row
-     * per shard. Answered from the io thread, so it works under full
-     * load and mid-drain.
+     * Readiness probe (Health/HealthReply). The server answers one
+     * ready row with its queue depth and estimated queued work.
+     * Answered from the io thread, so it works under full load and
+     * mid-drain.
      */
     Status health(std::vector<ShardHealth> *shards);
 

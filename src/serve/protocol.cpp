@@ -598,8 +598,8 @@ encodeReplyPayload(const ServeReply &reply)
     // appended under the v1 grow-at-the-end rule, so pre-tracing
     // peers decode the shorter payload and simply never see it. The
     // retry-after hint rides behind it under the same rule: peers
-    // that predate the fleet decode up to the trace id and ignore
-    // the rest.
+    // that predate the hint decode up to the trace id and ignore the
+    // rest.
     w.u64(reply.traceId);
     w.u32(reply.retryAfterMs);
     // HealthReply overload block: per-row queue depth / estimated
@@ -726,7 +726,7 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
     if (r.ok() && r.remaining() >= 8)
         r.u64(&reply.traceId);
     // Trailing retry-after hint, appended behind the trace id by
-    // fleet-aware servers (stays 0 from older peers).
+    // servers that send it (stays 0 from older peers).
     if (r.ok() && r.remaining() >= 4)
         r.u32(&reply.retryAfterMs);
     // HealthReply overload block (parallel per-row arrays appended

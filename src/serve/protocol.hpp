@@ -85,7 +85,7 @@ enum class MessageType : uint16_t
     Error = 11,   ///< generic failure reply (any request type)
     Stats = 12,   ///< live metric-registry snapshot (io-thread fast path)
     StatsReply = 13,
-    Health = 14,  ///< per-shard readiness probe (io-thread fast path)
+    Health = 14,  ///< readiness probe (io-thread fast path)
     HealthReply = 15,
     Cancel = 16,  ///< best-effort cancel of an earlier request on the
                   ///< same connection (hedge-loser reclamation)
@@ -111,7 +111,7 @@ enum class WireCode : uint16_t
     ResourceExhausted = 7,   ///< bounded-queue admission rejection
     Internal = 8,
     Unimplemented = 9,
-    Unavailable = 10,        ///< shard down / respawning; retryable
+    Unavailable = 10,        ///< endpoint down for now; retryable
 };
 
 /** Stable name of a wire code ("RESOURCE_EXHAUSTED", ...). */
@@ -173,27 +173,30 @@ struct TargetClassStat
     uint64_t targetMispreds = 0; ///< resolved to an unpredicted target
 };
 
-/** Readiness of one fleet shard (HealthReply row). */
+/**
+ * Readiness of one serving shard (HealthReply row). The server answers
+ * a single row (shard 0, Ready); the row layout and the Respawning /
+ * Degraded states stay on the wire so older peers still decode.
+ */
 struct ShardHealth
 {
     /** Shard readiness on the wire (u8). */
     enum State : uint8_t
     {
-        Ready = 0,       ///< worker alive and heartbeating
-        Respawning = 1,  ///< worker died; respawn pending/backing off
-        Degraded = 2,    ///< crash-loop breaker open; cooling down
+        Ready = 0,       ///< serving
+        Respawning = 1,  ///< down; a restart is pending
+        Degraded = 2,    ///< down; retry after a cool-down
     };
 
     uint32_t shard = 0;
     uint8_t state = Ready;
-    uint64_t pid = 0;       ///< live worker pid (0 when down)
-    uint32_t restarts = 0;  ///< respawns since fleet start
-    uint32_t deaths = 0;    ///< deaths since fleet start
+    uint64_t pid = 0;       ///< serving process pid (0 when down)
+    uint32_t restarts = 0;  ///< restarts since start
+    uint32_t deaths = 0;    ///< deaths since start
 
     /**
      * Overload view of the shard (0 when the server predates the
-     * overload layer, or when the supervisor could not probe the
-     * worker in time). These do NOT ride inside the fixed 21-byte row
+     * overload layer). These do NOT ride inside the fixed 21-byte row
      * block — that stride is load-bearing for older decoders — they
      * travel as a parallel per-row block appended *behind* the
      * traceId/retryAfterMs trailers (see encodeReplyPayload).
@@ -265,10 +268,10 @@ struct ServeReply
     /**
      * Retry-after hint in milliseconds, the trailing field of every
      * reply (appended after traceId under the v1 grow-at-the-end
-     * rule). Non-zero only on retryable errors — UNAVAILABLE from a
-     * degraded or respawning shard — where it tells the client the
-     * earliest moment a retry could plausibly succeed. Clients treat
-     * it as a floor on their backoff, never a guarantee.
+     * rule). Non-zero only on retryable errors — RESOURCE_EXHAUSTED
+     * from cost-budget shedding, or UNAVAILABLE — where it tells the
+     * client the earliest moment a retry could plausibly succeed.
+     * Clients treat it as a floor on their backoff, never a guarantee.
      */
     uint32_t retryAfterMs = 0;
 };
@@ -292,11 +295,10 @@ bitsDouble(uint64_t bits)
 
 /** @name EINTR-safe blocking fd I/O
  *
- * Shared by the client, the fleet router, and the server's reply
- * path, so there is exactly one partial-read/partial-write loop to
- * audit. Signals fire routinely in fleet mode (SIGCHLD in the
- * supervisor, SIGTERM fan-out, test SIGUSR1); both helpers restart on
- * EINTR — including EINTR from the poll() they park in when a
+ * Shared by the client and the server's reply path, so there is
+ * exactly one partial-read/partial-write loop to audit. Signals can
+ * land at any time (SIGTERM drains, profilers, test SIGUSR1); both
+ * helpers restart on EINTR — including EINTR from the poll() they park in when a
  * non-blocking fd would block — and never drop or double-count bytes.
  */
 /// @{

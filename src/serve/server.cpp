@@ -207,9 +207,8 @@ nowNs()
  * shared EINTR-audited helper (protocol.hpp). The 5 s bound is per
  * wait-for-writability: a peer that stays unwritable that long is
  * wedged and the connection is abandoned — but a signal interrupting
- * the wait (SIGCHLD fires routinely in fleet mode) restarts it
- * instead of being mistaken for a wedge, which used to drop the
- * connection.
+ * the wait restarts it instead of being mistaken for a wedge, which
+ * used to drop the connection.
  */
 bool
 sendAll(int fd, const uint8_t *bytes, size_t len)
@@ -716,10 +715,10 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
 
         if (type == MessageType::Health) {
             // Health answers from the io thread like Ping: it is the
-            // probe a router or operator uses to decide whether this
-            // endpoint can take traffic, so it must work under full
-            // load and mid-drain. A single-process server is its own
-            // one-shard fleet: one row, ready, never restarted.
+            // probe an operator or load balancer uses to decide
+            // whether this endpoint can take traffic, so it must work
+            // under full load and mid-drain. The server answers one
+            // row: shard 0, ready, never restarted.
             static obs::Counter &healthRequests =
                 obs::counter("serve.health_requests");
             serveRequests().inc();
@@ -735,8 +734,8 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
             {
                 // Overload view: what is queued plus what the workers
                 // hold, in estimated milliseconds of execute time —
-                // the number a router or operator needs to pick (or
-                // avoid) this worker.
+                // the number an operator or load balancer needs to pick
+                // (or avoid) this endpoint.
                 std::lock_guard<std::mutex> lock(queueMu);
                 row.queueDepth = static_cast<uint32_t>(queuedCount);
                 row.queuedCostMs =

@@ -2,8 +2,8 @@
  * @file
  * FNV-1a, the repository's one byte-string hash: trace-store chunk and
  * footer checksums, trace-cache and campaign keys, serve frame
- * checksums and shard routing, and RNG stream derivation all use it,
- * so a value computed by one subsystem is reproducible by any other.
+ * checksums, and RNG stream derivation all use it, so a value
+ * computed by one subsystem is reproducible by any other.
  */
 
 #ifndef BPNSP_UTIL_HASH_HPP

@@ -1,14 +1,9 @@
 #include "util/signals.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <csignal>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "util/cancel.hpp"
 
@@ -92,50 +87,6 @@ int
 lastSignal()
 {
     return gLastSignal.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-int gChildPipe[2] = {-1, -1};
-
-void
-childHandler(int)
-{
-    // Async-signal-safe: one write, errno preserved for the
-    // interrupted code. A full pipe is fine — the byte already
-    // sitting there wakes the poller just as well.
-    const int saved = errno;
-    const uint8_t byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(gChildPipe[1], &byte, 1);
-    errno = saved;
-}
-
-} // namespace
-
-int
-installChildNotifyPipe()
-{
-    static std::atomic<bool> installed{false};
-    bool expected = false;
-    if (!installed.compare_exchange_strong(expected, true))
-        return gChildPipe[0];
-    if (::pipe(gChildPipe) != 0) {
-        gChildPipe[0] = gChildPipe[1] = -1;
-        return -1;
-    }
-    for (const int fd : gChildPipe) {
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        if (flags >= 0)
-            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-    }
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = childHandler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART | SA_NOCLDSTOP;
-    ::sigaction(SIGCHLD, &sa, nullptr);
-    return gChildPipe[0];
 }
 
 } // namespace bpnsp::signals

@@ -68,18 +68,6 @@ int firedCount();
 /** The most recent signal number delivered (0 = none yet). */
 int lastSignal();
 
-/**
- * Install a SIGCHLD handler that writes one byte into a self-pipe and
- * return the pipe's read end (non-blocking). A supervisor polls that
- * fd to learn "some child changed state" promptly instead of waking
- * on a timer to waitpid(); the handler itself is async-signal-safe
- * (one write(), EAGAIN ignored — a saturated pipe still wakes the
- * poller). Idempotent: repeat calls return the same fd. The handler
- * sets SA_NOCLDSTOP (job-control stops are not deaths) and restarts
- * interrupted syscalls where the OS allows.
- */
-int installChildNotifyPipe();
-
 } // namespace bpnsp::signals
 
 #endif // BPNSP_UTIL_SIGNALS_HPP

@@ -27,9 +27,9 @@
  *  - InvalidArgument — the caller asked for something impossible
  *                   (range past end of store, malformed fault spec).
  *  - Unavailable  — the serving endpoint for this request is down
- *                   right now (crashed worker being respawned, shard
- *                   degraded by the crash-loop breaker); retry after
- *                   a backoff, the condition is expected to clear.
+ *                   right now (the wire UNAVAILABLE code); retry
+ *                   after a backoff, the condition is expected to
+ *                   clear.
  */
 
 #ifndef BPNSP_UTIL_STATUS_HPP

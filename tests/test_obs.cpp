@@ -873,16 +873,18 @@ TEST(ObsReport, SnapshotsSectionOnlyWhenSamplerRan)
     {
         JsonParser parser(obs::renderRunReport());
         const JsonValue doc = parser.parse();
-        EXPECT_DOUBLE_EQ(doc.at("schema_rev").number, 9.0);
+        EXPECT_DOUBLE_EQ(doc.at("schema_rev").number, 10.0);
         EXPECT_FALSE(doc.has("snapshots"));
-        // The rev-6/7/8 contract counters are present even untouched.
+        // The rev-6/7/8 contract counters are present even untouched;
+        // rev 10 dropped the fleet-supervision counters.
         const JsonValue &counters = doc.at("counters");
         EXPECT_TRUE(counters.has("obs.spans_recorded"));
         EXPECT_TRUE(counters.has("obs.spans_dropped"));
         EXPECT_TRUE(counters.has("serve.stats_requests"));
-        EXPECT_TRUE(counters.has("serve.fleet.worker_deaths"));
-        EXPECT_TRUE(counters.has("serve.fleet.respawns"));
+        for (const auto &[name, value] : counters.object)
+            EXPECT_EQ(name.find("fleet"), std::string::npos) << name;
         EXPECT_TRUE(counters.has("serve.client.retries"));
+        EXPECT_TRUE(counters.has("serve.client.gave_up"));
         EXPECT_TRUE(counters.has("serve.shed"));
         EXPECT_TRUE(counters.has("serve.expired"));
         EXPECT_TRUE(counters.has("serve.hedges"));

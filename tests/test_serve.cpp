@@ -14,7 +14,6 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +21,6 @@
 #include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "bp/factory.hpp"
@@ -31,7 +29,6 @@
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
-#include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "tracestore/chunk_cache.hpp"
@@ -1872,457 +1869,6 @@ TEST(ServeEintr, SignalStormMidTransferDropsNoBytes)
 
     ASSERT_TRUE(st.ok()) << st.str();
     EXPECT_EQ(got, sent);   // bit-for-bit: nothing dropped or doubled
-}
-
-// --- fleet: sharding, supervision, breaker, drain --------------------
-
-TEST(FleetShard, MappingIsDeterministicAndInRange)
-{
-    const unsigned a = fleetShardFor("mcf_like", 0, kTraceLen, 4);
-    EXPECT_EQ(a, fleetShardFor("mcf_like", 0, kTraceLen, 4));
-    EXPECT_LT(a, 4u);
-    EXPECT_EQ(fleetShardFor("mcf_like", 0, kTraceLen, 1), 0u);
-
-    // The hash keys on the full trace-cache identity, and spreads
-    // distinct traces across shards rather than piling on one.
-    std::set<unsigned> hit;
-    for (uint32_t input = 0; input < 32; ++input)
-        hit.insert(fleetShardFor("mcf_like", input, kTraceLen, 4));
-    EXPECT_GT(hit.size(), 1u);
-}
-
-namespace {
-
-/** Supervisor + scratch corpus fixture for fleet tests. */
-class FleetTest : public ::testing::Test
-{
-  protected:
-    void
-    startFleet(unsigned workers, const std::string &faults = "",
-               unsigned breaker_deaths = 5,
-               uint64_t breaker_cooldown_ms = 60000)
-    {
-        scratch = std::make_unique<ScratchDir>(
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->name());
-        FleetConfig config;
-        config.socketPath = scratch->file("f.sock");
-        config.workers = workers;
-        config.workerCommand = {BPNSP_SERVED_BIN,
-                                "--trace-cache=" +
-                                    scratch->file("cache"),
-                                "--threads=2", "--heartbeat-ms=50"};
-        if (!faults.empty())
-            config.workerCommand.push_back("--faults=" + faults);
-        config.heartbeatMs = 50;
-        config.backoffBaseMs = 50;
-        config.backoffCapMs = 200;
-        config.breakerDeaths = breaker_deaths;
-        config.breakerCooldownMs = breaker_cooldown_ms;
-        config.drainGraceMs = 2000;
-        fleet = std::make_unique<FleetSupervisor>(std::move(config));
-        ASSERT_TRUE(fleet->start().ok());
-    }
-
-    /** Wait until every shard reports the wanted state (or fail). */
-    bool
-    waitForShardState(uint32_t shard, uint8_t state,
-                      int timeout_ms = 15000)
-    {
-        for (int waited = 0; waited < timeout_ms; waited += 50) {
-            const auto statuses = fleet->shardStatuses();
-            if (shard < statuses.size() &&
-                statuses[shard].state == state)
-                return true;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-        }
-        return false;
-    }
-
-    void
-    TearDown() override
-    {
-        if (fleet != nullptr)
-            fleet->drain();
-        faultsim::reset();
-    }
-
-    std::unique_ptr<ScratchDir> scratch;
-    std::unique_ptr<FleetSupervisor> fleet;
-};
-
-} // namespace
-
-TEST_F(FleetTest, RoutesVerifiedRequestsAcrossWorkers)
-{
-    startFleet(2);
-    setTraceCacheDir(scratch->file("cache"));
-    const DirectResult expect = directRun("gshare");
-
-    ServeClient client;
-    ASSERT_TRUE(
-        client.connectUnix(fleet->config().socketPath).ok());
-    std::string info;
-    ASSERT_TRUE(client.ping(&info).ok());
-    EXPECT_NE(info.find("fleet workers=2"), std::string::npos);
-
-    ServeReply reply;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
-    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
-    EXPECT_EQ(reply.condExecs, expect.condExecs);
-    EXPECT_EQ(reply.condMispreds, expect.condMispreds);
-    EXPECT_EQ(reply.accuracyBits, expect.accuracyBits);
-
-    std::vector<ShardHealth> shards;
-    ASSERT_TRUE(client.health(&shards).ok());
-    ASSERT_EQ(shards.size(), 2u);
-    for (const ShardHealth &row : shards) {
-        EXPECT_EQ(row.state, ShardHealth::Ready);
-        EXPECT_NE(row.pid, 0u);
-    }
-    setTraceCacheDir("");
-}
-
-TEST_F(FleetTest, KilledWorkerIsRespawnedAndRequestsRideItOut)
-{
-    startFleet(2);
-    const uint64_t deathsBefore =
-        counterValue("serve.fleet.worker_deaths");
-    const uint64_t respawnsBefore =
-        counterValue("serve.fleet.respawns");
-
-    ServeClient client;
-    ASSERT_TRUE(
-        client.connectUnix(fleet->config().socketPath).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 10;
-    policy.baseBackoffMs = 50;
-    policy.maxBackoffMs = 500;
-    client.setRetryPolicy(policy);
-
-    // Warm the owning worker (cold trace generation happens once),
-    // then SIGKILL it and immediately re-ask: the retry policy must
-    // ride out the UNAVAILABLE window until the respawn lands.
-    ServeReply first;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &first).ok());
-    ASSERT_EQ(first.code, WireCode::Ok) << first.message;
-
-    const unsigned owner =
-        fleetShardFor("mcf_like", 0, kTraceLen, 2);
-    const auto before = fleet->shardStatuses();
-    ASSERT_GT(before[owner].pid, 0);
-    ASSERT_EQ(::kill(before[owner].pid, SIGKILL), 0);
-
-    ServeReply second;
-    ASSERT_TRUE(
-        client.call(simulateRequest("gshare"), &second).ok());
-    ASSERT_EQ(second.code, WireCode::Ok) << second.message;
-    EXPECT_EQ(second.condMispreds, first.condMispreds);
-    EXPECT_GT(client.retriesObserved(), 0u);
-    EXPECT_EQ(client.gaveUpObserved(), 0u);
-
-    ASSERT_TRUE(waitForShardState(owner, ShardHealth::Ready));
-    const auto after = fleet->shardStatuses();
-    EXPECT_GE(after[owner].deaths, 1u);
-    EXPECT_GE(after[owner].restarts, 1u);
-    EXPECT_NE(after[owner].pid, before[owner].pid);
-    EXPECT_GT(counterValue("serve.fleet.worker_deaths"),
-              deathsBefore);
-    EXPECT_GT(counterValue("serve.fleet.respawns"), respawnsBefore);
-}
-
-TEST_F(FleetTest, CrashLoopTripsBreakerAndDegradesOnlyThatShard)
-{
-    // serve.worker.crash.w0@1 kills shard 0's worker on its first
-    // heartbeat tick, every time: a crash loop. Two rapid deaths trip
-    // the breaker; the cooldown is long so the shard stays degraded
-    // for the rest of the test while shard 1 serves on.
-    const uint64_t tripsBefore =
-        counterValue("serve.fleet.breaker_trips");
-    startFleet(2, "serve.worker.crash.w0@1", /*breaker_deaths=*/2);
-    ASSERT_TRUE(waitForShardState(0, ShardHealth::Degraded));
-    EXPECT_GT(counterValue("serve.fleet.breaker_trips"),
-              tripsBefore);
-
-    const auto statuses = fleet->shardStatuses();
-    EXPECT_GE(statuses[0].deaths, 2u);
-    EXPECT_EQ(statuses[1].state, ShardHealth::Ready);
-
-    // A request owned by the degraded shard answers retryable
-    // UNAVAILABLE with a retry-after hint — it must not hang — while
-    // one owned by the healthy shard still succeeds.
-    uint32_t degradedInput = UINT32_MAX;
-    uint32_t healthyInput = UINT32_MAX;
-    for (uint32_t input = 0; input < 64; ++input) {
-        const unsigned shard =
-            fleetShardFor("mcf_like", input, kTraceLen, 2);
-        if (shard == 0 && degradedInput == UINT32_MAX)
-            degradedInput = input;
-        if (shard == 1 && healthyInput == UINT32_MAX)
-            healthyInput = input;
-    }
-    ASSERT_NE(degradedInput, UINT32_MAX);
-    ASSERT_NE(healthyInput, UINT32_MAX);
-
-    ServeClient client;
-    ASSERT_TRUE(
-        client.connectUnix(fleet->config().socketPath).ok());
-
-    ServeRequest degradedReq = simulateRequest("gshare");
-    degradedReq.inputIdx = degradedInput;
-    ServeReply degradedReply;
-    ASSERT_TRUE(client.call(degradedReq, &degradedReply).ok());
-    EXPECT_EQ(degradedReply.code, WireCode::Unavailable);
-    EXPECT_GT(degradedReply.retryAfterMs, 0u);
-
-    ServeRequest healthyReq = simulateRequest("gshare");
-    healthyReq.inputIdx = healthyInput;
-    ServeReply healthyReply;
-    ASSERT_TRUE(client.call(healthyReq, &healthyReply).ok());
-    EXPECT_EQ(healthyReply.code, WireCode::Ok)
-        << healthyReply.message;
-
-    std::vector<ShardHealth> shards;
-    ASSERT_TRUE(client.health(&shards).ok());
-    ASSERT_EQ(shards.size(), 2u);
-    EXPECT_EQ(shards[0].state, ShardHealth::Degraded);
-    EXPECT_EQ(shards[1].state, ShardHealth::Ready);
-}
-
-TEST_F(FleetTest, DrainWhileRespawnInFlightStopsEverything)
-{
-    startFleet(2);
-    const auto statuses = fleet->shardStatuses();
-    std::vector<int> pids;
-    for (const ShardStatus &s : statuses) {
-        ASSERT_GT(s.pid, 0);
-        pids.push_back(s.pid);
-    }
-
-    // Kill a worker and drain before the respawn backoff elapses: the
-    // pending respawn must be abandoned, not leaked.
-    ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
-    fleet->drain();
-    EXPECT_FALSE(fleet->running());
-
-    // Every worker is gone (the killed one and its never-respawned
-    // replacement included) and the public socket is unlinked.
-    const auto drained = fleet->shardStatuses();
-    for (const ShardStatus &s : drained)
-        EXPECT_EQ(s.pid, 0);
-    EXPECT_FALSE(
-        std::filesystem::exists(fleet->config().socketPath));
-    for (unsigned i = 0; i < 2; ++i)
-        EXPECT_FALSE(std::filesystem::exists(
-            fleet->workerSocketPath(i)));
-    fleet.reset();   // already drained; TearDown's drain is a no-op
-}
-
-// --- router hardening: bad frames, worker loss, deadlines ------------
-
-TEST_F(FleetTest, OversizedFrameToRouterIsRefusedAndConnClosed)
-{
-    startFleet(1);
-    RawConn raw(fleet->config().socketPath);
-    ASSERT_TRUE(raw.ok());
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(MessageType::Ping, 5, {}, &frame).ok());
-    const uint32_t huge = kMaxFramePayload + 1;
-    std::memcpy(frame.data() + 16, &huge, sizeof(huge));
-    raw.send(frame);
-
-    // The length prefix is refused before any buffering; the stream
-    // can no longer be trusted, so the reply is an Error and a close.
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    ASSERT_EQ(static_cast<MessageType>(header.type),
-              MessageType::Error);
-    ServeReply reply;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
-                                   payload.size(), &reply)
-                    .ok());
-    EXPECT_NE(reply.code, WireCode::Ok);
-    EXPECT_TRUE(raw.closedByPeer());
-
-    // The router survives and keeps serving new connections.
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(fleet->config().socketPath).ok());
-    std::string info;
-    EXPECT_TRUE(client.ping(&info).ok());
-}
-
-TEST_F(FleetTest, CorruptFrameToRouterGetsCorruptDataAndClose)
-{
-    startFleet(1);
-    RawConn raw(fleet->config().socketPath);
-    ASSERT_TRUE(raw.ok());
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(MessageType::Simulate, 11,
-                            encodeRequestPayload(
-                                simulateRequest("gshare")),
-                            &frame)
-                    .ok());
-    frame[kFrameHeaderBytes] ^= 0x40;   // corrupt payload, stale crc
-    raw.send(frame);
-
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    ASSERT_EQ(static_cast<MessageType>(header.type),
-              MessageType::Error);
-    ServeReply reply;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
-                                   payload.size(), &reply)
-                    .ok());
-    EXPECT_EQ(reply.code, WireCode::CorruptData);
-    EXPECT_TRUE(raw.closedByPeer());
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(fleet->config().socketPath).ok());
-    std::string info;
-    EXPECT_TRUE(client.ping(&info).ok());
-}
-
-TEST_F(FleetTest, DeadlinePropagatesThroughRouterToWorker)
-{
-    // A 1 ms budget through the router onto a cold heavyweight
-    // simulate: the decremented deadline survives the re-encoded
-    // forward and the worker (sweep or mid-replay check) answers
-    // DEADLINE_EXCEEDED — proof the field rode the wire both hops.
-    startFleet(1);
-    ServeClient client;
-    ASSERT_TRUE(
-        client.connectUnix(fleet->config().socketPath).ok());
-
-    // Warm-up with retries: rides out the worker's startup window and
-    // materializes the trace, so the deadline below meters only the
-    // (still multi-ms) tage replay.
-    RetryPolicy warmup;
-    warmup.maxAttempts = 10;
-    warmup.baseBackoffMs = 50;
-    warmup.maxBackoffMs = 500;
-    client.setRetryPolicy(warmup);
-    ServeReply warm;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &warm).ok());
-    ASSERT_EQ(warm.code, WireCode::Ok) << warm.message;
-
-    RetryPolicy policy;
-    policy.maxAttempts = 1;
-    client.setRetryPolicy(policy);
-    ServeRequest request = simulateRequest("tage-sc-l-64KB");
-    request.deadlineMs = 1;
-    ServeReply reply;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::DeadlineExceeded)
-        << wireCodeName(reply.code) << ": " << reply.message;
-}
-
-namespace {
-
-/**
- * A fake worker whose connections vanish mid-request: each accepted
- * connection reads one whole request frame, then closes without
- * replying — a worker dying between accept and reply.
- */
-class VanishingWorker
-{
-  public:
-    explicit VanishingWorker(const std::string &path)
-        : socketPath(path)
-    {
-        listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        struct sockaddr_un addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ::unlink(path.c_str());
-        EXPECT_EQ(::bind(listenFd,
-                         reinterpret_cast<struct sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        EXPECT_EQ(::listen(listenFd, 4), 0);
-        serverThread = std::thread([this] { serve(); });
-    }
-
-    ~VanishingWorker()
-    {
-        ::shutdown(listenFd, SHUT_RDWR);
-        ::close(listenFd);
-        serverThread.join();
-        ::unlink(socketPath.c_str());
-    }
-
-  private:
-    void
-    serve()
-    {
-        for (;;) {
-            const int fd = ::accept(listenFd, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            uint8_t head[kFrameHeaderBytes];
-            FrameHeader header;
-            if (readExactFd(fd, head, sizeof(head), 2000).ok() &&
-                parseFrameHeader(head, sizeof(head), &header).ok() &&
-                header.payloadLen > 0) {
-                std::vector<uint8_t> payload(header.payloadLen);
-                readExactFd(fd, payload.data(), payload.size(), 2000);
-            }
-            ::close(fd);   // vanish mid-request, no reply
-        }
-    }
-
-    std::string socketPath;
-    int listenFd = -1;
-    std::thread serverThread;
-};
-
-} // namespace
-
-TEST(FleetForwarding, WorkerDisconnectMidForwardYieldsUnavailable)
-{
-    ScratchDir dir("fleet_vanish");
-    FleetConfig config;
-    config.socketPath = dir.file("f.sock");
-    config.workers = 1;
-    // An inert stand-in process (exec: the supervised pid must BE the
-    // sleep, so the drain's kill leaves no orphan holding our pipes);
-    // the test serves the worker socket itself.
-    config.workerCommand = {"/bin/sh", "-c", "exec sleep 3600"};
-    config.heartbeatMs = 60000;   // keep the staleness watchdog quiet
-    config.backoffBaseMs = 50;
-    config.backoffCapMs = 200;
-    config.breakerDeaths = 5;
-    config.breakerCooldownMs = 60000;
-    config.drainGraceMs = 2000;
-    auto fleet = std::make_unique<FleetSupervisor>(std::move(config));
-    ASSERT_TRUE(fleet->start().ok());
-    // The spawn unlinked the worker socket; bind our own peer there.
-    VanishingWorker worker(fleet->workerSocketPath(0));
-
-    const uint64_t unavailBefore =
-        counterValue("serve.fleet.unavailable");
-    ServeClient client;
-    ASSERT_TRUE(
-        client.connectUnix(fleet->config().socketPath).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 1;
-    client.setRetryPolicy(policy);
-    ServeReply reply;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::Unavailable)
-        << wireCodeName(reply.code) << ": " << reply.message;
-    EXPECT_GT(reply.retryAfterMs, 0u);
-    EXPECT_GT(counterValue("serve.fleet.unavailable"), unavailBefore);
-
-    // The client's router connection survives the worker loss.
-    std::string info;
-    EXPECT_TRUE(client.ping(&info).ok());
-    fleet->drain();
 }
 
 } // namespace

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -13,7 +12,6 @@
 #include <set>
 #include <thread>
 
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -677,36 +675,4 @@ TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
     ASSERT_TRUE(WIFEXITED(wstatus));
     EXPECT_EQ(WEXITSTATUS(wstatus), 0);
     std::filesystem::remove_all(dir);
-}
-
-TEST(Signals, ChildNotifyPipeWakesOnChildDeath)
-{
-    // The SIGCHLD self-pipe is how the fleet supervisor learns of
-    // worker deaths promptly. Repeat calls return the same fd.
-    const int fd = signals::installChildNotifyPipe();
-    ASSERT_GE(fd, 0);
-    EXPECT_EQ(signals::installChildNotifyPipe(), fd);
-
-    // Drain anything stale, then fork a child that dies immediately.
-    uint8_t sink[64];
-    while (::read(fd, sink, sizeof(sink)) > 0) {
-    }
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0)
-        ::_exit(0);
-
-    struct pollfd pfd = {fd, POLLIN, 0};
-    int rc = 0;
-    do {
-        rc = ::poll(&pfd, 1, 5000);
-    } while (rc < 0 && errno == EINTR);
-    ASSERT_EQ(rc, 1);
-    EXPECT_NE(pfd.revents & POLLIN, 0);
-    EXPECT_GT(::read(fd, sink, sizeof(sink)), 0);
-
-    int wstatus = 0;
-    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-    ASSERT_TRUE(WIFEXITED(wstatus));
-    EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
