@@ -79,7 +79,8 @@ struct WorkloadStudy
  * One trace pass per workload: a TAGE-SC-L direction predictor, the
  * default frontend, and paired off/on cores at every scale. Sink
  * order is load-bearing — PredictorSim and FrontendModel must see
- * each record before the cores that read their per-record latches.
+ * each record before the memory sides and cores that read their
+ * per-record latches, and a memory side before its cores.
  */
 WorkloadStudy
 studyWorkload(const Workload &workload, StudyGroup group,
@@ -95,15 +96,20 @@ studyWorkload(const Workload &workload, StudyGroup group,
     PredictorSim sim(*predictor, /*collect_per_branch=*/false);
     FrontendModel fe((FrontendConfig()));
 
-    std::vector<TraceSink *> sinks{&sim, &fe};
+    // One memory side per frontend setting: a target flush changes the
+    // I-cache access sequence, so the off and on cores cannot share.
+    MemorySide memOff(sim);
+    MemorySide memOn(sim, &fe);
+
+    std::vector<TraceSink *> sinks{&sim, &fe, &memOff, &memOn};
     std::vector<std::unique_ptr<CoreModel>> offCores;
     std::vector<std::unique_ptr<CoreModel>> onCores;
     const CoreConfig base = CoreConfig::skylake();
     for (unsigned scale : scales) {
         offCores.push_back(
-            std::make_unique<CoreModel>(base.scaled(scale), sim));
-        onCores.push_back(std::make_unique<CoreModel>(
-            base.scaled(scale), sim, &fe));
+            std::make_unique<CoreModel>(base.scaled(scale), memOff));
+        onCores.push_back(
+            std::make_unique<CoreModel>(base.scaled(scale), memOn));
         sinks.push_back(offCores.back().get());
         sinks.push_back(onCores.back().get());
     }

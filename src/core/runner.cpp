@@ -472,12 +472,12 @@ spinThenYield(Ready &&ready)
  * The IPC study's fan-out. Buffers the trace into blocks and hands
  * each block to a fixed team of threads, the calling (producing)
  * thread among them. Every member owns whole column groups — a
- * PredictorSim followed by its CoreModels — round-robin, and feeds
- * them record by record, so each consumer sees exactly the stream and
- * the sim-before-cores order a serial FanoutSink would give it; only
- * independent columns run concurrently. The caller takes the last
- * (never larger) share because it also produces the trace; a team of
- * one starts no threads.
+ * PredictorSim, its MemorySide and its CoreModels — round-robin, and
+ * feeds them record by record, so each consumer sees exactly the
+ * stream and the sim-before-cores order a serial FanoutSink would give
+ * it; only independent columns run concurrently. The caller takes the
+ * last (never larger) share because it also produces the trace; a
+ * team of one starts no threads.
  *
  * Blocks are handed off synchronously: the producer publishes a block,
  * runs its own share, and waits for every worker before refilling it.
@@ -625,10 +625,11 @@ class ColumnTeamSink : public TraceSink
 
 /**
  * The single-pass many-consumer study over any trace source: builds
- * one PredictorSim per predictor and one CoreModel per (predictor,
- * scale) on the calling thread, runs the trace once through a
- * ColumnTeamSink with one thread per column (up to the hardware's
- * concurrency), and collects the grid once the team is joined.
+ * one PredictorSim and one MemorySide per predictor and one CoreModel
+ * per (predictor, scale) reading that column's MemorySide, all on the
+ * calling thread, runs the trace once through a ColumnTeamSink with
+ * one thread per column (up to the hardware's concurrency), and
+ * collects the grid once the team is joined.
  */
 template <typename RunTraceFn>
 IpcStudyResult
@@ -644,6 +645,7 @@ runIpcStudyOver(
     result.scales = scales;
 
     std::vector<std::unique_ptr<PredictorSim>> sims;
+    std::vector<std::unique_ptr<MemorySide>> memories;
     std::vector<std::vector<std::unique_ptr<CoreModel>>> cores;
     std::vector<FanoutSink> groups(predictors.size());
     const CoreConfig base = CoreConfig::skylake();
@@ -651,10 +653,12 @@ runIpcStudyOver(
         sims.push_back(std::make_unique<PredictorSim>(
             *predictors[p].second, /*collect_per_branch=*/false));
         groups[p].add(sims.back().get());
+        memories.push_back(std::make_unique<MemorySide>(*sims.back()));
+        groups[p].add(memories.back().get());
         cores.emplace_back();
         for (unsigned scale : scales) {
             cores.back().push_back(std::make_unique<CoreModel>(
-                base.scaled(scale), *sims.back()));
+                base.scaled(scale), *memories.back()));
             groups[p].add(cores.back().back().get());
         }
     }

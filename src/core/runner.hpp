@@ -131,9 +131,10 @@ struct IpcStudyResult
  * Run every (predictor, pipeline-scale) combination over one trace in
  * a single pass. Takes ownership of the predictors.
  *
- * Each predictor column (its PredictorSim and CoreModels) runs on one
- * of up to min(columns, hardware threads) threads, the caller among
- * them, so the predictors must not share mutable state. Results are
+ * Each predictor column (its PredictorSim, one MemorySide shared by
+ * every scale, and its CoreModels) runs on one of up to
+ * min(columns, hardware threads) threads, the caller among them, so
+ * the predictors must not share mutable state. Results are
  * bit-identical to feeding every column serially.
  */
 IpcStudyResult runIpcStudy(

@@ -24,9 +24,10 @@
  * "A scalable front-end architecture for fast instruction delivery").
  *
  * FrontendModel is a TraceSink, so it slots into the same fan-out as
- * PredictorSim and CoreModel. Ordering contract: register it BEFORE
- * the CoreModel, which reads lastTargetMispredict()/lastStallCycles()
- * for the record it is currently timing.
+ * PredictorSim and CoreModel. Ordering contract: PredictorSim, then
+ * FrontendModel, then the MemorySide, then the CoreModels; the last
+ * two read lastTargetMispredict()/lastStallCycles() for the record
+ * they are currently timing.
  */
 
 #ifndef BPNSP_FRONTEND_FRONTEND_HPP
@@ -88,7 +89,8 @@ struct TargetClassCounters
 
 /**
  * Trace-driven frontend model. Per-record results are latched for the
- * CoreModel; aggregate counters feed analysis, serve, and obs.
+ * MemorySide and CoreModel; aggregate counters feed analysis, serve,
+ * and obs.
  */
 class FrontendModel : public TraceSink
 {

@@ -1,5 +1,7 @@
 #include "pipeline/cache.hpp"
 
+#include <algorithm>
+
 #include "util/bitops.hpp"
 #include "util/logging.hpp"
 
@@ -15,33 +17,28 @@ Cache::Cache(std::string cache_name, uint64_t size_bytes,
       latency(hit_latency), next(next_level), memLatency(memory_latency)
 {
     BPNSP_ASSERT(isPowerOfTwo(line_bytes), "line size must be 2^n");
+    BPNSP_ASSERT(lineShift >= 1, "line size must be >= 2: ", cacheName);
     BPNSP_ASSERT(numSets >= 1, "cache too small: ", cacheName);
     BPNSP_ASSERT(isPowerOfTwo(numSets), "sets must be 2^n: ", cacheName);
     BPNSP_ASSERT(next != nullptr || memLatency > 0,
                  "last level needs a memory latency: ", cacheName);
-    ways.assign(numSets * assoc, Way{});
+    tags.assign(numSets * assoc, kEmptyTag);
+    ages.assign(numSets * assoc, 0);
 }
 
-uint64_t
-Cache::setOf(uint64_t addr) const
+size_t
+Cache::setBase(uint64_t tag) const
 {
-    return (addr >> lineShift) & (numSets - 1);
-}
-
-uint64_t
-Cache::tagOf(uint64_t addr) const
-{
-    return addr >> lineShift;
+    return static_cast<size_t>(tag & (numSets - 1)) * assoc;
 }
 
 bool
 Cache::probe(uint64_t addr) const
 {
-    const uint64_t set = setOf(addr);
-    const uint64_t tag = tagOf(addr);
+    const uint64_t tag = addr >> lineShift;
+    const uint64_t *set = &tags[setBase(tag)];
     for (unsigned w = 0; w < assoc; ++w) {
-        const Way &way = ways[set * assoc + w];
-        if (way.valid && way.tag == tag)
+        if (set[w] == tag)
             return true;
     }
     return false;
@@ -50,44 +47,40 @@ Cache::probe(uint64_t addr) const
 unsigned
 Cache::access(uint64_t addr)
 {
-    const uint64_t set = setOf(addr);
-    const uint64_t tag = tagOf(addr);
+    const uint64_t tag = addr >> lineShift;
+    const size_t base = setBase(tag);
+    uint64_t *set = &tags[base];
+    uint64_t *age = &ages[base];
     ++useClock;
 
     for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[set * assoc + w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = useClock;
+        if (set[w] == tag) {
+            age[w] = useClock;
             ++hitCount;
             return latency;
         }
     }
 
     ++missCount;
-    // LRU victim selection: any invalid way first, else the oldest.
-    Way *victim = &ways[set * assoc];
-    for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[set * assoc + w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
+    // LRU victim: the oldest way. Empty ways keep age 0 and every use
+    // stamps a clock >= 1, so the first empty way goes first.
+    unsigned victim = 0;
+    for (unsigned w = 1; w < assoc; ++w) {
+        if (age[w] < age[victim])
+            victim = w;
     }
     const unsigned below =
         next != nullptr ? next->access(addr) : memLatency;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock;
+    set[victim] = tag;
+    age[victim] = useClock;
     return latency + below;
 }
 
 void
 Cache::reset()
 {
-    for (auto &way : ways)
-        way = Way{};
+    std::fill(tags.begin(), tags.end(), kEmptyTag);
+    std::fill(ages.begin(), ages.end(), 0);
     useClock = 0;
     hitCount = 0;
     missCount = 0;

@@ -4,12 +4,19 @@
  * L1I/L1D/L2/LLC hierarchy of the Skylake-like core configuration.
  * Timing-only: the model returns access latencies and tracks hit/miss
  * counters; no data is stored.
+ *
+ * Layout: tags and LRU ages live in two separate line-aligned arrays,
+ * so a hit scans one cache line of tags (an 8-way set is 64 B) and
+ * writes one age. An empty way holds the tag kEmptyTag; real tags are
+ * addr >> lineShift with lineShift >= 1, so they never collide with it.
  */
 
 #ifndef BPNSP_PIPELINE_CACHE_HPP
 #define BPNSP_PIPELINE_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -60,12 +67,31 @@ class Cache
     void reset();
 
   private:
-    struct Way
+    /** Allocates on 64 B boundaries, so each set starts a line. */
+    template <typename T>
+    struct LineAllocator
     {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
+        using value_type = T;
+        static constexpr std::align_val_t kAlign{64};
+
+        LineAllocator() = default;
+        template <typename U>
+        LineAllocator(const LineAllocator<U> &) {}
+
+        T *
+        allocate(size_t n)
+        {
+            return static_cast<T *>(
+                ::operator new(n * sizeof(T), kAlign));
+        }
+        void deallocate(T *p, size_t) { ::operator delete(p, kAlign); }
+
+        bool operator==(const LineAllocator &) const { return true; }
+        bool operator!=(const LineAllocator &) const { return false; }
     };
+    using LineVector = std::vector<uint64_t, LineAllocator<uint64_t>>;
+
+    static constexpr uint64_t kEmptyTag = ~0ull;
 
     std::string cacheName;
     unsigned assoc;
@@ -74,13 +100,14 @@ class Cache
     unsigned latency;
     Cache *next;
     unsigned memLatency;
-    std::vector<Way> ways;   // numSets * assoc, row-major by set
+    LineVector tags;   ///< numSets * assoc, row-major by set
+    LineVector ages;   ///< last-use clock of each way, same layout
     uint64_t useClock = 0;
     uint64_t hitCount = 0;
     uint64_t missCount = 0;
 
-    uint64_t setOf(uint64_t addr) const;
-    uint64_t tagOf(uint64_t addr) const;
+    /** Index of the first way of the set holding tag. */
+    size_t setBase(uint64_t tag) const;
 };
 
 /** The full hierarchy used by the core model. */

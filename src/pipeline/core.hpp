@@ -10,6 +10,12 @@
  * and retire widths, and (5) branch mispredictions, which stall the
  * front end until the branch resolves plus a redirect penalty.
  *
+ * The model is split in two. A MemorySide owns the cache hierarchy
+ * and the I-cache line tracking; it depends on no capacity, so one of
+ * them serves every pipeline scale of a predictor column. Each
+ * CoreModel is a per-scale scoreboard reading the MemorySide's
+ * per-record latencies.
+ *
  * This reproduces the mechanism behind the paper's IPC results: as
  * capacities scale up, correctly-predicted code exposes more ILP while
  * each misprediction still serializes the machine, so the misprediction
@@ -19,7 +25,9 @@
 #ifndef BPNSP_PIPELINE_CORE_HPP
 #define BPNSP_PIPELINE_CORE_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bp/sim.hpp"
@@ -76,8 +84,53 @@ struct PerfCounters
     }
 };
 
+/** What a MemorySide latched for the record it saw last. */
+struct MemoryLatch
+{
+    unsigned icacheExtra = 0;   ///< I-cache cycles this fetch paid
+    unsigned loadLatency = 0;   ///< D-cache hierarchy latency (loads)
+};
+
 /**
- * The core model, consuming a trace stream.
+ * The memory side of the core model: the cache hierarchy plus the
+ * I-cache fetch-line tracking, producing one MemoryLatch per record.
+ *
+ * Nothing here depends on a core's capacities: the access sequence is
+ * fixed by the records, the predictor's lastMispredicted() and the
+ * frontend's lastTargetMispredict() (a flush makes the refetch pay the
+ * I-cache again). So every scale of one predictor column can read one
+ * shared MemorySide. Ordering contract: register it after the
+ * PredictorSim (and FrontendModel) it reads and before the CoreModels
+ * that read it.
+ */
+class MemorySide : public TraceSink
+{
+  public:
+    explicit MemorySide(const PredictorSim &bp_outcomes,
+                        const FrontendModel *frontend = nullptr);
+
+    void onRecord(const TraceRecord &rec) override;
+
+    /** Latencies of the record just observed. */
+    const MemoryLatch &last() const { return latch; }
+
+    /** Cache hierarchy (for miss statistics). */
+    const CacheHierarchy &caches() const { return hierarchy; }
+
+    const PredictorSim &predictor() const { return bp; }
+    const FrontendModel *frontend() const { return fe; }
+
+  private:
+    const PredictorSim &bp;
+    const FrontendModel *fe;   ///< optional; nullptr = perfect fetch
+    CacheHierarchy hierarchy;
+    uint64_t lastFetchLine = ~0ull;
+    MemoryLatch latch;
+};
+
+/**
+ * The core model, consuming a trace stream: a per-scale scoreboard
+ * that reads a MemorySide's latch for its cache latencies.
  *
  * Branch outcomes are read from a PredictorSim that must be registered
  * *before* this sink in the same fanout, so that by the time the core
@@ -91,24 +144,33 @@ struct PerfCounters
  * separately. With no frontend the fetch engine is target-perfect,
  * which preserves the timing of every pre-frontend configuration
  * bit for bit.
+ *
+ * Constructed from (config, predictor[, frontend]) the core owns a
+ * private MemorySide and steps it itself; constructed from a shared
+ * MemorySide (registered before it) it reads that one, and takes its
+ * predictor and frontend from it. Both give identical counters.
  */
 class CoreModel : public TraceSink
 {
   public:
     CoreModel(const CoreConfig &config, const PredictorSim &bp_outcomes,
               const FrontendModel *frontend = nullptr);
+    CoreModel(const CoreConfig &config, const MemorySide &memory);
 
     void onRecord(const TraceRecord &rec) override;
 
     /** Results so far. */
     const PerfCounters &counters() const { return stats; }
 
-    /** Cache hierarchy (for miss statistics). */
-    const CacheHierarchy &caches() const { return hierarchy; }
+    /** The memory side this core reads (owned or shared). */
+    const MemorySide &memory() const { return mem; }
 
     const CoreConfig &config() const { return cfg; }
 
   private:
+    CoreModel(const CoreConfig &config, std::unique_ptr<MemorySide> owned,
+              const MemorySide *shared);
+
     /**
      * In-order slot allocator: grants at most `width` slots per cycle
      * to a monotonically nondecreasing sequence of requests.
@@ -165,7 +227,7 @@ class CoreModel : public TraceSink
     {
       public:
         explicit IssueWindow(unsigned width_)
-            : width(width_), used(kWindow, 0)
+            : width(static_cast<uint16_t>(width_)), used(kWindow, 0)
         {}
 
         /** Advance the window floor (cycles below are immutable). */
@@ -202,15 +264,37 @@ class CoreModel : public TraceSink
 
       private:
         static constexpr uint64_t kWindow = 1ull << 15;
-        unsigned width;
+        uint16_t width;
         uint64_t floor = 0;
-        std::vector<uint32_t> used;
+        std::vector<uint16_t> used;
+    };
+
+    /** A fixed-size ring with a cursor that wraps without a divide. */
+    class Ring
+    {
+      public:
+        explicit Ring(unsigned size) : slots(size, 0) {}
+
+        /** The slot at the cursor. */
+        uint64_t &at() { return slots[pos]; }
+
+        void
+        advance()
+        {
+            if (++pos == slots.size())
+                pos = 0;
+        }
+
+      private:
+        std::vector<uint64_t> slots;
+        size_t pos = 0;
     };
 
     CoreConfig cfg;
+    std::unique_ptr<MemorySide> ownMemory;   ///< null when shared
+    const MemorySide &mem;
     const PredictorSim &bp;
     const FrontendModel *fe;   ///< optional; nullptr = perfect fetch
-    CacheHierarchy hierarchy;
     PerfCounters stats;
 
     SlotAllocator fetchSlots;
@@ -218,18 +302,14 @@ class CoreModel : public TraceSink
     SlotAllocator retireSlots;
 
     uint64_t regReady[kNumRegs] = {};
-    std::vector<uint64_t> robRing;    ///< retire cycles, ROB window
-    std::vector<uint64_t> schedRing;  ///< issue cycles, scheduler window
-    std::vector<uint64_t> lqRing;     ///< load retire cycles
-    std::vector<uint64_t> sqRing;     ///< store retire cycles
-    uint64_t index = 0;
-    uint64_t loadIndex = 0;
-    uint64_t storeIndex = 0;
+    Ring robRing;     ///< retire cycles, ROB window
+    Ring schedRing;   ///< issue cycles, scheduler window
+    Ring lqRing;      ///< load retire cycles
+    Ring sqRing;      ///< store retire cycles
     uint64_t fetchResume = 0;         ///< front end stalled until here
     uint64_t lastRetire = 0;
-    uint64_t lastFetchLine = ~0ull;
 
-    unsigned execLatency(const TraceRecord &rec);
+    unsigned execLatency(const TraceRecord &rec) const;
 };
 
 } // namespace bpnsp

@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <memory>
 
 #include "bp/factory.hpp"
 #include "bp/oracle.hpp"
 #include "bp/sim.hpp"
 #include "bp/simple.hpp"
+#include "core/runner.hpp"
+#include "frontend/frontend.hpp"
 #include "pipeline/cache.hpp"
 #include "pipeline/core.hpp"
 #include "util/rng.hpp"
+#include "workloads/suite.hpp"
 
 using namespace bpnsp;
 
@@ -78,6 +83,137 @@ TEST(Cache, ResetClears)
     c.reset();
     EXPECT_EQ(c.hits() + c.misses(), 0u);
     EXPECT_FALSE(c.probe(0x1000));
+}
+
+// ------------------------------------------------- LRU cache oracle
+
+namespace {
+
+/**
+ * A deliberately naive LRU cache: one recency list of line addresses
+ * per set, most recent first. It shares no code or layout with Cache,
+ * so lockstep agreement checks the real model's tags, ages, empty-way
+ * handling and victim choice.
+ */
+class NaiveLruCache
+{
+  public:
+    NaiveLruCache(uint64_t size_bytes, unsigned associativity,
+                  unsigned hit_latency, NaiveLruCache *next_level,
+                  unsigned memory_latency = 0)
+        : assoc(associativity), latency(hit_latency), next(next_level),
+          memLatency(memory_latency),
+          sets(size_bytes / kLine / associativity)
+    {}
+
+    unsigned
+    access(uint64_t addr)
+    {
+        const uint64_t line = addr / kLine;
+        std::list<uint64_t> &set = sets[line % sets.size()];
+        const auto it = std::find(set.begin(), set.end(), line);
+        if (it != set.end()) {
+            set.splice(set.begin(), set, it);
+            ++hits;
+            return latency;
+        }
+        ++misses;
+        if (set.size() == assoc)
+            set.pop_back();
+        set.push_front(line);
+        return latency + (next ? next->access(addr) : memLatency);
+    }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+
+  private:
+    static constexpr uint64_t kLine = 64;
+    size_t assoc;
+    unsigned latency;
+    NaiveLruCache *next;
+    unsigned memLatency;
+    std::vector<std::list<uint64_t>> sets;
+};
+
+/** An address from a hot set of `hot_lines` lines, or a cold one. */
+uint64_t
+hotColdAddress(Rng &rng, double hot_fraction, uint64_t hot_lines,
+               uint64_t cold_bytes)
+{
+    if (rng.chance(hot_fraction))
+        return 0x10000000 + rng.below(hot_lines) * 64 + rng.below(64);
+    return rng.below(cold_bytes);
+}
+
+} // namespace
+
+TEST(CacheOracle, LockstepWithNaiveLru)
+{
+    for (unsigned assoc : {1u, 2u, 8u, 16u}) {
+        for (bool with_next : {false, true}) {
+            for (double hot : {0.0, 0.5, 0.9}) {
+                SCOPED_TRACE(testing::Message()
+                             << "assoc " << assoc << " next "
+                             << with_next << " hot " << hot);
+                const uint64_t size = 16ull * assoc * 64;   // 16 sets
+                Cache below("below", 64 * 1024, 4, 64, 7, nullptr, 90);
+                NaiveLruCache naive_below(64 * 1024, 4, 7, nullptr, 90);
+                Cache cache("c", size, assoc, 64, 2,
+                            with_next ? &below : nullptr, 50);
+                NaiveLruCache naive(size, assoc, 2,
+                                    with_next ? &naive_below : nullptr,
+                                    50);
+                Rng rng(assoc * 131 + (with_next ? 7 : 0) +
+                        static_cast<uint64_t>(hot * 10));
+                for (int i = 0; i < 20000; ++i) {
+                    const uint64_t addr =
+                        hotColdAddress(rng, hot, 3 * assoc, 1 << 20);
+                    ASSERT_EQ(cache.access(addr), naive.access(addr))
+                        << "access " << i << " addr " << addr;
+                }
+                EXPECT_EQ(cache.hits(), naive.hits);
+                EXPECT_EQ(cache.misses(), naive.misses);
+                EXPECT_GT(cache.hits(), 0u);
+                EXPECT_GT(cache.misses(), 0u);
+                EXPECT_EQ(below.hits(), naive_below.hits);
+                EXPECT_EQ(below.misses(), naive_below.misses);
+            }
+        }
+    }
+}
+
+TEST(CacheOracle, HierarchySharedL2UnderInterleavedTraffic)
+{
+    // L1I and L1D miss into one L2: the interleaving order decides the
+    // L2's (and the LLC's) recency, so it must match access for access.
+    CacheHierarchy h;
+    NaiveLruCache llc(2 * 1024 * 1024, 16, 30, nullptr, 160);
+    NaiveLruCache l2(256 * 1024, 8, 10, &llc);
+    NaiveLruCache l1i(32 * 1024, 8, 0, &l2);
+    NaiveLruCache l1d(32 * 1024, 8, 4, &l2);
+    Rng rng(2024);
+    for (int i = 0; i < 200000; ++i) {
+        // Code: a hot loop body plus far calls; data: a hot working
+        // set plus streams large enough to thrash every level.
+        if (rng.chance(0.5)) {
+            const uint64_t addr =
+                0x400000 + hotColdAddress(rng, 0.8, 400, 1 << 22);
+            ASSERT_EQ(h.l1i.access(addr), l1i.access(addr)) << i;
+        } else {
+            const uint64_t addr =
+                0x80000000 + hotColdAddress(rng, 0.6, 4000, 1 << 23);
+            ASSERT_EQ(h.l1d.access(addr), l1d.access(addr)) << i;
+        }
+    }
+    const std::pair<const Cache *, const NaiveLruCache *> levels[] = {
+        {&h.l1i, &l1i}, {&h.l1d, &l1d}, {&h.l2, &l2}, {&h.llc, &llc}};
+    for (const auto &[real, naive] : levels) {
+        SCOPED_TRACE(real->name());
+        EXPECT_EQ(real->hits(), naive->hits);
+        EXPECT_EQ(real->misses(), naive->misses);
+        EXPECT_GT(real->misses(), 0u);
+    }
 }
 
 // --------------------------------------------------------- core model
@@ -337,4 +473,133 @@ TEST(CoreModel, LongDependencyChainLimitsIpc)
     const double ipc =
         simulate(trace, bp, CoreConfig::skylake().scaled(8)).ipc();
     EXPECT_LT(ipc, 1.2);
+}
+
+// ------------------------------------- shared vs owning memory side
+
+namespace {
+
+/**
+ * The memory rule written out once more, as the pre-split core model
+ * stated it: a new fetch line probes the L1I, a load probes the L1D,
+ * and a direction or (with a frontend) target flush forgets the fetch
+ * line. Checks a MemorySide's latch against it record by record.
+ */
+class ReferenceMemory : public TraceSink
+{
+  public:
+    ReferenceMemory(const PredictorSim &bp_, const FrontendModel *fe_,
+                    const MemorySide &checked_)
+        : bp(bp_), fe(fe_), checked(checked_)
+    {}
+
+    void
+    onRecord(const TraceRecord &rec) override
+    {
+        unsigned icache = 0;
+        if ((rec.ip >> 6) != lastLine) {
+            icache = caches.l1i.access(rec.ip);
+            lastLine = rec.ip >> 6;
+        }
+        unsigned load = 0;
+        if (rec.cls == InstrClass::Load)
+            load = caches.l1d.access(rec.memAddr);
+        if (rec.isCondBranch()) {
+            if (bp.lastMispredicted())
+                lastLine = ~0ull;
+        } else if (fe != nullptr && fe->lastTargetMispredict()) {
+            lastLine = ~0ull;
+        }
+        if (checked.last().icacheExtra != icache ||
+            checked.last().loadLatency != load)
+            ++mismatches;
+    }
+
+    CacheHierarchy caches;
+    uint64_t mismatches = 0;
+
+  private:
+    const PredictorSim &bp;
+    const FrontendModel *fe;
+    const MemorySide &checked;
+    uint64_t lastLine = ~0ull;
+};
+
+void
+expectSameCounters(const PerfCounters &a, const PerfCounters &b)
+{
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.condBranches, b.condBranches);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.targetMispredicts, b.targetMispredicts);
+    EXPECT_EQ(a.ftqStallCycles, b.ftqStallCycles);
+    EXPECT_EQ(a.directionFlushCycles, b.directionFlushCycles);
+    EXPECT_EQ(a.targetFlushCycles, b.targetFlushCycles);
+}
+
+void
+expectSameCaches(const CacheHierarchy &a, const CacheHierarchy &b)
+{
+    const std::pair<const Cache *, const Cache *> levels[] = {
+        {&a.l1i, &b.l1i}, {&a.l1d, &b.l1d}, {&a.l2, &b.l2},
+        {&a.llc, &b.llc}};
+    for (const auto &[x, y] : levels) {
+        SCOPED_TRACE(x->name());
+        EXPECT_EQ(x->hits(), y->hits());
+        EXPECT_EQ(x->misses(), y->misses());
+    }
+}
+
+} // namespace
+
+TEST(MemorySide, SharedMatchesOwningAtEveryScale)
+{
+    // One shared memory side feeding six scales must time exactly like
+    // six cores that each own one, with and without a frontend; the
+    // indirect-heavy workloads exercise the target-flush refetch rule.
+    const std::vector<unsigned> scales{1, 2, 4, 8, 16, 32};
+    const CoreConfig base = CoreConfig::skylake();
+    for (const char *name : {"vcall", "interp_like"}) {
+        for (bool with_fe : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << name << " frontend " << with_fe);
+            auto bp = makePredictor("tage-sc-l-8KB");
+            PredictorSim sim(*bp, /*collect_per_branch=*/false);
+            FrontendModel fe{FrontendConfig{}};
+            const FrontendModel *wired = with_fe ? &fe : nullptr;
+            MemorySide shared(sim, wired);
+            ReferenceMemory reference(sim, wired, shared);
+
+            std::vector<TraceSink *> sinks{&sim, &fe, &shared,
+                                           &reference};
+            std::vector<std::unique_ptr<CoreModel>> sharing;
+            std::vector<std::unique_ptr<CoreModel>> owning;
+            for (unsigned scale : scales) {
+                sharing.push_back(std::make_unique<CoreModel>(
+                    base.scaled(scale), shared));
+                owning.push_back(std::make_unique<CoreModel>(
+                    base.scaled(scale), sim, wired));
+                sinks.push_back(sharing.back().get());
+                sinks.push_back(owning.back().get());
+            }
+            runWorkloadTrace(findWorkload(name), 0, sinks, 150000);
+
+            EXPECT_EQ(reference.mismatches, 0u);
+            expectSameCaches(shared.caches(), reference.caches);
+            EXPECT_GT(shared.caches().l1d.misses(), 0u);
+            for (size_t s = 0; s < scales.size(); ++s) {
+                SCOPED_TRACE(testing::Message() << scales[s] << "x");
+                EXPECT_EQ(&sharing[s]->memory(), &shared);
+                EXPECT_NE(&owning[s]->memory(), &shared);
+                expectSameCounters(sharing[s]->counters(),
+                                   owning[s]->counters());
+                expectSameCaches(owning[s]->memory().caches(),
+                                 shared.caches());
+            }
+            if (with_fe) {
+                EXPECT_GT(sharing[0]->counters().targetMispredicts, 0u);
+            }
+        }
+    }
 }
