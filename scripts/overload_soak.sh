@@ -51,7 +51,6 @@ echo "== overload soak: workdir $WORK"
     --queue-depth=128 \
     --batch=4 \
     --max-inflight-cost=50 \
-    --shed-policy=heaviest \
     --metrics-out="$REPORT" \
     &
 SERVED_PID=$!
@@ -113,18 +112,24 @@ ABUSE_PID=""
 cat "$ABUSE_LOG"
 
 GOOD_P99="$(ov_field "$GOOD_LOG" interactive_p99_ms)"
+GOOD_IOK="$(ov_field "$GOOD_LOG" interactive_ok)"
 GOOD_REJ="$(ov_field "$GOOD_LOG" rejected)"
 GOOD_HEDGES="$(ov_field "$GOOD_LOG" hedges)"
 GOOD_MISMATCH="$(ov_field "$GOOD_LOG" mismatches)"
 ABUSE_REJ="$(ov_field "$ABUSE_LOG" rejected)"
 
 python3 - "$BASE_P99" "$GOOD_P99" "$GOOD_REJ" "$ABUSE_REJ" \
-    "$GOOD_HEDGES" "$GOOD_MISMATCH" <<'PY'
+    "$GOOD_HEDGES" "$GOOD_MISMATCH" "$GOOD_IOK" <<'PY'
 import sys
 
 base_p99, good_p99 = float(sys.argv[1]), float(sys.argv[2])
 good_rej, abuse_rej = int(sys.argv[3]), int(sys.argv[4])
 hedges, mismatches = int(sys.argv[5]), int(sys.argv[6])
+interactive_ok = int(sys.argv[7])
+
+# The p99 bound below means nothing if no interactive request
+# completed (the percentile of an empty sample reads 0).
+assert interactive_ok >= 1, "no interactive request completed under overload"
 
 # Interactive tail: bounded at 3x the uncontended baseline, with a
 # 100 ms absolute floor so a sub-ms sanitizer-noise baseline does not
@@ -148,9 +153,10 @@ assert hedges > 0, "no hedges fired at 10x load with a 5 ms trigger"
 assert mismatches == 0, "%d verify mismatches" % mismatches
 
 print(
-    "overload ok: interactive p99 %.2fms (baseline %.2fms, limit "
-    "%.2fms), sheds good=%d abusive=%d, %d hedge(s), 0 mismatches"
-    % (good_p99, base_p99, limit, good_rej, abuse_rej, hedges)
+    "overload ok: interactive p99 %.2fms over %d ok (baseline %.2fms, "
+    "limit %.2fms), sheds good=%d abusive=%d, %d hedge(s), 0 mismatches"
+    % (good_p99, interactive_ok, base_p99, limit, good_rej, abuse_rej,
+       hedges)
 )
 PY
 
@@ -209,10 +215,21 @@ for _ in $(seq 1 100); do
 done
 [ -S "$STALL_SOCKET" ] || { echo "stall daemon never bound" >&2; exit 1; }
 
-HEALTH_LOG="$WORK/health.log"
-"$CLIENT" --socket="$STALL_SOCKET" --op=health | tee "$HEALTH_LOG"
-grep -q "queued_cost_ms=" "$HEALTH_LOG" || {
-    echo "health rows carry no queue columns" >&2; exit 1; }
+# Load probe: Stats answers on the io thread and carries the queue
+# depth and the estimated queued + in-flight work as gauges.
+STATS_JSON="$WORK/stats.json"
+"$CLIENT" --socket="$STALL_SOCKET" --op=stats --raw >"$STATS_JSON"
+python3 - "$STATS_JSON" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    gauges = json.load(f)["gauges"]
+for name in ("serve.queue_depth", "serve.inflight_cost_ms"):
+    assert name in gauges, "stats carries no %s gauge: %r" % (name, gauges)
+print("stats ok: queue_depth=%g inflight_cost_ms=%g"
+      % (gauges["serve.queue_depth"], gauges["serve.inflight_cost_ms"]))
+PY
 
 # Distinct slices per blocker: identical slices would coalesce into
 # one batch and free the worker after a single stall.

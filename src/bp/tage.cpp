@@ -5,39 +5,7 @@
 #include "util/bitops.hpp"
 #include "util/logging.hpp"
 
-#if BPNSP_OBS_DETAIL
-#include "obs/metrics.hpp"
-#endif
-
 namespace bpnsp {
-
-#if BPNSP_OBS_DETAIL
-namespace {
-
-/**
- * Per-table allocation counters, aggregated over every TAGE instance
- * in the process (names sort by table index in the run report). Only
- * compiled under BPNSP_OBS_DETAIL so the default build's predict and
- * update loops carry zero instrumentation.
- */
-obs::Counter &
-tageAllocCounter(unsigned table)
-{
-    static constexpr unsigned kMaxTables = 32;
-    static const auto counters = [] {
-        std::array<obs::Counter *, kMaxTables> handles{};
-        for (unsigned t = 0; t < kMaxTables; ++t) {
-            const std::string suffix =
-                (t < 10 ? "0" : "") + std::to_string(t);
-            handles[t] = &obs::counter("bp.tage.alloc_table_" + suffix);
-        }
-        return handles;
-    }();
-    return *counters[table < kMaxTables ? table : kMaxTables - 1];
-}
-
-} // namespace
-#endif
 
 std::vector<unsigned>
 TageConfig::histLengths() const
@@ -206,13 +174,6 @@ TagePredictor::predict(uint64_t ip, bool)
         }
     }
 
-#if BPNSP_OBS_DETAIL
-    // Hit-bank distribution: bucket 0 is the bimodal base predictor,
-    // bucket t+1 the tagged table t that provided the prediction.
-    static obs::Histogram &providerHist =
-        obs::histogram("bp.tage.provider_table");
-    providerHist.observe(static_cast<uint64_t>(provider + 1));
-#endif
 
     const bool bimodal_pred = bimodal[bimodalIndex(ip)].taken();
     if (provider < 0) {
@@ -314,9 +275,6 @@ TagePredictor::allocate(uint64_t ip, bool taken)
             e.ctr = taken ? 0 : -1;
             e.u = 0;
             ownerIp[t][lastIndex[t]] = ip;
-#if BPNSP_OBS_DETAIL
-            tageAllocCounter(static_cast<unsigned>(t)).inc();
-#endif
             if (allocListener != nullptr) {
                 allocListener->onAllocation(
                     ip, t, entryBase[t] + lastIndex[t], evicted);

@@ -131,9 +131,10 @@ runTrace(const Program &program, const std::vector<TraceSink *> &sinks,
     static obs::Counter &delivered = obs::counter("run.instructions");
     static obs::Counter &cancelledRuns =
         obs::counter("core.runner.cancelled");
-    static obs::Histogram &executeNs = obs::histogram("vm.execute_ns");
-    obs::ScopedTimer timer(executeNs);
-    obs::Span span("vm.execute");
+    static obs::Histogram &runTraceNs =
+        obs::histogram("core.run_trace_ns");
+    obs::ScopedTimer timer(runTraceNs);
+    obs::Span span("core.run_trace");
 
     FanoutSink fanout;
     ProgressSink progress("vm");

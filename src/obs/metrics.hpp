@@ -11,7 +11,7 @@
  *    lifetime — including across resetForTest(), which zeroes values
  *    but keeps identities.
  *  - Names follow the `subsystem.noun_verb` scheme documented in
- *    DESIGN.md (e.g. `tracestore.cache.hits`, `vm.execute_ns`);
+ *    DESIGN.md (e.g. `tracestore.cache.hits`, `core.run_trace_ns`);
  *    histograms of durations carry a `_ns` suffix, sizes a `_bytes`
  *    suffix.
  *  - Everything is thread-safe: registration takes a mutex once per
@@ -248,7 +248,7 @@ Histogram &histogram(const std::string &name);
  * RAII phase timer: records the elapsed wall time in nanoseconds into
  * a histogram on destruction. Resolve the histogram once per call site:
  *
- *   static obs::Histogram &h = obs::histogram("vm.execute_ns");
+ *   static obs::Histogram &h = obs::histogram("core.run_trace_ns");
  *   obs::ScopedTimer timer(h);
  */
 class ScopedTimer

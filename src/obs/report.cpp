@@ -311,13 +311,7 @@ renderRunReport()
     for (const auto &[key, value] : reg.runFields())
         oss << "    " << quoted(key) << ": " << quoted(value) << ",\n";
     oss << "    \"git\": " << quoted(gitDescribe()) << ",\n"
-        << "    \"obs_detail\": "
-#ifdef BPNSP_OBS_DETAIL
-        << "true"
-#else
-        << "false"
-#endif
-        << ",\n    \"instructions\": "
+        << "    \"instructions\": "
         << reg.counterValue("run.instructions") << ",\n"
         << "    \"wall_seconds\": " << jsonNumber(reg.wallSeconds())
         << "\n  },\n";

@@ -3,7 +3,7 @@
  * bpnsp_client: command-line client for a running bpnsp_served.
  *
  * Single-request mode (--op=ping|simulate|branch-stats|h2p|
- * materialize|health) prints one human-readable result; --op=stats
+ * materialize) prints one human-readable result; --op=stats
  * pulls the server's live metric-registry snapshot (add --watch to
  * poll it; the watch survives daemon restarts by reconnecting with
  * backoff); --op=loadgen runs the closed-loop load generator (N
@@ -11,8 +11,8 @@
  * verification) and prints its aggregate tally.
  *
  * --retries=N arms the client-side retry policy (serve/client.hpp):
- * idempotent requests that fail retryably — UNAVAILABLE, BUSY,
- * admission rejection, a dropped connection — are retried up to N
+ * idempotent requests that fail retryably — BUSY, admission
+ * rejection, a dropped connection — are retried up to N
  * extra times with jittered exponential backoff. This is how a client
  * rides out overload shedding or a daemon restart without scripting a
  * loop.
@@ -22,7 +22,6 @@
  *   bpnsp_client --socket=/tmp/b.sock --op=simulate \
  *       --workload=mcf_like --predictor=gshare \
  *       --instructions=200000 --first=50000 --count=100000
- *   bpnsp_client --socket=/tmp/b.sock --op=health
  *   bpnsp_client --socket=/tmp/b.sock --op=stats --watch
  *   bpnsp_client --socket=/tmp/b.sock --op=loadgen --clients=32 \
  *       --requests=64 --kill-prob=0.05 --verify --retries=4
@@ -82,40 +81,13 @@ int
 runOne(const OptionParser &opts, const std::string &op)
 {
     ServeClient client;
-    Status st;
-    if (const int64_t port = opts.getInt("tcp-port"); port > 0)
-        st = client.connectTcp(static_cast<int>(port));
-    else
-        st = client.connectUnix(opts.getString("socket"));
+    Status st = client.connectUnix(opts.getString("socket"));
     if (!st.ok()) {
         warn("bpnsp_client: ", st.str());
         return 1;
     }
     client.setRetryPolicy(retryPolicyFromOptions(opts));
     client.setHedgeMs(static_cast<uint64_t>(opts.getInt("hedge-ms")));
-
-    if (op == "health") {
-        std::vector<ShardHealth> shards;
-        st = client.health(&shards);
-        if (!st.ok()) {
-            warn("bpnsp_client: ", st.str());
-            return 1;
-        }
-        std::printf("health: %zu shard(s)\n", shards.size());
-        bool allReady = true;
-        for (const ShardHealth &row : shards) {
-            std::printf("  shard %u: %-10s pid=%llu restarts=%u "
-                        "deaths=%u queue=%u queued_cost_ms=%llu\n",
-                        row.shard, shardStateName(row.state),
-                        static_cast<unsigned long long>(row.pid),
-                        row.restarts, row.deaths, row.queueDepth,
-                        static_cast<unsigned long long>(
-                            row.queuedCostMs));
-            if (row.state != ShardHealth::Ready)
-                allReady = false;
-        }
-        return allReady ? 0 : 1;
-    }
 
     ServeRequest request;
     request.workload = opts.getString("workload");
@@ -144,7 +116,7 @@ runOne(const OptionParser &opts, const std::string &op)
     } else {
         fatal("unknown --op \"", op,
               "\" (want ping|simulate|branch-stats|h2p|materialize|"
-              "health|stats|loadgen)");
+              "stats|loadgen)");
     }
 
     ServeReply reply;
@@ -194,7 +166,7 @@ runOne(const OptionParser &opts, const std::string &op)
         // Target columns: the server sends the per-class block in the
         // analysis layer's stable class order (Call, Ret, JumpInd,
         // CallInd); print it as received so output is byte-stable
-        // across runs. Absent from pre-frontend servers.
+        // across runs.
         for (const TargetClassStat &row : reply.targetClasses)
             std::printf("  target-class %s: execs=%llu "
                         "target-mispreds=%llu\n",
@@ -326,11 +298,7 @@ int
 runStats(const OptionParser &opts)
 {
     ServeClient client;
-    Status st;
-    if (const int64_t port = opts.getInt("tcp-port"); port > 0)
-        st = client.connectTcp(static_cast<int>(port));
-    else
-        st = client.connectUnix(opts.getString("socket"));
+    Status st = client.connectUnix(opts.getString("socket"));
 
     const bool raw = opts.getFlag("raw");
     const bool watch = opts.getFlag("watch");
@@ -346,7 +314,7 @@ runStats(const OptionParser &opts)
         std::string json;
         uint64_t traceId = 0;
         st = client.connected() ? client.stats(&json, &traceId)
-                                : Status::unavailable("not connected");
+                                : Status::ioError("not connected");
         if (!st.ok()) {
             if (!watch) {
                 warn("bpnsp_client: ", st.str());
@@ -429,10 +397,11 @@ runLoad(const OptionParser &opts)
     // script greps): per-class tails plus the shed/expire/hedge story.
     std::printf(
         "loadgen-overload: interactive_p50_ms=%.3f "
-        "interactive_p99_ms=%.3f batch_p50_ms=%.3f batch_p99_ms=%.3f "
-        "expired=%llu hedges=%llu hedge_wins=%llu rejected=%llu "
-        "ok=%llu mismatches=%llu\n",
+        "interactive_p99_ms=%.3f interactive_ok=%llu batch_p50_ms=%.3f "
+        "batch_p99_ms=%.3f expired=%llu hedges=%llu hedge_wins=%llu "
+        "rejected=%llu ok=%llu mismatches=%llu\n",
         result.interactiveP50Ms, result.interactiveP99Ms,
+        static_cast<unsigned long long>(result.interactiveOk),
         result.batchP50Ms, result.batchP99Ms,
         static_cast<unsigned long long>(result.expired),
         static_cast<unsigned long long>(result.hedges),
@@ -458,11 +427,9 @@ main(int argc, char **argv)
     OptionParser opts("Query a running bpnsp_served.");
     opts.addString("socket", "bpnsp_served.sock",
                    "server UNIX-domain socket path");
-    opts.addInt("tcp-port", 0,
-                "connect to 127.0.0.1:PORT instead of the socket");
     opts.addString("op", "ping",
-                   "ping|simulate|branch-stats|h2p|materialize|health|"
-                   "stats|loadgen");
+                   "ping|simulate|branch-stats|h2p|materialize|stats|"
+                   "loadgen");
     opts.addString("workload", "mcf_like", "workload name");
     opts.addInt("input", 0, "workload input index");
     opts.addInt("instructions", 200000, "trace length (cache key)");

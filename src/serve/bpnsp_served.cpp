@@ -1,8 +1,8 @@
 /**
  * @file
- * bpnsp_served: the prediction-serving daemon. Binds a UNIX-domain
- * socket (TCP loopback optional behind --tcp-port), serves concurrent
- * bpnsp-serve-v1 requests — predictor simulation over trace slices,
+ * bpnsp_served: the prediction-serving daemon. Binds one UNIX-domain
+ * socket (there is no TCP listener), serves concurrent
+ * bpnsp-serve-v2 requests — predictor simulation over trace slices,
  * branch stats, H2P lists, trace materialization — from a shared
  * on-disk trace corpus, and drains gracefully on SIGINT/SIGTERM:
  * in-flight requests finish, the listener closes immediately, and the
@@ -10,6 +10,9 @@
  *
  * The daemon is one process: one ServeServer whose --threads
  * simulation workers share the process-wide decoded-chunk cache.
+ * Admission has one policy: when the queue overflows (--queue-depth,
+ * --max-inflight-cost) the heaviest client's newest work is shed
+ * first, and every client earns the same deficit-round-robin quantum.
  *
  * Quickstart:
  *   bpnsp_served --socket=/tmp/bpnsp.sock --trace-cache=/tmp/traces &
@@ -46,9 +49,6 @@ main(int argc, char **argv)
         "Serve trace/simulation queries over a UNIX-domain socket.");
     opts.addString("socket", "bpnsp_served.sock",
                    "UNIX-domain socket path to bind");
-    opts.addInt("tcp-port", 0,
-                "also listen on 127.0.0.1:PORT (0 = off; -1 = "
-                "OS-assigned, printed at startup)");
     opts.addInt("threads", 4, "simulation worker threads");
     opts.addInt("queue-depth", 64,
                 "admission queue bound; beyond it requests are "
@@ -57,13 +57,6 @@ main(int argc, char **argv)
                 "cost-aware admission bound: max estimated queued + "
                 "in-flight work in ms of predicted execute time "
                 "(0 = count-only admission)");
-    opts.addInt("client-weight", 1,
-                "fair-share quantum weight per client in the "
-                "deficit-round-robin scheduler");
-    opts.addString("shed-policy", "heaviest",
-                   "overflow victim selection: 'heaviest' sheds the "
-                   "newest work of the heaviest client; 'tail' always "
-                   "rejects the arriving request");
     opts.addInt("batch", 8,
                 "max same-slice Simulate requests per replay pass");
     opts.addString("trace-cache", "",
@@ -71,7 +64,6 @@ main(int argc, char **argv)
                    "BPNSP_TRACE_CACHE)");
     opts.addInt("chunk-cache-mb", 64,
                 "in-memory decoded-chunk LRU capacity (0 = off)");
-    opts.addInt("max-open-readers", 32, "mmap'd store reader LRU cap");
     opts.addInt("max-seconds", 0,
                 "self-terminate (drain) after N seconds (0 = run "
                 "until signalled)");
@@ -107,20 +99,14 @@ main(int argc, char **argv)
 
     serve::ServeConfig config;
     config.socketPath = opts.getString("socket");
-    config.tcpPort = static_cast<int>(opts.getInt("tcp-port"));
     config.workers = static_cast<unsigned>(opts.getInt("threads"));
     config.queueDepth =
         static_cast<size_t>(opts.getInt("queue-depth"));
     config.maxBatch = static_cast<unsigned>(opts.getInt("batch"));
     config.traceCacheDir = cacheDir;
-    config.maxOpenReaders =
-        static_cast<size_t>(opts.getInt("max-open-readers"));
     config.slowMs = static_cast<uint32_t>(opts.getInt("slow-ms"));
     config.maxInflightCostMs =
         static_cast<uint64_t>(opts.getInt("max-inflight-cost"));
-    config.clientWeight =
-        static_cast<unsigned>(opts.getInt("client-weight"));
-    config.shedPolicy = opts.getString("shed-policy");
 
     // Continuous span capture for a long-lived daemon: --trace-dir
     // rotates bounded exports (newest N kept) instead of the one-shot

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <thread>
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -35,7 +34,6 @@ isIdempotentRequest(MessageType type)
       case MessageType::BranchStats:
       case MessageType::H2p:
       case MessageType::Stats:
-      case MessageType::Health:
         // Pure reads: re-sending can never double-apply anything.
         return true;
       case MessageType::Materialize:
@@ -55,7 +53,6 @@ bool
 isRetryableCode(WireCode code)
 {
     switch (code) {
-      case WireCode::Unavailable:       // endpoint down for now
       case WireCode::Busy:              // draining / lock contention
       case WireCode::ResourceExhausted: // admission queue full
         return true;
@@ -84,69 +81,18 @@ Status
 ServeClient::connectUnix(const std::string &socket_path)
 {
     close();
-    struct sockaddr_un addr;
-    if (socket_path.size() >= sizeof(addr.sun_path))
-        return Status::invalidArgument("socket path too long: " +
-                                       socket_path);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return Status::ioError(std::string("socket(): ") +
-                               std::strerror(errno));
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    endpoint = Endpoint::Unix;
     endpointPath = socket_path;
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        const Status st = Status::ioError("connect(" + socket_path +
-                                          "): " + std::strerror(errno));
-        close();
-        return st;
-    }
-    return Status();
-}
-
-Status
-ServeClient::connectTcp(int port)
-{
-    close();
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return Status::ioError(std::string("socket(): ") +
-                               std::strerror(errno));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    endpoint = Endpoint::Tcp;
-    endpointPort = port;
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        const Status st =
-            Status::ioError("connect(127.0.0.1:" +
-                            std::to_string(port) +
-                            "): " + std::strerror(errno));
-        close();
-        return st;
-    }
-    return Status();
+    Status st;
+    fd = openEndpointFd(&st);
+    return st;
 }
 
 Status
 ServeClient::reconnect()
 {
-    switch (endpoint) {
-      case Endpoint::Unix:
-        return connectUnix(endpointPath);
-      case Endpoint::Tcp:
-        return connectTcp(endpointPort);
-      case Endpoint::None:
-        break;
-    }
-    return Status::invalidArgument("client was never connected");
+    if (endpointPath.empty())
+        return Status::invalidArgument("client was never connected");
+    return connectUnix(endpointPath);
 }
 
 void
@@ -217,53 +163,31 @@ ServeClient::recvReply(uint64_t expect_id, ServeReply *reply)
 int
 ServeClient::openEndpointFd(Status *status)
 {
-    int nfd = -1;
-    if (endpoint == Endpoint::Unix) {
-        struct sockaddr_un addr;
-        if (endpointPath.size() >= sizeof(addr.sun_path)) {
-            *status = Status::invalidArgument("socket path too long: " +
-                                              endpointPath);
-            return -1;
-        }
-        nfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (nfd < 0) {
-            *status = Status::ioError(std::string("socket(): ") +
-                                      std::strerror(errno));
-            return -1;
-        }
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, endpointPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(nfd, reinterpret_cast<struct sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            *status = Status::ioError("connect(" + endpointPath +
-                                      "): " + std::strerror(errno));
-            ::close(nfd);
-            return -1;
-        }
-    } else if (endpoint == Endpoint::Tcp) {
-        nfd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (nfd < 0) {
-            *status = Status::ioError(std::string("socket(): ") +
-                                      std::strerror(errno));
-            return -1;
-        }
-        struct sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(static_cast<uint16_t>(endpointPort));
-        if (::connect(nfd, reinterpret_cast<struct sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            *status = Status::ioError(
-                "connect(127.0.0.1:" + std::to_string(endpointPort) +
-                "): " + std::strerror(errno));
-            ::close(nfd);
-            return -1;
-        }
-    } else {
+    struct sockaddr_un addr;
+    if (endpointPath.empty()) {
         *status = Status::invalidArgument("client was never connected");
+        return -1;
+    }
+    if (endpointPath.size() >= sizeof(addr.sun_path)) {
+        *status = Status::invalidArgument("socket path too long: " +
+                                          endpointPath);
+        return -1;
+    }
+    const int nfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (nfd < 0) {
+        *status = Status::ioError(std::string("socket(): ") +
+                                  std::strerror(errno));
+        return -1;
+    }
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, endpointPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::connect(nfd, reinterpret_cast<struct sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        *status = Status::ioError("connect(" + endpointPath +
+                                  "): " + std::strerror(errno));
+        ::close(nfd);
         return -1;
     }
     *status = Status();
@@ -434,10 +358,14 @@ ServeClient::callHedged(const ServeRequest &request, ServeReply *reply)
         const bool readHedge = !tryPrimary;
         st = recvReplyFd(readHedge ? hedgeFd : fd,
                          readHedge ? hedgeId : primaryId, reply);
-        if (st.ok()) {
+        const bool otherAlive = readHedge ? primaryAlive : hedgeAlive;
+        if (st.ok() && !(isRetryableCode(reply->code) && otherAlive)) {
             hedgeWon = readHedge;
             break;
         }
+        // A broken stream, or a leg the server turned away (shed,
+        // draining) while the other leg may still be working on it:
+        // drop this leg and keep waiting on the other.
         if (readHedge) {
             ::close(hedgeFd);
             hedgeAlive = false;
@@ -516,7 +444,7 @@ ServeClient::call(const ServeRequest &request, ServeReply *reply)
 
     for (unsigned attempt = 1;; ++attempt) {
         Status st;
-        if (fd < 0 && endpoint != Endpoint::None)
+        if (fd < 0 && !endpointPath.empty())
             st = reconnect();   // a restarted server = a fresh socket
         if (st.ok())
             st = hedgeMs != 0 && isIdempotentRequest(request.type)
@@ -619,22 +547,6 @@ ServeClient::stats(std::string *json, uint64_t *trace_id_out)
         *json = reply.statsJson;
     if (trace_id_out != nullptr)
         *trace_id_out = reply.traceId;
-    return Status();
-}
-
-Status
-ServeClient::health(std::vector<ShardHealth> *shards)
-{
-    ServeRequest request;
-    request.type = MessageType::Health;
-    ServeReply reply;
-    const Status st = call(request, &reply);
-    if (!st.ok())
-        return st;
-    if (reply.code != WireCode::Ok)
-        return statusFromWire(reply.code, reply.message);
-    if (shards != nullptr)
-        *shards = reply.shards;
     return Status();
 }
 
@@ -877,6 +789,7 @@ runLoadGen(const LoadGenConfig &cfg)
     result.p50Ms = exactPercentile(all, 0.50);
     result.p99Ms = exactPercentile(all, 0.99);
     std::sort(interactiveAll.begin(), interactiveAll.end());
+    result.interactiveOk = interactiveAll.size();
     result.interactiveP50Ms = exactPercentile(interactiveAll, 0.50);
     result.interactiveP99Ms = exactPercentile(interactiveAll, 0.99);
     std::sort(batchAll.begin(), batchAll.end());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Client side of bpnsp-serve-v1: a small blocking client (one
+ * Client side of bpnsp-serve-v2: a small blocking client (one
  * outstanding request per connection) plus a closed-loop load
  * generator for the latency bench and the soak test.
  *
@@ -12,7 +12,7 @@
  *
  * Retry contract: a RetryPolicy makes call() retry — with bounded,
  * jittered exponential backoff — when the failure is *retryable*
- * (UNAVAILABLE, BUSY, RESOURCE_EXHAUSTED admission rejection, or a
+ * (BUSY, RESOURCE_EXHAUSTED admission rejection, or a
  * transport error on a request the client never saw answered) AND
  * the request type is idempotent. Every request this repo serves is
  * a pure read or a content-addressed materialization, so all request
@@ -27,9 +27,11 @@
  * Hedge contract (tail tolerance): with setHedgeMs(ms != 0), an
  * idempotent call that has not been answered after the observed p95
  * latency (floored by `ms`; `ms` alone until enough samples exist)
- * is re-sent on a *second* connection. The first reply wins; the
- * loser's connection gets a Cancel frame for its request id — so the
- * server can shed or cancel the duplicate before it costs more
+ * is re-sent on a *second* connection. The first reply wins, except a
+ * retryable rejection (BUSY, RESOURCE_EXHAUSTED) while the other leg
+ * is still open: that leg is dropped and the call waits on the other.
+ * The loser's connection gets a Cancel frame for its request id — so
+ * the server can shed or cancel the duplicate before it costs more
  * worker time — and is closed. serve.hedges / serve.hedge_wins count
  * the decisions; both replies are bit-identical when they do race to
  * completion, because every hedged op is a pure read.
@@ -80,12 +82,9 @@ class ServeClient
     /** Connect to a UNIX-domain socket path. */
     Status connectUnix(const std::string &socket_path);
 
-    /** Connect to the loopback TCP listener. */
-    Status connectTcp(int port);
-
     /**
-     * Re-establish the last connectUnix/connectTcp endpoint (retry
-     * path: a restarted server means a fresh socket).
+     * Re-establish the last connectUnix socket path (retry path: a
+     * restarted server means a fresh socket).
      */
     Status reconnect();
 
@@ -136,18 +135,9 @@ class ServeClient
      * Live metric snapshot: a bpnsp-stats-v1 JSON document rendered by
      * the server's io thread (never queued behind workers, so it works
      * under full load and during a drain). `trace_id_out` (optional)
-     * receives the server-assigned trace id — 0 from a pre-tracing
-     * server.
+     * receives the server-assigned trace id.
      */
     Status stats(std::string *json, uint64_t *trace_id_out = nullptr);
-
-    /**
-     * Readiness probe (Health/HealthReply). The server answers one
-     * ready row with its queue depth and estimated queued work.
-     * Answered from the io thread, so it works under full load and
-     * mid-drain.
-     */
-    Status health(std::vector<ShardHealth> *shards);
 
     /**
      * Send a request and do NOT wait for the reply. Used by the load
@@ -187,11 +177,8 @@ class ServeClient
     std::vector<double> recentMs;
     size_t recentNext = 0;
 
-    // Remembered endpoint for reconnect() (kUnset = never connected).
-    enum class Endpoint { None, Unix, Tcp };
-    Endpoint endpoint = Endpoint::None;
+    // Remembered socket path for reconnect() (empty = never connected).
     std::string endpointPath;
-    int endpointPort = 0;
 };
 
 /** Knobs of one closed-loop load-generation run. */
@@ -244,6 +231,7 @@ struct LoadGenResult
     uint64_t expired = 0;    ///< DEADLINE_EXCEEDED replies
     uint64_t hedges = 0;     ///< hedge requests issued
     uint64_t hedgeWins = 0;  ///< hedges that beat the primary
+    uint64_t interactiveOk = 0; ///< Ok interactive (BranchStats) replies
     double elapsedSeconds = 0.0;
     double p50Ms = 0.0;      ///< exact percentiles over all replies
     double p99Ms = 0.0;

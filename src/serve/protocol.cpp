@@ -44,28 +44,10 @@ messageTypeName(MessageType type)
         return "stats";
       case MessageType::StatsReply:
         return "stats-reply";
-      case MessageType::Health:
-        return "health";
-      case MessageType::HealthReply:
-        return "health-reply";
       case MessageType::Cancel:
         return "cancel";
       case MessageType::CancelReply:
         return "cancel-reply";
-    }
-    return "unknown";
-}
-
-const char *
-shardStateName(uint8_t state)
-{
-    switch (state) {
-      case ShardHealth::Ready:
-        return "ready";
-      case ShardHealth::Respawning:
-        return "respawning";
-      case ShardHealth::Degraded:
-        return "degraded";
     }
     return "unknown";
 }
@@ -80,7 +62,6 @@ isRequestType(MessageType type)
       case MessageType::H2p:
       case MessageType::Materialize:
       case MessageType::Stats:
-      case MessageType::Health:
       case MessageType::Cancel:
         return true;
       default:
@@ -112,8 +93,6 @@ wireCodeName(WireCode code)
         return "INTERNAL";
       case WireCode::Unimplemented:
         return "UNIMPLEMENTED";
-      case WireCode::Unavailable:
-        return "UNAVAILABLE";
     }
     return "UNKNOWN";
 }
@@ -136,8 +115,6 @@ wireCodeFor(const Status &status)
         return WireCode::DeadlineExceeded;
       case StatusCode::InvalidArgument:
         return WireCode::InvalidArgument;
-      case StatusCode::Unavailable:
-        return WireCode::Unavailable;
     }
     return WireCode::Internal;
 }
@@ -164,8 +141,6 @@ statusFromWire(WireCode code, const std::string &message)
       case WireCode::Internal:
       case WireCode::Unimplemented:
         return Status::ioError(message);
-      case WireCode::Unavailable:
-        return Status::unavailable(message);
     }
     return Status::ioError(message);
 }
@@ -439,7 +414,6 @@ encodeRequestPayload(const ServeRequest &request)
     switch (request.type) {
       case MessageType::Ping:
       case MessageType::Stats:    // carries nothing, like Ping
-      case MessageType::Health:   // carries nothing, like Ping
         break;
       case MessageType::Simulate:
         w.str(request.workload);
@@ -485,7 +459,6 @@ decodeRequestPayload(MessageType type, const uint8_t *payload,
     switch (type) {
       case MessageType::Ping:
       case MessageType::Stats:
-      case MessageType::Health:
         break;
       case MessageType::Simulate:
         r.str(&req.workload);
@@ -520,12 +493,10 @@ decodeRequestPayload(MessageType type, const uint8_t *payload,
             std::string("not a request type: ") +
             messageTypeName(type));
     }
-    if (!r.ok())
+    if (!r.ok() || r.remaining() != 0)
         return Status::corruptData(
             std::string("malformed ") + messageTypeName(type) +
             " request payload");
-    // v1 compat rule: trailing bytes a newer peer appended are legal
-    // and ignored.
     *out = std::move(req);
     return Status();
 }
@@ -538,6 +509,8 @@ encodeReplyPayload(const ServeReply &reply)
     WireWriter w;
     w.u16(static_cast<uint16_t>(reply.code));
     w.str(reply.message);
+    w.u64(reply.traceId);
+    w.u32(reply.retryAfterMs);
     switch (reply.type) {
       case MessageType::PingReply:
         w.str(reply.serverInfo);
@@ -559,6 +532,12 @@ encodeReplyPayload(const ServeReply &reply)
             w.u64(row.mispreds);
             w.u64(row.taken);
         }
+        w.u32(static_cast<uint32_t>(reply.targetClasses.size()));
+        for (const TargetClassStat &row : reply.targetClasses) {
+            w.u8(row.cls);
+            w.u64(row.execs);
+            w.u64(row.targetMispreds);
+        }
         break;
       case MessageType::H2pReply:
         w.u64(reply.slices);
@@ -576,54 +555,11 @@ encodeReplyPayload(const ServeReply &reply)
       case MessageType::StatsReply:
         w.str(reply.statsJson);
         break;
-      case MessageType::HealthReply:
-        w.u32(static_cast<uint32_t>(reply.shards.size()));
-        for (const ShardHealth &row : reply.shards) {
-            w.u32(row.shard);
-            w.u8(row.state);
-            w.u64(row.pid);
-            w.u32(row.restarts);
-            w.u32(row.deaths);
-        }
-        break;
       case MessageType::CancelReply:
         w.u8(reply.cancelFound);
         break;
-      case MessageType::Error:
+      default:   // Error: the common prefix only
         break;
-      default:
-        break;
-    }
-    // The trace id is the trailing field of *every* reply type —
-    // appended under the v1 grow-at-the-end rule, so pre-tracing
-    // peers decode the shorter payload and simply never see it. The
-    // retry-after hint rides behind it under the same rule: peers
-    // that predate the hint decode up to the trace id and ignore the
-    // rest.
-    w.u64(reply.traceId);
-    w.u32(reply.retryAfterMs);
-    // HealthReply overload block: per-row queue depth / estimated
-    // queued work. The 21-byte row stride above is load-bearing for
-    // older decoders, so growing the rows themselves would misparse —
-    // instead the block rides behind the universal trailers as a
-    // parallel array, which pre-overload peers simply ignore.
-    if (reply.type == MessageType::HealthReply) {
-        w.u32(static_cast<uint32_t>(reply.shards.size()));
-        for (const ShardHealth &row : reply.shards) {
-            w.u32(row.queueDepth);
-            w.u64(row.queuedCostMs);
-        }
-    }
-    // BranchStatsReply per-class target block, behind the trailers for
-    // the same reason: pre-frontend peers decode up to retryAfterMs
-    // and ignore the rest.
-    if (reply.type == MessageType::BranchStatsReply) {
-        w.u32(static_cast<uint32_t>(reply.targetClasses.size()));
-        for (const TargetClassStat &row : reply.targetClasses) {
-            w.u8(row.cls);
-            w.u64(row.execs);
-            w.u64(row.targetMispreds);
-        }
     }
     return w.take();
 }
@@ -638,6 +574,8 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
     uint16_t code = 0;
     r.u16(&code);
     r.str(&reply.message);
+    r.u64(&reply.traceId);
+    r.u32(&reply.retryAfterMs);
     reply.code = static_cast<WireCode>(code);
     switch (type) {
       case MessageType::PingReply:
@@ -668,6 +606,18 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
             r.u64(&row.taken);
             reply.branches.push_back(row);
         }
+        uint32_t classes = 0;
+        r.u32(&classes);
+        if (r.ok() && static_cast<uint64_t>(classes) * 17 > r.remaining())
+            return Status::corruptData(
+                "branch-stats reply target-class count exceeds payload");
+        for (uint32_t i = 0; i < classes && r.ok(); ++i) {
+            TargetClassStat row;
+            r.u8(&row.cls);
+            r.u64(&row.execs);
+            r.u64(&row.targetMispreds);
+            reply.targetClasses.push_back(row);
+        }
         break;
       }
       case MessageType::H2pReply: {
@@ -694,23 +644,6 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
       case MessageType::StatsReply:
         r.str(&reply.statsJson);
         break;
-      case MessageType::HealthReply: {
-        uint32_t rows = 0;
-        r.u32(&rows);
-        if (r.ok() && static_cast<uint64_t>(rows) * 21 > r.remaining())
-            return Status::corruptData(
-                "health reply shard count exceeds payload");
-        for (uint32_t i = 0; i < rows && r.ok(); ++i) {
-            ShardHealth row;
-            r.u32(&row.shard);
-            r.u8(&row.state);
-            r.u64(&row.pid);
-            r.u32(&row.restarts);
-            r.u32(&row.deaths);
-            reply.shards.push_back(row);
-        }
-        break;
-      }
       case MessageType::CancelReply:
         r.u8(&reply.cancelFound);
         break;
@@ -721,55 +654,7 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
             std::string("not a reply type: ") +
             messageTypeName(type));
     }
-    // Trailing trace id: present when the server is tracing-aware,
-    // absent (traceId stays 0) from an older peer's shorter payload.
-    if (r.ok() && r.remaining() >= 8)
-        r.u64(&reply.traceId);
-    // Trailing retry-after hint, appended behind the trace id by
-    // servers that send it (stays 0 from older peers).
-    if (r.ok() && r.remaining() >= 4)
-        r.u32(&reply.retryAfterMs);
-    // HealthReply overload block (parallel per-row arrays appended
-    // behind the trailers; see the encoder for why). Absent from
-    // pre-overload servers: depths stay 0.
-    if (type == MessageType::HealthReply && r.ok() &&
-        r.remaining() >= 4) {
-        uint32_t n = 0;
-        r.u32(&n);
-        if (r.ok() && static_cast<uint64_t>(n) * 12 > r.remaining())
-            return Status::corruptData(
-                "health reply overload block exceeds payload");
-        for (uint32_t i = 0; i < n && r.ok(); ++i) {
-            uint32_t depth = 0;
-            uint64_t costMs = 0;
-            r.u32(&depth);
-            r.u64(&costMs);
-            if (i < reply.shards.size()) {
-                reply.shards[i].queueDepth = depth;
-                reply.shards[i].queuedCostMs = costMs;
-            }
-        }
-    }
-    // BranchStatsReply per-class target block. A pre-frontend server's
-    // shorter payload leaves targetClasses empty; a present-but-short
-    // block is corruption, not compat.
-    if (type == MessageType::BranchStatsReply && r.ok() &&
-        r.remaining() >= 4) {
-        uint32_t n = 0;
-        r.u32(&n);
-        if (r.ok() && static_cast<uint64_t>(n) * 17 > r.remaining())
-            return Status::corruptData(
-                "branch-stats reply target-class block exceeds "
-                "payload");
-        for (uint32_t i = 0; i < n && r.ok(); ++i) {
-            TargetClassStat row;
-            r.u8(&row.cls);
-            r.u64(&row.execs);
-            r.u64(&row.targetMispreds);
-            reply.targetClasses.push_back(row);
-        }
-    }
-    if (!r.ok())
+    if (!r.ok() || r.remaining() != 0)
         return Status::corruptData(
             std::string("malformed ") + messageTypeName(type) +
             " payload");

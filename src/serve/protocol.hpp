@@ -1,6 +1,6 @@
 /**
  * @file
- * `bpnsp-serve-v1`: the wire protocol of the prediction-serving
+ * `bpnsp-serve-v2`: the wire protocol of the prediction-serving
  * daemon.
  *
  * Every message travels in one length-prefixed, checksummed, versioned
@@ -8,7 +8,7 @@
  *
  *   offset size field
  *   0      4    magic       0x31565342 ("BSV1")
- *   4      2    version     kProtocolVersion (1)
+ *   4      2    version     kProtocolVersion (2)
  *   6      2    type        MessageType
  *   8      8    request id  chosen by the client, echoed verbatim in
  *                           the matching reply
@@ -16,12 +16,16 @@
  *   20     4    payload crc FNV-1a 64 of the payload, truncated to 32
  *   24     N    payload     message-specific fields (WireWriter)
  *
- * Versioning/compat rules: the magic+version pair is checked before
- * anything else — a version this side does not speak is refused with a
- * clean InvalidArgument, never misparsed. Within version 1, payloads
- * may only grow at the *end* (decoders ignore trailing bytes they do
- * not know), mirroring the additive schema_rev discipline of the run
- * reports. Anything incompatible bumps kProtocolVersion.
+ * Versioning rule: the magic+version pair is checked before anything
+ * else — a version this side does not speak (v1 included) is refused
+ * with a clean InvalidArgument, never misparsed. Each message type has
+ * exactly one payload layout: decoders read every field and refuse a
+ * payload with bytes left over. Any layout change bumps
+ * kProtocolVersion.
+ *
+ * Every reply payload starts with the same prefix — u16 code, str
+ * message, u64 traceId, u32 retryAfterMs — followed by its type's own
+ * fields (encodeReplyPayload lists them per type).
  *
  * Payload primitives are fixed-width little-endian integers and
  * u32-length-prefixed strings; every read is bounds-checked and
@@ -50,7 +54,7 @@ namespace bpnsp::serve {
 
 /** Protocol identity (see the frame layout above). */
 inline constexpr uint32_t kFrameMagic = 0x31565342u;   // "BSV1"
-inline constexpr uint16_t kProtocolVersion = 1;
+inline constexpr uint16_t kProtocolVersion = 2;
 
 /** Hard payload bound: larger prefixes are refused before any read. */
 inline constexpr uint32_t kMaxFramePayload = 16u * 1024 * 1024;
@@ -85,8 +89,6 @@ enum class MessageType : uint16_t
     Error = 11,   ///< generic failure reply (any request type)
     Stats = 12,   ///< live metric-registry snapshot (io-thread fast path)
     StatsReply = 13,
-    Health = 14,  ///< readiness probe (io-thread fast path)
-    HealthReply = 15,
     Cancel = 16,  ///< best-effort cancel of an earlier request on the
                   ///< same connection (hedge-loser reclamation)
     CancelReply = 17,
@@ -111,7 +113,6 @@ enum class WireCode : uint16_t
     ResourceExhausted = 7,   ///< bounded-queue admission rejection
     Internal = 8,
     Unimplemented = 9,
-    Unavailable = 10,        ///< endpoint down for now; retryable
 };
 
 /** Stable name of a wire code ("RESOURCE_EXHAUSTED", ...). */
@@ -159,54 +160,13 @@ struct BranchRow
     uint64_t taken = 0;
 };
 
-/**
- * Per-class frontend target statistics (BranchStatsReply). These ride
- * in a block appended *behind* the traceId/retryAfterMs trailers (the
- * HealthReply overload-block precedent): pre-frontend peers decode up
- * to the trailers and never see it, and a pre-frontend server's
- * shorter payload simply leaves the vector empty.
- */
+/** Per-class frontend target statistics (BranchStatsReply). */
 struct TargetClassStat
 {
     uint8_t cls = 0;             ///< InstrClass value (trace/record.hpp)
     uint64_t execs = 0;          ///< transfers of this class executed
     uint64_t targetMispreds = 0; ///< resolved to an unpredicted target
 };
-
-/**
- * Readiness of one serving shard (HealthReply row). The server answers
- * a single row (shard 0, Ready); the row layout and the Respawning /
- * Degraded states stay on the wire so older peers still decode.
- */
-struct ShardHealth
-{
-    /** Shard readiness on the wire (u8). */
-    enum State : uint8_t
-    {
-        Ready = 0,       ///< serving
-        Respawning = 1,  ///< down; a restart is pending
-        Degraded = 2,    ///< down; retry after a cool-down
-    };
-
-    uint32_t shard = 0;
-    uint8_t state = Ready;
-    uint64_t pid = 0;       ///< serving process pid (0 when down)
-    uint32_t restarts = 0;  ///< restarts since start
-    uint32_t deaths = 0;    ///< deaths since start
-
-    /**
-     * Overload view of the shard (0 when the server predates the
-     * overload layer). These do NOT ride inside the fixed 21-byte row
-     * block — that stride is load-bearing for older decoders — they
-     * travel as a parallel per-row block appended *behind* the
-     * traceId/retryAfterMs trailers (see encodeReplyPayload).
-     */
-    uint32_t queueDepth = 0;    ///< queued requests right now
-    uint64_t queuedCostMs = 0;  ///< estimated queued+in-flight work, ms
-};
-
-/** Stable name of a shard state ("ready", ...). */
-const char *shardStateName(uint8_t state);
 
 /**
  * One reply, any type: code/message always; the rest by type. Numeric
@@ -221,13 +181,19 @@ struct ServeReply
 
     /**
      * Server-assigned trace id, stamped into every reply (including
-     * errors) as the trailing payload field. Correlates a reply with
-     * the server-side span tree: the same id appears in --trace-out /
-     * --trace-dir exports and in `serve.slow_request` log lines.
-     * 0 means "unassigned" — a pre-tracing v1 server whose shorter
-     * payload simply lacks the field (the v1 grow-at-the-end rule).
+     * errors). Correlates a reply with the server-side span tree: the
+     * same id appears in --trace-out / --trace-dir exports and in
+     * `serve.slow_request` log lines. 0 means "unassigned".
      */
     uint64_t traceId = 0;
+
+    /**
+     * Retry-after hint in milliseconds. Non-zero only on
+     * RESOURCE_EXHAUSTED from cost-budget shedding, where it tells the
+     * client the earliest moment a retry could plausibly succeed.
+     * Clients treat it as a floor on their backoff, never a guarantee.
+     */
+    uint32_t retryAfterMs = 0;
 
     // SimulateReply
     uint64_t delivered = 0;
@@ -237,8 +203,7 @@ struct ServeReply
 
     // BranchStatsReply
     std::vector<BranchRow> branches;
-    std::vector<TargetClassStat> targetClasses; ///< post-trailer block
-                                                ///< (stable class order)
+    std::vector<TargetClassStat> targetClasses; ///< stable class order
 
     // H2pReply
     std::vector<uint64_t> h2pIps;        ///< sorted ascending
@@ -257,23 +222,10 @@ struct ServeReply
     // StatsReply: a bpnsp-stats-v1 JSON document (obs/report.hpp)
     std::string statsJson;
 
-    // HealthReply
-    std::vector<ShardHealth> shards;
-
     // CancelReply: 1 when the target request was found (queued or
     // in-flight) and cancellation was initiated, 0 when it had
     // already completed (or was never seen).
     uint8_t cancelFound = 0;
-
-    /**
-     * Retry-after hint in milliseconds, the trailing field of every
-     * reply (appended after traceId under the v1 grow-at-the-end
-     * rule). Non-zero only on retryable errors — RESOURCE_EXHAUSTED
-     * from cost-budget shedding, or UNAVAILABLE — where it tells the
-     * client the earliest moment a retry could plausibly succeed.
-     * Clients treat it as a floor on their backoff, never a guarantee.
-     */
-    uint32_t retryAfterMs = 0;
 };
 
 /** Bit-cast helpers for the double-as-u64 reply fields. */
@@ -351,13 +303,19 @@ Status verifyFramePayload(const FrameHeader &header,
 /// @{
 std::vector<uint8_t> encodeRequestPayload(const ServeRequest &request);
 
-/** Decode a request payload of the given type (bounds-checked). */
+/**
+ * Decode a request payload of the given type (bounds-checked;
+ * trailing bytes are CorruptData).
+ */
 Status decodeRequestPayload(MessageType type, const uint8_t *payload,
                             size_t len, ServeRequest *out);
 
 std::vector<uint8_t> encodeReplyPayload(const ServeReply &reply);
 
-/** Decode a reply payload of the given type (bounds-checked). */
+/**
+ * Decode a reply payload of the given type (bounds-checked; trailing
+ * bytes are CorruptData).
+ */
 Status decodeReplyPayload(MessageType type, const uint8_t *payload,
                           size_t len, ServeReply *out);
 /// @}

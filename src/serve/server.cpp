@@ -8,7 +8,6 @@
 #include <utility>
 
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -107,7 +106,7 @@ serveCancels()
 }
 
 /**
- * Cost-model op classes. Ping/Stats/Health answer on the io thread
+ * Cost-model op classes. Ping/Stats/Cancel answer on the io thread
  * and never reach the scheduler, so only the four queued types need a
  * slot; anything unexpected shares the materialize slot (it is the
  * most conservative prior).
@@ -129,7 +128,7 @@ costClassFor(MessageType type)
 
 /**
  * The two scheduler priorities. BranchStats is the one interactive op
- * that actually queues (Ping/Stats/Health answer inline): operators
+ * that actually queues (Ping/Stats answer inline): operators
  * poll it while the batch classes grind, so it must not wait behind
  * them.
  */
@@ -139,8 +138,11 @@ isInteractiveQueued(MessageType type)
     return type == MessageType::BranchStats;
 }
 
-/** Deficit-round-robin quantum (scaled by cfg.clientWeight). */
+/** Deficit-round-robin quantum: estimated work a client earns per pass. */
 constexpr uint64_t kDrrQuantumNs = 10ull * 1000 * 1000;
+
+/** mmap'd reader LRU cap (open trace store readers). */
+constexpr size_t kMaxOpenReaders = 32;
 
 /** Cold-path cost multipliers over the warm per-unit EWMA. */
 constexpr uint64_t kColdOpenFactor = 2;   ///< open + full verify pass
@@ -279,12 +281,6 @@ ServeServer::ServeServer(ServeConfig config)
         cfg.maxBatch = 1;
     if (cfg.queueDepth == 0)
         cfg.queueDepth = 1;
-    if (cfg.maxOpenReaders == 0)
-        cfg.maxOpenReaders = 1;
-    if (cfg.clientWeight == 0)
-        cfg.clientWeight = 1;
-    if (cfg.shedPolicy != "tail")
-        cfg.shedPolicy = "heaviest";
     // Cost-model priors, ns per work unit (x16 fixed point): replay
     // classes start near the observed ~10 ns/record of a warm mmap'd
     // replay; materialize is bookkeeping once the reader is open.
@@ -345,43 +341,7 @@ ServeServer::start()
         ::close(ufd);
         return st;
     }
-    listenFds.push_back(ufd);
-
-    // Optional TCP listener, loopback only: serving is a host-local
-    // facility, not a network-exposed one.
-    if (cfg.tcpPort != 0) {
-        const int tfd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (tfd < 0)
-            return Status::ioError(
-                std::string("serve: tcp socket(): ") +
-                std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(tfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        struct sockaddr_in tin;
-        std::memset(&tin, 0, sizeof(tin));
-        tin.sin_family = AF_INET;
-        tin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        tin.sin_port =
-            htons(static_cast<uint16_t>(cfg.tcpPort < 0 ? 0
-                                                        : cfg.tcpPort));
-        if (::bind(tfd, reinterpret_cast<struct sockaddr *>(&tin),
-                   sizeof(tin)) != 0 ||
-            ::listen(tfd, 128) != 0) {
-            const Status st = Status::ioError(
-                "serve: tcp bind/listen on 127.0.0.1:" +
-                std::to_string(cfg.tcpPort) + ": " +
-                std::strerror(errno));
-            ::close(tfd);
-            ::close(ufd);
-            listenFds.clear();
-            return st;
-        }
-        socklen_t tlen = sizeof(tin);
-        ::getsockname(tfd, reinterpret_cast<struct sockaddr *>(&tin),
-                      &tlen);
-        tcpPortBound = ntohs(tin.sin_port);
-        listenFds.push_back(tfd);
-    }
+    listenFd = ufd;
 
     if (::pipe(wakePipe) != 0)
         return Status::ioError(std::string("serve: pipe(): ") +
@@ -399,12 +359,14 @@ ServeServer::start()
 
     static obs::Gauge &workersGauge = obs::gauge("serve.workers");
     workersGauge.set(static_cast<double>(cfg.workers));
-    inform("serving on ", cfg.socketPath,
-           tcpPortBound != 0
-               ? " and 127.0.0.1:" + std::to_string(tcpPortBound)
-               : std::string(),
-           " (", cfg.workers, " workers, queue depth ",
-           cfg.queueDepth, ")");
+    {
+        // Register the load gauges at zero, so a Stats probe of an
+        // idle server already carries them.
+        std::lock_guard<std::mutex> lock(queueMu);
+        updateQueueGaugesLocked();
+    }
+    inform("serving on ", cfg.socketPath, " (", cfg.workers,
+           " workers, queue depth ", cfg.queueDepth, ")");
     return Status();
 }
 
@@ -417,7 +379,7 @@ ServeServer::drain()
     drains.inc();
 
     // Phase 1: stop admitting. The io thread keeps running so replies
-    // to in-flight requests still go out, but every listener closes
+    // to in-flight requests still go out, but the listener closes
     // and every newly parsed request is refused.
     acceptingFlag.store(false);
     {
@@ -447,9 +409,9 @@ ServeServer::drain()
     if (ioThread.joinable())
         ioThread.join();
 
-    for (const int fd : listenFds)
-        ::close(fd);
-    listenFds.clear();
+    if (listenFd >= 0)
+        ::close(listenFd);
+    listenFd = -1;
     ::unlink(cfg.socketPath.c_str());
     ::close(wakePipe[0]);
     ::close(wakePipe[1]);
@@ -481,23 +443,21 @@ void
 ServeServer::ioLoop()
 {
     std::vector<struct pollfd> pfds;
-    bool listenersClosed = false;
     while (!quitFlag.load()) {
-        if (!acceptingFlag.load() && !listenersClosed) {
-            // Drain phase 1: close the listeners so new connect()s are
+        if (!acceptingFlag.load() && listenFd >= 0) {
+            // Drain phase 1: close the listener so new connect()s are
             // refused by the OS while existing conns keep their
             // replies coming.
-            for (const int fd : listenFds)
-                ::close(fd);
-            listenFds.clear();
+            ::close(listenFd);
+            listenFd = -1;
             ::unlink(cfg.socketPath.c_str());
-            listenersClosed = true;
         }
 
         pfds.clear();
         pfds.push_back({wakePipe[0], POLLIN, 0});
-        for (const int fd : listenFds)
-            pfds.push_back({fd, POLLIN, 0});
+        const bool listening = listenFd >= 0;
+        if (listening)
+            pfds.push_back({listenFd, POLLIN, 0});
         const size_t connBase = pfds.size();
         for (const auto &conn : conns)
             pfds.push_back({conn->fd, POLLIN, 0});
@@ -517,10 +477,8 @@ ServeServer::ioLoop()
             }
         }
 
-        for (size_t i = 1; i < connBase; ++i) {
-            if ((pfds[i].revents & POLLIN) != 0)
-                acceptOne(pfds[i].fd);
-        }
+        if (listening && (pfds[1].revents & POLLIN) != 0)
+            acceptOne();
 
         // Snapshot: readConn may close (and remove) connections.
         std::vector<std::shared_ptr<Conn>> readable;
@@ -542,7 +500,7 @@ ServeServer::ioLoop()
 }
 
 void
-ServeServer::acceptOne(int listen_fd)
+ServeServer::acceptOne()
 {
     static obs::Counter &connections =
         obs::counter("serve.connections");
@@ -551,7 +509,7 @@ ServeServer::acceptOne(int listen_fd)
     static uint64_t nextConnId = 1;
 
     obs::Span span("serve.accept");
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0) {
         if (errno != EAGAIN && errno != EWOULDBLOCK &&
             errno != ECONNABORTED && errno != EINTR)
@@ -572,8 +530,8 @@ ServeServer::acceptOne(int listen_fd)
     conn->id = nextConnId++;
     // Fair-share identity: the peer *process* (SO_PEERCRED pid on
     // UNIX-domain sockets), so one client opening many connections is
-    // still one client to the scheduler. TCP loopback peers (no
-    // credentials) fall back to per-connection identity.
+    // still one client to the scheduler. A peer without credentials
+    // falls back to per-connection identity.
     struct ucred cred;
     socklen_t credLen = sizeof(cred);
     if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &credLen) ==
@@ -705,43 +663,9 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
             reply.type = MessageType::PingReply;
             reply.traceId = allocTraceId();
             reply.serverInfo =
-                "bpnsp-serve-v1 workers=" +
+                "bpnsp-serve-v2 workers=" +
                 std::to_string(cfg.workers) +
                 " queue=" + std::to_string(cfg.queueDepth);
-            sendReply(conn, header.requestId, reply);
-            serveCompleted().inc();
-            continue;
-        }
-
-        if (type == MessageType::Health) {
-            // Health answers from the io thread like Ping: it is the
-            // probe an operator or load balancer uses to decide
-            // whether this endpoint can take traffic, so it must work
-            // under full load and mid-drain. The server answers one
-            // row: shard 0, ready, never restarted.
-            static obs::Counter &healthRequests =
-                obs::counter("serve.health_requests");
-            serveRequests().inc();
-            serveAccepted().inc();
-            healthRequests.inc();
-            ServeReply reply;
-            reply.type = MessageType::HealthReply;
-            reply.traceId = allocTraceId();
-            ShardHealth row;
-            row.shard = 0;
-            row.state = ShardHealth::Ready;
-            row.pid = static_cast<uint64_t>(::getpid());
-            {
-                // Overload view: what is queued plus what the workers
-                // hold, in estimated milliseconds of execute time —
-                // the number an operator or load balancer needs to pick
-                // (or avoid) this endpoint.
-                std::lock_guard<std::mutex> lock(queueMu);
-                row.queueDepth = static_cast<uint32_t>(queuedCount);
-                row.queuedCostMs =
-                    (queuedCostNs + inflightCostNs) / 1000000ull;
-            }
-            reply.shards.push_back(row);
             sendReply(conn, header.requestId, reply);
             serveCompleted().inc();
             continue;
@@ -975,11 +899,16 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
     {
         std::lock_guard<std::mutex> lock(queueMu);
         retryAfterMs = retryAfterMsLocked();
-        while (overCapacityLocked(p.costNs)) {
-            if (cfg.shedPolicy == "tail") {
-                shedSelf = true;
-                break;
-            }
+        // An interactive read pops ahead of all batch work, and
+        // in-flight work cannot be shed: with no other read queued it
+        // runs next, so the cost budget does not turn it away (the
+        // count bound still does). Otherwise, when one read costs
+        // close to the whole budget, another client's running replays
+        // shed every read.
+        bool runsNext = p.interactive && queuedCount < cfg.queueDepth;
+        for (const PeerQueue &pq : peerQueues)
+            runsNext = runsNext && pq.interactive.empty();
+        while (!runsNext && overCapacityLocked(p.costNs)) {
             // Heaviest-first: the client holding the most estimated
             // queued work absorbs the shed — counting the arrival as
             // part of its own client's backlog, so a lone client
@@ -1174,11 +1103,11 @@ ServeServer::sweepExpiredLocked(std::vector<Pending> *expired)
 
 /**
  * Scheduler selection (queueMu held): any interactive request first
- * (round-robin across clients), else batch work by weighted deficit
- * round robin — a client may dequeue when its deficit covers the
- * head's estimated cost; every pass over the rotation earns each
- * waiting client one quantum × weight. Clients that go idle leave
- * the rotation and their deficit resets.
+ * (round-robin across clients), else batch work by deficit round
+ * robin — a client may dequeue when its deficit covers the head's
+ * estimated cost; every pass over the rotation earns each waiting
+ * client one quantum. Clients that go idle leave the rotation and
+ * their deficit resets.
  */
 bool
 ServeServer::popNextLocked(Pending *out)
@@ -1206,7 +1135,6 @@ ServeServer::popNextLocked(Pending *out)
         return true;
     }
 
-    const uint64_t quantum = kDrrQuantumNs * cfg.clientWeight;
     for (;;) {
         bool anyBatch = false;
         for (size_t i = 0; i < n; ++i) {
@@ -1216,7 +1144,7 @@ ServeServer::popNextLocked(Pending *out)
                 continue;
             anyBatch = true;
             if (pq.deficitNs < pq.batch.front().costNs) {
-                pq.deficitNs += quantum;
+                pq.deficitNs += kDrrQuantumNs;
                 continue;
             }
             pq.deficitNs -= pq.batch.front().costNs;
@@ -1991,7 +1919,7 @@ ServeServer::ensureReader(const Workload &workload,
         readers[digest] = ReaderEntry{shared, ++readerClock};
         // LRU-cap the open mmaps; in-flight replays keep their reader
         // alive through their shared_ptr.
-        while (readers.size() > cfg.maxOpenReaders) {
+        while (readers.size() > kMaxOpenReaders) {
             auto victim = readers.begin();
             for (auto it = readers.begin(); it != readers.end(); ++it) {
                 if (it->second.lastUse < victim->second.lastUse)

@@ -5,11 +5,11 @@
  *
  * Architecture (see DESIGN.md "Serving"):
  *
- *  - One I/O thread owns accept() on the UNIX-domain listener (plus an
- *    optional loopback TCP listener behind a flag) and a poll() loop
- *    over every live connection. It assembles length-prefixed frames
- *    incrementally, validates magic/version/length *before* buffering
- *    a payload, verifies the payload checksum, and decodes requests.
+ *  - One I/O thread owns accept() on the one UNIX-domain listener and
+ *    a poll() loop over every live connection. It assembles
+ *    length-prefixed frames incrementally, validates
+ *    magic/version/length *before* buffering a payload, verifies the
+ *    payload checksum, and decodes requests.
  *    Malformed input of any kind — truncated frame, oversized length
  *    prefix, corrupt checksum, mid-frame disconnect — produces a clean
  *    Status, a best-effort Error reply, and a closed connection; never
@@ -18,14 +18,15 @@
  *    request gets an estimated cost (work units × op-class ns/unit,
  *    refined online from observed execute times, × a cold/warm
  *    reader-cache multiplier) and is queued into a per-client
- *    (SO_PEERCRED) weighted deficit queue at one of two priorities
+ *    (SO_PEERCRED) deficit queue at one of two priorities
  *    (interactive BranchStats above batch Simulate/Materialize/H2p).
  *    When the queue is full by count (queueDepth) or by estimated
- *    work (maxInflightCostMs) the scheduler sheds from the heaviest
- *    over-quota client first — newest batch work first — answering
+ *    work (maxInflightCostMs) the scheduler always sheds from the
+ *    heaviest client first — newest batch work first — answering
  *    RESOURCE_EXHAUSTED with a retry-after hint (serve.rejected,
- *    serve.shed); backpressure stays explicit and memory bounded
- *    under any offered load. Requests whose deadline can no longer be
+ *    serve.shed). An interactive read with no other read queued runs
+ *    next, so only the count bound can refuse it. Backpressure stays
+ *    explicit and memory bounded under any offered load. Requests whose deadline can no longer be
  *    met are swept out with DEADLINE_EXCEEDED before consuming worker
  *    time (serve.expired), and a Cancel frame sheds or cancels its
  *    target (serve.cancels) — the hedge-loser reclamation path.
@@ -78,12 +79,10 @@ namespace bpnsp::serve {
 struct ServeConfig
 {
     std::string socketPath;    ///< UNIX-domain socket (required)
-    int tcpPort = 0;           ///< optional loopback TCP (0 = off)
     unsigned workers = 4;      ///< fixed worker pool size
     size_t queueDepth = 64;    ///< bounded admission queue
     unsigned maxBatch = 8;     ///< max Simulate requests per batch
     std::string traceCacheDir; ///< on-disk corpus (required)
-    size_t maxOpenReaders = 32; ///< mmap'd reader LRU cap
 
     /**
      * Cost-aware admission bound: the maximum *estimated* queued plus
@@ -93,23 +92,6 @@ struct ServeConfig
      * queue pressure.
      */
     uint64_t maxInflightCostMs = 0;
-
-    /**
-     * Fair-share quantum weight: how much estimated work (multiples
-     * of a 10 ms quantum) each client's deficit counter earns per
-     * scheduling round. Larger values trade fairness granularity for
-     * fewer round-robin passes.
-     */
-    unsigned clientWeight = 1;
-
-    /**
-     * Shed victim selection when admission overflows: "heaviest"
-     * (default) sheds the newest batch work of the client holding the
-     * most estimated queued work — the abusive client absorbs the
-     * sheds; "tail" always rejects the arriving request (the pre-
-     * overload behavior).
-     */
-    std::string shedPolicy = "heaviest";
 
     /**
      * Slow-request threshold in milliseconds (0 = off). A request
@@ -140,7 +122,7 @@ class ServeServer
     Status start();
 
     /**
-     * Graceful drain: close the listeners (no new connections, no new
+     * Graceful drain: close the listener (no new connections, no new
      * requests), let the queue empty and in-flight requests finish,
      * then shut the pool down and close every connection. Idempotent.
      */
@@ -156,9 +138,6 @@ class ServeServer
 
     const ServeConfig &config() const { return cfg; }
 
-    /** The bound TCP port (0 when TCP is off); valid after start(). */
-    int boundTcpPort() const { return tcpPortBound; }
-
   private:
     struct Conn;
     struct Pending;
@@ -166,7 +145,7 @@ class ServeServer
 
     // --- I/O side (io thread) ---
     void ioLoop();
-    void acceptOne(int listen_fd);
+    void acceptOne();
     void readConn(const std::shared_ptr<Conn> &conn);
     void parseFrames(const std::shared_ptr<Conn> &conn);
     void admit(const std::shared_ptr<Conn> &conn,
@@ -226,9 +205,8 @@ class ServeServer
     ServeConfig cfg;
     bool started = false;
     bool stopped = false;
-    int tcpPortBound = 0;
 
-    std::vector<int> listenFds;
+    int listenFd = -1;
     int wakePipe[2] = {-1, -1};   ///< self-pipe to nudge poll()
 
     std::thread ioThread;
@@ -246,7 +224,7 @@ class ServeServer
     std::condition_variable queueCv;       ///< workers wait here
     std::condition_variable idleCv;        ///< drain() waits here
 
-    // Per-client weighted deficit queues (the admission queue). All
+    // Per-client deficit queues (the admission queue). All
     // scheduler state below queueMu. Peers with no queued work are
     // dropped from the rotation (their deficit resets), so the deque
     // stays as small as the set of clients with work in flight.

@@ -20,8 +20,6 @@ statusCodeName(StatusCode code)
         return "DeadlineExceeded";
       case StatusCode::InvalidArgument:
         return "InvalidArgument";
-      case StatusCode::Unavailable:
-        return "Unavailable";
     }
     return "Unknown";
 }

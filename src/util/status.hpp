@@ -26,10 +26,6 @@
  *                   campaign --budget-wall-ms).
  *  - InvalidArgument — the caller asked for something impossible
  *                   (range past end of store, malformed fault spec).
- *  - Unavailable  — the serving endpoint for this request is down
- *                   right now (the wire UNAVAILABLE code); retry
- *                   after a backoff, the condition is expected to
- *                   clear.
  */
 
 #ifndef BPNSP_UTIL_STATUS_HPP
@@ -51,7 +47,6 @@ enum class StatusCode : uint8_t
     Cancelled,
     DeadlineExceeded,
     InvalidArgument,
-    Unavailable,
 };
 
 /** Stable human-readable name of a code ("CorruptData", ...). */
@@ -112,12 +107,6 @@ class Status
     invalidArgument(std::string message)
     {
         return make(StatusCode::InvalidArgument, std::move(message));
-    }
-
-    static Status
-    unavailable(std::string message)
-    {
-        return make(StatusCode::Unavailable, std::move(message));
     }
     /// @}
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the serving subsystem: bpnsp-serve-v1 protocol round
+ * Tests for the serving subsystem: bpnsp-serve-v2 protocol round
  * trips, frame-decoder hardening against malformed and truncated
  * input, server request semantics (validation, deadlines,
  * backpressure, drain), bit-identity of served results against direct
@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,9 +133,7 @@ class ServeTest : public ::testing::Test
     /** Server with the cost-aware admission budget engaged. */
     void
     startServerOverload(uint64_t max_inflight_cost_ms,
-                        const std::string &shed_policy = "heaviest",
-                        unsigned workers = 1,
-                        size_t queue_depth = 32)
+                        unsigned workers = 1, size_t queue_depth = 32)
     {
         scratch = std::make_unique<ScratchDir>(
             ::testing::UnitTest::GetInstance()
@@ -147,7 +146,6 @@ class ServeTest : public ::testing::Test
         config.maxBatch = 8;
         config.traceCacheDir = scratch->file("cache");
         config.maxInflightCostMs = max_inflight_cost_ms;
-        config.shedPolicy = shed_policy;
         server = std::make_unique<ServeServer>(std::move(config));
         ASSERT_TRUE(server->start().ok());
     }
@@ -254,6 +252,167 @@ counterValue(const char *name)
     return obs::Registry::instance().counterValue(name);
 }
 
+/** One fully populated request of every request type. */
+std::vector<ServeRequest>
+sampleRequests()
+{
+    std::vector<ServeRequest> out;
+    ServeRequest ping;
+    ping.type = MessageType::Ping;
+    out.push_back(ping);
+    ServeRequest stats;
+    stats.type = MessageType::Stats;
+    out.push_back(stats);
+    ServeRequest sim = simulateRequest("gshare", 100, 5000);
+    sim.deadlineMs = 250;
+    out.push_back(sim);
+    for (const MessageType type :
+         {MessageType::BranchStats, MessageType::H2p}) {
+        ServeRequest r;
+        r.type = type;
+        r.workload = "xz_like";
+        r.inputIdx = 2;
+        r.instructions = 90000;
+        r.predictor = "tage-sc-l-8KB";
+        r.sliceLength = 3000;
+        r.topK = 16;
+        r.deadlineMs = 40;
+        out.push_back(r);
+    }
+    ServeRequest mat;
+    mat.type = MessageType::Materialize;
+    mat.workload = "mcf_like";
+    mat.inputIdx = 1;
+    mat.instructions = 77777;
+    mat.deadlineMs = 9;
+    out.push_back(mat);
+    ServeRequest cancel;
+    cancel.type = MessageType::Cancel;
+    cancel.cancelTargetId = 0xABCDEF0123456789ull;
+    out.push_back(cancel);
+    return out;
+}
+
+/**
+ * One fully populated reply of every reply type, each with its own
+ * message, trace id and retry-after hint.
+ */
+std::vector<ServeReply>
+sampleReplies()
+{
+    std::vector<ServeReply> out;
+    const auto base = [&out](MessageType type) -> ServeReply & {
+        const uint64_t salt = out.size() + 1;
+        ServeReply r;
+        r.type = type;
+        r.message = "reply " + std::to_string(salt);
+        r.traceId = 0xDEADBEEF00000000ull + salt;
+        r.retryAfterMs = static_cast<uint32_t>(100 * salt);
+        out.push_back(r);
+        return out.back();
+    };
+    base(MessageType::PingReply).serverInfo = "bpnsp-serve-v2 workers=2";
+    {
+        ServeReply &r = base(MessageType::SimulateReply);
+        r.delivered = kTraceLen;
+        r.condExecs = 12345;
+        r.condMispreds = 678;
+        r.accuracyBits = doubleBits(0.9451234567890123);
+    }
+    {
+        ServeReply &r = base(MessageType::BranchStatsReply);
+        r.delivered = 1000;
+        r.condExecs = 200;
+        r.condMispreds = 20;
+        r.branches = {{0x40, 10, 2, 5}, {0x88, 190, 18, 100}};
+        r.targetClasses = {
+            {static_cast<uint8_t>(InstrClass::Call), 50, 0},
+            {static_cast<uint8_t>(InstrClass::Ret), 50, 3},
+            {static_cast<uint8_t>(InstrClass::JumpInd), 7, 4},
+            {static_cast<uint8_t>(InstrClass::CallInd), 0, 0},
+        };
+    }
+    {
+        ServeReply &r = base(MessageType::H2pReply);
+        r.h2pIps = {0x10, 0x20, 0x400};
+        r.slices = 12;
+        r.avgPerSliceBits = doubleBits(2.5);
+        r.avgMispredFractionBits = doubleBits(0.125);
+    }
+    {
+        ServeReply &r = base(MessageType::MaterializeReply);
+        r.digest = "0123abcd";
+        r.records = 77777;
+        r.path = "/corpus/0123abcd.bpt";
+    }
+    base(MessageType::StatsReply).statsJson = "{\"counters\": {}}";
+    base(MessageType::CancelReply).cancelFound = 1;
+    {
+        ServeReply &r = base(MessageType::Error);
+        r.code = WireCode::ResourceExhausted;
+    }
+    return out;
+}
+
+/** Field-by-field equality of two requests. */
+void
+expectSameRequest(const ServeRequest &want, const ServeRequest &got)
+{
+    SCOPED_TRACE(messageTypeName(want.type));
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.workload, want.workload);
+    EXPECT_EQ(got.inputIdx, want.inputIdx);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.predictor, want.predictor);
+    EXPECT_EQ(got.first, want.first);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.sliceLength, want.sliceLength);
+    EXPECT_EQ(got.topK, want.topK);
+    EXPECT_EQ(got.deadlineMs, want.deadlineMs);
+    EXPECT_EQ(got.cancelTargetId, want.cancelTargetId);
+}
+
+/** Field-by-field equality of two replies. */
+void
+expectSameReply(const ServeReply &want, const ServeReply &got)
+{
+    SCOPED_TRACE(messageTypeName(want.type));
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.code, want.code);
+    EXPECT_EQ(got.message, want.message);
+    EXPECT_EQ(got.traceId, want.traceId);
+    EXPECT_EQ(got.retryAfterMs, want.retryAfterMs);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.condExecs, want.condExecs);
+    EXPECT_EQ(got.condMispreds, want.condMispreds);
+    EXPECT_EQ(got.accuracyBits, want.accuracyBits);
+    ASSERT_EQ(got.branches.size(), want.branches.size());
+    for (size_t i = 0; i < want.branches.size(); ++i) {
+        EXPECT_EQ(got.branches[i].ip, want.branches[i].ip);
+        EXPECT_EQ(got.branches[i].execs, want.branches[i].execs);
+        EXPECT_EQ(got.branches[i].mispreds, want.branches[i].mispreds);
+        EXPECT_EQ(got.branches[i].taken, want.branches[i].taken);
+    }
+    ASSERT_EQ(got.targetClasses.size(), want.targetClasses.size());
+    for (size_t i = 0; i < want.targetClasses.size(); ++i) {
+        EXPECT_EQ(got.targetClasses[i].cls, want.targetClasses[i].cls);
+        EXPECT_EQ(got.targetClasses[i].execs,
+                  want.targetClasses[i].execs);
+        EXPECT_EQ(got.targetClasses[i].targetMispreds,
+                  want.targetClasses[i].targetMispreds);
+    }
+    EXPECT_EQ(got.h2pIps, want.h2pIps);
+    EXPECT_EQ(got.slices, want.slices);
+    EXPECT_EQ(got.avgPerSliceBits, want.avgPerSliceBits);
+    EXPECT_EQ(got.avgMispredFractionBits, want.avgMispredFractionBits);
+    EXPECT_EQ(got.digest, want.digest);
+    EXPECT_EQ(got.records, want.records);
+    EXPECT_EQ(got.path, want.path);
+    EXPECT_EQ(got.serverInfo, want.serverInfo);
+    EXPECT_EQ(got.statsJson, want.statsJson);
+    EXPECT_EQ(got.cancelFound, want.cancelFound);
+}
+
 // --- protocol round trips --------------------------------------------
 
 TEST(ServeProtocol, FrameHeaderRoundTrip)
@@ -280,58 +439,57 @@ TEST(ServeProtocol, FrameHeaderRoundTrip)
 
 TEST(ServeProtocol, RequestPayloadRoundTrip)
 {
-    ServeRequest request = simulateRequest("gshare", 100, 5000);
-    request.deadlineMs = 250;
-    const std::vector<uint8_t> payload = encodeRequestPayload(request);
-    ServeRequest out;
-    ASSERT_TRUE(decodeRequestPayload(MessageType::Simulate,
-                                     payload.data(), payload.size(),
-                                     &out)
-                    .ok());
-    EXPECT_EQ(out.workload, request.workload);
-    EXPECT_EQ(out.inputIdx, request.inputIdx);
-    EXPECT_EQ(out.instructions, request.instructions);
-    EXPECT_EQ(out.predictor, request.predictor);
-    EXPECT_EQ(out.first, request.first);
-    EXPECT_EQ(out.count, request.count);
-    EXPECT_EQ(out.deadlineMs, request.deadlineMs);
+    for (const ServeRequest &request : sampleRequests()) {
+        const std::vector<uint8_t> payload =
+            encodeRequestPayload(request);
+        ServeRequest out;
+        ASSERT_TRUE(decodeRequestPayload(request.type, payload.data(),
+                                         payload.size(), &out)
+                        .ok())
+            << messageTypeName(request.type);
+        expectSameRequest(request, out);
+    }
 }
 
 TEST(ServeProtocol, ReplyPayloadRoundTrip)
 {
-    ServeReply reply;
-    reply.type = MessageType::SimulateReply;
-    reply.delivered = kTraceLen;
-    reply.condExecs = 12345;
-    reply.condMispreds = 678;
-    reply.accuracyBits = doubleBits(0.9451234567890123);
-    const std::vector<uint8_t> payload = encodeReplyPayload(reply);
-    ServeReply out;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::SimulateReply,
-                                   payload.data(), payload.size(),
-                                   &out)
-                    .ok());
-    EXPECT_EQ(out.condExecs, reply.condExecs);
-    EXPECT_EQ(out.condMispreds, reply.condMispreds);
-    EXPECT_EQ(out.accuracyBits, reply.accuracyBits);
-    EXPECT_DOUBLE_EQ(bitsDouble(out.accuracyBits),
-                     0.9451234567890123);
+    // Every reply type, with its trace id, retry-after hint and (for
+    // BranchStatsReply) the target-class block.
+    for (const ServeReply &reply : sampleReplies()) {
+        const std::vector<uint8_t> payload = encodeReplyPayload(reply);
+        ServeReply out;
+        ASSERT_TRUE(decodeReplyPayload(reply.type, payload.data(),
+                                       payload.size(), &out)
+                        .ok())
+            << messageTypeName(reply.type);
+        expectSameReply(reply, out);
+    }
 }
 
-TEST(ServeProtocol, TrailingBytesAreIgnoredWithinV1)
+TEST(ServeProtocol, TrailingBytesAreRefused)
 {
-    // The v1 compat rule: payloads grow at the end, decoders ignore
-    // what they do not know.
-    ServeRequest request = simulateRequest("gshare");
-    std::vector<uint8_t> payload = encodeRequestPayload(request);
-    payload.push_back(0xAB);
-    payload.push_back(0xCD);
-    ServeRequest out;
-    EXPECT_TRUE(decodeRequestPayload(MessageType::Simulate,
-                                     payload.data(), payload.size(),
-                                     &out)
-                    .ok());
-    EXPECT_EQ(out.predictor, "gshare");
+    // One layout per type: a payload with bytes left over is corrupt,
+    // for every request and every reply type.
+    for (const ServeRequest &request : sampleRequests()) {
+        std::vector<uint8_t> payload = encodeRequestPayload(request);
+        payload.push_back(0xAB);
+        ServeRequest out;
+        EXPECT_EQ(decodeRequestPayload(request.type, payload.data(),
+                                       payload.size(), &out)
+                      .code(),
+                  StatusCode::CorruptData)
+            << messageTypeName(request.type);
+    }
+    for (const ServeReply &reply : sampleReplies()) {
+        std::vector<uint8_t> payload = encodeReplyPayload(reply);
+        payload.push_back(0xAB);
+        ServeReply out;
+        EXPECT_EQ(decodeReplyPayload(reply.type, payload.data(),
+                                     payload.size(), &out)
+                      .code(),
+                  StatusCode::CorruptData)
+            << messageTypeName(reply.type);
+    }
 }
 
 // --- frame-decoder hardening (no sockets) ----------------------------
@@ -355,6 +513,20 @@ TEST(ServeProtocol, BadMagicIsRefused)
     const Status st =
         parseFrameHeader(frame.data(), frame.size(), &header);
     EXPECT_EQ(st.code(), StatusCode::CorruptData);
+}
+
+TEST(ServeProtocol, V1FrameHeaderIsRefusedWithInvalidArgument)
+{
+    // A well-formed frame from a v1 peer: right magic, every field
+    // sane, only the version word differs.
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(encodeFrame(MessageType::Ping, 1, {}, &frame).ok());
+    const uint16_t v1 = 1;
+    std::memcpy(frame.data() + 4, &v1, sizeof(v1));
+    FrameHeader header;
+    const Status st =
+        parseFrameHeader(frame.data(), frame.size(), &header);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << st.str();
 }
 
 TEST(ServeProtocol, UnsupportedVersionIsRefused)
@@ -407,16 +579,37 @@ TEST(ServeProtocol, MalformedPayloadNeverCrashesDecoder)
         for (size_t len = 0; len <= junk.size(); ++len)
             decodeRequestPayload(type, junk.data(), len, &out);
     }
+    // Every field is read unconditionally, so a well-formed payload
+    // cut at any length short of its end is refused.
+    for (const ServeRequest &request : sampleRequests()) {
+        const std::vector<uint8_t> full = encodeRequestPayload(request);
+        for (size_t len = 0; len < full.size(); ++len) {
+            ServeRequest out;
+            EXPECT_FALSE(
+                decodeRequestPayload(request.type, full.data(), len, &out)
+                    .ok())
+                << messageTypeName(request.type) << " cut at " << len;
+        }
+    }
+    for (const ServeReply &sample : sampleReplies()) {
+        const std::vector<uint8_t> full = encodeReplyPayload(sample);
+        for (size_t len = 0; len < full.size(); ++len) {
+            ServeReply out;
+            EXPECT_FALSE(
+                decodeReplyPayload(sample.type, full.data(), len, &out)
+                    .ok())
+                << messageTypeName(sample.type) << " cut at " << len;
+        }
+    }
     // A reply whose row count claims more than the payload holds is
-    // refused without allocating for the claimed count. The row count
-    // sits before the trailing trace id + retry-after hint + (empty)
-    // target-class block (u32 count, then u64 + u32 + u32 from the
-    // end).
+    // refused without allocating for the claimed count. With no rows,
+    // the row count is followed only by the (empty) target-class
+    // block's u32 count.
     ServeReply reply;
     reply.type = MessageType::BranchStatsReply;
     std::vector<uint8_t> payload = encodeReplyPayload(reply);
     const uint32_t lying = 0x00FFFFFF;
-    std::memcpy(payload.data() + payload.size() - 20, &lying, 4);
+    std::memcpy(payload.data() + payload.size() - 8, &lying, 4);
     ServeReply out;
     const Status st =
         decodeReplyPayload(MessageType::BranchStatsReply,
@@ -425,50 +618,27 @@ TEST(ServeProtocol, MalformedPayloadNeverCrashesDecoder)
     EXPECT_TRUE(out.branches.empty());
 }
 
-TEST(ServeProtocol, ReplyCarriesTraceIdAndToleratesItsAbsence)
+TEST(ServeProtocol, ReplyPrefixCarriesTraceIdAndRetryHintOnEveryType)
 {
-    // Every reply type carries a trailing trace id...
-    ServeReply reply;
-    reply.type = MessageType::PingReply;
-    reply.serverInfo = "info";
-    reply.traceId = 0xDEADBEEFCAFEF00Dull;
-    std::vector<uint8_t> payload = encodeReplyPayload(reply);
-    ServeReply out;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::PingReply,
-                                   payload.data(), payload.size(),
-                                   &out)
-                    .ok());
-    EXPECT_EQ(out.traceId, reply.traceId);
-
-    // ...and a pre-tracing peer that omits the whole trailer (v1
-    // compat: payloads grow at the end) still decodes, with id 0 =
-    // unassigned and no retry-after hint.
-    payload.resize(payload.size() -
-                   (sizeof(uint64_t) + sizeof(uint32_t)));
-    ServeReply legacy;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::PingReply,
-                                   payload.data(), payload.size(),
-                                   &legacy)
-                    .ok());
-    EXPECT_EQ(legacy.serverInfo, "info");
-    EXPECT_EQ(legacy.traceId, 0u);
-    EXPECT_EQ(legacy.retryAfterMs, 0u);
-
-    // A traceId-era peer (trailer ends at the trace id) also decodes:
-    // the id is read, the missing hint defaults to 0.
-    ServeReply midEra;
-    midEra.type = MessageType::PingReply;
-    midEra.serverInfo = "info";
-    midEra.traceId = 42;
-    std::vector<uint8_t> midPayload = encodeReplyPayload(midEra);
-    midPayload.resize(midPayload.size() - sizeof(uint32_t));
-    ServeReply decoded;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::PingReply,
-                                   midPayload.data(),
-                                   midPayload.size(), &decoded)
-                    .ok());
-    EXPECT_EQ(decoded.traceId, 42u);
-    EXPECT_EQ(decoded.retryAfterMs, 0u);
+    // The v2 layout: every reply starts code, message, trace id,
+    // retry-after hint, whatever its type.
+    for (const ServeReply &reply : sampleReplies()) {
+        const std::vector<uint8_t> payload = encodeReplyPayload(reply);
+        WireReader r(payload.data(), payload.size());
+        uint16_t code = 0;
+        std::string message;
+        uint64_t traceId = 0;
+        uint32_t retryAfterMs = 0;
+        r.u16(&code);
+        r.str(&message);
+        r.u64(&traceId);
+        r.u32(&retryAfterMs);
+        ASSERT_TRUE(r.ok()) << messageTypeName(reply.type);
+        EXPECT_EQ(static_cast<WireCode>(code), reply.code);
+        EXPECT_EQ(message, reply.message);
+        EXPECT_EQ(traceId, reply.traceId);
+        EXPECT_EQ(retryAfterMs, reply.retryAfterMs);
+    }
 }
 
 // --- server behavior -------------------------------------------------
@@ -480,7 +650,7 @@ TEST_F(ServeTest, PingAndServerInfo)
     ASSERT_TRUE(client.connectUnix(socketPath()).ok());
     std::string info;
     ASSERT_TRUE(client.ping(&info).ok());
-    EXPECT_NE(info.find("bpnsp-serve-v1"), std::string::npos);
+    EXPECT_NE(info.find("bpnsp-serve-v2"), std::string::npos);
 }
 
 TEST_F(ServeTest, SimulateMatchesDirectRunBitForBit)
@@ -787,6 +957,28 @@ TEST_F(ServeTest, GarbageBytesGetErrorReplyAndClose)
     ASSERT_TRUE(client.connectUnix(socketPath()).ok());
     std::string info;
     EXPECT_TRUE(client.ping(&info).ok());
+}
+
+TEST_F(ServeTest, V1FrameOnTheWireGetsInvalidArgumentAndClose)
+{
+    startServer();
+    RawConn raw(socketPath());
+    ASSERT_TRUE(raw.ok());
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(encodeFrame(MessageType::Ping, 5, {}, &frame).ok());
+    const uint16_t v1 = 1;
+    std::memcpy(frame.data() + 4, &v1, sizeof(v1));
+    raw.send(frame);
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(raw.recvFrame(&header, &payload));
+    ASSERT_EQ(static_cast<MessageType>(header.type), MessageType::Error);
+    ServeReply reply;
+    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
+                                   payload.size(), &reply)
+                    .ok());
+    EXPECT_EQ(reply.code, WireCode::InvalidArgument) << reply.message;
+    EXPECT_TRUE(raw.closedByPeer());
 }
 
 TEST_F(ServeTest, CorruptChecksumOnWireGetsCorruptDataAndClose)
@@ -1227,6 +1419,55 @@ TEST_F(ServeTest, CostBudgetAdmissionShedsWithRetryAfterHint)
     EXPECT_GT(counterValue("serve.shed"), shedBefore);
 }
 
+TEST_F(ServeTest, CostBudgetAdmitsAReadWhenNoReadIsQueued)
+{
+    // One stalled worker and a 20 ms budget. Cold estimates (x8 for
+    // generation, 120k records): Simulate 9.6 ms, BranchStats 13.4 ms.
+    // The Simulate fits; a read on top of it overflows the budget, but
+    // with no other read queued it runs next, so it is admitted. A
+    // second read, queued behind the first, is shed as before.
+    startServerOverload(/*max_inflight_cost_ms=*/20);
+    ASSERT_TRUE(faultsim::configure("serve.worker.stall*1").ok());
+
+    ServeRequest read;
+    read.type = MessageType::BranchStats;
+    read.workload = "mcf_like";
+    read.instructions = kTraceLen;
+    read.predictor = "gshare";
+    read.topK = 4;
+
+    RawConn raw(socketPath());
+    ASSERT_TRUE(raw.ok());
+    std::vector<uint8_t> frame;
+    const std::vector<std::pair<uint64_t, ServeRequest>> sends = {
+        {1, simulateRequest("gshare")}, {2, read}, {3, read}};
+    for (const auto &[id, request] : sends) {
+        ASSERT_TRUE(encodeFrame(request.type, id,
+                                encodeRequestPayload(request), &frame)
+                        .ok());
+        raw.send(frame);
+    }
+
+    std::map<uint64_t, ServeReply> replies;
+    while (replies.size() < sends.size()) {
+        FrameHeader header;
+        std::vector<uint8_t> payload;
+        ASSERT_TRUE(raw.recvFrame(&header, &payload));
+        ServeReply reply;
+        ASSERT_TRUE(decodeReplyPayload(
+                        static_cast<MessageType>(header.type),
+                        payload.data(), payload.size(), &reply)
+                        .ok());
+        replies[header.requestId] = reply;
+    }
+    EXPECT_EQ(replies[1].type, MessageType::SimulateReply);
+    EXPECT_EQ(replies[2].type, MessageType::BranchStatsReply)
+        << wireCodeName(replies[2].code) << ": " << replies[2].message;
+    EXPECT_EQ(replies[2].code, WireCode::Ok);
+    EXPECT_EQ(replies[3].type, MessageType::Error);
+    EXPECT_EQ(replies[3].code, WireCode::ResourceExhausted);
+}
+
 TEST_F(ServeTest, DeadlineSweepExpiresQueuedRequestBeforeWorkerTime)
 {
     // One worker, stalled on its first pop: a queued request whose
@@ -1273,51 +1514,7 @@ TEST_F(ServeTest, DeadlineSweepExpiresQueuedRequestBeforeWorkerTime)
     EXPECT_GT(counterValue("serve.expired"), expiredBefore);
 }
 
-// --- health probe, retry policy, EINTR hardening ---------------------
-
-TEST(ServeProtocol, HealthReplyRoundTripsShardRows)
-{
-    ServeReply reply;
-    reply.type = MessageType::HealthReply;
-    ShardHealth a;
-    a.shard = 0;
-    a.state = ShardHealth::Ready;
-    a.pid = 4242;
-    a.restarts = 1;
-    a.deaths = 2;
-    ShardHealth b;
-    b.shard = 1;
-    b.state = ShardHealth::Degraded;
-    b.pid = 0;
-    b.restarts = 7;
-    b.deaths = 12;
-    reply.shards = {a, b};
-    reply.retryAfterMs = 350;
-
-    const std::vector<uint8_t> payload = encodeReplyPayload(reply);
-    ServeReply out;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::HealthReply,
-                                   payload.data(), payload.size(),
-                                   &out)
-                    .ok());
-    ASSERT_EQ(out.shards.size(), 2u);
-    EXPECT_EQ(out.shards[0].state, ShardHealth::Ready);
-    EXPECT_EQ(out.shards[0].pid, 4242u);
-    EXPECT_EQ(out.shards[1].state, ShardHealth::Degraded);
-    EXPECT_EQ(out.shards[1].deaths, 12u);
-    EXPECT_EQ(out.retryAfterMs, 350u);
-
-    // A row count claiming more rows than the payload holds is
-    // refused, not allocated for.
-    std::vector<uint8_t> lying = payload;
-    const uint32_t bogus = 0x00FFFFFF;
-    std::memcpy(lying.data(), &bogus, 4);
-    ServeReply refused;
-    EXPECT_EQ(decodeReplyPayload(MessageType::HealthReply,
-                                 lying.data(), lying.size(), &refused)
-                  .code(),
-              StatusCode::CorruptData);
-}
+// --- retry policy, EINTR hardening ----------------------------------
 
 TEST(ServeProtocol, CancelRequestAndReplyRoundTrip)
 {
@@ -1347,54 +1544,7 @@ TEST(ServeProtocol, CancelRequestAndReplyRoundTrip)
     EXPECT_EQ(rout.cancelFound, 1u);
 }
 
-TEST(ServeProtocol, HealthReplyOverloadBlockRoundTripsAndIsOptional)
-{
-    ServeReply reply;
-    reply.type = MessageType::HealthReply;
-    ShardHealth row;
-    row.shard = 0;
-    row.state = ShardHealth::Ready;
-    row.pid = 99;
-    row.queueDepth = 17;
-    row.queuedCostMs = 4200;
-    reply.shards = {row};
-
-    std::vector<uint8_t> payload = encodeReplyPayload(reply);
-    ServeReply out;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::HealthReply,
-                                   payload.data(), payload.size(),
-                                   &out)
-                    .ok());
-    ASSERT_EQ(out.shards.size(), 1u);
-    EXPECT_EQ(out.shards[0].queueDepth, 17u);
-    EXPECT_EQ(out.shards[0].queuedCostMs, 4200u);
-
-    // The block rides behind the universal trailers (grow-at-end):
-    // a pre-overload server's payload simply ends after the
-    // retry-after hint, and the depths stay zero.
-    payload.resize(payload.size() - (4 + 12 * reply.shards.size()));
-    ServeReply legacy;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::HealthReply,
-                                   payload.data(), payload.size(),
-                                   &legacy)
-                    .ok());
-    ASSERT_EQ(legacy.shards.size(), 1u);
-    EXPECT_EQ(legacy.shards[0].queueDepth, 0u);
-    EXPECT_EQ(legacy.shards[0].queuedCostMs, 0u);
-
-    // A block claiming more rows than the payload holds is refused,
-    // not allocated for.
-    std::vector<uint8_t> lying = encodeReplyPayload(reply);
-    const uint32_t bogus = 0x00FFFFFF;
-    std::memcpy(lying.data() + lying.size() - 16, &bogus, 4);
-    ServeReply refused;
-    EXPECT_EQ(decodeReplyPayload(MessageType::HealthReply,
-                                 lying.data(), lying.size(), &refused)
-                  .code(),
-              StatusCode::CorruptData);
-}
-
-TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndIsOptional)
+TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndBoundsItsCount)
 {
     ServeReply reply;
     reply.type = MessageType::BranchStatsReply;
@@ -1409,7 +1559,7 @@ TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndIsOptional)
         {static_cast<uint8_t>(InstrClass::CallInd), 0, 0},
     };
 
-    std::vector<uint8_t> payload = encodeReplyPayload(reply);
+    const std::vector<uint8_t> payload = encodeReplyPayload(reply);
     ServeReply out;
     ASSERT_TRUE(decodeReplyPayload(MessageType::BranchStatsReply,
                                    payload.data(), payload.size(),
@@ -1421,22 +1571,10 @@ TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndIsOptional)
     EXPECT_EQ(out.targetClasses[1].execs, 50u);
     EXPECT_EQ(out.targetClasses[1].targetMispreds, 3u);
     EXPECT_EQ(out.targetClasses[2].targetMispreds, 4u);
-    // The direction fields in front of the trailers are untouched.
+    // The direction fields in front of the block are untouched.
     EXPECT_EQ(out.condMispreds, 20u);
     ASSERT_EQ(out.branches.size(), 1u);
     EXPECT_EQ(out.branches[0].execs, 10u);
-
-    // A pre-frontend server's payload ends after the retry-after
-    // trailer (grow-at-end): the vector stays empty, nothing fails.
-    payload.resize(payload.size() -
-                   (4 + 17 * reply.targetClasses.size()));
-    ServeReply legacy;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::BranchStatsReply,
-                                   payload.data(), payload.size(),
-                                   &legacy)
-                    .ok());
-    EXPECT_TRUE(legacy.targetClasses.empty());
-    EXPECT_EQ(legacy.condMispreds, 20u);
 
     // A count claiming more rows than the payload holds is refused.
     std::vector<uint8_t> lying = encodeReplyPayload(reply);
@@ -1451,16 +1589,6 @@ TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndIsOptional)
               StatusCode::CorruptData);
 }
 
-TEST(ServeProtocol, UnavailableMapsAcrossTheWireBothWays)
-{
-    EXPECT_EQ(wireCodeFor(Status::unavailable("down")),
-              WireCode::Unavailable);
-    const Status st =
-        statusFromWire(WireCode::Unavailable, "shard 3 down");
-    EXPECT_EQ(st.code(), StatusCode::Unavailable);
-    EXPECT_NE(st.str().find("shard 3 down"), std::string::npos);
-}
-
 TEST(ServeClientPolicy, RetryGatesOnIdempotencyAndCode)
 {
     // Every current request type is a pure read or content-addressed
@@ -1469,12 +1597,10 @@ TEST(ServeClientPolicy, RetryGatesOnIdempotencyAndCode)
     for (const MessageType type :
          {MessageType::Ping, MessageType::Simulate,
           MessageType::BranchStats, MessageType::H2p,
-          MessageType::Materialize, MessageType::Stats,
-          MessageType::Health})
+          MessageType::Materialize, MessageType::Stats})
         EXPECT_TRUE(isIdempotentRequest(type))
             << messageTypeName(type);
 
-    EXPECT_TRUE(isRetryableCode(WireCode::Unavailable));
     EXPECT_TRUE(isRetryableCode(WireCode::Busy));
     EXPECT_TRUE(isRetryableCode(WireCode::ResourceExhausted));
     EXPECT_FALSE(isRetryableCode(WireCode::Ok));
@@ -1482,20 +1608,6 @@ TEST(ServeClientPolicy, RetryGatesOnIdempotencyAndCode)
     EXPECT_FALSE(isRetryableCode(WireCode::IoError));
     EXPECT_FALSE(isRetryableCode(WireCode::Internal));
     EXPECT_FALSE(isRetryableCode(WireCode::CorruptData));
-}
-
-TEST_F(ServeTest, HealthProbeAnswersOneReadyRowSingleProcess)
-{
-    startServer();
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
-    std::vector<ShardHealth> shards;
-    ASSERT_TRUE(client.health(&shards).ok());
-    ASSERT_EQ(shards.size(), 1u);
-    EXPECT_EQ(shards[0].shard, 0u);
-    EXPECT_EQ(shards[0].state, ShardHealth::Ready);
-    EXPECT_EQ(shards[0].pid, static_cast<uint64_t>(::getpid()));
-    EXPECT_EQ(shards[0].restarts, 0u);
 }
 
 namespace {
@@ -1601,7 +1713,7 @@ TEST(ServeClientRetry, RetriesRetryableFailuresThenSucceeds)
 {
     ScratchDir dir("retry_ok");
     ScriptedServer server(dir.file("s.sock"),
-                          {WireCode::Unavailable, WireCode::Busy});
+                          {WireCode::ResourceExhausted, WireCode::Busy});
 
     ServeClient client;
     ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
@@ -1627,7 +1739,7 @@ TEST(ServeClientRetry, GivesUpAfterBudgetAndCountsIt)
     ScratchDir dir("retry_giveup");
     ScriptedServer server(
         dir.file("s.sock"),
-        std::vector<WireCode>(8, WireCode::Unavailable));
+        std::vector<WireCode>(8, WireCode::ResourceExhausted));
 
     ServeClient client;
     ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
@@ -1641,7 +1753,7 @@ TEST(ServeClientRetry, GivesUpAfterBudgetAndCountsIt)
     request.type = MessageType::Ping;
     ServeReply reply;
     ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::Unavailable);
+    EXPECT_EQ(reply.code, WireCode::ResourceExhausted);
     EXPECT_EQ(client.retriesObserved(), 2u);   // 3 attempts total
     EXPECT_EQ(client.gaveUpObserved(), 1u);
     EXPECT_EQ(server.served(), 3);
@@ -1677,12 +1789,17 @@ namespace {
  * never answers (a wedged worker); every later connection answers
  * each request with a PingReply immediately. Records whether the
  * silent leg eventually received a Cancel for its abandoned request.
+ *
+ * With `shed_hedges`, the roles turn: the first connection answers
+ * after 150 ms (a working primary), and every later connection
+ * answers at once with RESOURCE_EXHAUSTED (a shed hedge).
  */
 class HedgeProbeServer
 {
   public:
-    explicit HedgeProbeServer(const std::string &path)
-        : socketPath(path)
+    explicit HedgeProbeServer(const std::string &path,
+                              bool shed_hedges = false)
+        : socketPath(path), shedHedges(shed_hedges)
     {
         listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         struct sockaddr_un addr;
@@ -1746,11 +1863,20 @@ class HedgeProbeServer
                 sawCancel.store(true);
                 continue;   // the canceller closes next; no reply
             }
-            if (index == 0)
-                continue;   // the wedged leg: swallow, never answer
             ServeReply reply;
             reply.type = MessageType::PingReply;
             reply.serverInfo = "hedge-leg";
+            if (shedHedges && index == 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(150));
+                reply.serverInfo = "primary-leg";
+            } else if (shedHedges) {
+                reply.type = MessageType::Error;
+                reply.code = WireCode::ResourceExhausted;
+                reply.retryAfterMs = 5;
+            } else if (index == 0) {
+                continue;   // the wedged leg: swallow, never answer
+            }
             std::vector<uint8_t> frame;
             ASSERT_TRUE(encodeFrame(reply.type, header.requestId,
                                     encodeReplyPayload(reply),
@@ -1764,6 +1890,7 @@ class HedgeProbeServer
     }
 
     std::string socketPath;
+    bool shedHedges = false;
     int listenFd = -1;
     std::thread acceptThread;
     std::mutex handlersMu;
@@ -1808,6 +1935,31 @@ TEST(ServeClientHedge, HedgesQuietPrimaryCancelsLoserAdoptsWinner)
     EXPECT_EQ(reply.code, WireCode::Ok);
     EXPECT_EQ(reply.serverInfo, "hedge-leg");
     EXPECT_EQ(client.hedgesObserved(), 1u);
+}
+
+TEST(ServeClientHedge, ShedHedgeDoesNotBeatAWorkingPrimary)
+{
+    ScratchDir dir("hedge_shed");
+    HedgeProbeServer server(dir.file("s.sock"), /*shed_hedges=*/true);
+
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
+    RetryPolicy policy;
+    policy.maxAttempts = 1;
+    client.setRetryPolicy(policy);
+    client.setHedgeMs(20);
+
+    // The hedge goes out after 20 ms and is shed at once; the primary
+    // answers at 150 ms. The shed leg is dropped, not adopted, and the
+    // primary's reply is the call's result.
+    ServeRequest request;
+    request.type = MessageType::Ping;
+    ServeReply reply;
+    ASSERT_TRUE(client.call(request, &reply).ok());
+    EXPECT_EQ(reply.code, WireCode::Ok) << wireCodeName(reply.code);
+    EXPECT_EQ(reply.serverInfo, "primary-leg");
+    EXPECT_EQ(client.hedgesObserved(), 1u);
+    EXPECT_EQ(client.hedgeWinsObserved(), 0u);
 }
 
 namespace {
