@@ -2,9 +2,9 @@
  * @file
  * Shared scaffolding for the bench harnesses. Each bench binary
  * regenerates one table or figure of the paper; this header provides
- * the common pieces: scale handling (BPNSP_SCALE / --scale multiply
- * the default trace sizes toward the paper's full methodology), H2P
- * screening passes, and the Fig. 1/5 four-curve IPC study.
+ * the common pieces: scale handling (--scale multiplies the default
+ * trace sizes toward the paper's full methodology), H2P screening
+ * passes, and the Fig. 1/5 four-curve IPC study.
  */
 
 #ifndef BPNSP_BENCH_COMMON_HPP
@@ -32,33 +32,22 @@
 namespace bpnsp::bench {
 
 /**
- * Standard bench option set; returns the parsed scale factor. Also
- * configures the on-disk trace cache from --trace-cache (or the
- * BPNSP_TRACE_CACHE environment variable): with a cache directory set,
- * the first run of any harness records every workload trace and later
- * runs replay them from disk instead of re-executing the VM. Activates
- * the standard telemetry options too (--metrics-out writes a JSON run
- * report on exit, --progress prints an instr/sec heartbeat) and stamps
- * the effective scale into the run manifest.
+ * Standard bench option set; returns the parsed scale factor. Every
+ * workload trace is executed on the VM; there is no trace cache on the
+ * batch path. Activates the standard telemetry options too
+ * (--metrics-out writes a JSON run report on exit, --progress prints
+ * an instr/sec heartbeat) and stamps the effective scale into the run
+ * manifest.
  */
 inline double
 parseScale(OptionParser &opts, int argc, char **argv)
 {
-    opts.addDouble("scale", 1.0,
-                   "multiply trace/slice sizes (also BPNSP_SCALE)");
+    opts.addDouble("scale", 1.0, "multiply trace/slice sizes");
     opts.addFlag("csv", "emit CSV instead of tables");
-    opts.addString("trace-cache", "",
-                   "trace store cache directory (also "
-                   "BPNSP_TRACE_CACHE); first run records traces, "
-                   "later runs replay them");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
     faultsim::configureFromOptions(opts);
-    if (const std::string &dir = opts.getString("trace-cache");
-        !dir.empty()) {
-        setTraceCacheDir(dir);
-    }
-    const double scale = opts.getDouble("scale") * experimentScale();
+    const double scale = opts.getDouble("scale");
     obs::Registry::instance().setRunField("scale",
                                           std::to_string(scale));
     return scale;
@@ -84,9 +73,7 @@ banner(const std::string &what, const std::string &paper_ref)
 /**
  * Screen the H2P set of one workload input: run the baseline over the
  * trace, slice it, and take the union of per-slice H2P sets — the
- * paper's screening methodology. Goes through the shared
- * runWorkloadTrace path, so the screening pass replays from the trace
- * cache when one is configured.
+ * paper's screening methodology.
  */
 inline std::unordered_set<uint64_t>
 screenH2pSet(const Workload &workload, size_t input_idx,

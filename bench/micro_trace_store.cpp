@@ -17,6 +17,7 @@
 #include "common.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/format.hpp"
+#include "util/logging.hpp"
 
 using namespace bpnsp;
 using namespace bpnsp::bench;
@@ -39,14 +40,15 @@ main(int argc, char **argv)
     OptionParser opts("Trace store cold/warm replay timing.");
     opts.addString("workload", "mcf_like", "workload to trace");
     opts.addInt("instructions", 4000000, "trace length (pre-scale)");
+    opts.addString("trace-cache", "/tmp/bpnsp-trace-cache",
+                   "trace corpus directory the cold phase records into "
+                   "and the warm phase replays from");
     const double scale = parseScale(opts, argc, argv);
     const uint64_t instructions = static_cast<uint64_t>(
         static_cast<double>(opts.getInt("instructions")) * scale);
-
-    // Default to a temporary cache so the bench runs standalone; an
-    // explicit --trace-cache exercises (and populates) a real one.
-    if (traceCacheDir().empty())
-        setTraceCacheDir("/tmp/bpnsp-trace-cache");
+    if (opts.getString("trace-cache").empty())
+        fatal("micro_trace_store needs a --trace-cache directory");
+    setTraceCacheDir(opts.getString("trace-cache"));
 
     banner("Trace store: collect once, analyze many",
            "Sec. III-A methodology");

@@ -3,7 +3,7 @@
  * Trace store tour: capture a workload execution into the compact
  * on-disk format, replay a slice of it by seeking through the footer
  * index, and replay the whole trace into an analysis sink. The raw
- * building blocks behind --trace-cache.
+ * building blocks behind bpnsp_served's trace corpus.
  *
  * Usage: trace_store [--workload=mcf_like] [--instructions=1000000]
  *                    [--path=/tmp/bpnsp_demo.bpt]

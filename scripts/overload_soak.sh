@@ -79,7 +79,7 @@ BASE_LOG="$WORK/baseline.log"
     --interactive-frac=0.5 \
     --workload=mcf_like --instructions=200000 --count=20000 \
     --predictor=gshare --seed=21 \
-    --verify --trace-cache="$CACHE" | tee "$BASE_LOG"
+    --verify | tee "$BASE_LOG"
 BASE_P99="$(ov_field "$BASE_LOG" interactive_p99_ms)"
 [ -n "$BASE_P99" ] || { echo "no baseline p99 captured" >&2; exit 1; }
 
@@ -104,7 +104,7 @@ sleep 0.3
     --interactive-frac=0.5 --deadline-ms=2000 --hedge-ms=5 \
     --workload=mcf_like --instructions=200000 --count=20000 \
     --predictor=gshare --seed=23 \
-    --verify --trace-cache="$CACHE" | tee "$GOOD_LOG"
+    --verify | tee "$GOOD_LOG"
 # The abusive client is expected to be shed hard; its exit code is
 # not part of the contract (ok may legitimately reach 0).
 wait "$ABUSE_PID" || true

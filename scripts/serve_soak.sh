@@ -80,7 +80,8 @@ done
 [ "$WARMED" -eq 1 ] || { echo "warm-up never succeeded" >&2; exit 1; }
 
 # Phase 1: 32 concurrent clients, randomized kills, bit-for-bit reply
-# verification against direct replays of the served corpus. Mismatches
+# verification against a VM run of the trace inside the client (it
+# never reads the served corpus). Mismatches
 # fail the loadgen (exit 1); transport errors are expected here — the
 # failpoints corrupt frames and drop connections on purpose.
 echo "== phase 1: 32-client loadgen with kills + verify"
@@ -89,7 +90,7 @@ echo "== phase 1: 32-client loadgen with kills + verify"
     --workload=mcf_like --instructions=200000 --count=50000 \
     --predictor=gshare,bimodal \
     --kill-prob=0.05 --seed=9 \
-    --verify --trace-cache="$CACHE"
+    --verify
 
 # Phase 1b: live introspection under the load the soak just applied.
 # Stats answers from the io thread, so it must work right now even

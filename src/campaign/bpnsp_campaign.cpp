@@ -23,7 +23,6 @@
 #include <cstdio>
 
 #include "campaign/campaign.hpp"
-#include "core/runner.hpp"
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -61,8 +60,6 @@ main(int argc, char **argv)
                 "retries per cell for transient failures");
     opts.addInt("backoff-ms", 100,
                 "base retry backoff, doubled per retry");
-    opts.addString("trace-cache", "",
-                   "trace cache directory (also BPNSP_TRACE_CACHE)");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
     faultsim::configureFromOptions(opts);
@@ -72,10 +69,6 @@ main(int argc, char **argv)
     // writes the results + report, and exits 130. A second signal
     // force-exits. (Shared discipline: util/signals.hpp.)
     signals::installGracefulDrain();
-
-    if (const std::string &dir = opts.getString("trace-cache");
-        !dir.empty())
-        setTraceCacheDir(dir);
 
     CampaignConfig config;
     config.cells = buildCells(

@@ -121,9 +121,9 @@ struct CampaignResult
 
 /**
  * Digest over everything that determines the campaign's results: the
- * cell list. Operational knobs (deadlines, retries, backoff, trace
- * cache) are excluded so they can change between a run and its
- * resume. 16 hex digits.
+ * cell list. Operational knobs (deadlines, retries, backoff) are
+ * excluded so they can change between a run and its resume. 16 hex
+ * digits.
  */
 std::string campaignSpecDigest(const CampaignConfig &config);
 

@@ -29,7 +29,7 @@
  *
  * The spec digest in the header covers everything that determines the
  * cells and their results (cell list, budgets) but NOT operational
- * knobs (deadlines, retry policy, trace cache), so an operator can
+ * knobs (deadlines, retry policy), so an operator can
  * raise a deadline and --resume the same journal. Opening a journal
  * whose digest does not match is refused — resuming someone else's
  * campaign would silently mix results.

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -80,38 +78,6 @@ class ProgressSink : public TraceSink
     const std::chrono::steady_clock::time_point begin;
 };
 
-/**
- * Pulse sink: invokes a callback every `interval` records. The cold
- * capture path uses one to refresh the generation lock's mtime
- * heartbeat, so a progressing recorder is distinguishable from a
- * wedged one (see TraceCacheLock::ttlMs()).
- */
-class PulseSink : public TraceSink
-{
-  public:
-    PulseSink(uint64_t interval, std::function<void()> fn)
-        : period(interval), remaining(interval), pulse(std::move(fn))
-    {
-    }
-
-    void
-    onRecord(const TraceRecord &) override
-    {
-        if (--remaining == 0) {
-            remaining = period;
-            pulse();
-        }
-    }
-
-  private:
-    const uint64_t period;
-    uint64_t remaining;
-    const std::function<void()> pulse;
-};
-
-/** Records between generation-lock heartbeats (~a second of VM). */
-constexpr uint64_t kLockPulseInterval = 1u << 21;
-
 } // namespace
 
 /**
@@ -172,57 +138,30 @@ namespace {
 
 std::mutex gCacheMutex;
 std::unique_ptr<TraceCache> gCache;
-bool gCacheConfigured = false;
 
-/** The configured cache, lazily falling back to BPNSP_TRACE_CACHE. */
+/** The configured cache, or nullptr when caching is off. */
 TraceCache *
 activeCache()
 {
     std::lock_guard<std::mutex> lock(gCacheMutex);
-    if (!gCacheConfigured) {
-        gCacheConfigured = true;
-        if (const char *env = std::getenv("BPNSP_TRACE_CACHE");
-            env != nullptr && env[0] != '\0') {
-            gCache = std::make_unique<TraceCache>(env);
-        }
-    }
     return gCache.get();
 }
 
 /**
- * Replay a cached entry into the sinks. Returns non-Ok if the entry is
- * unusable; the caller owns the loud quarantine-and-regenerate path,
- * so this stays silent on failure.
- *
- * The entry is verify()'d — every chunk checksummed, with transient
- * read faults absorbed by the reader's retry — *before* any record is
- * streamed. That ordering is what makes regeneration safe: a corrupt
- * entry is rejected while the sinks are still empty, so the live rerun
- * never double-counts a partial replay.
+ * Replay a verified entry into the sinks. openVerified() checksummed
+ * every chunk *before* any record is streamed, which is what makes
+ * regeneration safe: a corrupt entry is rejected while the sinks are
+ * still empty, so the live rerun never double-counts a partial replay.
  */
 Status
-replayFromCache(const TraceCache &cache, const TraceCacheKey &key,
-                const std::vector<TraceSink *> &sinks,
-                uint64_t instructions)
+replayVerified(const TraceStoreReader &reader,
+               const std::vector<TraceSink *> &sinks)
 {
     static obs::Counter &replayRuns =
         obs::counter("core.runner.replay_runs");
     static obs::Counter &delivered = obs::counter("run.instructions");
     static obs::Histogram &replayNs =
         obs::histogram("tracestore.replay_ns");
-
-    const std::string path = cache.entryPath(key);
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    if (reader == nullptr)
-        return st;
-    if (reader->count() != instructions)
-        return Status::corruptData(
-            "holds " + std::to_string(reader->count()) +
-            " records, want " + std::to_string(instructions));
-    st = reader->verify();
-    if (!st.ok())
-        return st;
 
     obs::ScopedTimer timer(replayNs);
     obs::Span span("trace.replay");
@@ -232,7 +171,7 @@ replayFromCache(const TraceCache &cache, const TraceCacheKey &key,
         fanout.add(&progress);
     for (TraceSink *sink : sinks)
         fanout.add(sink);
-    st = reader->replay(fanout, 0);
+    const Status st = reader.replay(fanout, 0);
     if (!st.ok()) {
         if (st.code() == StatusCode::Cancelled ||
             st.code() == StatusCode::DeadlineExceeded) {
@@ -254,7 +193,7 @@ replayFromCache(const TraceCache &cache, const TraceCacheKey &key,
               "verify: ", st.str());
     }
     replayRuns.inc();
-    delivered.add(instructions);
+    delivered.add(reader.count());
     return Status();
 }
 
@@ -264,7 +203,6 @@ void
 setTraceCacheDir(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(gCacheMutex);
-    gCacheConfigured = true;
     gCache = dir.empty() ? nullptr : std::make_unique<TraceCache>(dir);
 }
 
@@ -303,8 +241,11 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
     const TraceCacheKey key{workload.name, input.label, input.seed,
                             instructions};
     if (cache->contains(key)) {
-        const Status why =
-            replayFromCache(*cache, key, sinks, instructions);
+        Status why;
+        const std::unique_ptr<TraceStoreReader> reader =
+            cache->openVerified(key, &why);
+        if (reader != nullptr)
+            why = replayVerified(*reader, sinks);
         if (why.ok()) {
             hits.inc();
             return instructions;
@@ -317,39 +258,27 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
             // currentCancelToken() for the cause.
             return 0;
         }
-        // Self-healing: keep the bad entry as evidence, then fall
-        // through to the cold path, which regenerates it from the VM.
-        cache->quarantine(key, why.str());
+        // Damaged entries were quarantined; an unreadable one is left
+        // in place. Either way the cold path below regenerates the
+        // trace from the VM and publishes over the key.
+        if (why.code() != StatusCode::CorruptData)
+            warn("trace cache entry ", cache->entryPath(key),
+                 " unreadable (", why.str(), "); regenerating");
     }
     misses.inc();
 
-    // Cold path. The generation lock keeps two processes from
-    // recording the same key at once; the loser runs uncached (a
-    // degraded run: correct results, cache benefit forfeited) instead
-    // of waiting on or interleaving with the winner.
-    Status lockStatus;
-    TraceCacheLock lock =
-        TraceCacheLock::acquire(*cache, key, &lockStatus);
-    if (!lock.held()) {
-        degraded.inc();
-        warn("trace cache generation skipped (", lockStatus.str(),
-             "); running uncached");
-        return runTrace(workload.build(input_idx), sinks, instructions);
-    }
-
     // Execute the VM and record into a private staging file, then
     // publish atomically so a crash can never leave a partial entry.
+    // No lock: a concurrent generator of the same key records into its
+    // own staging file and publishes the same bytes.
     const std::string staging = cache->stagingPath(key);
     uint64_t executed = 0;
     Status captureStatus;
     bool torn = false;
     {
         TraceStoreWriter writer(staging);
-        PulseSink heartbeat(kLockPulseInterval,
-                            [&lock]() { lock.touch(); });
         std::vector<TraceSink *> all(sinks);
         all.push_back(&writer);
-        all.push_back(&heartbeat);
         executed = runTrace(workload.build(input_idx), all,
                             instructions);
         captureStatus = writer.status();

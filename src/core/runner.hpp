@@ -46,9 +46,9 @@ uint64_t runTrace(const Program &program,
 
 /**
  * Configure the process-wide on-disk trace cache (see
- * tracestore/cache.hpp). An empty dir disables caching. When never
- * called, the BPNSP_TRACE_CACHE environment variable is consulted on
- * first use, so every binary supports caching without plumbing.
+ * tracestore/cache.hpp). An empty dir, the default, disables caching.
+ * Batch binaries never set it; the serving daemon materializes its
+ * corpus through it.
  */
 void setTraceCacheDir(const std::string &dir);
 
@@ -60,8 +60,9 @@ std::string traceCacheDir();
  * trace into the sinks, exactly as runTrace(w.build(input_idx), ...)
  * would, but routed through the trace cache when one is configured —
  * the first run records the trace to disk, subsequent runs replay it
- * (bit-identical, no VM execution). Unusable cache entries (corrupt,
- * wrong length) are evicted and regenerated, never trusted.
+ * (bit-identical, no VM execution). An entry is replayed only after
+ * TraceCache::openVerified() accepts it; otherwise the trace is
+ * regenerated from the VM and published over the key.
  *
  * Cancellation: both the VM and replay paths poll
  * currentCancelToken(). A cancelled run returns fewer instructions
@@ -143,7 +144,7 @@ IpcStudyResult runIpcStudy(
                           std::unique_ptr<BranchPredictor>>> predictors,
     const std::vector<unsigned> &scales, uint64_t instructions);
 
-/** The same study over a workload input, through the trace cache. */
+/** The same study over a workload input, through runWorkloadTrace. */
 IpcStudyResult runIpcStudy(
     const Workload &workload, size_t input_idx,
     std::vector<std::pair<std::string,

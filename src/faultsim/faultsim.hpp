@@ -43,6 +43,7 @@
  *   tracestore.write.crash    torn write, then the writer "dies"
  *   tracestore.write.fsync    durability barrier fails
  *   tracestore.read.bitflip   one bit of a chunk payload flips on read
+ *   tracestore.read.eio       opening a store fails with an I/O error
  *   tracestore.cache.publish  entry rename into the cache fails
  *
  * Failpoints in the execution/supervision layer:

@@ -38,7 +38,6 @@
 
 #include "util/json.hpp"
 
-#include "core/runner.hpp"
 #include "serve/client.hpp"
 #include "trace/record.hpp"
 #include "util/logging.hpp"
@@ -467,16 +466,9 @@ main(int argc, char **argv)
     opts.addInt("retry-base-ms", 10, "first retry's backoff scale");
     opts.addInt("retry-cap-ms", 1000, "retry backoff cap");
     opts.addFlag("verify",
-                 "loadgen: check every Ok reply bit-for-bit against "
-                 "a direct in-process run (needs BPNSP_TRACE_CACHE "
-                 "or --trace-cache pointing at the server's corpus)");
-    opts.addString("trace-cache", "",
-                   "trace corpus directory (verify mode)");
+                 "loadgen: check every Ok Simulate reply bit-for-bit "
+                 "against the same slice of a VM run in this process");
     opts.parse(argc, argv);
-
-    if (const std::string &dir = opts.getString("trace-cache");
-        !dir.empty())
-        setTraceCacheDir(dir);
 
     const std::string op = opts.getString("op");
     if (op == "loadgen")

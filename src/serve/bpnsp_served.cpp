@@ -60,8 +60,7 @@ main(int argc, char **argv)
     opts.addInt("batch", 8,
                 "max same-slice Simulate requests per replay pass");
     opts.addString("trace-cache", "",
-                   "trace corpus directory (required; also "
-                   "BPNSP_TRACE_CACHE)");
+                   "trace corpus directory (required)");
     opts.addInt("chunk-cache-mb", 64,
                 "in-memory decoded-chunk LRU capacity (0 = off)");
     opts.addInt("max-seconds", 0,
@@ -84,14 +83,10 @@ main(int argc, char **argv)
     // notice below and drain. A second signal force-exits.
     signals::installGracefulDrain();
 
-    std::string cacheDir = opts.getString("trace-cache");
-    if (cacheDir.empty()) {
-        if (const char *env = std::getenv("BPNSP_TRACE_CACHE"))
-            cacheDir = env;
-    }
+    const std::string &cacheDir = opts.getString("trace-cache");
     if (cacheDir.empty())
-        fatal("bpnsp_served needs --trace-cache (or "
-              "BPNSP_TRACE_CACHE): the corpus directory to serve");
+        fatal("bpnsp_served needs --trace-cache: the corpus directory "
+              "to serve");
 
     if (const int64_t mb = opts.getInt("chunk-cache-mb"); mb > 0)
         DecodedChunkCache::instance().setCapacityBytes(

@@ -18,8 +18,6 @@
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tracestore/cache.hpp"
-#include "tracestore/store.hpp"
 #include "util/rng.hpp"
 #include "workloads/suite.hpp"
 
@@ -53,7 +51,7 @@ bool
 isRetryableCode(WireCode code)
 {
     switch (code) {
-      case WireCode::Busy:              // draining / lock contention
+      case WireCode::Busy:              // draining / no entry published
       case WireCode::ResourceExhausted: // admission queue full
         return true;
       default:
@@ -576,34 +574,30 @@ struct ClientTally
 };
 
 /**
- * Direct in-process result of the same slice, for --verify: open the
- * published cache entry and drive a fresh predictor over records
- * [first, first+count), exactly as the server does.
+ * Direct in-process result of the same slice, for --verify: drive a
+ * fresh predictor over records [first, first+count) of the trace the
+ * load generator captured from the VM, independently of the server's
+ * corpus.
  */
 bool
-verifyReply(const LoadGenConfig &cfg, const std::string &predictor,
-            uint64_t first, uint64_t count, const ServeReply &reply)
+verifyReply(const std::vector<TraceRecord> &trace,
+            const std::string &predictor, uint64_t first,
+            uint64_t count, const ServeReply &reply)
 {
-    const Workload workload = findWorkload(cfg.workload);
-    const WorkloadInput &input = workload.inputs.at(cfg.inputIdx);
-    const TraceCacheKey key{workload.name, input.label, input.seed,
-                            cfg.instructions};
-    const TraceCache cache(traceCacheDir());
-    Status st;
-    auto reader = TraceStoreReader::open(cache.entryPath(key), &st);
-    if (reader == nullptr)
+    if (first > trace.size() || count > trace.size() - first)
         return false;
     auto bp = makePredictor(predictor);
     PredictorSim sim(*bp, /*collect_per_branch=*/false);
-    if (!reader->replayRange(first, count, sim).ok())
-        return false;
+    for (uint64_t i = first; i < first + count; ++i)
+        sim.onRecord(trace[i]);
     return sim.condExecs() == reply.condExecs &&
            sim.condMispreds() == reply.condMispreds &&
            doubleBits(sim.accuracy()) == reply.accuracyBits;
 }
 
 ClientTally
-clientLoop(const LoadGenConfig &cfg, unsigned index)
+clientLoop(const LoadGenConfig &cfg, unsigned index,
+           const std::vector<TraceRecord> &trace)
 {
     ClientTally tally;
     // Per-client stream from the loadgen seed via the shared audited
@@ -701,8 +695,8 @@ clientLoop(const LoadGenConfig &cfg, unsigned index)
                     request.count == 0
                         ? cfg.instructions - request.first
                         : request.count;
-                if (!verifyReply(cfg, request.predictor, first, count,
-                                 reply))
+                if (!verifyReply(trace, request.predictor, first,
+                                 count, reply))
                     ++tally.mismatches;
             }
         } else if (reply.code == WireCode::DeadlineExceeded) {
@@ -744,13 +738,20 @@ exactPercentile(std::vector<double> &sorted, double q)
 LoadGenResult
 runLoadGen(const LoadGenConfig &cfg)
 {
+    // --verify's reference: the whole trace, executed once on the VM
+    // and shared read-only by every client thread.
+    VectorSink trace;
+    if (cfg.verify)
+        runTrace(findWorkload(cfg.workload).build(cfg.inputIdx),
+                 {&trace}, cfg.instructions);
+
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<ClientTally> tallies(cfg.clients);
     std::vector<std::thread> threads;
     threads.reserve(cfg.clients);
     for (unsigned c = 0; c < cfg.clients; ++c) {
-        threads.emplace_back([&cfg, &tallies, c] {
-            tallies[c] = clientLoop(cfg, c);
+        threads.emplace_back([&cfg, &tallies, &trace, c] {
+            tallies[c] = clientLoop(cfg, c, trace.get());
         });
     }
     for (std::thread &t : threads)

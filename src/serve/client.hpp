@@ -263,9 +263,10 @@ struct LoadGenResult
 
 /**
  * Run `clients` concurrent closed loops of Simulate requests against a
- * server and aggregate what they saw. With cfg.verify, every Ok reply
- * is checked bit-for-bit against a direct in-process run of the same
- * slice. Latency percentiles are exact (computed from the full sample
+ * server and aggregate what they saw. With cfg.verify, the trace is
+ * executed once on the VM in this process and every Ok Simulate reply
+ * is checked bit-for-bit against a fresh predictor over the same
+ * slice of it, so the check never reads the server's corpus. Latency percentiles are exact (computed from the full sample
  * vector, not a histogram estimate).
  */
 LoadGenResult runLoadGen(const LoadGenConfig &cfg);

@@ -322,7 +322,7 @@ ServeServer::start()
 
     // UNIX-domain listener. The bound name is daemon-owned: a stale
     // socket file from a previous (dead) instance is removed, exactly
-    // like the trace cache GCs its orphaned lockfiles.
+    // like the trace cache GCs its orphaned staging files.
     const int ufd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (ufd < 0)
         return Status::ioError(std::string("serve: socket(): ") +
@@ -1874,46 +1874,19 @@ ServeServer::ensureReader(const Workload &workload,
             return nullptr;
         }
         if (!cache->contains(key)) {
-            // Possible under cross-process lock contention: the run
-            // degraded to uncached and nothing was published.
-            *status = Status::busy(
-                "trace generation for " + digest +
-                " did not publish (concurrent generator?); retry");
+            // The capture or the publish failed (the runner warned
+            // why); the next request generates again.
+            *status = Status::busy("trace generation for " + digest +
+                                   " published no corpus entry; retry");
             return nullptr;
         }
         generated.inc();
     }
 
-    Status openStatus;
-    std::unique_ptr<TraceStoreReader> opened =
-        TraceStoreReader::open(cache->entryPath(key), &openStatus);
-    if (opened == nullptr) {
-        if (openStatus.code() == StatusCode::CorruptData)
-            cache->quarantine(key, openStatus.str());
-        *status = openStatus;
+    std::shared_ptr<TraceStoreReader> shared =
+        cache->openVerified(key, status);
+    if (shared == nullptr)
         return nullptr;
-    }
-    if (opened->count() != request.instructions) {
-        cache->quarantine(key,
-                          "holds " + std::to_string(opened->count()) +
-                              " records, want " +
-                              std::to_string(request.instructions));
-        *status = Status::corruptData("trace cache entry had " +
-                                      std::to_string(opened->count()) +
-                                      " records; quarantined, retry");
-        return nullptr;
-    }
-    const Status verified = opened->verify();
-    if (!verified.ok()) {
-        // Quarantine is for damage only: a deadline or cancellation
-        // during verify leaves a perfectly healthy entry behind.
-        if (verified.code() == StatusCode::CorruptData)
-            cache->quarantine(key, verified.str());
-        *status = verified;
-        return nullptr;
-    }
-
-    std::shared_ptr<TraceStoreReader> shared = std::move(opened);
     {
         std::lock_guard<std::mutex> lock(readersMu);
         readers[digest] = ReaderEntry{shared, ++readerClock};

@@ -46,7 +46,9 @@
  *  - Cold traces are materialized on demand through the canonical
  *    runWorkloadTrace() path (recorded + atomically published to the
  *    on-disk cache), serialized per digest so concurrent requests for
- *    the same cold trace generate it once.
+ *    the same cold trace generate it once. Every entry is opened
+ *    through TraceCache::openVerified(), the same rule the runner
+ *    applies.
  *
  * Thread-safety: start(), drain(), and stop() are for the owning
  * thread; everything else is internal.

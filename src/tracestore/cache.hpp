@@ -1,24 +1,27 @@
 /**
  * @file
  * Content-addressed trace cache: maps (workload, input, scale, format
- * version) to a trace store file on disk, so trace generation — the
- * dominant cost of every bench sweep — is paid once and replayed
- * thereafter.
+ * version) to a trace store file on disk. It is the serving daemon's
+ * corpus (bpnsp_served --trace-cache) and the store behind
+ * micro_trace_store and perfbench's trace_replay; batch binaries
+ * execute the VM instead.
  *
  * Crash-safety and concurrency contract:
  *  - Entries are published with write-to-temp + fsync + atomic rename
  *    + directory fsync: a run records into a private staging file and
  *    renames it into place only after the trace is complete and
- *    durable, so concurrent runs and crashes can never expose a
- *    partial entry under a valid key.
- *  - Construction garbage-collects debris of crashed runs: staging
- *    files and generation lockfiles whose owning process is dead.
- *  - A per-entry generation lockfile (TraceCacheLock) serializes cold
- *    generation of the same key across processes; losers degrade to an
- *    uncached run instead of interleaving writes.
- *  - Unusable entries are *quarantined* (renamed aside, bounded count)
- *    rather than silently deleted, preserving the evidence while the
- *    key regenerates.
+ *    durable, so crashes can never expose a partial entry under a
+ *    valid key.
+ *  - Two generators of one key need no lock. Each records into its own
+ *    staging path (unique per pid and per call) while delivering the
+ *    full live stream to its own sinks, and both publish the same
+ *    bytes; the second rename replaces the first atomically.
+ *  - Construction garbage-collects staging files of crashed runs.
+ *  - openVerified() is the one rule for trusting an entry: damaged
+ *    entries (CorruptData, wrong record count) are *quarantined*
+ *    (renamed aside, bounded count) rather than silently deleted,
+ *    preserving the evidence while the key regenerates; an I/O error
+ *    or a cancelled verify leaves the entry in place.
  *
  * The format version participates in the digest, so a format bump
  * silently invalidates stale entries instead of misreading them.
@@ -28,8 +31,10 @@
 #define BPNSP_TRACESTORE_CACHE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "tracestore/store.hpp"
 #include "util/status.hpp"
 
 namespace bpnsp {
@@ -55,8 +60,8 @@ class TraceCache
   public:
     /**
      * Create the directory if needed (fatal() if that fails) and
-     * garbage-collect staging files and lockfiles left by dead
-     * processes (counted as tracestore.cache.orphans_collected).
+     * garbage-collect staging files left by dead processes (counted
+     * as tracestore.cache.orphans_collected).
      */
     explicit TraceCache(std::string directory);
 
@@ -70,8 +75,9 @@ class TraceCache
 
     /**
      * A fresh private staging path for recording `key`'s trace.
-     * Unique per process AND per call, so concurrent cold runs (or
-     * threads) never clobber each other's half-written files. The
+     * Unique per process AND per call, so concurrent cold runs
+     * (processes or threads) never clobber each other's half-written
+     * files. The
      * embedded pid lets a later construction GC the file if this
      * process dies.
      */
@@ -85,6 +91,18 @@ class TraceCache
      */
     Status publish(const std::string &staging,
                    const TraceCacheKey &key) const;
+
+    /**
+     * Open the published entry for `key` and check it before any
+     * record is streamed: the record count must equal
+     * key.instructions and verify() must pass. Returns the reader, or
+     * nullptr with *status set. CorruptData and a wrong record count
+     * quarantine the entry; Cancelled, DeadlineExceeded and IoError
+     * leave it in place (a cancelled verify or a failed read says
+     * nothing about the bytes).
+     */
+    std::unique_ptr<TraceStoreReader>
+    openVerified(const TraceCacheKey &key, Status *status) const;
 
     /** Delete the entry for `key` if present. */
     void evict(const TraceCacheKey &key) const;
@@ -110,69 +128,6 @@ class TraceCache
     std::string root;
 
     void collectOrphans() const;
-};
-
-/**
- * RAII per-entry generation lock. Backed by an O_CREAT|O_EXCL
- * lockfile holding the owner pid; stale locks of dead processes are
- * broken automatically (tracestore.cache.stale_locks_broken). On
- * Busy — a live process is already generating this entry — the caller
- * should degrade to an uncached run rather than wait or interleave.
- *
- * Live-but-wedged holders are handled by an mtime heartbeat: the
- * holder touch()es its lockfile while making progress (the runner's
- * capture path pulses it from the record stream), and acquire()
- * treats a lock whose mtime is older than the TTL as abandoned even
- * when its owner pid is still alive — a hung generator must not force
- * every future run of that key to degrade-to-uncached forever
- * (tracestore.cache.lock_takeovers counts these).
- */
-class TraceCacheLock
-{
-  public:
-    /**
-     * Try to take the generation lock for `key`. Returns a held lock,
-     * or an unheld one with *status = Busy (live owner with a fresh
-     * heartbeat) / IoError.
-     */
-    static TraceCacheLock acquire(const TraceCache &cache,
-                                  const TraceCacheKey &key,
-                                  Status *status);
-
-    TraceCacheLock() = default;
-    ~TraceCacheLock() { release(); }
-
-    TraceCacheLock(TraceCacheLock &&other) noexcept;
-    TraceCacheLock &operator=(TraceCacheLock &&other) noexcept;
-    TraceCacheLock(const TraceCacheLock &) = delete;
-    TraceCacheLock &operator=(const TraceCacheLock &) = delete;
-
-    bool held() const { return !lockPath.empty(); }
-
-    /**
-     * Heartbeat: refresh the lockfile mtime so concurrent acquirers
-     * see a live, progressing holder. No-op when not held; cheap
-     * enough to call from a record-stream pulse.
-     */
-    void touch() const;
-
-    /** Unlink the lockfile early (idempotent). */
-    void release();
-
-    /**
-     * Heartbeat TTL in milliseconds: a held lock whose mtime is older
-     * than this is eligible for takeover. Configurable through
-     * BPNSP_TRACE_LOCK_TTL_MS (read once) or setTtlMs() (tests);
-     * 0 disables takeover entirely.
-     */
-    static uint64_t ttlMs();
-    static void setTtlMs(uint64_t ms);
-
-    /** Default heartbeat TTL: generous next to the pulse period. */
-    static constexpr uint64_t kDefaultTtlMs = 10 * 60 * 1000;
-
-  private:
-    std::string lockPath;
 };
 
 } // namespace bpnsp

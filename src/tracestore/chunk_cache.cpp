@@ -1,7 +1,5 @@
 #include "tracestore/chunk_cache.hpp"
 
-#include <cstdlib>
-
 #include "obs/metrics.hpp"
 
 namespace bpnsp {
@@ -25,24 +23,9 @@ DecodedChunkCache::instance()
 }
 
 void
-DecodedChunkCache::ensureConfigured()
-{
-    if (configured)
-        return;
-    configured = true;
-    if (const char *env = std::getenv("BPNSP_CHUNK_CACHE_MB");
-        env != nullptr && env[0] != '\0') {
-        const long mb = std::strtol(env, nullptr, 10);
-        if (mb > 0)
-            capacity = static_cast<size_t>(mb) * 1024 * 1024;
-    }
-}
-
-void
 DecodedChunkCache::setCapacityBytes(size_t bytes)
 {
     std::lock_guard<std::mutex> lock(mu);
-    configured = true;
     capacity = bytes;
     evictToFit();
 }
@@ -51,7 +34,6 @@ size_t
 DecodedChunkCache::capacityBytes() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    const_cast<DecodedChunkCache *>(this)->ensureConfigured();
     return capacity;
 }
 
@@ -71,7 +53,6 @@ DecodedChunkCache::lookup(const std::string &path, uint64_t chunk,
         obs::counter("tracestore.chunk_cache.misses");
 
     std::lock_guard<std::mutex> lock(mu);
-    ensureConfigured();
     if (capacity == 0)
         return nullptr;
     const auto it = index.find(Key{path, chunk});
@@ -107,7 +88,6 @@ DecodedChunkCache::insert(const std::string &path, uint64_t chunk,
         return;
     const size_t bytes = chunkBytes(records);
     std::lock_guard<std::mutex> lock(mu);
-    ensureConfigured();
     if (capacity == 0 || bytes > capacity)
         return;
     const Key key{path, chunk};

@@ -16,11 +16,9 @@
  * Only *successful* decodes are inserted, so corruption is re-detected
  * (and re-counted) on every touch until the entry heals.
  *
- * The cache is process-wide and disabled by default (capacity 0):
- * batch binaries keep their exact pre-cache replay profile. Long-lived
- * consumers opt in with setCapacityBytes() (the daemon's
- * --chunk-cache-mb flag) or the BPNSP_CHUNK_CACHE_MB environment
- * variable, consulted once on first use. Eviction is strict LRU by
+ * The cache is process-wide and disabled by default (capacity 0).
+ * Long-lived consumers opt in with setCapacityBytes() (the daemon's
+ * --chunk-cache-mb flag). Eviction is strict LRU by
  * decoded byte size. Counters: tracestore.chunk_cache.{hits,misses,
  * evictions, insert_bytes}; gauge tracestore.chunk_cache.bytes.
  */
@@ -49,11 +47,7 @@ class DecodedChunkCache
   public:
     static DecodedChunkCache &instance();
 
-    /**
-     * Set the capacity in bytes (0 disables and clears). Never called
-     * -> BPNSP_CHUNK_CACHE_MB is consulted on first use, so any binary
-     * can opt in without plumbing.
-     */
+    /** Set the capacity in bytes (0 disables and clears). */
     void setCapacityBytes(size_t bytes);
 
     size_t capacityBytes() const;
@@ -119,11 +113,9 @@ class DecodedChunkCache
         DecodedChunk records;
     };
 
-    void ensureConfigured();   ///< consult the env once (mu held)
     void evictToFit();         ///< drop LRU tail past capacity (mu held)
 
     mutable std::mutex mu;
-    bool configured = false;
     size_t capacity = 0;
     size_t used = 0;
     std::list<Entry> lru;      ///< front = most recent

@@ -217,6 +217,9 @@ TraceStoreReader::open(const std::string &path, Status *status)
         return fail(Status::corruptData(what));
     };
 
+    if (faultsim::evaluate("tracestore.read.eio"))
+        return fail(Status::ioError("injected fault: cannot read trace "
+                                    "store: " + path));
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         return fail(Status::ioError("cannot open trace store: " + path +

@@ -2,7 +2,7 @@
  * @file
  * Crash-safety filesystem primitives shared by the trace store layers:
  * durable flush, atomic publish (rename + directory sync), and process
- * liveness probing for lockfile/staging-file garbage collection.
+ * liveness probing for staging-file garbage collection.
  *
  * The publish discipline these helpers implement is the standard
  * write-ahead pattern: finish the file under a private name, fsync its
@@ -39,7 +39,7 @@ Status atomicPublishFile(const std::string &from, const std::string &to);
 /**
  * True when `pid` names a live process (kill(pid, 0) semantics:
  * EPERM still counts as alive). Used to tell crashed owners' staging
- * files and lockfiles from ones belonging to concurrent runs.
+ * files from ones belonging to concurrent runs.
  */
 bool processAlive(pid_t pid);
 

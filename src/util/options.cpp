@@ -168,19 +168,4 @@ OptionParser::getFlag(const std::string &name) const
     return find(name, Kind::Flag).value == "1";
 }
 
-double
-experimentScale()
-{
-    const char *env = std::getenv("BPNSP_SCALE");
-    if (env == nullptr || *env == '\0')
-        return 1.0;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || v <= 0.0) {
-        warn("ignoring invalid BPNSP_SCALE: ", env);
-        return 1.0;
-    }
-    return v;
-}
-
 } // namespace bpnsp

@@ -2,10 +2,6 @@
  * @file
  * Minimal command-line option parsing for the bench and example
  * binaries. Supports --name=value, --name value, and boolean --flag.
- *
- * The environment variable BPNSP_SCALE (a positive double) globally
- * scales experiment sizes: 1.0 is the quick default; larger values move
- * toward the paper's full 30M-instruction-slice methodology.
  */
 
 #ifndef BPNSP_UTIL_OPTIONS_HPP
@@ -81,12 +77,6 @@ class OptionParser
 
     const Option &find(const std::string &name, Kind kind) const;
 };
-
-/**
- * Global experiment scale factor from BPNSP_SCALE (default 1.0).
- * Multiplies slice lengths and trace lengths in bench harnesses.
- */
-double experimentScale();
 
 } // namespace bpnsp
 

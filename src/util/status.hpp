@@ -5,10 +5,10 @@
  * fatal()/panic() (util/logging.hpp) remain the right tools for user
  * errors and internal invariant violations; Status is for conditions a
  * caller can reasonably recover from — a corrupt cache entry that can
- * be regenerated, a lock held by a concurrent run, an injected I/O
+ * be regenerated, a server past its admission bound, an injected I/O
  * fault. Carrying the category in-band (instead of a bare diagnostic
  * string) lets callers branch on *what went wrong*: CorruptData
- * quarantines and regenerates, Busy degrades to an uncached run,
+ * quarantines and regenerates, Busy asks the client to retry later,
  * IoError retries with backoff.
  *
  * The taxonomy is deliberately small:
@@ -16,8 +16,9 @@
  *                   (ENOSPC, EIO, missing file, failed rename).
  *  - CorruptData  — bytes were read but fail validation (bad magic,
  *                   checksum mismatch, index inconsistency).
- *  - Busy         — a concurrent holder owns the resource (generation
- *                   lockfile); retry later or degrade.
+ *  - Busy         — the resource is not available right now (a
+ *                   draining server, a corpus entry that was not
+ *                   published); retry later.
  *  - Cancelled    — the operation was abandoned mid-flight (injected
  *                   crash, writer already failed, cooperative
  *                   cancellation via util/cancel.hpp).

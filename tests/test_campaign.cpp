@@ -4,9 +4,8 @@
  * built on: cancel-token semantics and scoping, cancel/deadline cuts
  * through the VM delivery loop and the replay path, journal
  * round-trips with torn tails, retry/poison handling,
- * kill-between-appends + --resume bit-identity, cell counts invariant
- * to the trace cache and to resume, and the heartbeat-TTL lock
- * takeover.
+ * kill-between-appends + --resume bit-identity, and cell counts
+ * invariant to the trace cache and to resume.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "campaign/campaign.hpp"
@@ -32,7 +28,6 @@
 #include "faultsim/faultsim.hpp"
 #include "frontend/frontend.hpp"
 #include "obs/metrics.hpp"
-#include "tracestore/cache.hpp"
 #include "tracestore/store.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
@@ -78,17 +73,6 @@ smallConfig(const ScratchDir &dir, const std::string &journalName)
     config.journalPath = dir.file(journalName);
     config.backoffMs = 1;
     return config;
-}
-
-/** Backdate a file's mtime by `seconds`. */
-void
-backdateMtime(const std::string &path, uint64_t seconds)
-{
-    struct timespec times[2];
-    ASSERT_EQ(::clock_gettime(CLOCK_REALTIME, &times[0]), 0);
-    times[0].tv_sec -= static_cast<time_t>(seconds);
-    times[1] = times[0];
-    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
 }
 
 } // namespace
@@ -658,49 +642,4 @@ TEST(Campaign, FrontendCellsCountTargetsAndResumeBitIdentically)
     EXPECT_EQ(doc, renderCampaignResults(config, second));
     EXPECT_NE(doc.find("\"frontend\": \"default\""), std::string::npos);
     EXPECT_NE(doc.find("\"target_mispredicts\": "), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Lock heartbeat TTL takeover.
-
-TEST(TraceCacheLock, TakesOverWedgedHolderPastTtl)
-{
-    ScratchDir dir("lockttl");
-    TraceCache cache(dir.file("cache"));
-    const TraceCacheKey key{"mcf_like", "input-0", 42, 1000};
-
-    Status st;
-    TraceCacheLock first = TraceCacheLock::acquire(cache, key, &st);
-    ASSERT_TRUE(first.held()) << st.str();
-
-    // A live holder with a fresh heartbeat is honored.
-    TraceCacheLock second = TraceCacheLock::acquire(cache, key, &st);
-    EXPECT_FALSE(second.held());
-    EXPECT_EQ(st.code(), StatusCode::Busy);
-
-    // Backdate the heartbeat past the TTL: the holder is alive but
-    // wedged, so the lock must be taken over.
-    const std::string lockPath =
-        cache.dir() + "/" + traceCacheDigest(key) + ".lock";
-    backdateMtime(lockPath, 3600);
-    const uint64_t takeoversBefore =
-        obs::counter("tracestore.cache.lock_takeovers").value();
-    TraceCacheLock::setTtlMs(1000);
-    TraceCacheLock third = TraceCacheLock::acquire(cache, key, &st);
-    TraceCacheLock::setTtlMs(TraceCacheLock::kDefaultTtlMs);
-    EXPECT_TRUE(third.held()) << st.str();
-    EXPECT_EQ(
-        obs::counter("tracestore.cache.lock_takeovers").value(),
-        takeoversBefore + 1);
-
-    // touch() refreshes the heartbeat, re-arming the TTL.
-    backdateMtime(lockPath, 3600);
-    third.touch();
-    TraceCacheLock::setTtlMs(1000);
-    TraceCacheLock fourth = TraceCacheLock::acquire(cache, key, &st);
-    TraceCacheLock::setTtlMs(TraceCacheLock::kDefaultTtlMs);
-    EXPECT_FALSE(fourth.held());
-    EXPECT_EQ(st.code(), StatusCode::Busy);
-
-    first.release();   // owns a now-stolen path; release is harmless
 }

@@ -1,18 +1,23 @@
 /**
  * @file
- * Tests for the core experiment drivers: runTrace, characterize, and
- * the single-pass IPC study grid.
+ * Tests for the core experiment drivers: runTrace, characterize, the
+ * single-pass IPC study grid, and concurrent cold runs of one trace
+ * cache key.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 
 #include "bp/factory.hpp"
 #include "bp/oracle.hpp"
 #include "core/runner.hpp"
+#include "tracestore/cache.hpp"
+#include "tracestore/format.hpp"
 #include "util/cancel.hpp"
 #include "workloads/suite.hpp"
 
@@ -151,6 +156,36 @@ class ScratchDir
     }
 
     const std::string path;
+};
+
+/**
+ * Holds its thread at the first record until `peers` threads have
+ * reached theirs, so every peer is past the cache lookup and on the
+ * VM path before any of them can publish.
+ */
+class RendezvousSink : public TraceSink
+{
+  public:
+    RendezvousSink(std::atomic<unsigned> &arrived, unsigned peers)
+        : arrivals(arrived), need(peers)
+    {
+    }
+
+    void
+    onRecord(const TraceRecord &) override
+    {
+        if (met)
+            return;
+        met = true;
+        arrivals.fetch_add(1);
+        while (arrivals.load() < need)
+            std::this_thread::yield();
+    }
+
+  private:
+    std::atomic<unsigned> &arrivals;
+    const unsigned need;
+    bool met = false;
 };
 
 } // namespace
@@ -383,4 +418,54 @@ TEST(IpcStudy, CancelledStudyReturnsPromptlyWithWorkersJoined)
                                std::chrono::steady_clock::now() - start)
                                .count();
     EXPECT_LT(seconds, 30.0);
+}
+
+TEST(RunWorkloadTrace, ConcurrentColdRunsOfOneKeyPublishOneEntry)
+{
+    // Two generators of one cold key and no lock between them: each
+    // records into its own staging file while its sinks get the full
+    // live stream, and both publish the same bytes under the key.
+    const Workload w = findWorkload("gcc_like");
+    const uint64_t n = 100000;
+    DigestSink direct;
+    ASSERT_EQ(runTrace(w.build(0), {&direct}, n), n);
+
+    const ScratchDir dir("concurrent_cold");
+    setTraceCacheDir(dir.path);
+    std::atomic<unsigned> arrived{0};
+    DigestSink digests[2];
+    uint64_t delivered[2] = {0, 0};
+    auto generate = [&](int i) {
+        RendezvousSink rendezvous(arrived, 2);
+        delivered[i] = runWorkloadTrace(
+            w, 0, {&rendezvous, &digests[i]}, n);
+    };
+    std::thread peer(generate, 1);
+    generate(0);
+    peer.join();
+    setTraceCacheDir("");
+
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(delivered[i], n);
+        EXPECT_EQ(digests[i].count(), n);
+        EXPECT_EQ(digests[i].digest(), direct.digest());
+    }
+
+    // One published entry and no staging debris.
+    size_t entries = 0;
+    size_t others = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir.path))
+        ++(e.path().extension() == ".bpt" ? entries : others);
+    EXPECT_EQ(entries, 1u);
+    EXPECT_EQ(others, 0u);
+
+    const TraceCacheKey key{w.name, w.inputs[0].label, w.inputs[0].seed,
+                            n};
+    Status st;
+    const auto reader = TraceCache(dir.path).openVerified(key, &st);
+    ASSERT_NE(reader, nullptr) << st.str();
+    DigestSink replayed;
+    ASSERT_TRUE(reader->replay(replayed, 0).ok());
+    EXPECT_EQ(replayed.count(), n);
+    EXPECT_EQ(replayed.digest(), direct.digest());
 }

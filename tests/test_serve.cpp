@@ -32,7 +32,9 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "tracestore/cache.hpp"
 #include "tracestore/chunk_cache.hpp"
+#include "tracestore/store.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
 #include "workloads/suite.hpp"
@@ -250,6 +252,44 @@ uint64_t
 counterValue(const char *name)
 {
     return obs::Registry::instance().counterValue(name);
+}
+
+/** Whole-trace result of mcf_like `input_idx` straight from the VM. */
+DirectResult
+vmDirectRun(const std::string &predictor, uint32_t input_idx)
+{
+    auto bp = makePredictor(predictor);
+    PredictorSim sim(*bp, /*collect_per_branch=*/false);
+    runTrace(findWorkload("mcf_like").build(input_idx), {&sim},
+             kTraceLen);
+    return {sim.condExecs(), sim.condMispreds(),
+            doubleBits(sim.accuracy())};
+}
+
+/** The corpus key of a whole-trace mcf_like request. */
+TraceCacheKey
+corpusKey(uint32_t input_idx)
+{
+    const Workload workload = findWorkload("mcf_like");
+    const WorkloadInput &input = workload.inputs.at(input_idx);
+    return TraceCacheKey{workload.name, input.label, input.seed,
+                         kTraceLen};
+}
+
+/** Publish the first `records` records of the input under its key. */
+void
+publishPrefix(const TraceCache &cache, uint32_t input_idx,
+              uint64_t records)
+{
+    const TraceCacheKey key = corpusKey(input_idx);
+    const std::string staging = cache.stagingPath(key);
+    {
+        TraceStoreWriter writer(staging);
+        runTrace(findWorkload("mcf_like").build(input_idx), {&writer},
+                 records);
+        ASSERT_TRUE(writer.status().ok()) << writer.status().str();
+    }
+    ASSERT_TRUE(cache.publish(staging, key).ok());
 }
 
 /** One fully populated request of every request type. */
@@ -761,6 +801,71 @@ TEST_F(ServeTest, SlicedSimulateMatchesDirectSlice)
     EXPECT_EQ(reply.condExecs, sim.condExecs());
     EXPECT_EQ(reply.condMispreds, sim.condMispreds());
     EXPECT_EQ(reply.accuracyBits, doubleBits(sim.accuracy()));
+}
+
+TEST_F(ServeTest, DamagedCorpusEntriesAreQuarantinedAndRegenerated)
+{
+    startServer();
+    const TraceCache cache(scratch->file("cache"));
+    // Input 0 holds too few records; input 1 is truncated.
+    publishPrefix(cache, 0, kTraceLen / 2);
+    publishPrefix(cache, 1, kTraceLen);
+    const std::string truncated = cache.entryPath(corpusKey(1));
+    std::filesystem::resize_file(
+        truncated, std::filesystem::file_size(truncated) / 2);
+    const uint64_t before = counterValue("tracestore.cache.quarantined");
+
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    for (uint32_t input = 0; input < 2; ++input) {
+        SCOPED_TRACE("input " + std::to_string(input));
+        ServeRequest request = simulateRequest("gshare");
+        request.inputIdx = input;
+        ServeReply reply;
+        ASSERT_TRUE(client.call(request, &reply).ok());
+        EXPECT_EQ(reply.code, WireCode::CorruptData) << reply.message;
+        EXPECT_TRUE(std::filesystem::exists(
+            scratch->file("cache/" + traceCacheDigest(corpusKey(input)) +
+                          ".quarantine.0")));
+
+        // The next request regenerates the entry from the VM.
+        ASSERT_TRUE(client.call(request, &reply).ok());
+        ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+        const DirectResult expect = vmDirectRun("gshare", input);
+        EXPECT_EQ(reply.condExecs, expect.condExecs);
+        EXPECT_EQ(reply.condMispreds, expect.condMispreds);
+        EXPECT_EQ(reply.accuracyBits, expect.accuracyBits);
+    }
+    EXPECT_EQ(counterValue("tracestore.cache.quarantined"), before + 2);
+}
+
+TEST_F(ServeTest, UnreadableCorpusEntryIsLeftInPlace)
+{
+    startServer();
+    const TraceCache cache(scratch->file("cache"));
+    publishPrefix(cache, 0, kTraceLen);
+    const uint64_t before = counterValue("tracestore.cache.quarantined");
+    const uint64_t generatedBefore =
+        counterValue("serve.generated_traces");
+
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    ServeReply reply;
+    ASSERT_TRUE(faultsim::configure("tracestore.read.eio").ok());
+    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
+    faultsim::reset();
+    EXPECT_EQ(reply.code, WireCode::IoError) << reply.message;
+    EXPECT_EQ(counterValue("tracestore.cache.quarantined"), before);
+    EXPECT_TRUE(cache.contains(corpusKey(0)));
+
+    // The same entry serves once reads work again.
+    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
+    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+    const DirectResult expect = vmDirectRun("gshare", 0);
+    EXPECT_EQ(reply.condExecs, expect.condExecs);
+    EXPECT_EQ(reply.condMispreds, expect.condMispreds);
+    EXPECT_EQ(reply.accuracyBits, expect.accuracyBits);
+    EXPECT_EQ(counterValue("serve.generated_traces"), generatedBefore);
 }
 
 TEST_F(ServeTest, InvalidRequestsGetCleanErrorsAndConnectionSurvives)

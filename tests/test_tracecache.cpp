@@ -3,7 +3,8 @@
  * Tests for the content-addressed trace cache and its runner wiring:
  * digest stability, cold-run population, warm-run bit-identical replay
  * (proven by planting a distinctive store under the key), stale-key
- * misses on scale changes, and graceful fallback on unusable entries.
+ * misses on scale changes, graceful fallback on unusable entries, and
+ * the one openVerified() rule for what gets quarantined.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,12 @@
 #include <unistd.h>
 
 #include "core/runner.hpp"
+#include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/store.hpp"
+#include "util/cancel.hpp"
 #include "workloads/suite.hpp"
 
 using namespace bpnsp;
@@ -57,6 +60,28 @@ keyFor(const Workload &w, uint64_t instructions)
 {
     return TraceCacheKey{w.name, w.inputs[0].label, w.inputs[0].seed,
                          instructions};
+}
+
+/** Publish the first `records` records of mcf_like input 0 under key. */
+void
+publishPrefix(const TraceCache &cache, const TraceCacheKey &key,
+              uint64_t records)
+{
+    const std::string staging = cache.stagingPath(key);
+    {
+        TraceStoreWriter writer(staging);
+        runTrace(findWorkload("mcf_like").build(0), {&writer}, records);
+        ASSERT_TRUE(writer.status().ok()) << writer.status().str();
+    }
+    const Status published = cache.publish(staging, key);
+    ASSERT_TRUE(published.ok()) << published.str();
+}
+
+uint64_t
+quarantinedCount()
+{
+    return obs::Registry::instance().counterValue(
+        "tracestore.cache.quarantined");
 }
 
 } // namespace
@@ -261,9 +286,7 @@ TEST(TraceCache, OrphanGcCollectsDeadPidDebris)
     const std::string livePid =
         std::to_string(static_cast<long>(::getpid()));
     touch("aaaa.staging." + deadPid + ".0", "torn");
-    touch("bbbb.lock", deadPid + "\n");
     touch("cccc.staging." + livePid + ".0", "in progress");
-    touch("dddd.lock", livePid + "\n");
     touch("eeee.bpt", "published entry, never touched");
 
     const uint64_t orphansBefore =
@@ -274,80 +297,14 @@ TEST(TraceCache, OrphanGcCollectsDeadPidDebris)
 
     EXPECT_FALSE(std::filesystem::exists(dir + "/aaaa.staging." +
                                          deadPid + ".0"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/bbbb.lock"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/cccc.staging." +
                                         livePid + ".0"));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/dddd.lock"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/eeee.bpt"));
     EXPECT_EQ(obs::Registry::instance().counterValue(
                   "tracestore.cache.orphans_collected"),
               orphansBefore + 1);
 
     std::filesystem::remove_all(dir);
-}
-
-TEST(TraceCacheLock, BusyWhileHeldAndStaleLocksBroken)
-{
-    const std::string dir =
-        std::string(::testing::TempDir()) + "bpnsp_cache_lock";
-    std::filesystem::remove_all(dir);
-    TraceCache cache(dir);
-    const TraceCacheKey key{"mcf_like", "input-0", 1, 1000};
-
-    Status st;
-    TraceCacheLock lock = TraceCacheLock::acquire(cache, key, &st);
-    ASSERT_TRUE(lock.held()) << st.str();
-
-    // Second acquisition while the (live) owner holds it: Busy.
-    Status busy;
-    TraceCacheLock second = TraceCacheLock::acquire(cache, key, &busy);
-    EXPECT_FALSE(second.held());
-    EXPECT_EQ(busy.code(), StatusCode::Busy);
-
-    lock.release();
-
-    // A lockfile owned by a dead process must be broken, not Busy.
-    const pid_t deadOwner = fork();
-    ASSERT_GE(deadOwner, 0);
-    if (deadOwner == 0)
-        _exit(0);
-    int wstatus = 0;
-    ASSERT_EQ(waitpid(deadOwner, &wstatus, 0), deadOwner);
-    std::ofstream(dir + "/" + traceCacheDigest(key) + ".lock")
-        << static_cast<long>(deadOwner) << "\n";
-
-    Status broken;
-    TraceCacheLock third = TraceCacheLock::acquire(cache, key, &broken);
-    EXPECT_TRUE(third.held()) << broken.str();
-    third.release();
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceCache, LockBusyDegradesToUncachedRun)
-{
-    CacheDirGuard guard("busy");
-    const Workload w = findWorkload("mcf_like");
-    const TraceCacheKey key = keyFor(w, kInstructions);
-    TraceCache cache(guard.path);
-
-    // Pose as a live competitor mid-generation: our own pid in the
-    // lockfile. The cold run must not wait or interleave — it runs
-    // uncached, delivers the full trace, and publishes nothing.
-    std::ofstream(guard.path + "/" + traceCacheDigest(key) + ".lock")
-        << static_cast<long>(::getpid()) << "\n";
-    const uint64_t degradedBefore =
-        obs::Registry::instance().counterValue(
-            "core.runner.degraded_runs");
-
-    CountingSink sink;
-    EXPECT_EQ(runWorkloadTrace(w, 0, {&sink}, kInstructions),
-              kInstructions);
-    EXPECT_EQ(sink.totalCount(), kInstructions);
-    EXPECT_FALSE(cache.contains(key));
-    EXPECT_EQ(obs::Registry::instance().counterValue(
-                  "core.runner.degraded_runs"),
-              degradedBefore + 1);
 }
 
 TEST(TraceCache, DisabledCacheRunsLive)
@@ -361,4 +318,103 @@ TEST(TraceCache, DisabledCacheRunsLive)
               kInstructions);
     EXPECT_EQ(sink.totalCount(), kInstructions);
     EXPECT_TRUE(traceCacheDir().empty());
+}
+
+TEST(TraceCache, OpenVerifiedQuarantinesDamageOnly)
+{
+    CacheDirGuard guard("open_verified");
+    const TraceCache cache(guard.path);
+    const TraceCacheKey key = keyFor(findWorkload("mcf_like"),
+                                     kInstructions);
+    const std::string entry = cache.entryPath(key);
+    const std::string slot =
+        guard.path + "/" + traceCacheDigest(key) + ".quarantine.";
+    publishPrefix(cache, key, kInstructions);
+
+    Status st;
+    EXPECT_NE(cache.openVerified(key, &st), nullptr) << st.str();
+
+    // An I/O error and a cancelled verify say nothing about the bytes:
+    // the entry stays where it is and still verifies afterwards.
+    const uint64_t before = quarantinedCount();
+    ASSERT_TRUE(faultsim::configure("tracestore.read.eio").ok());
+    EXPECT_EQ(cache.openVerified(key, &st), nullptr);
+    faultsim::reset();
+    EXPECT_EQ(st.code(), StatusCode::IoError) << st.str();
+    {
+        CancelToken fired;
+        fired.requestCancel();
+        CancelScope scope(fired);
+        EXPECT_EQ(cache.openVerified(key, &st), nullptr);
+    }
+    EXPECT_EQ(st.code(), StatusCode::Cancelled) << st.str();
+    EXPECT_EQ(quarantinedCount(), before);
+    EXPECT_FALSE(std::filesystem::exists(slot + "0"));
+    EXPECT_NE(cache.openVerified(key, &st), nullptr) << st.str();
+
+    // A wrong record count and a truncated file are damage.
+    publishPrefix(cache, key, kInstructions / 2);
+    EXPECT_EQ(cache.openVerified(key, &st), nullptr);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData) << st.str();
+    EXPECT_FALSE(std::filesystem::exists(entry));
+    EXPECT_TRUE(std::filesystem::exists(slot + "0"));
+
+    publishPrefix(cache, key, kInstructions);
+    std::filesystem::resize_file(entry,
+                                 std::filesystem::file_size(entry) / 2);
+    EXPECT_EQ(cache.openVerified(key, &st), nullptr);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData) << st.str();
+    EXPECT_FALSE(std::filesystem::exists(entry));
+    EXPECT_TRUE(std::filesystem::exists(slot + "1"));
+    EXPECT_EQ(quarantinedCount(), before + 2);
+}
+
+TEST(TraceCache, RunnerRegeneratesDamageAndLeavesUnreadableEntries)
+{
+    CacheDirGuard guard("runner_rule");
+    const Workload w = findWorkload("mcf_like");
+    const TraceCacheKey key = keyFor(w, kInstructions);
+    const TraceCache cache(guard.path);
+    const std::string entry = cache.entryPath(key);
+    const std::string slot =
+        guard.path + "/" + traceCacheDigest(key) + ".quarantine.";
+    DigestSink direct;
+    ASSERT_EQ(runTrace(w.build(0), {&direct}, kInstructions),
+              kInstructions);
+
+    // Wrong record count: quarantined, then regenerated from the VM.
+    publishPrefix(cache, key, kInstructions / 2);
+    const uint64_t before = quarantinedCount();
+    DigestSink regenerated;
+    ASSERT_EQ(runWorkloadTrace(w, 0, {&regenerated}, kInstructions),
+              kInstructions);
+    EXPECT_EQ(regenerated.digest(), direct.digest());
+    EXPECT_EQ(quarantinedCount(), before + 1);
+    EXPECT_TRUE(std::filesystem::exists(slot + "0"));
+    Status st;
+    EXPECT_NE(cache.openVerified(key, &st), nullptr) << st.str();
+
+    // Unreadable entry: not quarantined; the run still delivers the
+    // VM stream.
+    ASSERT_TRUE(faultsim::configure("tracestore.read.eio").ok());
+    DigestSink unreadable;
+    EXPECT_EQ(runWorkloadTrace(w, 0, {&unreadable}, kInstructions),
+              kInstructions);
+    faultsim::reset();
+    EXPECT_EQ(unreadable.digest(), direct.digest());
+
+    // Cancelled verify: the run is abandoned and the entry stays.
+    {
+        CancelToken fired;
+        fired.requestCancel();
+        CancelScope scope(fired);
+        CountingSink cancelled;
+        EXPECT_EQ(runWorkloadTrace(w, 0, {&cancelled}, kInstructions),
+                  0u);
+        EXPECT_EQ(cancelled.totalCount(), 0u);
+    }
+    EXPECT_EQ(quarantinedCount(), before + 1);
+    EXPECT_FALSE(std::filesystem::exists(slot + "1"));
+    EXPECT_TRUE(std::filesystem::exists(entry));
+    EXPECT_NE(cache.openVerified(key, &st), nullptr) << st.str();
 }
