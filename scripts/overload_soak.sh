@@ -49,7 +49,6 @@ echo "== overload soak: workdir $WORK"
     --trace-cache="$CACHE" \
     --threads=2 \
     --queue-depth=128 \
-    --batch=4 \
     --max-inflight-cost=50 \
     --metrics-out="$REPORT" \
     &
@@ -231,8 +230,8 @@ print("stats ok: queue_depth=%g inflight_cost_ms=%g"
       % (gauges["serve.queue_depth"], gauges["serve.inflight_cost_ms"]))
 PY
 
-# Distinct slices per blocker: identical slices would coalesce into
-# one batch and free the worker after a single stall.
+# Three blockers queue up behind the one stalled worker, so the
+# deadline request below waits long past its budget.
 BLOCKER_PIDS=()
 for i in 1 2 3; do
     "$CLIENT" --socket="$STALL_SOCKET" --op=simulate \

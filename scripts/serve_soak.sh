@@ -49,7 +49,6 @@ echo "== serve soak: workdir $WORK"
     --trace-cache="$CACHE" \
     --threads=2 \
     --queue-depth=2 \
-    --batch=4 \
     --metrics-out="$REPORT" \
     --trace-dir="$WORK/traces" \
     --trace-rotate-ms=1000 \

@@ -20,6 +20,7 @@
 #include "util/cancel.hpp"
 #include "util/fsutil.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "workloads/suite.hpp"
 
@@ -40,36 +41,6 @@ splitList(const std::string &csv)
             out.push_back(item.substr(b, e - b + 1));
     }
     return out;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (!(v == v) || v > 1e308 || v < -1e308)
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
 }
 
 uint64_t

@@ -11,6 +11,7 @@
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/options.hpp"
 #include "util/signals.hpp"
@@ -32,55 +33,6 @@ std::atomic<uint64_t> gProgressInterval{0};
 // into a fixed buffer it can read lock-free.
 char gSignalReportPath[4096] = {};
 char gSignalTracePath[4096] = {};
-
-/** JSON string escaping (quotes, backslash, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Format a double as a JSON number (finite; %.9g keeps precision). */
-std::string
-jsonNumber(double v)
-{
-    if (!(v == v) || v > 1e308 || v < -1e308)   // NaN or +-inf
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    // %.9g may produce "1e+06"-style output, which is valid JSON.
-    return buf;
-}
 
 std::string
 quoted(const std::string &s)

@@ -16,8 +16,8 @@
  * bounded memory.
  *
  * The ring is exported as the `"snapshots"` section of the run
- * report (schema_rev >= 6), which is how BENCH_serve_latency.json
- * carries p99-over-time curves instead of one aggregate number.
+ * report (schema_rev >= 6), which is how a run report carries
+ * p99-over-time curves instead of one aggregate number.
  *
  * Sampling cost is proportional to registry size (a mutex-guarded
  * map walk), entirely off every hot path; with the sampler stopped

@@ -9,7 +9,8 @@
  * final run report (--metrics-out) captures the serve.* counters.
  *
  * The daemon is one process: one ServeServer whose --threads
- * simulation workers share the process-wide decoded-chunk cache.
+ * simulation workers share the process-wide decoded-chunk cache and
+ * each run one request at a time.
  * Admission has one policy: when the queue overflows (--queue-depth,
  * --max-inflight-cost) the heaviest client's newest work is shed
  * first, and every client earns the same deficit-round-robin quantum.
@@ -57,8 +58,6 @@ main(int argc, char **argv)
                 "cost-aware admission bound: max estimated queued + "
                 "in-flight work in ms of predicted execute time "
                 "(0 = count-only admission)");
-    opts.addInt("batch", 8,
-                "max same-slice Simulate requests per replay pass");
     opts.addString("trace-cache", "",
                    "trace corpus directory (required)");
     opts.addInt("chunk-cache-mb", 64,
@@ -97,7 +96,6 @@ main(int argc, char **argv)
     config.workers = static_cast<unsigned>(opts.getInt("threads"));
     config.queueDepth =
         static_cast<size_t>(opts.getInt("queue-depth"));
-    config.maxBatch = static_cast<unsigned>(opts.getInt("batch"));
     config.traceCacheDir = cacheDir;
     config.slowMs = static_cast<uint32_t>(opts.getInt("slow-ms"));
     config.maxInflightCostMs =

@@ -7,8 +7,8 @@
  * The client is deliberately simple — connect, send one frame, block
  * for the matching reply — because every caller here (CLI, tests,
  * bench workers) wants request/reply semantics; concurrency comes from
- * running many clients, which is also what the server's batching is
- * designed to exploit.
+ * running many clients, which the server's fair-share scheduler
+ * spreads over its worker pool.
  *
  * Retry contract: a RetryPolicy makes call() retry — with bounded,
  * jittered exponential backoff — when the failure is *retryable*

@@ -218,6 +218,14 @@ sendAll(int fd, const uint8_t *bytes, size_t len)
     return writeAllFd(fd, bytes, len, /*poll_timeout_ms=*/5000).ok();
 }
 
+/** The corpus key of a request's trace (the input index is valid). */
+TraceCacheKey
+corpusKeyFor(const Workload &workload, const ServeRequest &request)
+{
+    const WorkloadInput &input = workload.inputs.at(request.inputIdx);
+    return {workload.name, input.label, input.seed, request.instructions};
+}
+
 void
 setNonBlocking(int fd)
 {
@@ -277,8 +285,6 @@ ServeServer::ServeServer(ServeConfig config)
 {
     if (cfg.workers == 0)
         cfg.workers = 1;
-    if (cfg.maxBatch == 0)
-        cfg.maxBatch = 1;
     if (cfg.queueDepth == 0)
         cfg.queueDepth = 1;
     // Cost-model priors, ns per work unit (x16 fixed point): replay
@@ -739,9 +745,7 @@ ServeServer::estimateCost(Pending *pending)
     bool warm = true;
     const Workload *w = findServableWorkload(r.workload);
     if (w != nullptr && r.inputIdx < w->inputs.size()) {
-        const WorkloadInput &input = w->inputs.at(r.inputIdx);
-        const TraceCacheKey key{w->name, input.label, input.seed,
-                                r.instructions};
+        const TraceCacheKey key = corpusKeyFor(*w, r);
         const std::string digest = traceCacheDigest(key);
         bool open = false;
         {
@@ -982,9 +986,9 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
 /**
  * Best-effort cancellation of an earlier request on this connection.
  * Queued target: shed before it costs a worker anything, CANCELLED
- * reply to the original id. In-flight solo target: its token fires
- * and the handler unwinds at its next poll. Batch members and
- * already-answered ids report cancelFound = 0.
+ * reply to the original id. In-flight target: its token fires and
+ * the handler unwinds at its next poll. Already-answered ids report
+ * cancelFound = 0.
  */
 void
 ServeServer::handleCancel(const std::shared_ptr<Conn> &conn,
@@ -1050,11 +1054,11 @@ ServeServer::handleCancel(const std::shared_ptr<Conn> &conn,
 void
 ServeServer::workerLoop()
 {
-    while (true) {
-        std::vector<Pending> batch = popBatch();
-        if (batch.empty())
+    for (;;) {
+        Pending pending;
+        if (!popRequest(&pending))
             return;   // quit
-        execute(std::move(batch));
+        execute(pending);
     }
 }
 
@@ -1161,103 +1165,57 @@ ServeServer::popNextLocked(Pending *out)
 }
 
 /**
- * Pop the next request per the fair-share scheduler plus — when it is
- * a Simulate with no deadline — every queued Simulate for the *same
- * trace slice* (any client), so one replay pass serves them all.
- * Requests with deadlines run solo: batching would couple their
- * cancellation. Expired requests found while popping are answered
- * DEADLINE_EXCEEDED here, before any worker time is spent on them.
+ * Block until the fair-share scheduler hands this worker a request
+ * (true) or the server quits (false). The popped request's token is
+ * registered, so a Cancel can reach it while it runs. Expired
+ * requests found while popping are answered DEADLINE_EXCEEDED here,
+ * before any worker time is spent on them.
  */
-std::vector<ServeServer::Pending>
-ServeServer::popBatch()
+bool
+ServeServer::popRequest(Pending *out)
 {
-    static obs::Histogram &batchSize =
-        obs::histogram("serve.batch_size");
     static obs::Histogram &queueWait =
         obs::histogram("serve.queue_wait_ns");
 
     for (;;) {
-        std::vector<Pending> batch;
+        bool popped = false;
         std::vector<Pending> expired;
-        uint64_t formStartNs = 0;
+        uint64_t sweepStartNs = 0;
         uint32_t retryAfterMs = 0;
         {
             std::unique_lock<std::mutex> lock(queueMu);
             queueCv.wait(lock, [this] {
                 return quitFlag.load() || queuedCount > 0;
             });
+            sweepStartNs = nowNs();
             sweepExpiredLocked(&expired);
             retryAfterMs = retryAfterMsLocked();
 
-            formStartNs = nowNs();
-            Pending head;
-            if (popNextLocked(&head)) {
-                batch.push_back(std::move(head));
-
-                // Copied, not referenced: the batch vector
-                // reallocates as members join, which would invalidate
-                // any reference into it.
-                const ServeRequest headReq = batch.front().request;
-                if (headReq.type == MessageType::Simulate &&
-                    headReq.deadlineMs == 0) {
-                    for (PeerQueue &pq : peerQueues) {
-                        for (auto it = pq.batch.begin();
-                             it != pq.batch.end() &&
-                             batch.size() < cfg.maxBatch;) {
-                            const ServeRequest &r = it->request;
-                            const bool sameSlice =
-                                r.type == MessageType::Simulate &&
-                                r.deadlineMs == 0 &&
-                                r.workload == headReq.workload &&
-                                r.inputIdx == headReq.inputIdx &&
-                                r.instructions ==
-                                    headReq.instructions &&
-                                r.first == headReq.first &&
-                                r.count == headReq.count;
-                            if (sameSlice) {
-                                Pending member = std::move(*it);
-                                it = pq.batch.erase(it);
-                                removeQueuedLocked(member);
-                                batch.push_back(std::move(member));
-                            } else {
-                                ++it;
-                            }
-                        }
-                        if (batch.size() >= cfg.maxBatch)
-                            break;
-                    }
-                }
-
-                inFlight += static_cast<unsigned>(batch.size());
-                for (const Pending &p : batch) {
-                    inflightCostNs += p.costNs;
-                    // Solo requests are individually cancellable; a
-                    // multi-member batch shares one replay pass, so
-                    // cancelling one member would fail the others.
-                    if (batch.size() == 1)
-                        inflightTokens[{p.conn->id, p.requestId}] =
-                            p.cancel;
-                }
+            popped = popNextLocked(out);
+            if (popped) {
+                ++inFlight;
+                inflightCostNs += out->costNs;
+                inflightTokens[{out->conn->id, out->requestId}] =
+                    out->cancel;
                 // serve.accepted counts requests handed to a worker:
                 // queued work that is later shed, swept, or cancelled
                 // was never accepted, keeping shed + accepted <=
                 // requests additive.
-                for (size_t i = 0; i < batch.size(); ++i)
-                    serveAccepted().inc();
+                serveAccepted().inc();
             }
             updateQueueGaugesLocked();
             if (queuedCount == 0 && inFlight == 0)
                 idleCv.notify_all();
-            if (batch.empty() && expired.empty() && quitFlag.load())
-                return batch;
+            if (!popped && expired.empty() && quitFlag.load())
+                return false;
         }
 
         if (!expired.empty()) {
             const uint64_t sweepEndNs = nowNs();
             obs::emitSpan("serve.queue_sweep",
-                          expired.front().traceId, formStartNs,
-                          sweepEndNs > formStartNs
-                              ? sweepEndNs - formStartNs
+                          expired.front().traceId, sweepStartNs,
+                          sweepEndNs > sweepStartNs
+                              ? sweepEndNs - sweepStartNs
                               : 0);
             for (const Pending &p : expired) {
                 serveRejected().inc();
@@ -1270,30 +1228,23 @@ ServeServer::popBatch()
                           p.traceId, retryAfterMs);
             }
         }
-        if (batch.empty())
+        if (!popped)
             continue;   // swept everything; wait for more work
 
-        batchSize.observe(batch.size());
         const uint64_t now = nowNs();
-        for (const Pending &p : batch) {
-            const uint64_t wait =
-                now > p.enqueuedNs ? now - p.enqueuedNs : 0;
-            queueWait.observe(wait);
-            // Retroactive span: the wait started on the io thread,
-            // ended here. Recorded explicitly since no scope lived
-            // across both.
-            obs::emitSpan("serve.queue_wait", p.traceId, p.enqueuedNs,
-                          wait);
-        }
-        if (batch.size() > 1)
-            obs::emitSpan("serve.batch_form", batch.front().traceId,
-                          formStartNs, now - formStartNs);
-        return batch;
+        const uint64_t wait =
+            now > out->enqueuedNs ? now - out->enqueuedNs : 0;
+        queueWait.observe(wait);
+        // Retroactive span: the wait started on the io thread, ended
+        // here. Recorded explicitly since no scope lived across both.
+        obs::emitSpan("serve.queue_wait", out->traceId, out->enqueuedNs,
+                      wait);
+        return true;
     }
 }
 
 void
-ServeServer::execute(std::vector<Pending> batch)
+ServeServer::execute(const Pending &pending)
 {
     static obs::Counter &stalls = obs::counter("serve.worker_stalls");
     static obs::Histogram &execNs = obs::histogram("serve.exec_ns");
@@ -1312,338 +1263,226 @@ ServeServer::execute(std::vector<Pending> batch)
 
     const uint64_t execStartNs = nowNs();
     {
-        // The batch executes under the head's trace id; spans from
-        // the shared replay (chunk decode, cache lookups) attach
-        // there, and each member still gets its own root
-        // serve.request span below.
-        obs::ScopedTraceId traceScope(batch.front().traceId);
+        obs::ScopedTraceId traceScope(pending.traceId);
         obs::Span span("serve.execute");
-        if (batch.front().request.type == MessageType::Simulate) {
-            executeSimulateBatch(batch);
+        // The request's own token (registered in inflightTokens at
+        // pop) makes it cancellable; the deadline is *absolute* from
+        // admission, so queue wait already spent the budget — the
+        // deadline-propagation contract at this hop.
+        CancelToken &token = *pending.cancel;
+        if (pending.deadlineNs != 0) {
+            const uint64_t now = nowNs();
+            if (now >= pending.deadlineNs)
+                token.requestCancel(CancelCause::Deadline);
+            else
+                token.setDeadlineAfterMs(
+                    (pending.deadlineNs - now + 999999ull) / 1000000ull);
+        }
+        CancelScope scope(token);
+        ServeReply reply;
+        const Status st = runRequest(pending.request, &reply);
+        obs::Span replySpan("serve.reply");
+        if (st.ok()) {
+            reply.traceId = pending.traceId;
+            sendReply(pending.conn, pending.requestId, reply);
         } else {
-            // Non-simulate requests are popped solo. The request's
-            // own token (registered in inflightTokens at pop) makes
-            // it cancellable; the deadline is *absolute* from
-            // admission, so queue wait already spent the budget —
-            // the deadline-propagation contract at this hop.
-            Pending &p = batch.front();
-            CancelToken &token = *p.cancel;
-            if (p.deadlineNs != 0) {
-                const uint64_t now = nowNs();
-                if (now >= p.deadlineNs)
-                    token.requestCancel(CancelCause::Deadline);
-                else
-                    token.setDeadlineAfterMs(
-                        (p.deadlineNs - now + 999999ull) / 1000000ull);
-            }
-            CancelScope scope(token);
-            ServeReply reply;
-            switch (p.request.type) {
-              case MessageType::BranchStats:
-                reply = executeBranchStats(p.request);
-                break;
-              case MessageType::H2p:
-                reply = executeH2p(p.request);
-                break;
-              case MessageType::Materialize:
-                reply = executeMaterialize(p.request);
-                break;
-              default:
-                reply.type = MessageType::Error;
-                reply.code = WireCode::Unimplemented;
-                reply.message =
-                    std::string("no handler for ") +
-                    messageTypeName(p.request.type);
-                break;
-            }
-            reply.traceId = p.traceId;
-            sendReply(p.conn, p.requestId, reply);
+            sendError(pending.conn, pending.requestId, wireCodeFor(st),
+                      st.str(), pending.traceId);
         }
     }
     const uint64_t execEndNs = nowNs();
     const uint64_t execDurNs =
         execEndNs > execStartNs ? execEndNs - execStartNs : 0;
     execNs.observe(static_cast<double>(execDurNs));
+    // Cold executions measured generation, not the op class, and are
+    // skipped inside.
+    noteObservedCost(pending.request.type, pending.costUnits, execDurNs,
+                     pending.costWarm);
 
-    // Refine the cost model from what actually happened. Batch
-    // members share one replay, so the whole batch's units back one
-    // observation; cold executions measured generation, not the op
-    // class, and are skipped inside.
-    {
-        uint64_t units = 0;
-        bool warm = true;
-        for (const Pending &p : batch) {
-            units += p.costUnits;
-            warm = warm && p.costWarm;
-        }
-        noteObservedCost(batch.front().request.type, units, execDurNs,
-                         warm);
-    }
-
-    const uint64_t now = nowNs();
-    for (const Pending &p : batch) {
-        const uint64_t wall =
-            now > p.enqueuedNs ? now - p.enqueuedNs : 0;
-        requestNs.observe(wall);
-        requestNsForType(p.request.type).observe(wall);
-        // The root of each request's span tree: admission to reply.
-        obs::emitSpan("serve.request", p.traceId, p.enqueuedNs, wall);
-        if (cfg.slowMs != 0 &&
-            wall >= static_cast<uint64_t>(cfg.slowMs) * 1000000ull)
-            logSlowRequest(p, wall);
-        serveCompleted().inc();
-    }
+    const uint64_t wall =
+        execEndNs > pending.enqueuedNs ? execEndNs - pending.enqueuedNs
+                                       : 0;
+    requestNs.observe(wall);
+    requestNsForType(pending.request.type).observe(wall);
+    // The root of the request's span tree: admission to reply.
+    obs::emitSpan("serve.request", pending.traceId, pending.enqueuedNs,
+                  wall);
+    if (cfg.slowMs != 0 &&
+        wall >= static_cast<uint64_t>(cfg.slowMs) * 1000000ull)
+        logSlowRequest(pending, wall);
+    serveCompleted().inc();
 
     std::lock_guard<std::mutex> lock(queueMu);
-    inFlight -= static_cast<unsigned>(batch.size());
-    for (const Pending &p : batch) {
-        inflightCostNs -= std::min(inflightCostNs, p.costNs);
-        inflightTokens.erase({p.conn->id, p.requestId});
-    }
+    --inFlight;
+    inflightCostNs -= std::min(inflightCostNs, pending.costNs);
+    inflightTokens.erase({pending.conn->id, pending.requestId});
     updateQueueGaugesLocked();
     if (queuedCount == 0 && inFlight == 0)
         idleCv.notify_all();
 }
 
-void
-ServeServer::executeSimulateBatch(std::vector<Pending> &batch)
+/**
+ * Validate the request, open (or materialize) its trace, and run its
+ * op into `reply`. A failed Status becomes the Error reply.
+ */
+Status
+ServeServer::runRequest(const ServeRequest &request, ServeReply *reply)
 {
-    static obs::Counter &batches = obs::counter("serve.batches");
-    batches.inc();
-
-    // Per-request validation first: an invalid member gets its error
-    // reply and drops out without sinking the whole batch.
-    std::vector<Pending *> live;
     const Workload *workload = nullptr;
-    for (Pending &p : batch) {
-        const Status st = validateRequest(p.request, &workload);
-        if (!st.ok()) {
-            sendError(p.conn, p.requestId, wireCodeFor(st), st.str(),
-                      p.traceId);
-            continue;
-        }
-        live.push_back(&p);
-    }
-    if (live.empty())
-        return;
-
-    // One token for the batch: members were only batched because none
-    // carries a deadline, so a multi-member token exists only to
-    // chain the server's hard stop (cancelling one member must not
-    // fail the others). A solo simulate runs under its *own* token —
-    // individually cancellable via Cancel — with its deadline armed
-    // absolute from admission, so queue wait already spent budget.
-    CancelToken batchToken(&stopToken);
-    CancelToken *token = &batchToken;
-    if (live.size() == 1) {
-        token = live[0]->cancel.get();
-        if (live[0]->deadlineNs != 0) {
-            const uint64_t now = nowNs();
-            if (now >= live[0]->deadlineNs)
-                token->requestCancel(CancelCause::Deadline);
-            else
-                token->setDeadlineAfterMs(
-                    (live[0]->deadlineNs - now + 999999ull) /
-                    1000000ull);
-        }
-    }
-    CancelScope scope(*token);
-
-    const ServeRequest &head = live[0]->request;
-    Status st;
+    Status st = validateRequest(request, &workload);
+    if (!st.ok())
+        return st;
     std::shared_ptr<TraceStoreReader> reader;
     {
         obs::Span span("serve.ensure_reader");
-        reader = ensureReader(*workload, head, &st);
+        reader = ensureReader(*workload, request, &st);
     }
-    if (reader == nullptr) {
-        for (Pending *p : live)
-            sendError(p->conn, p->requestId, wireCodeFor(st),
-                      st.str(), p->traceId);
-        return;
+    if (reader == nullptr)
+        return st;
+
+    const TraceCacheKey key = corpusKeyFor(*workload, request);
+    switch (request.type) {
+      case MessageType::Simulate:
+        return executeSimulate(request, key, *reader, reply);
+      case MessageType::BranchStats:
+        return executeBranchStats(request, key, *reader, reply);
+      case MessageType::H2p:
+        return executeH2p(request, key, *reader, reply);
+      case MessageType::Materialize:
+        reply->type = MessageType::MaterializeReply;
+        reply->digest = traceCacheDigest(key);
+        reply->records = reader->count();
+        reply->path = cache->entryPath(key);
+        return Status();
+      default:
+        // Unreachable: the io thread answers every other type.
+        return Status::invalidArgument(std::string("no handler for ") +
+                                       messageTypeName(request.type));
     }
+}
 
-    const uint64_t first = head.first;
-    const uint64_t count =
-        head.count == 0 ? reader->count() - first : head.count;
-
-    // One replay pass over the shared mmap'd store drives every
-    // member's predictor sim; each sim sees the identical stream a
-    // direct in-process run would deliver.
-    std::vector<std::unique_ptr<BranchPredictor>> predictors;
-    std::vector<std::unique_ptr<PredictorSim>> sims;
-    FanoutSink fanout;
-    for (Pending *p : live) {
-        predictors.push_back(makePredictor(p->request.predictor));
-        sims.push_back(std::make_unique<PredictorSim>(
-            *predictors.back(), /*collect_per_branch=*/false));
-        fanout.add(sims.back().get());
-    }
-
+/**
+ * Replay records [first, first + count) of the entry into `sink`,
+ * then end the sink. A CorruptData replay means the store changed
+ * under its open mapping (or a fault spec fired): the entry is
+ * quarantined and its reader dropped, so the next request regenerates
+ * it instead of replaying the damage again.
+ */
+Status
+ServeServer::replayTrace(const TraceCacheKey &key,
+                         const TraceStoreReader &reader, uint64_t first,
+                         uint64_t count, TraceSink &sink)
+{
+    Status st;
     {
         obs::Span span("serve.replay");
-        st = reader->replayRange(first, count, fanout);
+        st = reader.replayRange(first, count, sink);
     }
-    if (!st.ok()) {
-        if (st.code() == StatusCode::CorruptData) {
-            // The store changed under us (or a fault spec fired):
-            // quarantine the entry so the next request regenerates it,
-            // and make sure the stale mmap is dropped.
-            const WorkloadInput &input =
-                workload->inputs.at(head.inputIdx);
-            const TraceCacheKey key{workload->name, input.label,
-                                    input.seed, head.instructions};
-            cache->quarantine(key, st.str());
-            dropReader(traceCacheDigest(key));
-        }
-        for (Pending *p : live)
-            sendError(p->conn, p->requestId, wireCodeFor(st),
-                      st.str(), p->traceId);
-        return;
+    if (st.code() == StatusCode::CorruptData) {
+        cache->quarantine(key, st.str());
+        dropReader(traceCacheDigest(key));
     }
-    fanout.onEnd();   // flush sim deltas into the bp.* counters
-
-    obs::Span replySpan("serve.reply");
-    for (size_t i = 0; i < live.size(); ++i) {
-        ServeReply reply;
-        reply.type = MessageType::SimulateReply;
-        reply.traceId = live[i]->traceId;
-        reply.delivered = count;
-        reply.condExecs = sims[i]->condExecs();
-        reply.condMispreds = sims[i]->condMispreds();
-        reply.accuracyBits = doubleBits(sims[i]->accuracy());
-        sendReply(live[i]->conn, live[i]->requestId, reply);
-    }
+    if (st.ok())
+        sink.onEnd();   // replayRange never delivers the end
+    return st;
 }
 
-ServeReply
-ServeServer::executeBranchStats(const ServeRequest &request)
+Status
+ServeServer::executeSimulate(const ServeRequest &request,
+                             const TraceCacheKey &key,
+                             const TraceStoreReader &reader,
+                             ServeReply *reply)
 {
-    ServeReply reply;
-    reply.type = MessageType::BranchStatsReply;
+    // One per Simulate replay: perfbench's serve.requests_per_batch
+    // ledger entry reads it.
+    static obs::Counter &batches = obs::counter("serve.batches");
+    batches.inc();
 
-    const Workload *workload = nullptr;
-    Status st = validateRequest(request, &workload);
-    if (st.ok()) {
-        std::shared_ptr<TraceStoreReader> reader =
-            ensureReader(*workload, request, &st);
-        if (st.ok()) {
-            std::unique_ptr<BranchPredictor> predictor =
-                makePredictor(request.predictor);
-            PredictorSim sim(*predictor, /*collect_per_branch=*/true);
-            // The frontend rides the same replay pass so the target
-            // columns are computed from exactly the records the
-            // direction columns saw.
-            FrontendModel fe((FrontendConfig()));
-            FanoutSink fanout({&sim, &fe});
-            st = reader->replay(fanout, 0);
-            if (st.ok()) {
-                reply.delivered = sim.instructions();
-                reply.condExecs = sim.condExecs();
-                reply.condMispreds = sim.condMispreds();
-                for (const TargetClassRow &row : targetClassRows(fe))
-                    reply.targetClasses.push_back(
-                        {static_cast<uint8_t>(row.cls), row.execs,
-                         row.targetMispreds});
-                std::vector<BranchRow> rows;
-                rows.reserve(sim.perBranch().size());
-                for (const auto &[ip, c] : sim.perBranch())
-                    rows.push_back({ip, c.execs, c.mispreds, c.taken});
-                // Deterministic order: most-mispredicted first, IP
-                // ascending on ties (the H2P-ranking convention).
-                std::sort(rows.begin(), rows.end(),
-                          [](const BranchRow &a, const BranchRow &b) {
-                              if (a.mispreds != b.mispreds)
-                                  return a.mispreds > b.mispreds;
-                              return a.ip < b.ip;
-                          });
-                uint32_t keep = request.topK == 0 ? kMaxBranchRows
-                                                 : request.topK;
-                keep = std::min(keep, kMaxBranchRows);
-                if (rows.size() > keep)
-                    rows.resize(keep);
-                reply.branches = std::move(rows);
-            }
-        }
-    }
-    if (!st.ok()) {
-        reply.type = MessageType::Error;
-        reply.code = wireCodeFor(st);
-        reply.message = st.str();
-    }
-    return reply;
+    const uint64_t count = request.count == 0
+                               ? reader.count() - request.first
+                               : request.count;
+    std::unique_ptr<BranchPredictor> predictor =
+        makePredictor(request.predictor);
+    PredictorSim sim(*predictor, /*collect_per_branch=*/false);
+    const Status st = replayTrace(key, reader, request.first, count, sim);
+    if (!st.ok())
+        return st;
+    reply->type = MessageType::SimulateReply;
+    reply->delivered = count;
+    reply->condExecs = sim.condExecs();
+    reply->condMispreds = sim.condMispreds();
+    reply->accuracyBits = doubleBits(sim.accuracy());
+    return st;
 }
 
-ServeReply
-ServeServer::executeH2p(const ServeRequest &request)
+Status
+ServeServer::executeBranchStats(const ServeRequest &request,
+                                const TraceCacheKey &key,
+                                const TraceStoreReader &reader,
+                                ServeReply *reply)
 {
-    ServeReply reply;
-    reply.type = MessageType::H2pReply;
-
-    const Workload *workload = nullptr;
-    Status st = validateRequest(request, &workload);
-    if (st.ok()) {
-        std::shared_ptr<TraceStoreReader> reader =
-            ensureReader(*workload, request, &st);
-        if (st.ok()) {
-            const uint64_t sliceLen = request.sliceLength != 0
-                                          ? request.sliceLength
-                                          : request.instructions;
-            std::unique_ptr<BranchPredictor> predictor =
-                makePredictor(request.predictor);
-            SlicedBranchStats stats(*predictor, sliceLen);
-            st = reader->replay(stats, 0);
-            if (st.ok()) {
-                const H2pCriteria criteria =
-                    H2pCriteria{}.scaledTo(sliceLen);
-                const H2pSummary summary =
-                    summarizeH2ps(stats, criteria);
-                reply.h2pIps.assign(summary.allH2ps.begin(),
-                                    summary.allH2ps.end());
-                std::sort(reply.h2pIps.begin(), reply.h2pIps.end());
-                reply.slices = stats.slices().size();
-                reply.avgPerSliceBits =
-                    doubleBits(summary.avgPerSlice);
-                reply.avgMispredFractionBits =
-                    doubleBits(summary.avgMispredFraction);
-            }
-        }
-    }
-    if (!st.ok()) {
-        reply.type = MessageType::Error;
-        reply.code = wireCodeFor(st);
-        reply.message = st.str();
-    }
-    return reply;
+    std::unique_ptr<BranchPredictor> predictor =
+        makePredictor(request.predictor);
+    PredictorSim sim(*predictor, /*collect_per_branch=*/true);
+    // The frontend rides the same replay pass so the target columns
+    // are computed from exactly the records the direction columns saw.
+    FrontendModel fe((FrontendConfig()));
+    FanoutSink fanout({&sim, &fe});
+    const Status st = replayTrace(key, reader, 0, reader.count(), fanout);
+    if (!st.ok())
+        return st;
+    reply->type = MessageType::BranchStatsReply;
+    reply->delivered = sim.instructions();
+    reply->condExecs = sim.condExecs();
+    reply->condMispreds = sim.condMispreds();
+    for (const TargetClassRow &row : targetClassRows(fe))
+        reply->targetClasses.push_back({static_cast<uint8_t>(row.cls),
+                                        row.execs, row.targetMispreds});
+    std::vector<BranchRow> rows;
+    rows.reserve(sim.perBranch().size());
+    for (const auto &[ip, c] : sim.perBranch())
+        rows.push_back({ip, c.execs, c.mispreds, c.taken});
+    // Deterministic order: most-mispredicted first, IP ascending on
+    // ties (the H2P-ranking convention).
+    std::sort(rows.begin(), rows.end(),
+              [](const BranchRow &a, const BranchRow &b) {
+                  if (a.mispreds != b.mispreds)
+                      return a.mispreds > b.mispreds;
+                  return a.ip < b.ip;
+              });
+    const uint32_t keep = std::min(
+        request.topK == 0 ? kMaxBranchRows : request.topK,
+        kMaxBranchRows);
+    if (rows.size() > keep)
+        rows.resize(keep);
+    reply->branches = std::move(rows);
+    return st;
 }
 
-ServeReply
-ServeServer::executeMaterialize(const ServeRequest &request)
+Status
+ServeServer::executeH2p(const ServeRequest &request,
+                        const TraceCacheKey &key,
+                        const TraceStoreReader &reader, ServeReply *reply)
 {
-    ServeReply reply;
-    reply.type = MessageType::MaterializeReply;
-
-    const Workload *workload = nullptr;
-    Status st = validateRequest(request, &workload);
-    if (st.ok()) {
-        std::shared_ptr<TraceStoreReader> reader =
-            ensureReader(*workload, request, &st);
-        if (st.ok()) {
-            const WorkloadInput &input =
-                workload->inputs.at(request.inputIdx);
-            const TraceCacheKey key{workload->name, input.label,
-                                    input.seed, request.instructions};
-            reply.digest = traceCacheDigest(key);
-            reply.records = reader->count();
-            reply.path = cache->entryPath(key);
-        }
-    }
-    if (!st.ok()) {
-        reply.type = MessageType::Error;
-        reply.code = wireCodeFor(st);
-        reply.message = st.str();
-    }
-    return reply;
+    const uint64_t sliceLen = request.sliceLength != 0
+                                  ? request.sliceLength
+                                  : request.instructions;
+    std::unique_ptr<BranchPredictor> predictor =
+        makePredictor(request.predictor);
+    SlicedBranchStats stats(*predictor, sliceLen);
+    const Status st = replayTrace(key, reader, 0, reader.count(), stats);
+    if (!st.ok())
+        return st;
+    const H2pSummary summary =
+        summarizeH2ps(stats, H2pCriteria{}.scaledTo(sliceLen));
+    reply->type = MessageType::H2pReply;
+    reply->h2pIps.assign(summary.allH2ps.begin(), summary.allH2ps.end());
+    std::sort(reply->h2pIps.begin(), reply->h2pIps.end());
+    reply->slices = stats.slices().size();
+    reply->avgPerSliceBits = doubleBits(summary.avgPerSlice);
+    reply->avgMispredFractionBits =
+        doubleBits(summary.avgMispredFraction);
+    return st;
 }
 
 // --- shared helpers --------------------------------------------------
@@ -1823,9 +1662,7 @@ ServeServer::ensureReader(const Workload &workload,
         obs::counter("serve.generated_traces");
     static obs::Gauge &openReaders = obs::gauge("serve.open_readers");
 
-    const WorkloadInput &input = workload.inputs.at(request.inputIdx);
-    const TraceCacheKey key{workload.name, input.label, input.seed,
-                            request.instructions};
+    const TraceCacheKey key = corpusKeyFor(workload, request);
     const std::string digest = traceCacheDigest(key);
 
     {

@@ -30,14 +30,13 @@
  *    met are swept out with DEADLINE_EXCEEDED before consuming worker
  *    time (serve.expired), and a Cancel frame sheds or cancels its
  *    target (serve.cancels) — the hedge-loser reclamation path.
- *  - A fixed pool of worker threads pops requests. A worker that pops
- *    a Simulate request batches it with queued Simulate requests for
- *    the *same trace slice* (same workload/input/instructions/[a,b),
- *    no deadline): one replay pass over the shared mmap'd store drives
- *    all of their predictor sims through a fanout (serve.batch_size).
- *    The in-memory decoded-chunk LRU (tracestore/chunk_cache.hpp)
- *    sits below this, so even unbatchable requests on a hot trace skip
- *    the varint decode.
+ *  - A fixed pool of worker threads pops requests, one at a time:
+ *    deficit round robin alone decides which request runs next. Every
+ *    op shares one execute path (validate, open the reader, dispatch,
+ *    reply) and one replay helper, which quarantines an entry whose
+ *    replay hits damage. The in-memory decoded-chunk LRU
+ *    (tracestore/chunk_cache.hpp) lets repeat replays of a hot trace
+ *    skip the varint decode.
  *  - Each request runs under its own CancelToken carrying the
  *    client-supplied deadline, parented to the server's stop token —
  *    deliberately *not* to the process-global signal token, so a
@@ -83,7 +82,6 @@ struct ServeConfig
     std::string socketPath;    ///< UNIX-domain socket (required)
     unsigned workers = 4;      ///< fixed worker pool size
     size_t queueDepth = 64;    ///< bounded admission queue
-    unsigned maxBatch = 8;     ///< max Simulate requests per batch
     std::string traceCacheDir; ///< on-disk corpus (required)
 
     /**
@@ -170,12 +168,23 @@ class ServeServer
 
     // --- worker side ---
     void workerLoop();
-    std::vector<Pending> popBatch();
-    void execute(std::vector<Pending> batch);
-    void executeSimulateBatch(std::vector<Pending> &batch);
-    ServeReply executeBranchStats(const ServeRequest &request);
-    ServeReply executeH2p(const ServeRequest &request);
-    ServeReply executeMaterialize(const ServeRequest &request);
+    bool popRequest(Pending *out);
+    void execute(const Pending &pending);
+    Status runRequest(const ServeRequest &request, ServeReply *reply);
+    Status replayTrace(const TraceCacheKey &key,
+                       const TraceStoreReader &reader, uint64_t first,
+                       uint64_t count, TraceSink &sink);
+    Status executeSimulate(const ServeRequest &request,
+                           const TraceCacheKey &key,
+                           const TraceStoreReader &reader,
+                           ServeReply *reply);
+    Status executeBranchStats(const ServeRequest &request,
+                              const TraceCacheKey &key,
+                              const TraceStoreReader &reader,
+                              ServeReply *reply);
+    Status executeH2p(const ServeRequest &request,
+                      const TraceCacheKey &key,
+                      const TraceStoreReader &reader, ServeReply *reply);
 
     // --- shared helpers ---
     void sendReply(const std::shared_ptr<Conn> &conn,
@@ -239,8 +248,7 @@ class ServeServer
     unsigned inFlight = 0;                 ///< popped, not yet replied
 
     // In-flight cancel registry: (conn id, request id) -> the
-    // request's cancel token, registered at pop for solo requests
-    // (batch members cannot be cancelled individually).
+    // request's cancel token, registered at pop.
     std::map<std::pair<uint64_t, uint64_t>,
              std::shared_ptr<CancelToken>>
         inflightTokens;

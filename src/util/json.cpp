@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bpnsp {
@@ -13,6 +14,53 @@ const std::map<std::string, JsonValue> kEmptyObject;
 const JsonValue kNullValue;
 
 } // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (const char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+std::string
+jsonNumber(double v)
+{
+    if (!(v == v) || v > 1e308 || v < -1e308)   // NaN or +-inf
+        return "null";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    // %.9g may produce "1e+06"-style output, which is valid JSON.
+    return buf;
+}
 
 bool
 JsonValue::asBool(bool def) const

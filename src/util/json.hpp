@@ -1,9 +1,11 @@
 /**
  * @file
- * Minimal JSON document model and recursive-descent parser.
+ * Minimal JSON document model and recursive-descent parser, plus the
+ * one string and number writer.
  *
  * The repository renders all of its JSON by hand (run reports, campaign
- * results) but until now never had to *read* any back. The synth
+ * results) through jsonEscape()/jsonNumber() but until now never had
+ * to *read* any back. The synth
  * subsystem does: fitted workload profiles are versioned JSON documents
  * that `bpnsp_synth generate` and the synth workload resolver load from
  * disk. This parser covers the full JSON grammar (objects, arrays,
@@ -27,6 +29,15 @@
 #include "util/status.hpp"
 
 namespace bpnsp {
+
+/**
+ * Escape `s` for the inside of a JSON string: quote, backslash, \n,
+ * \r and \t get their short escapes, other control bytes \u00XX.
+ */
+std::string jsonEscape(const std::string &s);
+
+/** A double as a JSON number (%.9g); NaN and +-inf become null. */
+std::string jsonNumber(double v);
 
 /** One JSON value (object, array, string, number, bool, or null). */
 class JsonValue

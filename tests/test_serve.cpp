@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "analysis/h2p.hpp"
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
 #include "core/runner.hpp"
@@ -34,6 +37,7 @@
 #include "serve/server.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/chunk_cache.hpp"
+#include "tracestore/format.hpp"
 #include "tracestore/store.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
@@ -115,7 +119,7 @@ class ServeTest : public ::testing::Test
   protected:
     void
     startServer(unsigned workers = 2, size_t queue_depth = 32,
-                unsigned max_batch = 8, uint32_t slow_ms = 0)
+                uint32_t slow_ms = 0)
     {
         scratch = std::make_unique<ScratchDir>(
             ::testing::UnitTest::GetInstance()
@@ -125,7 +129,6 @@ class ServeTest : public ::testing::Test
         config.socketPath = scratch->file("s.sock");
         config.workers = workers;
         config.queueDepth = queue_depth;
-        config.maxBatch = max_batch;
         config.traceCacheDir = scratch->file("cache");
         config.slowMs = slow_ms;
         server = std::make_unique<ServeServer>(std::move(config));
@@ -145,7 +148,6 @@ class ServeTest : public ::testing::Test
         config.socketPath = scratch->file("s.sock");
         config.workers = workers;
         config.queueDepth = queue_depth;
-        config.maxBatch = 8;
         config.traceCacheDir = scratch->file("cache");
         config.maxInflightCostMs = max_inflight_cost_ms;
         server = std::make_unique<ServeServer>(std::move(config));
@@ -721,15 +723,13 @@ TEST_F(ServeTest, SimulateMatchesDirectRunBitForBit)
 
 TEST_F(ServeTest, ConcurrentClientsAllMatchDirectRuns)
 {
-    startServer(/*workers=*/3, /*queue_depth=*/64, /*max_batch=*/4);
+    startServer(/*workers=*/3, /*queue_depth=*/64);
     setTraceCacheDir(scratch->file("cache"));
     const DirectResult gshare = directRun("gshare");
     const DirectResult bimodal = directRun("bimodal");
 
     // N concurrent clients mixing two predictors over the same trace:
-    // the server batches same-slice requests into shared replay
-    // passes, and every reply must still be bit-identical to the
-    // direct run.
+    // every reply must be bit-identical to the direct run.
     constexpr unsigned kClients = 6;
     constexpr unsigned kRequestsEach = 3;
     std::atomic<unsigned> failures{0};
@@ -837,6 +837,78 @@ TEST_F(ServeTest, DamagedCorpusEntriesAreQuarantinedAndRegenerated)
         EXPECT_EQ(reply.accuracyBits, expect.accuracyBits);
     }
     EXPECT_EQ(counterValue("tracestore.cache.quarantined"), before + 2);
+}
+
+TEST_F(ServeTest, InPlaceDamageUnderAnOpenReaderIsQuarantined)
+{
+    // The fixture's chunk cache is off, so every replay re-reads and
+    // re-verifies the mapped bytes.
+    startServer();
+    ServeRequest stats;
+    stats.type = MessageType::BranchStats;
+    stats.workload = "mcf_like";
+    stats.instructions = kTraceLen;
+    stats.predictor = "gshare";
+    ServeRequest h2p = stats;
+    h2p.type = MessageType::H2p;
+    h2p.sliceLength = 30000;
+
+    const DirectResult direct = vmDirectRun("gshare", 0);
+    auto bp = makePredictor("gshare");
+    SlicedBranchStats sliced(*bp, h2p.sliceLength);
+    runTrace(findWorkload("mcf_like").build(0), {&sliced}, kTraceLen);
+    const H2pSummary summary =
+        summarizeH2ps(sliced, H2pCriteria{}.scaledTo(h2p.sliceLength));
+    std::vector<uint64_t> directIps(summary.allH2ps.begin(),
+                                    summary.allH2ps.end());
+    std::sort(directIps.begin(), directIps.end());
+
+    const std::string entry =
+        TraceCache(scratch->file("cache")).entryPath(corpusKey(0));
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    for (const ServeRequest &request : {stats, h2p}) {
+        SCOPED_TRACE(messageTypeName(request.type));
+        // Open the key; its reader stays mapped across the damage.
+        ServeReply reply;
+        ASSERT_TRUE(client.call(stats, &reply).ok());
+        ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+
+        // Flip one payload byte of the first chunk in place, not by
+        // rename, so the open mapping sees it.
+        {
+            std::fstream file(entry, std::ios::in | std::ios::out |
+                                         std::ios::binary);
+            const std::streamoff at = sizeof(StoreFileHeader) +
+                                      sizeof(StoreChunkHeader) + 7;
+            char byte = 0;
+            file.seekg(at);
+            ASSERT_TRUE(file.get(byte));
+            file.seekp(at);
+            file.put(static_cast<char>(byte ^ 0xff));
+            ASSERT_TRUE(file.flush());
+        }
+        const uint64_t before =
+            counterValue("tracestore.cache.quarantined");
+        ASSERT_TRUE(client.call(request, &reply).ok());
+        EXPECT_EQ(reply.code, WireCode::CorruptData) << reply.message;
+        EXPECT_EQ(counterValue("tracestore.cache.quarantined"),
+                  before + 1);
+
+        // The next request regenerates the entry from the VM.
+        ASSERT_TRUE(client.call(request, &reply).ok());
+        ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+        if (request.type == MessageType::BranchStats) {
+            EXPECT_EQ(reply.delivered, kTraceLen);
+            EXPECT_EQ(reply.condExecs, direct.condExecs);
+            EXPECT_EQ(reply.condMispreds, direct.condMispreds);
+        } else {
+            EXPECT_EQ(reply.slices, sliced.slices().size());
+            EXPECT_EQ(reply.h2pIps, directIps);
+            EXPECT_EQ(reply.avgPerSliceBits,
+                      doubleBits(summary.avgPerSlice));
+        }
+    }
 }
 
 TEST_F(ServeTest, UnreadableCorpusEntryIsLeftInPlace)
@@ -1406,8 +1478,7 @@ TEST_F(ServeTest, StatsIsAnsweredWhileDrainWaitsForInFlightWork)
 TEST_F(ServeTest, SlowRequestThresholdCountsCrossings)
 {
     // 1 ms threshold: a 120k-record simulate always crosses it.
-    startServer(/*workers=*/2, /*queue_depth=*/32, /*max_batch=*/8,
-                /*slow_ms=*/1);
+    startServer(/*workers=*/2, /*queue_depth=*/32, /*slow_ms=*/1);
     const uint64_t slowBefore = counterValue("serve.slow_requests");
 
     ServeClient client;
@@ -1441,12 +1512,10 @@ TEST_F(ServeTest, CancelShedsQueuedRequestBeforeExecution)
                     .ok());
     raw.send(frame);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    // A different trace, so the queued victim can never be pulled
-    // into a shared replay batch with id 1.
-    ServeRequest queued = simulateRequest("bimodal");
-    queued.workload = "xz_like";
     ASSERT_TRUE(encodeFrame(MessageType::Simulate, 2,
-                            encodeRequestPayload(queued), &frame)
+                            encodeRequestPayload(
+                                simulateRequest("bimodal")),
+                            &frame)
                     .ok());
     raw.send(frame);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -1502,6 +1571,68 @@ TEST_F(ServeTest, CancelShedsQueuedRequestBeforeExecution)
     EXPECT_EQ(notFound.cancelFound, 0u);
 }
 
+TEST_F(ServeTest, CancelReachesOneOfTwoIdenticalRequests)
+{
+    // One stalled worker: id 1 occupies it while ids 2 and 3, two
+    // identical whole-trace Simulates, queue behind it. Each runs on
+    // its own, so cancelling id 3 once id 1 answers must find it
+    // (queued or in flight) and leave id 2's result untouched — the
+    // hedge-loser path.
+    startServer(/*workers=*/1, /*queue_depth=*/8);
+    ASSERT_TRUE(faultsim::configure("serve.worker.stall").ok());
+
+    RawConn raw(socketPath());
+    ASSERT_TRUE(raw.ok());
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(encodeFrame(MessageType::Simulate, 1,
+                            encodeRequestPayload(
+                                simulateRequest("bimodal", 0, 1000)),
+                            &frame)
+                    .ok());
+    raw.send(frame);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    for (const uint64_t id : {2u, 3u}) {
+        ASSERT_TRUE(encodeFrame(MessageType::Simulate, id,
+                                encodeRequestPayload(
+                                    simulateRequest("gshare")),
+                                &frame)
+                        .ok());
+        raw.send(frame);
+    }
+
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(raw.recvFrame(&header, &payload));
+    ASSERT_EQ(header.requestId, 1u);
+    ServeRequest cancel;
+    cancel.type = MessageType::Cancel;
+    cancel.cancelTargetId = 3;
+    ASSERT_TRUE(encodeFrame(MessageType::Cancel, 4,
+                            encodeRequestPayload(cancel), &frame)
+                    .ok());
+    raw.send(frame);
+
+    std::map<uint64_t, ServeReply> replies;
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(raw.recvFrame(&header, &payload));
+        ServeReply reply;
+        ASSERT_TRUE(decodeReplyPayload(
+                        static_cast<MessageType>(header.type),
+                        payload.data(), payload.size(), &reply)
+                        .ok());
+        replies[header.requestId] = reply;
+    }
+    ASSERT_EQ(replies.size(), 3u);
+    EXPECT_EQ(replies[4].type, MessageType::CancelReply);
+    EXPECT_EQ(replies[4].cancelFound, 1u);
+    EXPECT_EQ(replies[3].code, WireCode::Cancelled) << replies[3].message;
+    ASSERT_EQ(replies[2].code, WireCode::Ok) << replies[2].message;
+    const DirectResult expect = vmDirectRun("gshare", 0);
+    EXPECT_EQ(replies[2].condExecs, expect.condExecs);
+    EXPECT_EQ(replies[2].condMispreds, expect.condMispreds);
+    EXPECT_EQ(replies[2].accuracyBits, expect.accuracyBits);
+}
+
 TEST_F(ServeTest, CostBudgetAdmissionShedsWithRetryAfterHint)
 {
     // A 1 ms inflight-work budget cannot fit a cold 120k-record
@@ -1551,6 +1682,10 @@ TEST_F(ServeTest, CostBudgetAdmitsAReadWhenNoReadIsQueued)
                                 encodeRequestPayload(request), &frame)
                         .ok());
         raw.send(frame);
+        // Let the worker pop the Simulate and stall (>= 25 ms) before
+        // the reads arrive; a read queued beside it would pop first.
+        if (id == 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
 
     std::map<uint64_t, ServeReply> replies;
@@ -1593,7 +1728,6 @@ TEST_F(ServeTest, DeadlineSweepExpiresQueuedRequestBeforeWorkerTime)
     raw.send(frame);
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
     ServeRequest doomed = simulateRequest("bimodal");
-    doomed.workload = "xz_like";   // never batched with id 1
     doomed.deadlineMs = 1;
     ASSERT_TRUE(encodeFrame(MessageType::Simulate, 2,
                             encodeRequestPayload(doomed), &frame)

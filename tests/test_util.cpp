@@ -24,6 +24,7 @@
 #include "workloads/suite.hpp"
 #include "util/folded_history.hpp"
 #include "util/histogram.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -437,6 +438,30 @@ TEST(Stats, Percentile)
     EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
     EXPECT_DOUBLE_EQ(percentile(v, 100), 5.0);
     EXPECT_DOUBLE_EQ(percentile(v, 50), 3.0);
+}
+
+// -------------------------------------------------------- json writer
+
+TEST(JsonWriter, EscapesAndNumbers)
+{
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+    EXPECT_EQ(jsonEscape(std::string("a\x01" "b")), "a\\u0001b");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+
+    EXPECT_EQ(jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(jsonNumber(INFINITY), "null");
+    EXPECT_EQ(jsonNumber(-INFINITY), "null");
+    EXPECT_EQ(jsonNumber(0.5), "0.5");
+    EXPECT_EQ(jsonNumber(1e6), "1000000");
+
+    // The escaped text parses back to the original string.
+    JsonValue doc;
+    const std::string raw = "q\" b\\ n\n c\x01";
+    ASSERT_TRUE(JsonValue::parse("\"" + jsonEscape(raw) + "\"", &doc)
+                    .ok());
+    EXPECT_EQ(doc.asString(), raw);
 }
 
 // --------------------------------------------------------- histogram
