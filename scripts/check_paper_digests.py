@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the stdout of the IPC paper benches against committed digests.
+"""Check the stdout of every paper bench against committed digests.
 
 Usage: check_paper_digests.py BUILD_DIR [--update]
 

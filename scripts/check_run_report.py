@@ -33,10 +33,12 @@ revs 7 to 9 only, the fleet-supervision counters
 (serve.fleet.{worker_deaths,respawns,breaker_trips}) with their
 invariant: respawns never exceed worker deaths, since a respawn only
 ever answers a death (rev 10 dropped them with the multi-process
-fleet), and — from schema_rev 8 — the overload counters
-(serve.{shed,expired,hedges,hedge_wins}) with their invariants:
-hedge_wins never exceeds hedges, and shed + accepted never exceeds
-requests (a shed request is never also handed to a worker), and —
+fleet), and — from schema_rev 8 — the overload counters (serve.{shed,expired}) with
+their invariant: shed + accepted never exceeds requests (a shed
+request is never also handed to a worker), plus, for revs 8 to 10
+only, the client-hedging counters (serve.{hedges,hedge_wins}) with
+their invariant: hedge_wins never exceeds hedges (rev 11 dropped them
+with client-side hedging), and —
 from schema_rev 9 — the frontend counters (frontend.btb_miss,
 frontend.ras_over, frontend.ind_mispred, frontend.ftq_stall_cycles); the
 optional "snapshots" time-series
@@ -125,11 +127,16 @@ REQUIRED_COUNTERS_FLEET = (
     "serve.fleet.breaker_trips",
 )
 # Added in schema_rev 8: the overload contract. Every report proves
-# how the run behaved past saturation — fair-share sheds, deadline
-# expiries swept before execution, and hedged requests.
+# how the run behaved past saturation — fair-share sheds and deadline
+# expiries swept before execution.
 REQUIRED_COUNTERS_REV8 = (
     "serve.shed",
     "serve.expired",
+)
+# Required in schema_rev 8 to 10 only: the client-hedging counters.
+# Rev 11 dropped these keys with client-side hedging; older reports
+# must still carry them.
+REQUIRED_COUNTERS_HEDGE = (
     "serve.hedges",
     "serve.hedge_wins",
 )
@@ -143,7 +150,7 @@ REQUIRED_COUNTERS_REV9 = (
     "frontend.ind_mispred",
     "frontend.ftq_stall_cycles",
 )
-MAX_KNOWN_SCHEMA_REV = 10
+MAX_KNOWN_SCHEMA_REV = 11
 
 
 def check(path):
@@ -204,6 +211,8 @@ def check(path):
         required = required + REQUIRED_COUNTERS_FLEET
     if rev >= 8:
         required = required + REQUIRED_COUNTERS_REV8
+    if 8 <= rev <= 10:
+        required = required + REQUIRED_COUNTERS_HEDGE
     if rev >= 9:
         required = required + REQUIRED_COUNTERS_REV9
     for name in required:
@@ -298,15 +307,18 @@ def check(path):
                 f"{counters['serve.fleet.worker_deaths']}"
             )
 
-    if rev >= 8:
-        # Overload bookkeeping: a hedge win is one of the hedges, and
-        # a shed request was rejected, never also handed to a worker.
+    if 8 <= rev <= 10:
+        # Hedge bookkeeping: a hedge win is one of the hedges.
         if counters["serve.hedge_wins"] > counters["serve.hedges"]:
             raise ValueError(
                 f"hedge accounting broken: hedge_wins = "
                 f"{counters['serve.hedge_wins']} > hedges = "
                 f"{counters['serve.hedges']}"
             )
+
+    if rev >= 8:
+        # Overload bookkeeping: a shed request was rejected, never
+        # also handed to a worker.
         if counters["serve.shed"] + counters["serve.accepted"] > counters[
             "serve.requests"
         ]:

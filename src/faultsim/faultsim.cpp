@@ -36,7 +36,6 @@ struct Point
 std::mutex gMutex;
 std::map<std::string, Point> gPoints;
 std::string gSpec;
-bool gConfigured = false;   // a spec was installed (even an empty one)
 
 /** Strict non-negative integer parse; false on junk or empty. */
 bool
@@ -142,33 +141,8 @@ installLocked(const std::string &spec, uint64_t seed,
     // other points interleave.
     for (auto &[name, point] : gPoints)
         point.rng = Rng::stream(seed, name);
-    gConfigured = true;
     detail::gActive.store(!gPoints.empty(),
                           std::memory_order_relaxed);
-}
-
-/**
- * First-evaluation fallback: a binary that never called configure()
- * still honors BPNSP_FAULTS, so ctest/CI can inject faults into
- * unmodified binaries.
- */
-void
-ensureConfiguredLocked()
-{
-    if (gConfigured)
-        return;
-    gConfigured = true;
-    const char *env = std::getenv("BPNSP_FAULTS");
-    if (env == nullptr || env[0] == '\0')
-        return;
-    uint64_t seed = kDefaultSeed;
-    std::map<std::string, Point> points;
-    const Status st = parseSpec(env, &seed, &points);
-    if (!st.ok()) {
-        warn("ignoring malformed BPNSP_FAULTS: ", st.str());
-        return;
-    }
-    installLocked(env, seed, std::move(points));
 }
 
 } // namespace
@@ -181,7 +155,6 @@ evaluateSlow(const char *point)
     static obs::Counter &injected = obs::counter("faultsim.injected");
 
     std::lock_guard<std::mutex> lock(gMutex);
-    ensureConfiguredLocked();
     const auto it = gPoints.find(point);
     if (it == gPoints.end())
         return false;
@@ -223,14 +196,7 @@ configure(const std::string &spec)
 void
 configureFromOptions(const OptionParser &opts)
 {
-    std::string spec = opts.getString("faults");
-    if (spec.empty()) {
-        if (const char *env = std::getenv("BPNSP_FAULTS");
-            env != nullptr) {
-            spec = env;
-        }
-    }
-    const Status st = configure(spec);
+    const Status st = configure(opts.getString("faults"));
     if (!st.ok())
         fatal("--faults: ", st.str());
     obs::Registry::instance().setRunField("faults", activeSpec());

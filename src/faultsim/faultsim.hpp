@@ -8,10 +8,9 @@
  * relaxed atomic load, so instrumented hot paths stay benchmark-clean;
  * with a spec active, each named point fires according to its clause.
  *
- * Activation is explicit (`--faults=SPEC` on every OptionParser
- * binary, wired through faultsim::configureFromOptions) or ambient
- * (the BPNSP_FAULTS environment variable, so ctest and CI soak jobs
- * can inject faults into unmodified binaries).
+ * Activation is always explicit: `--faults=SPEC` on every
+ * OptionParser binary (wired through faultsim::configureFromOptions),
+ * or faultsim::configure() from a test.
  *
  * Spec grammar (comma-separated clauses):
  *
@@ -121,8 +120,8 @@ Status configure(const std::string &spec);
 
 /**
  * Wire the standard --faults option (pre-registered by every
- * OptionParser) and the BPNSP_FAULTS fallback; fatal() on a malformed
- * spec, since a typo'd campaign should not silently run fault-free.
+ * OptionParser); fatal() on a malformed spec, since a typo'd campaign
+ * should not silently run fault-free.
  * Also stamps the active spec into the obs run manifest ("faults").
  */
 void configureFromOptions(const OptionParser &opts);

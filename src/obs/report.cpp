@@ -224,15 +224,12 @@ renderRunReport()
           // calls gave up after the retry budget.
           "serve.client.retries", "serve.client.gave_up",
           // Overload counters (schema_rev 8): every report proves how
-          // the run behaved past saturation — fair-share sheds,
-          // deadline expiries swept before execution, and hedged
-          // requests (wins = the duplicate answered first).
-          // Invariants checked downstream: serve.hedge_wins never
-          // exceeds serve.hedges, and serve.shed + serve.accepted
-          // never exceeds serve.requests (a shed request is never
-          // also handed to a worker).
-          "serve.shed", "serve.expired", "serve.hedges",
-          "serve.hedge_wins",
+          // the run behaved past saturation — fair-share sheds and
+          // deadline expiries swept before execution. Invariant
+          // checked downstream: serve.shed + serve.accepted never
+          // exceeds serve.requests (a shed request is never also
+          // handed to a worker).
+          "serve.shed", "serve.expired",
           // Frontend counters (schema_rev 9): every report proves what
           // the fetch engine cost — BTB misses, RAS overflows,
           // indirect-target mispredicts, and the FTQ-unabsorbed stall
@@ -254,12 +251,14 @@ renderRunReport()
     // contract above (btb_miss / ras_over / ind_mispred /
     // ftq_stall_cycles). Rev 10 drops rev 7's three fleet-supervision
     // keys (worker deaths, respawns, breaker trips) with the
-    // multi-process fleet they counted. Nothing is ever renamed, so
-    // v1 consumers keep parsing and rev-aware consumers know which
-    // keys are guaranteed present at each rev.
+    // multi-process fleet they counted. Rev 11 drops rev 8's
+    // serve.hedges / serve.hedge_wins with the client hedging they
+    // counted. Nothing is ever renamed, so v1 consumers keep parsing
+    // and rev-aware consumers know which keys are guaranteed present
+    // at each rev.
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-run-report-v1\",\n"
-        << "  \"schema_rev\": 10,\n  \"run\": {\n";
+        << "  \"schema_rev\": 11,\n  \"run\": {\n";
     for (const auto &[key, value] : reg.runFields())
         oss << "    " << quoted(key) << ": " << quoted(value) << ",\n";
     oss << "    \"git\": " << quoted(gitDescribe()) << ",\n"

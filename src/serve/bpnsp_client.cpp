@@ -11,9 +11,9 @@
  * verification) and prints its aggregate tally.
  *
  * --retries=N arms the client-side retry policy (serve/client.hpp):
- * idempotent requests that fail retryably — BUSY, admission
- * rejection, a dropped connection — are retried up to N
- * extra times with jittered exponential backoff. This is how a client
+ * requests that fail retryably — BUSY, admission rejection, a dropped
+ * connection — are retried up to N extra times with jittered
+ * exponential backoff. This is how a client
  * rides out overload shedding or a daemon restart without scripting a
  * loop.
  *
@@ -86,7 +86,6 @@ runOne(const OptionParser &opts, const std::string &op)
         return 1;
     }
     client.setRetryPolicy(retryPolicyFromOptions(opts));
-    client.setHedgeMs(static_cast<uint64_t>(opts.getInt("hedge-ms")));
 
     ServeRequest request;
     request.workload = opts.getString("workload");
@@ -371,7 +370,6 @@ runLoad(const OptionParser &opts)
     cfg.interactiveFraction = opts.getDouble("interactive-frac");
     cfg.deadlineMs =
         static_cast<uint32_t>(opts.getInt("deadline-ms"));
-    cfg.hedgeMs = static_cast<uint64_t>(opts.getInt("hedge-ms"));
 
     const LoadGenResult result = runLoadGen(cfg);
     std::printf(
@@ -393,18 +391,16 @@ runLoad(const OptionParser &opts)
         result.firstTryFraction(), result.elapsedSeconds,
         result.requestsPerSecond(), result.p50Ms, result.p99Ms);
     // Machine-parsable overload line (one key=value row the soak
-    // script greps): per-class tails plus the shed/expire/hedge story.
+    // script greps): per-class tails plus the shed/expire story.
     std::printf(
         "loadgen-overload: interactive_p50_ms=%.3f "
         "interactive_p99_ms=%.3f interactive_ok=%llu batch_p50_ms=%.3f "
-        "batch_p99_ms=%.3f expired=%llu hedges=%llu hedge_wins=%llu "
+        "batch_p99_ms=%.3f expired=%llu "
         "rejected=%llu ok=%llu mismatches=%llu\n",
         result.interactiveP50Ms, result.interactiveP99Ms,
         static_cast<unsigned long long>(result.interactiveOk),
         result.batchP50Ms, result.batchP99Ms,
         static_cast<unsigned long long>(result.expired),
-        static_cast<unsigned long long>(result.hedges),
-        static_cast<unsigned long long>(result.hedgeWins),
         static_cast<unsigned long long>(result.rejected),
         static_cast<unsigned long long>(result.ok),
         static_cast<unsigned long long>(result.mismatches));
@@ -445,9 +441,6 @@ main(int argc, char **argv)
     opts.addInt("watch-ms", 1000, "stats: --watch poll period");
     opts.addFlag("raw", "stats: print the JSON document verbatim");
     opts.addInt("deadline-ms", 0, "per-request deadline (0 = none)");
-    opts.addInt("hedge-ms", 0,
-                "hedge idempotent requests on a second connection "
-                "after N ms / the observed p95 (0 = off)");
     opts.addInt("clients", 4, "loadgen: concurrent clients");
     opts.addInt("requests", 32, "loadgen: requests per client");
     opts.addDouble("open-loop-hz", 0.0,
@@ -461,8 +454,8 @@ main(int argc, char **argv)
                    "loadgen: P(vanish before reading the reply)");
     opts.addInt("seed", 1, "loadgen: randomization seed");
     opts.addInt("retries", 0,
-                "extra attempts for retryable failures of idempotent "
-                "requests (0 = single-shot)");
+                "extra attempts for retryable failures "
+                "(0 = single-shot)");
     opts.addInt("retry-base-ms", 10, "first retry's backoff scale");
     opts.addInt("retry-cap-ms", 1000, "retry backoff cap");
     opts.addFlag("verify",

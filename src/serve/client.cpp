@@ -8,7 +8,6 @@
 #include <cstring>
 #include <thread>
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -17,35 +16,10 @@
 #include "bp/sim.hpp"
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "workloads/suite.hpp"
 
 namespace bpnsp::serve {
-
-bool
-isIdempotentRequest(MessageType type)
-{
-    switch (type) {
-      case MessageType::Ping:
-      case MessageType::Simulate:
-      case MessageType::BranchStats:
-      case MessageType::H2p:
-      case MessageType::Stats:
-        // Pure reads: re-sending can never double-apply anything.
-        return true;
-      case MessageType::Materialize:
-        // Content-addressed: generating the same trace twice publishes
-        // the same digest to the same path.
-        return true;
-      case MessageType::Cancel:
-        // Best-effort by contract: cancelling an already-finished (or
-        // already-cancelled) request is a no-op with cancelFound = 0.
-        return true;
-      default:
-        return false;
-    }
-}
 
 bool
 isRetryableCode(WireCode code)
@@ -80,9 +54,27 @@ ServeClient::connectUnix(const std::string &socket_path)
 {
     close();
     endpointPath = socket_path;
-    Status st;
-    fd = openEndpointFd(&st);
-    return st;
+    struct sockaddr_un addr;
+    if (socket_path.size() >= sizeof(addr.sun_path))
+        return Status::invalidArgument("socket path too long: " +
+                                       socket_path);
+    const int nfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (nfd < 0)
+        return Status::ioError(std::string("socket(): ") +
+                               std::strerror(errno));
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::connect(nfd, reinterpret_cast<struct sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        const Status st = Status::ioError("connect(" + socket_path +
+                                          "): " + std::strerror(errno));
+        ::close(nfd);
+        return st;
+    }
+    fd = nfd;
+    return Status();
 }
 
 Status
@@ -103,9 +95,8 @@ ServeClient::setRetryPolicy(const RetryPolicy &p)
 }
 
 Status
-ServeClient::sendFrameFd(int dst_fd, MessageType type,
-                         uint64_t request_id,
-                         const std::vector<uint8_t> &payload)
+ServeClient::sendFrame(MessageType type, uint64_t request_id,
+                       const std::vector<uint8_t> &payload)
 {
     std::vector<uint8_t> frame;
     const Status st = encodeFrame(type, request_id, payload, &frame);
@@ -113,22 +104,14 @@ ServeClient::sendFrameFd(int dst_fd, MessageType type,
         return st;
     // Shared EINTR-audited write loop (protocol.hpp): partial sends
     // resume, signals restart, bytes are never dropped or recounted.
-    return writeAllFd(dst_fd, frame.data(), frame.size());
+    return writeAllFd(fd, frame.data(), frame.size());
 }
 
 Status
-ServeClient::sendFrame(MessageType type, uint64_t request_id,
-                       const std::vector<uint8_t> &payload)
-{
-    return sendFrameFd(fd, type, request_id, payload);
-}
-
-Status
-ServeClient::recvReplyFd(int src_fd, uint64_t expect_id,
-                         ServeReply *reply)
+ServeClient::recvReply(uint64_t expect_id, ServeReply *reply)
 {
     uint8_t headerBytes[kFrameHeaderBytes];
-    Status st = readExactFd(src_fd, headerBytes, sizeof(headerBytes));
+    Status st = readExactFd(fd, headerBytes, sizeof(headerBytes));
     if (!st.ok())
         return st;
     FrameHeader header;
@@ -137,7 +120,7 @@ ServeClient::recvReplyFd(int src_fd, uint64_t expect_id,
         return st;
     std::vector<uint8_t> payload(header.payloadLen);
     if (header.payloadLen > 0) {
-        st = readExactFd(src_fd, payload.data(), payload.size());
+        st = readExactFd(fd, payload.data(), payload.size());
         if (!st.ok())
             return st;
     }
@@ -150,75 +133,6 @@ ServeClient::recvReplyFd(int src_fd, uint64_t expect_id,
             " does not match request id " + std::to_string(expect_id));
     return decodeReplyPayload(static_cast<MessageType>(header.type),
                               payload.data(), payload.size(), reply);
-}
-
-Status
-ServeClient::recvReply(uint64_t expect_id, ServeReply *reply)
-{
-    return recvReplyFd(fd, expect_id, reply);
-}
-
-int
-ServeClient::openEndpointFd(Status *status)
-{
-    struct sockaddr_un addr;
-    if (endpointPath.empty()) {
-        *status = Status::invalidArgument("client was never connected");
-        return -1;
-    }
-    if (endpointPath.size() >= sizeof(addr.sun_path)) {
-        *status = Status::invalidArgument("socket path too long: " +
-                                          endpointPath);
-        return -1;
-    }
-    const int nfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (nfd < 0) {
-        *status = Status::ioError(std::string("socket(): ") +
-                                  std::strerror(errno));
-        return -1;
-    }
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, endpointPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(nfd, reinterpret_cast<struct sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        *status = Status::ioError("connect(" + endpointPath +
-                                  "): " + std::strerror(errno));
-        ::close(nfd);
-        return -1;
-    }
-    *status = Status();
-    return nfd;
-}
-
-uint64_t
-ServeClient::hedgeDelayMs() const
-{
-    // Until the reservoir has a meaningful sample the configured floor
-    // stands in for the p95; afterwards the larger of the two governs,
-    // so hedging stays rare (~5% of calls) by construction.
-    if (recentMs.size() < 20)
-        return hedgeMs;
-    std::vector<double> sorted(recentMs);
-    std::sort(sorted.begin(), sorted.end());
-    const size_t idx =
-        static_cast<size_t>(0.95 * static_cast<double>(sorted.size() - 1));
-    const double p95 = sorted[idx];
-    return std::max<uint64_t>(
-        hedgeMs, static_cast<uint64_t>(std::ceil(p95)));
-}
-
-void
-ServeClient::recordLatencyMs(double ms)
-{
-    constexpr size_t kReservoir = 64;
-    if (recentMs.size() < kReservoir) {
-        recentMs.push_back(ms);
-        return;
-    }
-    recentMs[recentNext] = ms;
-    recentNext = (recentNext + 1) % kReservoir;
 }
 
 Status
@@ -242,178 +156,6 @@ ServeClient::callOnce(const ServeRequest &request, ServeReply *reply)
         reply->code = reply->code == WireCode::Ok ? WireCode::Internal
                                                   : reply->code;
     return st;
-}
-
-Status
-ServeClient::callHedged(const ServeRequest &request, ServeReply *reply)
-{
-    static obs::Counter &hedgesCounter = obs::counter("serve.hedges");
-    static obs::Counter &hedgeWinsCounter =
-        obs::counter("serve.hedge_wins");
-
-    if (fd < 0)
-        return Status::invalidArgument("client is not connected");
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const uint64_t primaryId = nextRequestId++;
-    Status st = sendFrameFd(fd, request.type, primaryId,
-                            encodeRequestPayload(request));
-    if (!st.ok()) {
-        close();   // a half-sent frame desynchronizes the stream
-        return st;
-    }
-
-    const auto finish = [&](Status result) {
-        if (result.ok() && reply->type == MessageType::Error)
-            reply->code = reply->code == WireCode::Ok
-                              ? WireCode::Internal
-                              : reply->code;
-        return result;
-    };
-
-    // Give the primary its hedge-delay budget before spending a second
-    // connection on it.
-    const uint64_t delayMs = hedgeDelayMs();
-    struct pollfd one = {fd, POLLIN, 0};
-    int rc;
-    do {
-        rc = ::poll(&one, 1,
-                    static_cast<int>(std::min<uint64_t>(delayMs,
-                                                        3600 * 1000)));
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-        close();
-        return Status::ioError(std::string("poll(): ") +
-                               std::strerror(errno));
-    }
-    if (rc > 0) {
-        st = recvReplyFd(fd, primaryId, reply);
-        if (!st.ok()) {
-            close();
-            return st;
-        }
-        // Only un-hedged completions feed the p95 estimate: hedged
-        // ones are right-censored at the delay and would drag the
-        // estimate down into a hedge-everything feedback loop.
-        recordLatencyMs(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
-        return finish(st);
-    }
-
-    // The primary is past its p95 — issue the hedge on a fresh
-    // connection. If the second connection cannot even be opened or
-    // written, fall back to blocking on the primary: hedging is an
-    // optimization, never a new failure mode.
-    Status hedgeSt;
-    const int hedgeFd = openEndpointFd(&hedgeSt);
-    uint64_t hedgeId = 0;
-    bool hedged = false;
-    if (hedgeFd >= 0) {
-        hedgeId = nextRequestId++;
-        hedgeSt = sendFrameFd(hedgeFd, request.type, hedgeId,
-                              encodeRequestPayload(request));
-        hedged = hedgeSt.ok();
-        if (!hedged)
-            ::close(hedgeFd);
-    }
-    if (!hedged) {
-        st = recvReplyFd(fd, primaryId, reply);
-        if (!st.ok())
-            close();
-        return finish(st);
-    }
-    hedgesCounter.inc();
-    ++hedgesTally;
-    const uint64_t hedgeSentNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-
-    // Race the two legs; the first readable connection that yields a
-    // well-formed reply wins. A leg whose stream breaks is closed and
-    // the other leg becomes the only hope.
-    bool primaryAlive = true;
-    bool hedgeAlive = true;
-    bool hedgeWon = false;
-    for (;;) {
-        struct pollfd legs[2];
-        nfds_t n = 0;
-        if (primaryAlive)
-            legs[n++] = {fd, POLLIN, 0};
-        if (hedgeAlive)
-            legs[n++] = {hedgeFd, POLLIN, 0};
-        do {
-            rc = ::poll(legs, n, -1);
-        } while (rc < 0 && errno == EINTR);
-        if (rc < 0) {
-            st = Status::ioError(std::string("poll(): ") +
-                                 std::strerror(errno));
-            break;
-        }
-        const bool tryPrimary =
-            primaryAlive && legs[0].fd == fd && legs[0].revents != 0;
-        const bool readHedge = !tryPrimary;
-        st = recvReplyFd(readHedge ? hedgeFd : fd,
-                         readHedge ? hedgeId : primaryId, reply);
-        const bool otherAlive = readHedge ? primaryAlive : hedgeAlive;
-        if (st.ok() && !(isRetryableCode(reply->code) && otherAlive)) {
-            hedgeWon = readHedge;
-            break;
-        }
-        // A broken stream, or a leg the server turned away (shed,
-        // draining) while the other leg may still be working on it:
-        // drop this leg and keep waiting on the other.
-        if (readHedge) {
-            ::close(hedgeFd);
-            hedgeAlive = false;
-        } else {
-            close();
-            primaryAlive = false;
-        }
-        if (!primaryAlive && !hedgeAlive)
-            break;   // both streams broke; report the last Status
-    }
-    if (!primaryAlive && !hedgeAlive)
-        return st;
-    if (!st.ok()) {
-        // poll() itself failed: tear down whatever is still open.
-        if (hedgeAlive)
-            ::close(hedgeFd);
-        close();
-        return st;
-    }
-
-    // Tell the loser's server to stop working on the duplicate before
-    // closing its connection — the whole point of the Cancel message.
-    if (hedgeWon) {
-        hedgeWinsCounter.inc();
-        ++hedgeWinsTally;
-        if (primaryAlive) {
-            ServeRequest cancel;
-            cancel.type = MessageType::Cancel;
-            cancel.cancelTargetId = primaryId;
-            sendFrameFd(fd, MessageType::Cancel, nextRequestId++,
-                        encodeRequestPayload(cancel));
-            close();
-        }
-        fd = hedgeFd;   // adopt the winning connection
-    } else if (hedgeAlive) {
-        ServeRequest cancel;
-        cancel.type = MessageType::Cancel;
-        cancel.cancelTargetId = hedgeId;
-        sendFrameFd(hedgeFd, MessageType::Cancel, nextRequestId++,
-                    encodeRequestPayload(cancel));
-        ::close(hedgeFd);
-    }
-    const uint64_t winNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    obs::emitSpan(hedgeWon ? "serve.client.hedge_win"
-                           : "serve.client.hedge_lose",
-                  reply->traceId, hedgeSentNs, winNs - hedgeSentNs);
-    return finish(st);
 }
 
 namespace {
@@ -445,13 +187,12 @@ ServeClient::call(const ServeRequest &request, ServeReply *reply)
         if (fd < 0 && !endpointPath.empty())
             st = reconnect();   // a restarted server = a fresh socket
         if (st.ok())
-            st = hedgeMs != 0 && isIdempotentRequest(request.type)
-                     ? callHedged(request, reply)
-                     : callOnce(request, reply);
+            st = callOnce(request, reply);
 
-        // Classify the outcome. A transport failure is retryable for
-        // idempotent requests: the reply (if any) was never seen, and
-        // re-sending a pure read cannot double-apply anything.
+        // Classify the outcome. A transport failure is retryable: the
+        // reply (if any) was never seen, and every request type is a
+        // pure read or a content-addressed materialization, so
+        // re-sending cannot double-apply anything.
         uint32_t hintMs = 0;
         bool retryable = false;
         if (!st.ok()) {
@@ -463,10 +204,8 @@ ServeClient::call(const ServeRequest &request, ServeReply *reply)
             return st;   // success, or a non-retryable app error
         }
 
-        if (!retryable || !isIdempotentRequest(request.type) ||
-            attempt >= policy.maxAttempts) {
-            if (retryable && policy.maxAttempts > 1 &&
-                isIdempotentRequest(request.type)) {
+        if (!retryable || attempt >= policy.maxAttempts) {
+            if (retryable && policy.maxAttempts > 1) {
                 gaveUpCounter.inc();
                 ++gaveUpTally;
                 // Break the give-up down by terminal code so a soak
@@ -566,8 +305,6 @@ struct ClientTally
     uint64_t retries = 0;
     uint64_t gaveUp = 0;
     uint64_t expired = 0;
-    uint64_t hedges = 0;
-    uint64_t hedgeWins = 0;
     std::vector<double> latenciesMs;
     std::vector<double> interactiveMs;   ///< BranchStats Ok replies
     std::vector<double> batchMs;         ///< everything else Ok
@@ -607,7 +344,6 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
     RetryPolicy retry = cfg.retry;
     retry.seed = cfg.retry.seed + index;   // decorrelate the jitter
     client.setRetryPolicy(retry);
-    client.setHedgeMs(cfg.hedgeMs);
 
     const auto loopStart = std::chrono::steady_clock::now();
     for (unsigned i = 0; i < cfg.requestsPerClient; ++i) {
@@ -715,8 +451,6 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
         }
     }
     tally.gaveUp = client.gaveUpObserved();
-    tally.hedges = client.hedgesObserved();
-    tally.hedgeWins = client.hedgeWinsObserved();
     return tally;
 }
 
@@ -774,8 +508,6 @@ runLoadGen(const LoadGenConfig &cfg)
         result.retries += t.retries;
         result.gaveUp += t.gaveUp;
         result.expired += t.expired;
-        result.hedges += t.hedges;
-        result.hedgeWins += t.hedgeWins;
         all.insert(all.end(), t.latenciesMs.begin(),
                    t.latenciesMs.end());
         interactiveAll.insert(interactiveAll.end(),

@@ -12,29 +12,19 @@
  *
  * Retry contract: a RetryPolicy makes call() retry — with bounded,
  * jittered exponential backoff — when the failure is *retryable*
- * (BUSY, RESOURCE_EXHAUSTED admission rejection, or a
- * transport error on a request the client never saw answered) AND
- * the request type is idempotent. Every request this repo serves is
- * a pure read or a content-addressed materialization, so all request
- * types qualify — but the gate is structural (isIdempotentRequest),
- * so a future mutating type is excluded by default, not by vigilance.
- * The server's retry-after hint (reply.retryAfterMs) is a floor on
- * the backoff. serve.client.retries / serve.client.gave_up count what
- * the policy did; each give-up also bumps serve.client.gave_up.<code>
- * with the terminal wire code, so a soak can tell shed from corrupt
- * from timeout.
+ * (BUSY, RESOURCE_EXHAUSTED admission rejection, or a transport error
+ * on a request the client never saw answered). Every request type is
+ * a pure read or a content-addressed materialization, so re-sending
+ * one can never double-apply anything. The server's retry-after hint
+ * (reply.retryAfterMs) is a floor on the backoff. serve.client.retries
+ * / serve.client.gave_up count what the policy did; each give-up also
+ * bumps serve.client.gave_up.<code> with the terminal wire code, so a
+ * soak can tell shed from corrupt from timeout.
  *
- * Hedge contract (tail tolerance): with setHedgeMs(ms != 0), an
- * idempotent call that has not been answered after the observed p95
- * latency (floored by `ms`; `ms` alone until enough samples exist)
- * is re-sent on a *second* connection. The first reply wins, except a
- * retryable rejection (BUSY, RESOURCE_EXHAUSTED) while the other leg
- * is still open: that leg is dropped and the call waits on the other.
- * The loser's connection gets a Cancel frame for its request id — so
- * the server can shed or cancel the duplicate before it costs more
- * worker time — and is closed. serve.hedges / serve.hedge_wins count
- * the decisions; both replies are bit-identical when they do race to
- * completion, because every hedged op is a pure read.
+ * There is no hedging: a call is one request on one connection,
+ * re-sent only by the RetryPolicy. A second copy sent to the same
+ * daemon joins the same admission queue, so it adds load without
+ * adding a replica that could answer sooner.
  */
 
 #ifndef BPNSP_SERVE_CLIENT_HPP
@@ -48,14 +38,6 @@
 #include "util/status.hpp"
 
 namespace bpnsp::serve {
-
-/**
- * True for request types a client may safely re-send when it cannot
- * know whether the server executed the first attempt: pure reads and
- * content-addressed idempotent writes. The retry policy refuses to
- * retry anything else.
- */
-bool isIdempotentRequest(MessageType type);
 
 /** True for the reply codes that mean "retry later, it may clear". */
 bool isRetryableCode(WireCode code);
@@ -110,18 +92,9 @@ class ServeClient
     uint64_t gaveUpObserved() const { return gaveUpTally; }
 
     /**
-     * Hedged-request policy: 0 (default) disables hedging; non-zero
-     * arms it for idempotent calls, as the floor (and cold-start
-     * value) of the observed-p95 hedge delay.
-     */
-    void setHedgeMs(uint64_t ms) { hedgeMs = ms; }
-    uint64_t hedgesObserved() const { return hedgesTally; }
-    uint64_t hedgeWinsObserved() const { return hedgeWinsTally; }
-
-    /**
      * Send `request` and block for the reply, retrying per the policy
-     * when the request is idempotent and the failure retryable
-     * (reconnecting first if the transport dropped). Protocol-level
+     * when the failure is retryable (reconnecting first if the
+     * transport dropped). Protocol-level
      * failures (connection loss, malformed reply, id mismatch) come
      * back as a Status; application-level failures arrive as an Ok
      * Status with reply->code != WireCode::Ok.
@@ -148,17 +121,9 @@ class ServeClient
 
   private:
     Status callOnce(const ServeRequest &request, ServeReply *reply);
-    Status callHedged(const ServeRequest &request, ServeReply *reply);
     Status sendFrame(MessageType type, uint64_t request_id,
                      const std::vector<uint8_t> &payload);
     Status recvReply(uint64_t expect_id, ServeReply *reply);
-    Status sendFrameFd(int dst_fd, MessageType type, uint64_t request_id,
-                       const std::vector<uint8_t> &payload);
-    Status recvReplyFd(int src_fd, uint64_t expect_id,
-                       ServeReply *reply);
-    int openEndpointFd(Status *status);
-    uint64_t hedgeDelayMs() const;
-    void recordLatencyMs(double ms);
 
     int fd = -1;
     uint64_t nextRequestId = 1;
@@ -167,15 +132,6 @@ class ServeClient
     uint64_t jitterState = 0;   ///< lazily seeded from policy.seed
     uint64_t retriesTally = 0;
     uint64_t gaveUpTally = 0;
-
-    uint64_t hedgeMs = 0;        ///< 0 = hedging off
-    uint64_t hedgesTally = 0;
-    uint64_t hedgeWinsTally = 0;
-
-    // Sliding reservoir of recent reply latencies; once it has enough
-    // samples the hedge delay tracks its p95 instead of the floor.
-    std::vector<double> recentMs;
-    size_t recentNext = 0;
 
     // Remembered socket path for reconnect() (empty = never connected).
     std::string endpointPath;
@@ -210,9 +166,6 @@ struct LoadGenConfig
 
     /** Per-request deadline stamped on the wire (0 = none). */
     uint32_t deadlineMs = 0;
-
-    /** Client hedging floor in ms (0 = off); see setHedgeMs(). */
-    uint64_t hedgeMs = 0;
 };
 
 /** What the closed loop observed. */
@@ -229,8 +182,6 @@ struct LoadGenResult
     uint64_t retries = 0;    ///< total extra attempts
     uint64_t gaveUp = 0;     ///< retry budget exhausted, still failing
     uint64_t expired = 0;    ///< DEADLINE_EXCEEDED replies
-    uint64_t hedges = 0;     ///< hedge requests issued
-    uint64_t hedgeWins = 0;  ///< hedges that beat the primary
     uint64_t interactiveOk = 0; ///< Ok interactive (BranchStats) replies
     double elapsedSeconds = 0.0;
     double p50Ms = 0.0;      ///< exact percentiles over all replies

@@ -44,10 +44,6 @@ messageTypeName(MessageType type)
         return "stats";
       case MessageType::StatsReply:
         return "stats-reply";
-      case MessageType::Cancel:
-        return "cancel";
-      case MessageType::CancelReply:
-        return "cancel-reply";
     }
     return "unknown";
 }
@@ -62,7 +58,6 @@ isRequestType(MessageType type)
       case MessageType::H2p:
       case MessageType::Materialize:
       case MessageType::Stats:
-      case MessageType::Cancel:
         return true;
       default:
         return false;
@@ -440,9 +435,6 @@ encodeRequestPayload(const ServeRequest &request)
         w.u64(request.instructions);
         w.u32(request.deadlineMs);
         break;
-      case MessageType::Cancel:
-        w.u64(request.cancelTargetId);
-        break;
       default:
         break;
     }
@@ -484,9 +476,6 @@ decodeRequestPayload(MessageType type, const uint8_t *payload,
         r.u32(&req.inputIdx);
         r.u64(&req.instructions);
         r.u32(&req.deadlineMs);
-        break;
-      case MessageType::Cancel:
-        r.u64(&req.cancelTargetId);
         break;
       default:
         return Status::invalidArgument(
@@ -554,9 +543,6 @@ encodeReplyPayload(const ServeReply &reply)
         break;
       case MessageType::StatsReply:
         w.str(reply.statsJson);
-        break;
-      case MessageType::CancelReply:
-        w.u8(reply.cancelFound);
         break;
       default:   // Error: the common prefix only
         break;
@@ -643,9 +629,6 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
         break;
       case MessageType::StatsReply:
         r.str(&reply.statsJson);
-        break;
-      case MessageType::CancelReply:
-        r.u8(&reply.cancelFound);
         break;
       case MessageType::Error:
         break;

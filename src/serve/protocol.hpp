@@ -89,9 +89,6 @@ enum class MessageType : uint16_t
     Error = 11,   ///< generic failure reply (any request type)
     Stats = 12,   ///< live metric-registry snapshot (io-thread fast path)
     StatsReply = 13,
-    Cancel = 16,  ///< best-effort cancel of an earlier request on the
-                  ///< same connection (hedge-loser reclamation)
-    CancelReply = 17,
 };
 
 /** Stable name of a message type ("simulate", ...). */
@@ -141,14 +138,6 @@ struct ServeRequest
     uint64_t sliceLength = 0;  ///< BranchStats / H2p slicing (0 = whole)
     uint32_t topK = 0;         ///< BranchStats: rows returned (0 = all)
     uint32_t deadlineMs = 0;   ///< per-request deadline (0 = none)
-
-    /**
-     * Cancel: the request id (on this same connection) to cancel.
-     * Cancellation is best-effort — a queued target is shed with
-     * CANCELLED before touching a worker, an in-flight target has its
-     * cancel token fired, an already-answered target is a no-op.
-     */
-    uint64_t cancelTargetId = 0;
 };
 
 /** One per-static-branch row of a BranchStats reply. */
@@ -221,11 +210,6 @@ struct ServeReply
 
     // StatsReply: a bpnsp-stats-v1 JSON document (obs/report.hpp)
     std::string statsJson;
-
-    // CancelReply: 1 when the target request was found (queued or
-    // in-flight) and cancellation was initiated, 0 when it had
-    // already completed (or was never seen).
-    uint8_t cancelFound = 0;
 };
 
 /** Bit-cast helpers for the double-as-u64 reply fields. */

@@ -98,18 +98,11 @@ serveExpired()
     return c;
 }
 
-obs::Counter &
-serveCancels()
-{
-    static obs::Counter &c = obs::counter("serve.cancels");
-    return c;
-}
-
 /**
- * Cost-model op classes. Ping/Stats/Cancel answer on the io thread
- * and never reach the scheduler, so only the four queued types need a
- * slot; anything unexpected shares the materialize slot (it is the
- * most conservative prior).
+ * Cost-model op classes. Ping/Stats answer on the io thread and never
+ * reach the scheduler, so only the four queued types need a slot;
+ * anything unexpected shares the materialize slot (it is the most
+ * conservative prior).
  */
 unsigned
 costClassFor(MessageType type)
@@ -242,7 +235,6 @@ setNonBlocking(int fd)
 struct ServeServer::Conn
 {
     int fd = -1;
-    uint64_t id = 0;
     uint64_t peer = 0;            ///< fair-share identity (see admit)
     std::vector<uint8_t> inbuf;   ///< unparsed bytes, frame-aligned
     std::mutex writeMu;           ///< serializes reply frames
@@ -265,7 +257,6 @@ struct ServeServer::Pending
     uint64_t costUnits = 1;   ///< work units behind the estimate
     bool costWarm = true;     ///< reader was open (EWMA-grade sample)
     uint64_t deadlineNs = 0;  ///< absolute expiry (0 = none)
-    std::shared_ptr<CancelToken> cancel;   ///< chained to stopToken
 };
 
 /** One client's slice of the admission queue (keyed by peer). */
@@ -533,7 +524,6 @@ ServeServer::acceptOne()
     setNonBlocking(fd);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    conn->id = nextConnId++;
     // Fair-share identity: the peer *process* (SO_PEERCRED pid on
     // UNIX-domain sockets), so one client opening many connections is
     // still one client to the scheduler. A peer without credentials
@@ -545,7 +535,7 @@ ServeServer::acceptOne()
         cred.pid > 0)
         conn->peer = static_cast<uint64_t>(cred.pid);
     else
-        conn->peer = conn->id;
+        conn->peer = nextConnId++;
     conns.push_back(std::move(conn));
     connections.inc();
 }
@@ -673,17 +663,6 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
                 std::to_string(cfg.workers) +
                 " queue=" + std::to_string(cfg.queueDepth);
             sendReply(conn, header.requestId, reply);
-            serveCompleted().inc();
-            continue;
-        }
-
-        if (type == MessageType::Cancel) {
-            // Cancel answers from the io thread: its whole purpose is
-            // to reclaim capacity (hedge losers), so it must not wait
-            // behind the very queue it is pruning.
-            serveRequests().inc();
-            serveAccepted().inc();
-            handleCancel(conn, header, request);
             serveCompleted().inc();
             continue;
         }
@@ -890,7 +869,6 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
     p.traceId = traceId;
     p.peer = conn->peer;
     p.interactive = isInteractiveQueued(p.request.type);
-    p.cancel = std::make_shared<CancelToken>(&stopToken);
     estimateCost(&p);
     if (p.request.deadlineMs != 0)
         p.deadlineNs =
@@ -981,72 +959,6 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
         return;
     }
     queueCv.notify_one();
-}
-
-/**
- * Best-effort cancellation of an earlier request on this connection.
- * Queued target: shed before it costs a worker anything, CANCELLED
- * reply to the original id. In-flight target: its token fires and
- * the handler unwinds at its next poll. Already-answered ids report
- * cancelFound = 0.
- */
-void
-ServeServer::handleCancel(const std::shared_ptr<Conn> &conn,
-                          const FrameHeader &header,
-                          const ServeRequest &request)
-{
-    bool haveQueued = false;
-    bool found = false;
-    Pending victim;
-    {
-        std::lock_guard<std::mutex> lock(queueMu);
-        for (PeerQueue &pq : peerQueues) {
-            for (std::deque<Pending> *dq :
-                 {&pq.interactive, &pq.batch}) {
-                for (auto it = dq->begin(); it != dq->end(); ++it) {
-                    if (it->conn->id == conn->id &&
-                        it->requestId == request.cancelTargetId) {
-                        victim = std::move(*it);
-                        dq->erase(it);
-                        removeQueuedLocked(victim);
-                        updateQueueGaugesLocked();
-                        haveQueued = true;
-                        found = true;
-                        break;
-                    }
-                }
-                if (haveQueued)
-                    break;
-            }
-            if (haveQueued)
-                break;
-        }
-        if (!haveQueued) {
-            auto it = inflightTokens.find(
-                {conn->id, request.cancelTargetId});
-            if (it != inflightTokens.end()) {
-                it->second->requestCancel(CancelCause::User);
-                found = true;
-            }
-        }
-        if (haveQueued && queuedCount == 0 && inFlight == 0)
-            idleCv.notify_all();
-    }
-
-    if (haveQueued) {
-        serveRejected().inc();
-        sendError(victim.conn, victim.requestId, WireCode::Cancelled,
-                  "cancelled by the client before execution",
-                  victim.traceId);
-    }
-    if (found)
-        serveCancels().inc();
-
-    ServeReply reply;
-    reply.type = MessageType::CancelReply;
-    reply.traceId = allocTraceId();
-    reply.cancelFound = found ? 1 : 0;
-    sendReply(conn, header.requestId, reply);
 }
 
 // --- workers ---------------------------------------------------------
@@ -1166,10 +1078,9 @@ ServeServer::popNextLocked(Pending *out)
 
 /**
  * Block until the fair-share scheduler hands this worker a request
- * (true) or the server quits (false). The popped request's token is
- * registered, so a Cancel can reach it while it runs. Expired
- * requests found while popping are answered DEADLINE_EXCEEDED here,
- * before any worker time is spent on them.
+ * (true) or the server quits (false). Expired requests found while
+ * popping are answered DEADLINE_EXCEEDED here, before any worker time
+ * is spent on them.
  */
 bool
 ServeServer::popRequest(Pending *out)
@@ -1195,12 +1106,10 @@ ServeServer::popRequest(Pending *out)
             if (popped) {
                 ++inFlight;
                 inflightCostNs += out->costNs;
-                inflightTokens[{out->conn->id, out->requestId}] =
-                    out->cancel;
                 // serve.accepted counts requests handed to a worker:
-                // queued work that is later shed, swept, or cancelled
-                // was never accepted, keeping shed + accepted <=
-                // requests additive.
+                // queued work that is later shed or swept was never
+                // accepted, keeping shed + accepted <= requests
+                // additive.
                 serveAccepted().inc();
             }
             updateQueueGaugesLocked();
@@ -1265,11 +1174,11 @@ ServeServer::execute(const Pending &pending)
     {
         obs::ScopedTraceId traceScope(pending.traceId);
         obs::Span span("serve.execute");
-        // The request's own token (registered in inflightTokens at
-        // pop) makes it cancellable; the deadline is *absolute* from
-        // admission, so queue wait already spent the budget — the
-        // deadline-propagation contract at this hop.
-        CancelToken &token = *pending.cancel;
+        // The request's own token, chained to stopToken so stop()
+        // cuts it; the deadline is *absolute* from admission, so queue
+        // wait already spent the budget — the deadline-propagation
+        // contract at this hop.
+        CancelToken token(&stopToken);
         if (pending.deadlineNs != 0) {
             const uint64_t now = nowNs();
             if (now >= pending.deadlineNs)
@@ -1315,7 +1224,6 @@ ServeServer::execute(const Pending &pending)
     std::lock_guard<std::mutex> lock(queueMu);
     --inFlight;
     inflightCostNs -= std::min(inflightCostNs, pending.costNs);
-    inflightTokens.erase({pending.conn->id, pending.requestId});
     updateQueueGaugesLocked();
     if (queuedCount == 0 && inFlight == 0)
         idleCv.notify_all();

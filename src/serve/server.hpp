@@ -26,10 +26,9 @@
  *    RESOURCE_EXHAUSTED with a retry-after hint (serve.rejected,
  *    serve.shed). An interactive read with no other read queued runs
  *    next, so only the count bound can refuse it. Backpressure stays
- *    explicit and memory bounded under any offered load. Requests whose deadline can no longer be
- *    met are swept out with DEADLINE_EXCEEDED before consuming worker
- *    time (serve.expired), and a Cancel frame sheds or cancels its
- *    target (serve.cancels) — the hedge-loser reclamation path.
+ *    explicit and memory bounded under any offered load. Requests
+ *    whose deadline can no longer be met are swept out with
+ *    DEADLINE_EXCEEDED before consuming worker time (serve.expired).
  *  - A fixed pool of worker threads pops requests, one at a time:
  *    deficit round robin alone decides which request runs next. Every
  *    op shares one execute path (validate, open the reader, dispatch,
@@ -150,9 +149,6 @@ class ServeServer
     void parseFrames(const std::shared_ptr<Conn> &conn);
     void admit(const std::shared_ptr<Conn> &conn,
                const FrameHeader &header, ServeRequest request);
-    void handleCancel(const std::shared_ptr<Conn> &conn,
-                      const FrameHeader &header,
-                      const ServeRequest &request);
 
     // --- admission scheduler (queueMu held unless noted) ---
     void estimateCost(Pending *pending);
@@ -246,12 +242,6 @@ class ServeServer
     size_t rrInteractive = 0;              ///< round-robin cursors
     size_t rrBatch = 0;
     unsigned inFlight = 0;                 ///< popped, not yet replied
-
-    // In-flight cancel registry: (conn id, request id) -> the
-    // request's cancel token, registered at pop.
-    std::map<std::pair<uint64_t, uint64_t>,
-             std::shared_ptr<CancelToken>>
-        inflightTokens;
 
     // Online cost model: per-op-class EWMA of observed execute ns per
     // work unit (x16 fixed point), seeded with priors and refined

@@ -114,33 +114,6 @@ class VectorSink : public TraceSink
     std::vector<TraceRecord> records;
 };
 
-/** Forwards at most `limit` records downstream, then drops. */
-class LimitSink : public TraceSink
-{
-  public:
-    LimitSink(uint64_t limit, TraceSink &downstream)
-        : remaining(limit), next(downstream)
-    {}
-
-    void
-    onRecord(const TraceRecord &rec) override
-    {
-        if (remaining == 0)
-            return;
-        --remaining;
-        next.onRecord(rec);
-    }
-
-    void onEnd() override { next.onEnd(); }
-
-    /** True once the limit has been reached. */
-    bool exhausted() const { return remaining == 0; }
-
-  private:
-    uint64_t remaining;
-    TraceSink &next;
-};
-
 } // namespace bpnsp
 
 #endif // BPNSP_TRACE_SINK_HPP

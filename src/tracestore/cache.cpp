@@ -204,11 +204,6 @@ TraceCache::quarantine(const TraceCacheKey &key,
 {
     static obs::Counter &quarantined =
         obs::counter("tracestore.cache.quarantined");
-    // Legacy name kept so existing dashboards and the report contract
-    // keep seeing corrupt-entry events under the counter they already
-    // watch.
-    static obs::Counter &corrupt =
-        obs::counter("tracestore.cache.corrupt_evictions");
 
     const std::string base = root + "/" + traceCacheDigest(key);
     const std::string entry = entryPath(key);
@@ -249,7 +244,6 @@ TraceCache::quarantine(const TraceCacheKey &key,
              "); regenerating from live execution");
     }
     quarantined.inc();
-    corrupt.inc();
 }
 
 } // namespace bpnsp

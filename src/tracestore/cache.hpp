@@ -113,8 +113,7 @@ class TraceCache
      * evidence survives for postmortems while the key regenerates.
      * Keeps at most kQuarantineSlots quarantined copies per key
      * (oldest evicted beyond that). Loud: warn()s with the reason and
-     * bumps tracestore.cache.quarantined (plus the legacy
-     * tracestore.cache.corrupt_evictions), so silent trace-store
+     * bumps tracestore.cache.quarantined, so silent trace-store
      * corruption shows up in run reports instead of hiding behind
      * transparent regeneration.
      */

@@ -21,7 +21,7 @@ OptionParser::OptionParser(std::string description)
             "print an instr/sec heartbeat to stderr during trace "
             "delivery (silence with BPNSP_LOG_LEVEL=warn)");
     addString("faults", "",
-              "deterministic fault-injection spec (also BPNSP_FAULTS), "
+              "deterministic fault-injection spec, "
               "e.g. seed=7,tracestore.read.bitflip@0.01*2; see "
               "DESIGN.md \"Robustness\"");
     addString("trace-out", "",

@@ -873,10 +873,11 @@ TEST(ObsReport, SnapshotsSectionOnlyWhenSamplerRan)
     {
         JsonParser parser(obs::renderRunReport());
         const JsonValue doc = parser.parse();
-        EXPECT_DOUBLE_EQ(doc.at("schema_rev").number, 10.0);
+        EXPECT_DOUBLE_EQ(doc.at("schema_rev").number, 11.0);
         EXPECT_FALSE(doc.has("snapshots"));
         // The rev-6/7/8 contract counters are present even untouched;
-        // rev 10 dropped the fleet-supervision counters.
+        // rev 10 dropped the fleet-supervision counters and rev 11 the
+        // client-hedging counters.
         const JsonValue &counters = doc.at("counters");
         EXPECT_TRUE(counters.has("obs.spans_recorded"));
         EXPECT_TRUE(counters.has("obs.spans_dropped"));
@@ -887,8 +888,8 @@ TEST(ObsReport, SnapshotsSectionOnlyWhenSamplerRan)
         EXPECT_TRUE(counters.has("serve.client.gave_up"));
         EXPECT_TRUE(counters.has("serve.shed"));
         EXPECT_TRUE(counters.has("serve.expired"));
-        EXPECT_TRUE(counters.has("serve.hedges"));
-        EXPECT_TRUE(counters.has("serve.hedge_wins"));
+        EXPECT_FALSE(counters.has("serve.hedges"));
+        EXPECT_FALSE(counters.has("serve.hedge_wins"));
     }
 
     obs::counter("test.obs.report_snap").add(9);

@@ -328,10 +328,6 @@ sampleRequests()
     mat.instructions = 77777;
     mat.deadlineMs = 9;
     out.push_back(mat);
-    ServeRequest cancel;
-    cancel.type = MessageType::Cancel;
-    cancel.cancelTargetId = 0xABCDEF0123456789ull;
-    out.push_back(cancel);
     return out;
 }
 
@@ -388,7 +384,6 @@ sampleReplies()
         r.path = "/corpus/0123abcd.bpt";
     }
     base(MessageType::StatsReply).statsJson = "{\"counters\": {}}";
-    base(MessageType::CancelReply).cancelFound = 1;
     {
         ServeReply &r = base(MessageType::Error);
         r.code = WireCode::ResourceExhausted;
@@ -411,7 +406,6 @@ expectSameRequest(const ServeRequest &want, const ServeRequest &got)
     EXPECT_EQ(got.sliceLength, want.sliceLength);
     EXPECT_EQ(got.topK, want.topK);
     EXPECT_EQ(got.deadlineMs, want.deadlineMs);
-    EXPECT_EQ(got.cancelTargetId, want.cancelTargetId);
 }
 
 /** Field-by-field equality of two replies. */
@@ -452,7 +446,6 @@ expectSameReply(const ServeReply &want, const ServeReply &got)
     EXPECT_EQ(got.path, want.path);
     EXPECT_EQ(got.serverInfo, want.serverInfo);
     EXPECT_EQ(got.statsJson, want.statsJson);
-    EXPECT_EQ(got.cancelFound, want.cancelFound);
 }
 
 // --- protocol round trips --------------------------------------------
@@ -1158,6 +1151,33 @@ TEST_F(ServeTest, V1FrameOnTheWireGetsInvalidArgumentAndClose)
     EXPECT_TRUE(raw.closedByPeer());
 }
 
+TEST_F(ServeTest, RetiredType16FrameGetsInvalidArgumentAndClose)
+{
+    // Type 16 once carried a u64 target request id. A well-framed
+    // frame of that shape (valid magic, version, length and checksum)
+    // is now refused like any unknown type, never parsed as a request.
+    startServer();
+    RawConn raw(socketPath());
+    ASSERT_TRUE(raw.ok());
+    const std::vector<uint8_t> targetId(8, 0x01);
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(encodeFrame(static_cast<MessageType>(16), 7, targetId,
+                            &frame)
+                    .ok());
+    raw.send(frame);
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(raw.recvFrame(&header, &payload));
+    EXPECT_EQ(header.requestId, 7u);
+    ASSERT_EQ(static_cast<MessageType>(header.type), MessageType::Error);
+    ServeReply reply;
+    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
+                                   payload.size(), &reply)
+                    .ok());
+    EXPECT_EQ(reply.code, WireCode::InvalidArgument) << reply.message;
+    EXPECT_TRUE(raw.closedByPeer());
+}
+
 TEST_F(ServeTest, CorruptChecksumOnWireGetsCorruptDataAndClose)
 {
     startServer();
@@ -1491,147 +1511,7 @@ TEST_F(ServeTest, SlowRequestThresholdCountsCrossings)
     EXPECT_GT(counterValue("serve.slow_requests"), slowBefore);
 }
 
-// --- overload: admission budget, cancel, deadline sweep --------------
-
-TEST_F(ServeTest, CancelShedsQueuedRequestBeforeExecution)
-{
-    // One stalled worker: id 1 occupies it, id 2 waits in the queue.
-    // Cancelling id 2 must answer CANCELLED from the io thread before
-    // the request ever costs a worker anything.
-    startServer(/*workers=*/1, /*queue_depth=*/8);
-    ASSERT_TRUE(faultsim::configure("serve.worker.stall").ok());
-    const uint64_t cancelsBefore = counterValue("serve.cancels");
-
-    RawConn raw(socketPath());
-    ASSERT_TRUE(raw.ok());
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(MessageType::Simulate, 1,
-                            encodeRequestPayload(
-                                simulateRequest("gshare")),
-                            &frame)
-                    .ok());
-    raw.send(frame);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ASSERT_TRUE(encodeFrame(MessageType::Simulate, 2,
-                            encodeRequestPayload(
-                                simulateRequest("bimodal")),
-                            &frame)
-                    .ok());
-    raw.send(frame);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
-    ServeRequest cancel;
-    cancel.type = MessageType::Cancel;
-    cancel.cancelTargetId = 2;
-    ASSERT_TRUE(encodeFrame(MessageType::Cancel, 3,
-                            encodeRequestPayload(cancel), &frame)
-                    .ok());
-    raw.send(frame);
-
-    // The victim's CANCELLED error, then the CancelReply — both while
-    // the lone worker is still stalled on id 1.
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    EXPECT_EQ(header.requestId, 2u);
-    ASSERT_EQ(static_cast<MessageType>(header.type),
-              MessageType::Error);
-    ServeReply victim;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
-                                   payload.size(), &victim)
-                    .ok());
-    EXPECT_EQ(victim.code, WireCode::Cancelled);
-
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    EXPECT_EQ(header.requestId, 3u);
-    ASSERT_EQ(static_cast<MessageType>(header.type),
-              MessageType::CancelReply);
-    ServeReply ack;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::CancelReply,
-                                   payload.data(), payload.size(),
-                                   &ack)
-                    .ok());
-    EXPECT_EQ(ack.cancelFound, 1u);
-    EXPECT_GT(counterValue("serve.cancels"), cancelsBefore);
-
-    // An id that was never issued reports not-found.
-    cancel.cancelTargetId = 999;
-    ASSERT_TRUE(encodeFrame(MessageType::Cancel, 4,
-                            encodeRequestPayload(cancel), &frame)
-                    .ok());
-    raw.send(frame);
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    ASSERT_EQ(static_cast<MessageType>(header.type),
-              MessageType::CancelReply);
-    ServeReply notFound;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::CancelReply,
-                                   payload.data(), payload.size(),
-                                   &notFound)
-                    .ok());
-    EXPECT_EQ(notFound.cancelFound, 0u);
-}
-
-TEST_F(ServeTest, CancelReachesOneOfTwoIdenticalRequests)
-{
-    // One stalled worker: id 1 occupies it while ids 2 and 3, two
-    // identical whole-trace Simulates, queue behind it. Each runs on
-    // its own, so cancelling id 3 once id 1 answers must find it
-    // (queued or in flight) and leave id 2's result untouched — the
-    // hedge-loser path.
-    startServer(/*workers=*/1, /*queue_depth=*/8);
-    ASSERT_TRUE(faultsim::configure("serve.worker.stall").ok());
-
-    RawConn raw(socketPath());
-    ASSERT_TRUE(raw.ok());
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(MessageType::Simulate, 1,
-                            encodeRequestPayload(
-                                simulateRequest("bimodal", 0, 1000)),
-                            &frame)
-                    .ok());
-    raw.send(frame);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    for (const uint64_t id : {2u, 3u}) {
-        ASSERT_TRUE(encodeFrame(MessageType::Simulate, id,
-                                encodeRequestPayload(
-                                    simulateRequest("gshare")),
-                                &frame)
-                        .ok());
-        raw.send(frame);
-    }
-
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    ASSERT_EQ(header.requestId, 1u);
-    ServeRequest cancel;
-    cancel.type = MessageType::Cancel;
-    cancel.cancelTargetId = 3;
-    ASSERT_TRUE(encodeFrame(MessageType::Cancel, 4,
-                            encodeRequestPayload(cancel), &frame)
-                    .ok());
-    raw.send(frame);
-
-    std::map<uint64_t, ServeReply> replies;
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(raw.recvFrame(&header, &payload));
-        ServeReply reply;
-        ASSERT_TRUE(decodeReplyPayload(
-                        static_cast<MessageType>(header.type),
-                        payload.data(), payload.size(), &reply)
-                        .ok());
-        replies[header.requestId] = reply;
-    }
-    ASSERT_EQ(replies.size(), 3u);
-    EXPECT_EQ(replies[4].type, MessageType::CancelReply);
-    EXPECT_EQ(replies[4].cancelFound, 1u);
-    EXPECT_EQ(replies[3].code, WireCode::Cancelled) << replies[3].message;
-    ASSERT_EQ(replies[2].code, WireCode::Ok) << replies[2].message;
-    const DirectResult expect = vmDirectRun("gshare", 0);
-    EXPECT_EQ(replies[2].condExecs, expect.condExecs);
-    EXPECT_EQ(replies[2].condMispreds, expect.condMispreds);
-    EXPECT_EQ(replies[2].accuracyBits, expect.accuracyBits);
-}
+// --- overload: admission budget, deadline sweep ----------------------
 
 TEST_F(ServeTest, CostBudgetAdmissionShedsWithRetryAfterHint)
 {
@@ -1755,34 +1635,6 @@ TEST_F(ServeTest, DeadlineSweepExpiresQueuedRequestBeforeWorkerTime)
 
 // --- retry policy, EINTR hardening ----------------------------------
 
-TEST(ServeProtocol, CancelRequestAndReplyRoundTrip)
-{
-    ServeRequest request;
-    request.type = MessageType::Cancel;
-    request.cancelTargetId = 0xABCDEF0123456789ull;
-    const std::vector<uint8_t> payload = encodeRequestPayload(request);
-    ServeRequest out;
-    ASSERT_TRUE(decodeRequestPayload(MessageType::Cancel,
-                                     payload.data(), payload.size(),
-                                     &out)
-                    .ok());
-    EXPECT_EQ(out.cancelTargetId, request.cancelTargetId);
-    EXPECT_TRUE(isRequestType(MessageType::Cancel));
-    // Best-effort and addressed by target id: a duplicated Cancel is
-    // harmless, so hedging never needs to special-case it.
-    EXPECT_TRUE(isIdempotentRequest(MessageType::Cancel));
-
-    ServeReply reply;
-    reply.type = MessageType::CancelReply;
-    reply.cancelFound = 1;
-    const std::vector<uint8_t> rp = encodeReplyPayload(reply);
-    ServeReply rout;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::CancelReply,
-                                   rp.data(), rp.size(), &rout)
-                    .ok());
-    EXPECT_EQ(rout.cancelFound, 1u);
-}
-
 TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndBoundsItsCount)
 {
     ServeReply reply;
@@ -1830,16 +1682,9 @@ TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndBoundsItsCount)
 
 TEST(ServeClientPolicy, RetryGatesOnIdempotencyAndCode)
 {
-    // Every current request type is a pure read or content-addressed
-    // write, so all retry; the gate exists so a future mutating type
-    // is excluded by default.
-    for (const MessageType type :
-         {MessageType::Ping, MessageType::Simulate,
-          MessageType::BranchStats, MessageType::H2p,
-          MessageType::Materialize, MessageType::Stats})
-        EXPECT_TRUE(isIdempotentRequest(type))
-            << messageTypeName(type);
-
+    // Every request type is a pure read or a content-addressed
+    // write, so idempotency never blocks a retry: the reply code is
+    // the whole gate.
     EXPECT_TRUE(isRetryableCode(WireCode::Busy));
     EXPECT_TRUE(isRetryableCode(WireCode::ResourceExhausted));
     EXPECT_FALSE(isRetryableCode(WireCode::Ok));
@@ -2019,186 +1864,6 @@ TEST(ServeClientRetry, NonRetryableCodeIsNeverRetried)
     EXPECT_EQ(client.retriesObserved(), 0u);
     EXPECT_EQ(client.gaveUpObserved(), 0u);
     EXPECT_EQ(server.served(), 1);
-}
-
-namespace {
-
-/**
- * Hedge probe: the FIRST accepted connection swallows requests and
- * never answers (a wedged worker); every later connection answers
- * each request with a PingReply immediately. Records whether the
- * silent leg eventually received a Cancel for its abandoned request.
- *
- * With `shed_hedges`, the roles turn: the first connection answers
- * after 150 ms (a working primary), and every later connection
- * answers at once with RESOURCE_EXHAUSTED (a shed hedge).
- */
-class HedgeProbeServer
-{
-  public:
-    explicit HedgeProbeServer(const std::string &path,
-                              bool shed_hedges = false)
-        : socketPath(path), shedHedges(shed_hedges)
-    {
-        listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        struct sockaddr_un addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ::unlink(path.c_str());
-        EXPECT_EQ(::bind(listenFd,
-                         reinterpret_cast<struct sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        EXPECT_EQ(::listen(listenFd, 4), 0);
-        acceptThread = std::thread([this] { acceptLoop(); });
-    }
-
-    ~HedgeProbeServer()
-    {
-        ::shutdown(listenFd, SHUT_RDWR);
-        ::close(listenFd);
-        acceptThread.join();
-        for (std::thread &t : handlers)
-            t.join();
-        ::unlink(socketPath.c_str());
-    }
-
-    bool cancelSeen() const { return sawCancel.load(); }
-
-  private:
-    void
-    acceptLoop()
-    {
-        for (;;) {
-            const int fd = ::accept(listenFd, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            const int index = connIndex.fetch_add(1);
-            std::lock_guard<std::mutex> lock(handlersMu);
-            handlers.emplace_back(
-                [this, fd, index] { handle(fd, index); });
-        }
-    }
-
-    void
-    handle(int fd, int index)
-    {
-        for (;;) {
-            uint8_t head[kFrameHeaderBytes];
-            if (!readExactFd(fd, head, sizeof(head), 5000).ok())
-                break;
-            FrameHeader header;
-            if (!parseFrameHeader(head, sizeof(head), &header).ok())
-                break;
-            std::vector<uint8_t> payload(header.payloadLen);
-            if (header.payloadLen > 0 &&
-                !readExactFd(fd, payload.data(), payload.size(), 5000)
-                     .ok())
-                break;
-            if (static_cast<MessageType>(header.type) ==
-                MessageType::Cancel) {
-                sawCancel.store(true);
-                continue;   // the canceller closes next; no reply
-            }
-            ServeReply reply;
-            reply.type = MessageType::PingReply;
-            reply.serverInfo = "hedge-leg";
-            if (shedHedges && index == 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(150));
-                reply.serverInfo = "primary-leg";
-            } else if (shedHedges) {
-                reply.type = MessageType::Error;
-                reply.code = WireCode::ResourceExhausted;
-                reply.retryAfterMs = 5;
-            } else if (index == 0) {
-                continue;   // the wedged leg: swallow, never answer
-            }
-            std::vector<uint8_t> frame;
-            ASSERT_TRUE(encodeFrame(reply.type, header.requestId,
-                                    encodeReplyPayload(reply),
-                                    &frame)
-                            .ok());
-            if (!writeAllFd(fd, frame.data(), frame.size(), 2000)
-                     .ok())
-                break;
-        }
-        ::close(fd);
-    }
-
-    std::string socketPath;
-    bool shedHedges = false;
-    int listenFd = -1;
-    std::thread acceptThread;
-    std::mutex handlersMu;
-    std::vector<std::thread> handlers;
-    std::atomic<int> connIndex{0};
-    std::atomic<bool> sawCancel{false};
-};
-
-} // namespace
-
-TEST(ServeClientHedge, HedgesQuietPrimaryCancelsLoserAdoptsWinner)
-{
-    ScratchDir dir("hedge");
-    HedgeProbeServer server(dir.file("s.sock"));
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 1;
-    client.setRetryPolicy(policy);
-    client.setHedgeMs(40);
-
-    // The primary leg never answers: after the 40 ms hedge window the
-    // duplicate goes out on a second connection and wins the race.
-    ServeRequest request;
-    request.type = MessageType::Ping;
-    ServeReply reply;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::Ok);
-    EXPECT_EQ(reply.serverInfo, "hedge-leg");
-    EXPECT_EQ(client.hedgesObserved(), 1u);
-    EXPECT_EQ(client.hedgeWinsObserved(), 1u);
-
-    // The losing (silent) leg got a Cancel before its socket closed.
-    for (int i = 0; i < 200 && !server.cancelSeen(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_TRUE(server.cancelSeen());
-
-    // The winning connection was adopted: the next call rides it and
-    // is answered inside the hedge window, so no new hedge fires.
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::Ok);
-    EXPECT_EQ(reply.serverInfo, "hedge-leg");
-    EXPECT_EQ(client.hedgesObserved(), 1u);
-}
-
-TEST(ServeClientHedge, ShedHedgeDoesNotBeatAWorkingPrimary)
-{
-    ScratchDir dir("hedge_shed");
-    HedgeProbeServer server(dir.file("s.sock"), /*shed_hedges=*/true);
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 1;
-    client.setRetryPolicy(policy);
-    client.setHedgeMs(20);
-
-    // The hedge goes out after 20 ms and is shed at once; the primary
-    // answers at 150 ms. The shed leg is dropped, not adopted, and the
-    // primary's reply is the call's result.
-    ServeRequest request;
-    request.type = MessageType::Ping;
-    ServeReply reply;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::Ok) << wireCodeName(reply.code);
-    EXPECT_EQ(reply.serverInfo, "primary-leg");
-    EXPECT_EQ(client.hedgesObserved(), 1u);
-    EXPECT_EQ(client.hedgeWinsObserved(), 0u);
 }
 
 namespace {

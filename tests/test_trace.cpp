@@ -1,16 +1,12 @@
 /**
  * @file
- * Tests for the trace module: records, sinks, and the slicer.
+ * Tests for the trace module: records and sinks.
  */
 
 #include <gtest/gtest.h>
 
-#include <utility>
-#include <vector>
-
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
-#include "trace/slicer.hpp"
 
 using namespace bpnsp;
 
@@ -94,87 +90,4 @@ TEST(Sinks, CountingSink)
     EXPECT_EQ(counter.condBranchCount(), 2u);
     EXPECT_EQ(counter.takenCount(), 1u);
     EXPECT_EQ(counter.classCount(InstrClass::Load), 1u);
-}
-
-TEST(Sinks, LimitSink)
-{
-    VectorSink inner;
-    LimitSink limit(2, inner);
-    for (int i = 0; i < 5; ++i)
-        limit.onRecord(makeRecord(i));
-    EXPECT_EQ(inner.get().size(), 2u);
-    EXPECT_TRUE(limit.exhausted());
-}
-
-namespace {
-
-/** Slice listener that records boundaries for verification. */
-class RecordingListener : public SliceListener
-{
-  public:
-    std::vector<uint64_t> begins;
-    std::vector<std::pair<uint64_t, uint64_t>> ends;
-    uint64_t records = 0;
-    bool traceEnded = false;
-
-    void beginSlice(uint64_t index) override { begins.push_back(index); }
-    void onSliceRecord(const TraceRecord &) override { ++records; }
-
-    void
-    endSlice(uint64_t index, uint64_t length) override
-    {
-        ends.emplace_back(index, length);
-    }
-
-    void onTraceEnd() override { traceEnded = true; }
-};
-
-} // namespace
-
-TEST(Slicer, ExactSlices)
-{
-    RecordingListener listener;
-    Slicer slicer(3, listener);
-    for (int i = 0; i < 9; ++i)
-        slicer.onRecord(makeRecord(i));
-    slicer.onEnd();
-    EXPECT_EQ(listener.begins, (std::vector<uint64_t>{0, 1, 2}));
-    ASSERT_EQ(listener.ends.size(), 3u);
-    for (const auto &[idx, len] : listener.ends)
-        EXPECT_EQ(len, 3u);
-    EXPECT_EQ(listener.records, 9u);
-    EXPECT_TRUE(listener.traceEnded);
-    EXPECT_EQ(slicer.sliceCount(), 3u);
-}
-
-TEST(Slicer, PartialFinalSlice)
-{
-    RecordingListener listener;
-    Slicer slicer(4, listener);
-    for (int i = 0; i < 6; ++i)
-        slicer.onRecord(makeRecord(i));
-    slicer.onEnd();
-    ASSERT_EQ(listener.ends.size(), 2u);
-    EXPECT_EQ(listener.ends[0].second, 4u);
-    EXPECT_EQ(listener.ends[1].second, 2u);
-}
-
-TEST(Slicer, EmptyTrace)
-{
-    RecordingListener listener;
-    Slicer slicer(4, listener);
-    slicer.onEnd();
-    EXPECT_TRUE(listener.begins.empty());
-    EXPECT_TRUE(listener.ends.empty());
-    EXPECT_TRUE(listener.traceEnded);
-}
-
-TEST(Slicer, IdempotentEnd)
-{
-    RecordingListener listener;
-    Slicer slicer(4, listener);
-    slicer.onRecord(makeRecord(1));
-    slicer.onEnd();
-    slicer.onEnd();   // second end must be a no-op
-    EXPECT_EQ(listener.ends.size(), 1u);
 }

@@ -229,13 +229,11 @@ TEST(TraceCache, UnusableEntryFallsBackToExecution)
 
     // Truncate the published entry so it no longer opens. The next run
     // must fall back to live execution, still deliver the full trace,
-    // repair the cache entry, and count the corrupt eviction — and the
+    // repair the cache entry, and count the quarantine — and the
     // damaged file must survive as quarantined evidence, not vanish.
     const std::string entry = cache.entryPath(key);
     std::filesystem::resize_file(
         entry, std::filesystem::file_size(entry) / 2);
-    const uint64_t corruptBefore = obs::Registry::instance().counterValue(
-        "tracestore.cache.corrupt_evictions");
     const uint64_t quarantinedBefore =
         obs::Registry::instance().counterValue(
             "tracestore.cache.quarantined");
@@ -244,9 +242,6 @@ TEST(TraceCache, UnusableEntryFallsBackToExecution)
     ASSERT_EQ(runWorkloadTrace(w, 0, {&repaired}, kInstructions),
               kInstructions);
     EXPECT_EQ(repaired.digest(), reference.digest());
-    EXPECT_EQ(obs::Registry::instance().counterValue(
-                  "tracestore.cache.corrupt_evictions"),
-              corruptBefore + 1);
     EXPECT_EQ(obs::Registry::instance().counterValue(
                   "tracestore.cache.quarantined"),
               quarantinedBefore + 1);
