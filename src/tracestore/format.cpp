@@ -83,13 +83,12 @@ encodeChunk(const TraceRecord *records, size_t count,
 
 Status
 decodeChunk(const uint8_t *data, size_t len, size_t count,
-            std::vector<TraceRecord> &out, uint32_t version)
+            std::vector<TraceRecord> &out)
 {
     auto fail = [](const char *what) {
         return Status::corruptData(what);
     };
 
-    const uint8_t maxCls = maxClassForVersion(version);
     size_t pos = 0;
     uint64_t prevIp = 0;
     uint64_t prevMem = 0;
@@ -99,7 +98,7 @@ decodeChunk(const uint8_t *data, size_t len, size_t count,
             return fail("chunk payload truncated in record prefix");
         const uint8_t flags = data[pos++];
         const uint8_t cls = flags & kClsMask;
-        if (cls > maxCls)
+        if (cls > kMaxInstrClass)
             return fail("invalid instruction class in chunk payload");
 
         TraceRecord rec;
@@ -166,7 +165,7 @@ DigestSink::onRecord(const TraceRecord &rec)
     image[n++] = rec.hasDst ? 1 : 0;
     image[n++] = rec.taken ? 1 : 0;
     BPNSP_ASSERT(n == sizeof(image));
-    hash = fnv1a(image, n, hash);
+    hash = checksum64(image, n, hash);
     ++seen;
 }
 

@@ -31,7 +31,7 @@
 
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
-#include "util/hash.hpp"   // fnv1a, the format's only checksum
+#include "util/hash.hpp"   // checksum64, the format's only checksum
 #include "util/status.hpp"
 
 namespace bpnsp {
@@ -46,28 +46,19 @@ inline constexpr char kTrailerMagic[8] = {'B', 'P', 'T', 'S',
 
 /**
  * Format version. Bump on any incompatible layout or encoding change;
- * it participates in the cache key, so a bump invalidates every cached
- * trace rather than risking a misdecode.
+ * it participates in the cache key, so a bump turns every cached trace
+ * into a miss that is regenerated rather than risking a misdecode. A
+ * reader accepts exactly this version.
  *
  * Version history:
- *  - v1: original codec; instruction classes up to Halt.
- *  - v2: adds the indirect-control classes (JumpInd, CallInd). The
- *    byte layout is unchanged — the bump only widens the class range
- *    a decoder accepts, so v1 files decode under a v2 reader while a
- *    v1 reader still rejects classes it never defined.
+ *  - v1: original codec; instruction classes up to Halt; byte-wise
+ *    FNV-1a chunk and footer checksums.
+ *  - v2: adds the indirect-control classes (JumpInd, CallInd).
+ *  - v3: chunk and footer checksums become checksum64, the
+ *    word-at-a-time hash in util/hash.hpp. v1 and v2 files are no
+ *    longer read.
  */
-inline constexpr uint32_t kStoreVersion = 2;
-
-/** Oldest version a reader still accepts. */
-inline constexpr uint32_t kStoreMinVersion = 1;
-
-/** Highest InstrClass value legal in a file of `version`. */
-inline constexpr uint8_t
-maxClassForVersion(uint32_t version)
-{
-    return version >= 2 ? kMaxInstrClass
-                        : static_cast<uint8_t>(InstrClass::Halt);
-}
+inline constexpr uint32_t kStoreVersion = 3;
 
 /** Default records per chunk (the unit of seek and shard parallelism). */
 inline constexpr uint32_t kDefaultRecordsPerChunk = 1u << 16;
@@ -86,7 +77,7 @@ struct StoreChunkHeader
 {
     uint32_t payloadBytes;   ///< encoded payload size after this header
     uint32_t recordCount;    ///< records encoded in the payload
-    uint64_t checksum;       ///< FNV-1a over the payload bytes
+    uint64_t checksum;       ///< checksum64 over the payload bytes
 };
 static_assert(sizeof(StoreChunkHeader) == 16, "unexpected chunk header");
 
@@ -105,7 +96,7 @@ struct StoreTrailer
     uint64_t footerOffset;    ///< file offset of the first footer entry
     uint64_t numChunks;
     uint64_t totalRecords;
-    uint64_t footerChecksum;  ///< FNV-1a over the footer entries
+    uint64_t footerChecksum;  ///< checksum64 over the footer entries
     uint32_t version;         ///< == header version
     char magic[8];
     uint32_t reserved;
@@ -151,13 +142,10 @@ void encodeChunk(const TraceRecord *records, size_t count,
  * Decode `count` records from a chunk payload into `out` (appended).
  * On malformed input (truncated varint, invalid instruction class,
  * trailing bytes) returns CorruptData with a diagnostic; never
- * crashes. `version` is the containing file's format version and
- * gates the instruction-class range: a v1 chunk claiming a class that
- * v1 never defined is corruption, not forward compatibility.
+ * crashes.
  */
 Status decodeChunk(const uint8_t *data, size_t len, size_t count,
-                   std::vector<TraceRecord> &out,
-                   uint32_t version = kStoreVersion);
+                   std::vector<TraceRecord> &out);
 
 /**
  * Order-sensitive digest over every field of every observed record.
@@ -173,7 +161,7 @@ class DigestSink : public TraceSink
     uint64_t count() const { return seen; }
 
   private:
-    uint64_t hash = 0xcbf29ce484222325ull;
+    uint64_t hash = kFnv1aBasis;
     uint64_t seen = 0;
 };
 

@@ -152,7 +152,7 @@ TraceStoreWriter::flushChunk()
     StoreChunkHeader hdr{};
     hdr.payloadBytes = static_cast<uint32_t>(encodeBuffer.size());
     hdr.recordCount = static_cast<uint32_t>(pending.size());
-    hdr.checksum = fnv1a(encodeBuffer.data(), encodeBuffer.size());
+    hdr.checksum = checksum64(encodeBuffer.data(), encodeBuffer.size());
 
     StoreFooterEntry entry{};
     entry.offset = fileOffset;
@@ -178,7 +178,7 @@ TraceStoreWriter::onEnd()
         trailer.footerOffset = fileOffset;
         trailer.numChunks = footer.size();
         trailer.totalRecords = total;
-        trailer.footerChecksum = fnv1a(
+        trailer.footerChecksum = checksum64(
             footer.data(), footer.size() * sizeof(StoreFooterEntry));
         trailer.version = kStoreVersion;
         std::memcpy(trailer.magic, kTrailerMagic,
@@ -252,13 +252,11 @@ TraceStoreReader::open(const std::string &path, Status *status)
     std::memcpy(&hdr, reader->base, sizeof(hdr));
     if (std::memcmp(hdr.magic, kStoreMagic, sizeof(kStoreMagic)) != 0)
         return corrupt("bad trace store magic in: " + path);
-    if (hdr.version < kStoreMinVersion || hdr.version > kStoreVersion) {
+    if (hdr.version != kStoreVersion) {
         return corrupt("unsupported trace store version " +
-                       std::to_string(hdr.version) + " (support " +
-                       std::to_string(kStoreMinVersion) + ".." +
+                       std::to_string(hdr.version) + " (reads only " +
                        std::to_string(kStoreVersion) + ") in: " + path);
     }
-    reader->fileVersion = hdr.version;
 
     StoreTrailer trailer{};
     std::memcpy(&trailer, reader->base + size - sizeof(trailer),
@@ -280,7 +278,7 @@ TraceStoreReader::open(const std::string &path, Status *status)
                        path);
     }
     const uint8_t *footerBase = reader->base + trailer.footerOffset;
-    if (fnv1a(footerBase, footerBytes) != trailer.footerChecksum)
+    if (checksum64(footerBase, footerBytes) != trailer.footerChecksum)
         return corrupt("trace store footer checksum mismatch in: " +
                        path);
 
@@ -392,6 +390,15 @@ maybeBitflip(const uint8_t *payload, uint32_t payloadBytes,
     return scratch.data();
 }
 
+/** CorruptData naming the damaged chunk and its file. */
+Status
+chunkCorrupt(uint64_t index, const std::string &path,
+             const std::string &what)
+{
+    return Status::corruptData("chunk " + std::to_string(index) +
+                               " of " + path + ": " + what);
+}
+
 } // namespace
 
 Status
@@ -400,18 +407,16 @@ TraceStoreReader::checksumChunkAt(uint64_t index) const
     const ChunkInfo &info = chunks.at(index);
     StoreChunkHeader hdr{};
     std::memcpy(&hdr, base + info.offset, sizeof(hdr));
-    auto fail = [&](const std::string &what) {
-        return Status::corruptData("chunk " + std::to_string(index) +
-                                   " of " + path + ": " + what);
-    };
     if (hdr.payloadBytes != info.payloadBytes ||
         hdr.recordCount != info.recordCount)
-        return fail("chunk header disagrees with footer index");
+        return chunkCorrupt(index, path,
+                            "chunk header disagrees with footer index");
     std::vector<uint8_t> scratch;
     const uint8_t *payload = maybeBitflip(
         base + info.offset + sizeof(hdr), hdr.payloadBytes, scratch);
-    if (fnv1a(payload, hdr.payloadBytes) != hdr.checksum)
-        return fail("payload checksum mismatch (corrupted frame)");
+    if (checksum64(payload, hdr.payloadBytes) != hdr.checksum)
+        return chunkCorrupt(index, path,
+                            "payload checksum mismatch (corrupted frame)");
     return Status();
 }
 
@@ -431,24 +436,16 @@ TraceStoreReader::decodeChunkAt(uint64_t index,
     const ChunkInfo &info = chunks.at(index);
     chunksDecoded.inc();
     bytesRead.add(sizeof(StoreChunkHeader) + info.payloadBytes);
-    StoreChunkHeader hdr{};
-    std::memcpy(&hdr, base + info.offset, sizeof(hdr));
-    auto fail = [&](const std::string &what) {
-        return Status::corruptData("chunk " + std::to_string(index) +
-                                   " of " + path + ": " + what);
-    };
-    if (hdr.payloadBytes != info.payloadBytes ||
-        hdr.recordCount != info.recordCount)
-        return fail("chunk header disagrees with footer index");
-    std::vector<uint8_t> scratch;
-    const uint8_t *payload = maybeBitflip(
-        base + info.offset + sizeof(hdr), hdr.payloadBytes, scratch);
-    if (fnv1a(payload, hdr.payloadBytes) != hdr.checksum)
-        return fail("payload checksum mismatch (corrupted frame)");
-    const Status decoded = decodeChunk(payload, hdr.payloadBytes,
-                                       hdr.recordCount, out, fileVersion);
+    if (Status st = checksumChunkAt(index); !st.ok())
+        return st;
+    // A chunk that passed its checksum decodes straight from the
+    // mapping: checksum64 catches every single-bit flip, so an
+    // injected flip never gets this far.
+    const Status decoded =
+        decodeChunk(base + info.offset + sizeof(StoreChunkHeader),
+                    info.payloadBytes, info.recordCount, out);
     if (!decoded.ok())
-        return fail(decoded.message());
+        return chunkCorrupt(index, path, decoded.message());
     return Status();
 }
 

@@ -201,7 +201,6 @@ class TraceStoreReader
 
     const uint8_t *base = nullptr;   ///< mmap base (read-only)
     size_t mappedSize = 0;
-    uint32_t fileVersion = kStoreVersion;  ///< header version as read
     uint64_t totalRecords = 0;
     std::vector<ChunkInfo> chunks;
     std::string path;

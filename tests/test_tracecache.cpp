@@ -3,12 +3,14 @@
  * Tests for the content-addressed trace cache and its runner wiring:
  * digest stability, cold-run population, warm-run bit-identical replay
  * (proven by planting a distinctive store under the key), stale-key
- * misses on scale changes, graceful fallback on unusable entries, and
- * the one openVerified() rule for what gets quarantined.
+ * misses on scale changes and format-version bumps, graceful fallback
+ * on unusable entries, and the one openVerified() rule for what gets
+ * quarantined.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -412,4 +414,53 @@ TEST(TraceCache, RunnerRegeneratesDamageAndLeavesUnreadableEntries)
     EXPECT_FALSE(std::filesystem::exists(slot + "1"));
     EXPECT_TRUE(std::filesystem::exists(entry));
     EXPECT_NE(cache.openVerified(key, &st), nullptr) << st.str();
+}
+
+TEST(TraceCache, PreviousVersionEntryMissesAndRegenerates)
+{
+    CacheDirGuard guard("prev_version");
+    const Workload w = findWorkload("mcf_like");
+    const TraceCacheKey key = keyFor(w, kInstructions);
+    const TraceCache cache(guard.path);
+
+    // Leave a complete trace only where the previous format version
+    // addressed it: the same canonical key string, one version lower.
+    // Its bytes never matter, because the current key never names it.
+    const std::string previousCanonical =
+        key.workload + "\n" + key.input + "\n" +
+        std::to_string(key.seed) + "\n" +
+        std::to_string(key.instructions) + "\nstore-v" +
+        std::to_string(kStoreVersion - 1);
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(previousCanonical)));
+    const std::string previous = guard.path + "/" + hex + ".bpt";
+    publishPrefix(cache, key, kInstructions);
+    std::filesystem::rename(cache.entryPath(key), previous);
+    ASSERT_NE(previous, cache.entryPath(key));
+    EXPECT_FALSE(cache.contains(key));
+
+    const obs::Registry &reg = obs::Registry::instance();
+    const uint64_t missesBefore =
+        reg.counterValue("tracestore.cache.misses");
+    const uint64_t hitsBefore = reg.counterValue("tracestore.cache.hits");
+    const uint64_t quarantinedBefore = quarantinedCount();
+    DigestSink regenerated;
+    ASSERT_EQ(runWorkloadTrace(w, 0, {&regenerated}, kInstructions),
+              kInstructions);
+    EXPECT_EQ(reg.counterValue("tracestore.cache.misses"),
+              missesBefore + 1);
+    EXPECT_EQ(reg.counterValue("tracestore.cache.hits"), hitsBefore);
+    EXPECT_EQ(quarantinedCount(), quarantinedBefore);
+
+    // The entry is regenerated under the current key and verifies;
+    // the previous-version file is left alone, never read.
+    Status st;
+    auto reader = cache.openVerified(key, &st);
+    ASSERT_NE(reader, nullptr) << st.str();
+    DigestSink replayed;
+    ASSERT_TRUE(reader->replay(replayed, 0).ok());
+    EXPECT_EQ(replayed.digest(), regenerated.digest());
+    EXPECT_TRUE(std::filesystem::exists(previous));
 }

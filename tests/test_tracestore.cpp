@@ -107,19 +107,16 @@ pokeByte(const std::string &path, uint64_t offset, uint8_t value)
     file.write(&byte, 1);
 }
 
-/**
- * Rewrite a freshly written (v2) store as a v1 file: the byte layout
- * of the two versions is identical, only the version stamps differ.
- */
+/** Stamp a store's header and trailer with another format version. */
 void
-downgradeToV1(const std::string &path)
+stampVersion(const std::string &path, uint8_t version)
 {
     const uint64_t size = std::filesystem::file_size(path);
-    pokeByte(path, offsetof(StoreFileHeader, version), 1);
+    pokeByte(path, offsetof(StoreFileHeader, version), version);
     pokeByte(path,
              size - sizeof(StoreTrailer) + offsetof(StoreTrailer,
                                                     version),
-             1);
+             version);
 }
 
 std::vector<TraceRecord>
@@ -405,80 +402,25 @@ TEST(TraceStore, VersionAndMagicMismatchRejected)
     std::remove(path.c_str());
 }
 
-// ------------------------------------------ version 1 compatibility
-
-TEST(TraceStore, V1FilesDecodeUnderCurrentReader)
+TEST(TraceStore, PreviousVersionRejectedAtOpen)
 {
-    // v1 and v2 share the byte layout; only the accepted class range
-    // differs. A v1 file holding v1-legal classes must decode exactly.
-    const auto records = sequentialRecords(500);
-    const std::string path = writeStore("v1ok", records, 67);
-    downgradeToV1(path);
-
-    const std::vector<TraceRecord> decoded = readAll(path);
-    ASSERT_EQ(decoded.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i)
-        expectRecordsEqual(records[i], decoded[i], i);
-    std::remove(path.c_str());
-}
-
-TEST(TraceStore, V1FileWithIndirectClassesIsCorrupt)
-{
-    // A chunk claiming JumpInd/CallInd inside a file stamped v1 is
-    // corruption: v1 never defined those classes, so accepting them
-    // would silently misread genuinely damaged old files.
-    auto records = sequentialRecords(10);
-    records[4].cls = InstrClass::JumpInd;
-    records[7].cls = InstrClass::CallInd;
-    const std::string path = writeStore("v1bad", records);
-    downgradeToV1(path);
-
+    // Only the current version is read: a v2 store (byte-wise FNV-1a
+    // checksums) is a cache miss upstream, never a misread here.
+    const std::string path = writeStore("v2", sequentialRecords(5));
+    stampVersion(path, 2);
     Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    ASSERT_NE(reader, nullptr) << st.str();   // header is fine
-    VectorSink sink;
-    const Status replaySt = reader->replay(sink, 0);
-    EXPECT_EQ(replaySt.code(), StatusCode::CorruptData);
-    EXPECT_NE(replaySt.message().find("class"), std::string::npos)
-        << replaySt.str();
+    EXPECT_EQ(TraceStoreReader::open(path, &st), nullptr);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData);
+    EXPECT_NE(st.message().find("unsupported trace store version 2"),
+              std::string::npos)
+        << st.str();
     std::remove(path.c_str());
-}
-
-TEST(TraceStore, DecodeChunkVersionGatesClassRange)
-{
-    TraceRecord ind;
-    ind.cls = InstrClass::CallInd;
-    ind.ip = 0x4000;
-    ind.fallthrough = 0x4004;
-    ind.target = 0x8000;
-    ind.taken = true;
-
-    std::vector<uint8_t> payload;
-    encodeChunk(&ind, 1, payload);
-
-    std::vector<TraceRecord> out;
-    EXPECT_TRUE(decodeChunk(payload.data(), payload.size(), 1, out,
-                            kStoreVersion)
-                    .ok());
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].cls, InstrClass::CallInd);
-
-    out.clear();
-    const Status v1 =
-        decodeChunk(payload.data(), payload.size(), 1, out, 1);
-    EXPECT_EQ(v1.code(), StatusCode::CorruptData);
 }
 
 TEST(TraceStore, UnknownFutureVersionRejected)
 {
     const std::string path = writeStore("future", sequentialRecords(5));
-    pokeByte(path, offsetof(StoreFileHeader, version),
-             static_cast<uint8_t>(kStoreVersion + 1));
-    const uint64_t size = std::filesystem::file_size(path);
-    pokeByte(path,
-             size - sizeof(StoreTrailer) + offsetof(StoreTrailer,
-                                                    version),
-             static_cast<uint8_t>(kStoreVersion + 1));
+    stampVersion(path, static_cast<uint8_t>(kStoreVersion + 1));
     Status st;
     EXPECT_EQ(TraceStoreReader::open(path, &st), nullptr);
     EXPECT_EQ(st.code(), StatusCode::CorruptData);

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -23,6 +24,7 @@
 #include "util/signals.hpp"
 #include "workloads/suite.hpp"
 #include "util/folded_history.hpp"
+#include "util/hash.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -131,6 +133,65 @@ TEST(Rng, Fnv1a64Basis)
     EXPECT_EQ(fnv1a(text.data(), text.size()), fnv1a(text));
     EXPECT_EQ(fnv1a(text.data() + 3, 3, fnv1a(text.substr(0, 3))),
               fnv1a(text));
+}
+
+namespace {
+
+/** `len` deterministic pseudo-random bytes. */
+std::vector<uint8_t>
+randomBytes(size_t len, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> bytes(len);
+    for (uint8_t &b : bytes)
+        b = static_cast<uint8_t>(rng.next());
+    return bytes;
+}
+
+} // namespace
+
+TEST(Checksum64, DetectsEverySingleBitFlip)
+{
+    // Lengths 0..97 cross the 32-byte block loop, the 8-byte word
+    // loop and the padded tail word, with every bit position flipped.
+    for (size_t len = 0; len <= 97; ++len) {
+        std::vector<uint8_t> bytes = randomBytes(len, len);
+        const uint64_t clean = checksum64(bytes.data(), len);
+        size_t missed = 0;
+        for (size_t bit = 0; bit < len * 8; ++bit) {
+            bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            missed += checksum64(bytes.data(), len) == clean;
+            bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        EXPECT_EQ(missed, 0u) << "length " << len;
+    }
+}
+
+TEST(Checksum64, TrailingZeroByteChangesChecksum)
+{
+    // The zero-padded tail word alone cannot tell these apart; the
+    // length mixed in last must.
+    for (size_t len = 0; len <= 97; ++len) {
+        std::vector<uint8_t> bytes = randomBytes(len, 1000 + len);
+        const uint64_t shorter = checksum64(bytes.data(), len);
+        bytes.push_back(0);
+        EXPECT_NE(checksum64(bytes.data(), len + 1), shorter)
+            << "length " << len;
+    }
+}
+
+TEST(Checksum64, KnownAnswers)
+{
+    // Pins of the trace store v3 chunk and footer checksum: a change
+    // here makes every stored trace unreadable, so it must come with
+    // a kStoreVersion bump.
+    EXPECT_EQ(checksum64(nullptr, 0), 0x4b1852f2365ca1dbull);
+    EXPECT_EQ(checksum64("a", 1), 0x3b97971dc4c441c9ull);
+    const std::vector<uint8_t> bytes = randomBytes(97, 7);
+    EXPECT_EQ(checksum64(bytes.data(), 44), 0xdb45f24491fed832ull);
+    EXPECT_EQ(checksum64(bytes.data(), 97), 0x98bc192531a9fea2ull);
+    // A seed starts a distinct stream over the same bytes.
+    EXPECT_EQ(checksum64(bytes.data(), 97, 1), 0xdbaa0f006ba31242ull);
 }
 
 TEST(Rng, IndexedStreamsReproducibleAndIndependent)
