@@ -15,7 +15,100 @@ constexpr uint8_t kClsMask = 0x0f;
 constexpr uint8_t kHasDstBit = 0x10;
 constexpr uint8_t kTakenBit = 0x20;
 
-constexpr unsigned kMaxVarintBytes = 10;
+/**
+ * Varint read with no bounds check: the caller guarantees that
+ * kMaxVarintBytes bytes are readable at p. Accepts and rejects
+ * exactly what getVarint does.
+ */
+inline bool
+getVarintUnchecked(const uint8_t *&p, uint64_t *value)
+{
+    uint64_t byte = p[0];
+    if (byte < 0x80) {
+        *value = byte;
+        ++p;
+        return true;
+    }
+    uint64_t result = byte & 0x7f;
+    for (unsigned i = 1; i < kMaxVarintBytes; ++i) {
+        byte = p[i];
+        result |= (byte & 0x7f) << (7 * i);
+        if (byte < 0x80) {
+            // The 10th byte may only contribute the top bit.
+            if (i == kMaxVarintBytes - 1 && byte > 1)
+                return false;
+            *value = result;
+            p += i + 1;
+            return true;
+        }
+    }
+    return false;   // unterminated varint
+}
+
+/**
+ * Decode one record at p, advancing p past it. kChecked selects the
+ * careful path (every byte bounds-checked against end); otherwise the
+ * caller guarantees kMaxRecordBytes readable bytes. Returns nullptr or
+ * the diagnostic of the first malformed field.
+ */
+template <bool kChecked>
+inline const char *
+decodeRecord(const uint8_t *&p, const uint8_t *end, uint64_t &prevIp,
+             uint64_t &prevMem, TraceRecord &rec)
+{
+    auto varint = [&p, end](uint64_t *value) {
+        if constexpr (kChecked) {
+            size_t pos = 0;
+            if (!getVarint(p, static_cast<size_t>(end - p), &pos, value))
+                return false;
+            p += pos;
+            return true;
+        } else {
+            return getVarintUnchecked(p, value);
+        }
+    };
+
+    if (kChecked && end - p < 6)
+        return "chunk payload truncated in record prefix";
+    const uint8_t flags = p[0];
+    const uint8_t cls = flags & kClsMask;
+    if (cls > kMaxInstrClass)
+        return "invalid instruction class in chunk payload";
+    rec.cls = static_cast<InstrClass>(cls);
+    rec.hasDst = (flags & kHasDstBit) != 0;
+    rec.taken = (flags & kTakenBit) != 0;
+    rec.numSrc = p[1];
+    rec.dst = p[2];
+    rec.src[0] = p[3];
+    rec.src[1] = p[4];
+    rec.src[2] = p[5];
+    p += 6;
+
+    uint64_t v = 0;
+    if (!varint(&v))
+        return "chunk payload truncated in ip field";
+    const uint64_t ip = prevIp + static_cast<uint64_t>(unzigzag(v));
+    rec.ip = ip;
+    if (!varint(&v))
+        return "chunk payload truncated in fallthrough field";
+    rec.fallthrough = ip + static_cast<uint64_t>(unzigzag(v));
+    if (!varint(&v))
+        return "chunk payload truncated in target field";
+    rec.target = ip + static_cast<uint64_t>(unzigzag(v));
+    if (!varint(&v))
+        return "chunk payload truncated in memAddr field";
+    const uint64_t mem = prevMem + static_cast<uint64_t>(unzigzag(v));
+    rec.memAddr = mem;
+    if (!varint(&v))
+        return "chunk payload truncated in writtenValue field";
+    if (v > UINT32_MAX)
+        return "writtenValue overflows 32 bits";
+    rec.writtenValue = static_cast<uint32_t>(v);
+
+    prevIp = ip;
+    prevMem = mem;
+    return nullptr;
+}
 
 } // namespace
 
@@ -82,61 +175,50 @@ encodeChunk(const TraceRecord *records, size_t count,
 }
 
 Status
+ChunkDecoder::next(TraceRecord *out, size_t max, size_t *got)
+{
+    const size_t want = max < left ? max : left;
+    const uint8_t *p = data + pos;
+    const uint8_t *const end = data + len;
+    // Locals, not members: stores into `out` could otherwise alias
+    // the decoder's own fields and force a reload per record.
+    uint64_t ip = prevIp;
+    uint64_t mem = prevMem;
+    const char *error = nullptr;
+    size_t i = 0;
+    for (; i < want && static_cast<size_t>(end - p) >= kMaxRecordBytes;
+         ++i) {
+        error = decodeRecord<false>(p, end, ip, mem, out[i]);
+        if (error != nullptr)
+            break;
+    }
+    for (; error == nullptr && i < want; ++i) {
+        error = decodeRecord<true>(p, end, ip, mem, out[i]);
+        if (error != nullptr)
+            break;
+    }
+    if (error == nullptr && i == left && p != end)
+        error = "trailing bytes after last record in chunk";
+    pos = static_cast<size_t>(p - data);
+    prevIp = ip;
+    prevMem = mem;
+    left -= i;
+    *got = i;
+    return error == nullptr ? Status() : Status::corruptData(error);
+}
+
+Status
 decodeChunk(const uint8_t *data, size_t len, size_t count,
             std::vector<TraceRecord> &out)
 {
-    auto fail = [](const char *what) {
-        return Status::corruptData(what);
-    };
-
-    size_t pos = 0;
-    uint64_t prevIp = 0;
-    uint64_t prevMem = 0;
-    out.reserve(out.size() + count);
-    for (size_t i = 0; i < count; ++i) {
-        if (pos + 6 > len)
-            return fail("chunk payload truncated in record prefix");
-        const uint8_t flags = data[pos++];
-        const uint8_t cls = flags & kClsMask;
-        if (cls > kMaxInstrClass)
-            return fail("invalid instruction class in chunk payload");
-
-        TraceRecord rec;
-        rec.cls = static_cast<InstrClass>(cls);
-        rec.hasDst = (flags & kHasDstBit) != 0;
-        rec.taken = (flags & kTakenBit) != 0;
-        rec.numSrc = data[pos++];
-        rec.dst = data[pos++];
-        rec.src[0] = data[pos++];
-        rec.src[1] = data[pos++];
-        rec.src[2] = data[pos++];
-
-        uint64_t v = 0;
-        if (!getVarint(data, len, &pos, &v))
-            return fail("chunk payload truncated in ip field");
-        rec.ip = prevIp + static_cast<uint64_t>(unzigzag(v));
-        if (!getVarint(data, len, &pos, &v))
-            return fail("chunk payload truncated in fallthrough field");
-        rec.fallthrough = rec.ip + static_cast<uint64_t>(unzigzag(v));
-        if (!getVarint(data, len, &pos, &v))
-            return fail("chunk payload truncated in target field");
-        rec.target = rec.ip + static_cast<uint64_t>(unzigzag(v));
-        if (!getVarint(data, len, &pos, &v))
-            return fail("chunk payload truncated in memAddr field");
-        rec.memAddr = prevMem + static_cast<uint64_t>(unzigzag(v));
-        if (!getVarint(data, len, &pos, &v))
-            return fail("chunk payload truncated in writtenValue field");
-        if (v > UINT32_MAX)
-            return fail("writtenValue overflows 32 bits");
-        rec.writtenValue = static_cast<uint32_t>(v);
-
-        prevIp = rec.ip;
-        prevMem = rec.memAddr;
-        out.push_back(rec);
-    }
-    if (pos != len)
-        return fail("trailing bytes after last record in chunk");
-    return Status();
+    const size_t base = out.size();
+    out.resize(base + count);
+    ChunkDecoder decoder(data, len, count);
+    size_t got = 0;
+    const Status st = decoder.next(out.data() + base, count, &got);
+    if (!st.ok())
+        out.resize(base + got);
+    return st;
 }
 
 void

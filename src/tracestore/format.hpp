@@ -121,6 +121,15 @@ unzigzag(uint64_t value)
     return static_cast<int64_t>((value >> 1) ^ (~(value & 1) + 1));
 }
 
+/** Longest valid varint: ten 7-bit groups cover 64 bits. */
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/**
+ * Longest encoded record: the fixed 6-byte prefix plus five varints
+ * of at most kMaxVarintBytes each.
+ */
+inline constexpr size_t kMaxRecordBytes = 6 + 5 * kMaxVarintBytes;
+
 /**
  * Bounds-checked varint read: advances *pos past the varint and
  * returns true, or returns false (leaving *pos unspecified) if the
@@ -139,10 +148,49 @@ void encodeChunk(const TraceRecord *records, size_t count,
                  std::vector<uint8_t> &out);
 
 /**
- * Decode `count` records from a chunk payload into `out` (appended).
- * On malformed input (truncated varint, invalid instruction class,
- * trailing bytes) returns CorruptData with a diagnostic; never
- * crashes.
+ * Incremental decoder over one chunk payload of `count` records, so a
+ * caller can decode a chunk in blocks of its choosing.
+ *
+ * A record that starts at least kMaxRecordBytes before the end of the
+ * payload is decoded with one bounds check for the whole record (a
+ * one-byte varint costs one test); only records in the last
+ * kMaxRecordBytes go through the per-byte checked getVarint. Both
+ * paths reject the same malformed input with the same diagnostics,
+ * and neither reads a byte at or past the payload's end.
+ */
+class ChunkDecoder
+{
+  public:
+    ChunkDecoder(const uint8_t *payload, size_t payload_bytes,
+                 size_t count)
+        : data(payload), len(payload_bytes), left(count)
+    {
+    }
+
+    /**
+     * Decode the next min(max, records not yet decoded) records into
+     * out[0..); *got is the number of whole records written. On
+     * malformed input (truncated or overlong varint, invalid
+     * instruction class, writtenValue wider than 32 bits, or payload
+     * bytes left after the chunk's last record) returns CorruptData
+     * with a diagnostic; the decoder must not be used after an error.
+     */
+    Status next(TraceRecord *out, size_t max, size_t *got);
+
+  private:
+    const uint8_t *data;
+    size_t len;
+    size_t left;
+    size_t pos = 0;
+    uint64_t prevIp = 0;
+    uint64_t prevMem = 0;
+};
+
+/**
+ * Decode all `count` records of a chunk payload into `out` (appended)
+ * with a ChunkDecoder. On malformed input (truncated varint, invalid
+ * instruction class, trailing bytes) returns CorruptData with a
+ * diagnostic; never crashes.
  */
 Status decodeChunk(const uint8_t *data, size_t len, size_t count,
                    std::vector<TraceRecord> &out);

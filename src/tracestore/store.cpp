@@ -1,5 +1,6 @@
 #include "tracestore/store.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -331,6 +332,28 @@ TraceStoreReader::chunkRecordCount(uint64_t chunk) const
 
 namespace {
 
+/** Per-chunk read, decode and retry telemetry, registered together. */
+struct ChunkTelemetry
+{
+    obs::Counter &chunksDecoded =
+        obs::counter("tracestore.store.chunks_decoded");
+    obs::Counter &bytesRead = obs::counter("tracestore.store.bytes_read");
+    obs::Histogram &decodeNs =
+        obs::histogram("tracestore.store.chunk_decode_ns");
+    obs::Counter &retries = obs::counter("tracestore.replay.chunk_retries");
+    obs::Counter &retrySuccesses =
+        obs::counter("tracestore.replay.chunk_retry_successes");
+    /** Chunks that failed for good: retries exhausted, or decode. */
+    obs::Counter &failures = obs::counter("tracestore.replay.chunk_failures");
+
+    static ChunkTelemetry &
+    get()
+    {
+        static ChunkTelemetry t;
+        return t;
+    }
+};
+
 /**
  * Run a per-chunk operation with retries and exponential backoff.
  * Counts every retry (and permanent failure) in the obs registry and
@@ -340,31 +363,25 @@ template <typename Op>
 Status
 withChunkRetries(uint64_t index, Op &&op)
 {
-    static obs::Counter &retries =
-        obs::counter("tracestore.replay.chunk_retries");
-    static obs::Counter &retrySuccesses =
-        obs::counter("tracestore.replay.chunk_retry_successes");
-    static obs::Counter &permanentFailures =
-        obs::counter("tracestore.replay.chunk_failures");
-
+    ChunkTelemetry &t = ChunkTelemetry::get();
     Status st;
     for (unsigned attempt = 1; attempt <= kChunkReplayAttempts;
          ++attempt) {
         st = op();
         if (st.ok()) {
             if (attempt > 1)
-                retrySuccesses.inc();
+                t.retrySuccesses.inc();
             return st;
         }
         if (attempt < kChunkReplayAttempts) {
-            retries.inc();
+            t.retries.inc();
             warn("chunk ", index, " failed (attempt ", attempt, " of ",
                  kChunkReplayAttempts, "): ", st.str(), "; retrying");
             std::this_thread::sleep_for(
                 std::chrono::microseconds(50u << attempt));
         }
     }
-    permanentFailures.inc();
+    t.failures.inc();
     return Status::make(st.code(),
                         st.message() + " (after " +
                             std::to_string(kChunkReplayAttempts) +
@@ -399,6 +416,17 @@ chunkCorrupt(uint64_t index, const std::string &path,
                                " of " + path + ": " + what);
 }
 
+using Clock = std::chrono::steady_clock;
+
+/** Nanoseconds in a duration, for the decode-time histogram. */
+uint64_t
+toNs(Clock::duration d)
+{
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+    return static_cast<uint64_t>(ns < 0 ? 0 : ns);
+}
+
 } // namespace
 
 Status
@@ -412,8 +440,8 @@ TraceStoreReader::checksumChunkAt(uint64_t index) const
         return chunkCorrupt(index, path,
                             "chunk header disagrees with footer index");
     std::vector<uint8_t> scratch;
-    const uint8_t *payload = maybeBitflip(
-        base + info.offset + sizeof(hdr), hdr.payloadBytes, scratch);
+    const uint8_t *payload =
+        maybeBitflip(payloadOf(index), hdr.payloadBytes, scratch);
     if (checksum64(payload, hdr.payloadBytes) != hdr.checksum)
         return chunkCorrupt(index, path,
                             "payload checksum mismatch (corrupted frame)");
@@ -421,42 +449,19 @@ TraceStoreReader::checksumChunkAt(uint64_t index) const
 }
 
 Status
-TraceStoreReader::decodeChunkAt(uint64_t index,
-                                std::vector<TraceRecord> &out) const
+TraceStoreReader::readChunk(uint64_t index) const
 {
-    static obs::Counter &chunksDecoded =
-        obs::counter("tracestore.store.chunks_decoded");
-    static obs::Counter &bytesRead =
-        obs::counter("tracestore.store.bytes_read");
-    static obs::Histogram &decodeNs =
-        obs::histogram("tracestore.store.chunk_decode_ns");
-    obs::ScopedTimer timer(decodeNs);
-    obs::Span span("trace.chunk_decode");
-
-    const ChunkInfo &info = chunks.at(index);
-    chunksDecoded.inc();
-    bytesRead.add(sizeof(StoreChunkHeader) + info.payloadBytes);
-    if (Status st = checksumChunkAt(index); !st.ok())
-        return st;
-    // A chunk that passed its checksum decodes straight from the
-    // mapping: checksum64 catches every single-bit flip, so an
-    // injected flip never gets this far.
-    const Status decoded =
-        decodeChunk(base + info.offset + sizeof(StoreChunkHeader),
-                    info.payloadBytes, info.recordCount, out);
-    if (!decoded.ok())
-        return chunkCorrupt(index, path, decoded.message());
-    return Status();
+    ChunkTelemetry &t = ChunkTelemetry::get();
+    t.chunksDecoded.inc();
+    t.bytesRead.add(sizeof(StoreChunkHeader) +
+                    chunks.at(index).payloadBytes);
+    return withChunkRetries(index, [&] { return checksumChunkAt(index); });
 }
 
-Status
-TraceStoreReader::decodeChunkRetrying(uint64_t index,
-                                      std::vector<TraceRecord> &out) const
+const uint8_t *
+TraceStoreReader::payloadOf(uint64_t index) const
 {
-    return withChunkRetries(index, [&] {
-        out.clear();
-        return decodeChunkAt(index, out);
-    });
+    return base + chunks[index].offset + sizeof(StoreChunkHeader);
 }
 
 Status
@@ -475,11 +480,67 @@ TraceStoreReader::chunkViaCache(uint64_t index, DecodedChunk *out) const
         *out = std::move(cached);
         return Status();
     }
-    auto fresh = std::make_shared<std::vector<TraceRecord>>();
-    if (Status st = decodeChunkRetrying(index, *fresh); !st.ok())
+    obs::Span span("trace.chunk_decode");
+    const Clock::time_point start = Clock::now();
+    if (Status st = readChunk(index); !st.ok())
         return st;
+    // A chunk that passed its checksum decodes straight from the
+    // mapping, once: a decode failure after a passing checksum is
+    // deterministic, so retrying it would only repeat it.
+    auto fresh = std::make_shared<std::vector<TraceRecord>>();
+    const Status decoded = decodeChunk(payloadOf(index), info.payloadBytes,
+                                       info.recordCount, *fresh);
+    ChunkTelemetry &t = ChunkTelemetry::get();
+    t.decodeNs.observe(toNs(Clock::now() - start));
+    if (!decoded.ok()) {
+        t.failures.inc();
+        return chunkCorrupt(index, path, decoded.message());
+    }
     *out = std::move(fresh);
     cache.insert(path, index, hdr.checksum, *out);
+    return Status();
+}
+
+Status
+TraceStoreReader::streamChunk(uint64_t index, uint64_t skip,
+                              uint64_t take,
+                              std::vector<TraceRecord> &block,
+                              TraceSink &sink) const
+{
+    obs::Span span("trace.chunk_decode");
+    const Clock::time_point start = Clock::now();
+    if (Status st = readChunk(index); !st.ok())
+        return st;
+    const ChunkInfo &info = chunks[index];
+    ChunkDecoder decoder(payloadOf(index), info.payloadBytes,
+                         info.recordCount);
+    // The histogram counts checksum and decode time, never the sink's.
+    Clock::duration decoding = Clock::now() - start;
+    Status st;
+    uint64_t wanted = skip + take;   // decode no further than the range
+    while (wanted > 0) {
+        const Clock::time_point blockStart = Clock::now();
+        size_t got = 0;
+        st = decoder.next(block.data(),
+                          static_cast<size_t>(std::min<uint64_t>(
+                              block.size(), wanted)),
+                          &got);
+        decoding += Clock::now() - blockStart;
+        if (!st.ok())
+            break;
+        wanted -= got;
+        const size_t from = static_cast<size_t>(std::min<uint64_t>(skip,
+                                                                   got));
+        skip -= from;
+        for (size_t i = from; i < got; ++i)
+            sink.onRecord(block[i]);
+    }
+    ChunkTelemetry &t = ChunkTelemetry::get();
+    t.decodeNs.observe(toNs(decoding));
+    if (!st.ok()) {
+        t.failures.inc();
+        return chunkCorrupt(index, path, st.message());
+    }
     return Status();
 }
 
@@ -549,30 +610,32 @@ TraceStoreReader::replayRange(uint64_t first, uint64_t n,
     // cheap enough (one relaxed load between decodes) to never matter.
     CancelToken *cancel = currentCancelToken();
     const bool viaCache = DecodedChunkCache::instance().enabled();
-    std::vector<TraceRecord> buffer;
+    std::vector<TraceRecord> block;   // the streamed path's one block
     uint64_t remaining = n;
     uint64_t cursor = first;
     for (uint64_t c = lo; c < chunks.size() && remaining > 0; ++c) {
         Status st = cancel->check();
         if (!st.ok())
             return st;
-        DecodedChunk shared;
-        if (viaCache) {
-            st = chunkViaCache(c, &shared);
-        } else {
-            st = decodeChunkRetrying(c, buffer);
-        }
-        if (!st.ok())
-            return st;
-        const std::vector<TraceRecord> &records =
-            viaCache ? *shared : buffer;
         const uint64_t skip = cursor - chunks[c].firstRecord;
-        for (uint64_t i = skip;
-             i < records.size() && remaining > 0; ++i) {
-            sink.onRecord(records[i]);
-            ++cursor;
-            --remaining;
+        const uint64_t take =
+            std::min<uint64_t>(chunks[c].recordCount - skip, remaining);
+        if (viaCache) {
+            DecodedChunk shared;
+            st = chunkViaCache(c, &shared);
+            if (!st.ok())
+                return st;
+            for (uint64_t i = skip; i < skip + take; ++i)
+                sink.onRecord((*shared)[i]);
+        } else {
+            if (block.empty())
+                block.resize(kReplayBlockRecords);
+            st = streamChunk(c, skip, take, block, sink);
+            if (!st.ok())
+                return st;
         }
+        cursor += take;
+        remaining -= take;
     }
     if (remaining != 0) {
         return Status::corruptData(

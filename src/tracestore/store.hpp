@@ -5,9 +5,12 @@
  * The writer is a TraceSink, so any workload execution can be captured
  * transparently by adding it to the sink fan-out. The reader maps the
  * whole file read-only and decodes chunks on demand, which makes
- * replay zero-copy up to the per-chunk decode and safe to run from
- * several threads at once (all replay methods are const and share no
- * mutable state).
+ * replay zero-copy up to the decode and safe to run from several
+ * threads at once (all replay methods are const and share no mutable
+ * state). A chunk is checksummed before any of its records is
+ * delivered; it is then decoded in kReplayBlockRecords blocks that
+ * stream to the sink, or, with the DecodedChunkCache on, decoded
+ * whole into the cache and streamed from there.
  *
  * Records are delta/varint-encoded in chunks (~4x smaller than
  * fixed-width records); the footer index gives O(1) seek to any record
@@ -22,10 +25,11 @@
  *    (tracestore.write.{short,eintr,enospc,crash,fsync},
  *    tracestore.read.bitflip), so torn writes, out-of-space, and
  *    bit rot are deterministically reproducible in tests.
- *  - Reader errors are Status values, never aborts: transient chunk
- *    corruption is retried with backoff (kChunkReplayAttempts), and
- *    verify() lets callers checksum a whole store *before* streaming
- *    any record into analysis sinks.
+ *  - Reader errors are Status values, never aborts: a chunk whose
+ *    checksum fails is re-read with backoff (kChunkReplayAttempts),
+ *    and verify() lets callers checksum a whole store *before*
+ *    streaming any record into analysis sinks. Decode is not retried:
+ *    after a passing checksum its failure is deterministic.
  */
 
 #ifndef BPNSP_TRACESTORE_STORE_HPP
@@ -45,13 +49,20 @@
 namespace bpnsp {
 
 /**
- * Attempts per chunk before a decode failure is considered permanent:
- * the first try plus retries with short exponential backoff. Retries
- * absorb transient faults (injected or environmental bit flips on
- * read); persistent on-disk corruption still fails, with the attempt
- * count in the diagnostic.
+ * Attempts per chunk before a checksum failure is considered
+ * permanent: the first try plus retries with short exponential
+ * backoff. Retries absorb transient faults (injected or environmental
+ * bit flips on read); persistent on-disk corruption still fails, with
+ * the attempt count in the diagnostic.
  */
 inline constexpr unsigned kChunkReplayAttempts = 3;
+
+/**
+ * Records per block of the uncached replay path: 4096 x 48 B = 192 KiB
+ * stays in L2 between decode and delivery, where a whole 65,536-record
+ * chunk (3 MiB) would not.
+ */
+inline constexpr size_t kReplayBlockRecords = 4096;
 
 /** Captures a record stream into a trace store file. */
 class TraceStoreWriter : public TraceSink
@@ -150,17 +161,24 @@ class TraceStoreReader
 
     /**
      * Stream up to `limit` records (0 = all) into the sink and call
-     * onEnd(). Returns CorruptData on a corrupt chunk (checksum or
-     * decode failure after retries); the sink may have received a
-     * prefix of the stream in that case.
+     * onEnd(). Returns CorruptData on a corrupt chunk (checksum
+     * failure after retries, or a decode failure); the sink may have
+     * received a prefix of the stream in that case.
      */
     Status replay(TraceSink &sink, uint64_t limit) const;
 
     /**
      * Stream records [first, first + n) into the sink WITHOUT calling
      * onEnd() — callers composing slices own stream termination. Seeks
-     * directly to the containing chunk via the footer index. A range
-     * past the end of the store is InvalidArgument, not an abort.
+     * directly to the containing chunk via the footer index. Each
+     * chunk is checksummed (with retries) before any of its records is
+     * delivered, so a chunk that stays corrupt delivers none. Without
+     * the DecodedChunkCache it is then decoded kReplayBlockRecords at
+     * a time into one reused block and each block is delivered,
+     * decoding no further than record first + n - 1. A decode failure
+     * after a passing checksum is CorruptData; blocks of that chunk
+     * delivered before it stay delivered. A range past the end of the
+     * store is InvalidArgument, not an abort.
      */
     Status replayRange(uint64_t first, uint64_t n,
                        TraceSink &sink) const;
@@ -176,25 +194,34 @@ class TraceStoreReader
 
     TraceStoreReader() = default;
 
-    /** Decode chunk `index` into `out`; CorruptData on corruption. */
-    Status decodeChunkAt(uint64_t index,
-                         std::vector<TraceRecord> &out) const;
-
     /**
-     * decodeChunkAt with up to kChunkReplayAttempts tries and
-     * exponential backoff between them; counts retries in the obs
-     * registry (tracestore.replay.chunk_retries).
+     * Checksum chunk `index` with up to kChunkReplayAttempts tries and
+     * exponential backoff between them, counting retries in the obs
+     * registry (tracestore.replay.chunk_retries) and the chunk as read
+     * (tracestore.store.chunks_decoded, bytes_read).
      */
-    Status decodeChunkRetrying(uint64_t index,
-                               std::vector<TraceRecord> &out) const;
+    Status readChunk(uint64_t index) const;
+
+    /** First payload byte of chunk `index` in the mapping. */
+    const uint8_t *payloadOf(uint64_t index) const;
 
     /**
      * Chunk `index` through the process-wide DecodedChunkCache: a hit
-     * streams the shared in-memory decode, a miss decodes (with
-     * retries) and publishes it for the next replay. Only consulted
-     * when the cache is enabled; batch binaries keep the plain path.
+     * streams the shared in-memory decode, a miss checksums (with
+     * retries), decodes once and publishes it for the next replay.
+     * Only consulted when the cache is enabled.
      */
     Status chunkViaCache(uint64_t index, DecodedChunk *out) const;
+
+    /**
+     * The uncached path: checksum chunk `index` (with retries), then
+     * decode its first `skip + take` records `block.size()` at a time
+     * into `block` and deliver records [skip, skip + take) to the
+     * sink. Decode runs once; its failure is permanent.
+     */
+    Status streamChunk(uint64_t index, uint64_t skip, uint64_t take,
+                       std::vector<TraceRecord> &block,
+                       TraceSink &sink) const;
 
     /** Checksum chunk `index` (bit-flip failpoint included). */
     Status checksumChunkAt(uint64_t index) const;

@@ -68,26 +68,6 @@ emitCoinBranch(ProgramBuilder &b, uint64_t base, unsigned log2_words)
 }
 
 /**
- * Emit a data-driven biased branch: taken when a freshly loaded value
- * in [0,100) is below `threshold`. Extreme thresholds give easy,
- * realistic conditional work; mid thresholds give H2Ps.
- */
-void
-emitDataBranch(ProgramBuilder &b, uint64_t base, unsigned log2_words,
-               unsigned threshold)
-{
-    Assembler &a = b.text();
-    b.prngNext();
-    b.loadTableEntry(8, base, log2_words, B::Prng);
-    a.rem(8, 8, B::Hundred);
-    const Label skip = a.newLabel();
-    a.li(9, static_cast<int64_t>(threshold));
-    a.bge(8, 9, skip);
-    a.add(10, 10, 8);
-    a.bind(skip);
-}
-
-/**
  * Emit a correlated threshold chain: one loaded value v is tested by
  * several branches at different program points with interleaved
  * variable-length noise loops. Earlier tests are *dependency branches*

@@ -25,6 +25,7 @@
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "tracestore/cache.hpp"
+#include "tracestore/chunk_cache.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/store.hpp"
 #include "util/rng.hpp"
@@ -308,6 +309,67 @@ TEST_F(FaultReader, PersistentBitflipFailsAfterBoundedRetries)
         << st.str();
     EXPECT_GE(counterValue("tracestore.replay.chunk_failures"),
               failuresBefore + 1);
+    std::remove(path.c_str());
+}
+
+TEST_F(FaultReader, StreamedReplayRetriesFlippedChunkBitIdentically)
+{
+    // Chunks of 5,000 records stream in more than one replay block.
+    ASSERT_FALSE(DecodedChunkCache::instance().enabled());
+    const auto records = sequentialRecords(12000);
+    const std::string path = writeCleanStore("flipStream", records, 5000);
+    DigestSink reference;
+    for (const TraceRecord &rec : records)
+        reference.onRecord(rec);
+
+    // Chunk 0 reads clean; chunk 1's first read flips a bit, its
+    // retry reads clean.
+    const uint64_t retriesBefore =
+        counterValue("tracestore.replay.chunk_retries");
+    ASSERT_TRUE(
+        faultsim::configure("seed=5,tracestore.read.bitflip+1*1").ok());
+    Status st;
+    auto reader = TraceStoreReader::open(path, &st);
+    ASSERT_NE(reader, nullptr) << st.str();
+    DigestSink replayed;
+    st = reader->replay(replayed, 0);
+    ASSERT_TRUE(st.ok()) << st.str();
+    EXPECT_EQ(counterValue("tracestore.replay.chunk_retries"),
+              retriesBefore + 1);
+    EXPECT_EQ(replayed.count(), records.size());
+    EXPECT_EQ(replayed.digest(), reference.digest());
+    std::remove(path.c_str());
+}
+
+TEST_F(FaultReader, ExhaustedRetriesDeliverNoRecordOfFailingChunk)
+{
+    ASSERT_FALSE(DecodedChunkCache::instance().enabled());
+    const auto records = sequentialRecords(12000);
+    const std::string path = writeCleanStore("flipDeny", records, 5000);
+    Status st;
+    auto reader = TraceStoreReader::open(path, &st);
+    ASSERT_NE(reader, nullptr) << st.str();
+
+    // Chunk 0 reads clean, then every read flips: chunk 1 fails all
+    // of its attempts before any of its records is delivered.
+    ASSERT_TRUE(
+        faultsim::configure("seed=5,tracestore.read.bitflip+1").ok());
+    VectorSink sink;
+    st = reader->replay(sink, 0);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData);
+    EXPECT_NE(st.message().find("after 3 attempts"), std::string::npos)
+        << st.str();
+    ASSERT_EQ(sink.get().size(), reader->chunkFirstRecord(1));
+    for (size_t i = 0; i < sink.get().size(); ++i)
+        ASSERT_EQ(sink.get()[i].ip, records[i].ip) << i;
+
+    // The same holds for a range that starts inside the failing chunk.
+    ASSERT_TRUE(
+        faultsim::configure("seed=5,tracestore.read.bitflip").ok());
+    VectorSink slice;
+    st = reader->replayRange(6000, 3000, slice);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData);
+    EXPECT_TRUE(slice.get().empty());
     std::remove(path.c_str());
 }
 

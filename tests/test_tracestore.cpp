@@ -2,18 +2,25 @@
  * @file
  * Tests for the on-disk trace store: varint/zigzag primitives, lossless
  * round-trips across field extremes, malformed-input rejection
- * (truncation, corrupted frames, bad versions — diagnostics, never
- * crashes), and indexed seek.
+ * (truncation, corrupted frames, bad versions, malformed payloads
+ * handed straight to the decoder — diagnostics, never crashes or
+ * over-reads), indexed seek, and block-streamed replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include "tracestore/chunk_cache.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/store.hpp"
 #include "util/rng.hpp"
@@ -136,6 +143,47 @@ sequentialRecords(size_t count)
     }
     return records;
 }
+
+/**
+ * A copy of `bytes` that ends exactly at an inaccessible page, so any
+ * read at or past bytes.size() faults in every build type.
+ */
+class GuardedBytes
+{
+  public:
+    explicit GuardedBytes(const std::vector<uint8_t> &bytes)
+    {
+        const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+        const size_t dataPages = bytes.size() / page + 1;
+        mapLen = (dataPages + 1) * page;
+        void *map = ::mmap(nullptr, mapLen, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (map == MAP_FAILED)
+            throw std::runtime_error("cannot map a guarded buffer");
+        base = static_cast<uint8_t *>(map);
+        uint8_t *guard = base + dataPages * page;
+        if (::mprotect(guard, page, PROT_NONE) != 0) {
+            ::munmap(base, mapLen);
+            throw std::runtime_error("cannot protect the guard page");
+        }
+        bytesPtr = guard - bytes.size();
+        std::memcpy(bytesPtr, bytes.data(), bytes.size());
+        len = bytes.size();
+    }
+    ~GuardedBytes() { ::munmap(base, mapLen); }
+
+    GuardedBytes(const GuardedBytes &) = delete;
+    GuardedBytes &operator=(const GuardedBytes &) = delete;
+
+    const uint8_t *data() const { return bytesPtr; }
+    size_t size() const { return len; }
+
+  private:
+    uint8_t *base = nullptr;
+    uint8_t *bytesPtr = nullptr;
+    size_t mapLen = 0;
+    size_t len = 0;
+};
 
 } // namespace
 
@@ -586,4 +634,281 @@ TEST(DigestSinkTest, SensitiveToEveryField)
         probe.onRecord(variants[i]);
         EXPECT_NE(probe.digest(), reference.digest()) << "field " << i;
     }
+}
+
+namespace {
+
+/** A record prefix (class, flags, registers) of an Alu record. */
+void
+putPrefix(std::vector<uint8_t> &out, uint8_t flags = 0)
+{
+    out.push_back(flags);
+    out.insert(out.end(), 5, 0);
+}
+
+/** One malformed-payload case: the bad record's bytes and diagnostic. */
+struct MalformedCase
+{
+    const char *name;
+    std::vector<uint8_t> bad;   ///< appended after `good` whole records
+    const char *diagnostic;     ///< substring of the CorruptData message
+    bool truncates;             ///< the payload ends inside `bad`
+};
+
+std::vector<MalformedCase>
+malformedCases()
+{
+    std::vector<MalformedCase> cases;
+    auto fields = [](size_t n) {
+        std::vector<uint8_t> v;
+        putPrefix(v);
+        v.insert(v.end(), n, 0);   // n one-byte varints of value 0
+        return v;
+    };
+
+    std::vector<uint8_t> bad;
+    putPrefix(bad, 0x0f);   // class nibble 15 > kMaxInstrClass
+    bad.insert(bad.end(), 5, 0);
+    cases.push_back({"invalid class", bad, "invalid instruction class",
+                     false});
+
+    bad = fields(0);   // ip: 10 continuation bytes, an 11th byte
+    bad.insert(bad.end(), 10, 0x80);
+    bad.insert(bad.end(), 5, 0);
+    cases.push_back({"11-byte varint", bad, "truncated in ip field",
+                     false});
+
+    bad = fields(2);   // target: 10th byte carries more than bit 63
+    bad.insert(bad.end(), 9, 0xff);
+    bad.push_back(0x02);
+    bad.insert(bad.end(), 2, 0);
+    cases.push_back({"10th byte > 1", bad, "truncated in target field",
+                     false});
+
+    bad = fields(4);
+    putVarint(bad, uint64_t{1} << 32);
+    cases.push_back({"writtenValue >= 2^32", bad,
+                     "writtenValue overflows 32 bits", false});
+
+    cases.push_back({"truncated prefix", {0, 0, 0},
+                     "truncated in record prefix", true});
+
+    const char *names[] = {"ip", "fallthrough", "target", "memAddr",
+                           "writtenValue"};
+    for (size_t f = 0; f < 5; ++f) {
+        bad = fields(f);
+        bad.insert(bad.end(), 2, 0x80);   // a varint cut mid-way
+        cases.push_back({names[f], bad, names[f], true});
+    }
+    return cases;
+}
+
+/**
+ * Decode `payload` as `count` records both whole (decodeChunk) and in
+ * blocks of three through a ChunkDecoder. Both must stop with
+ * CorruptData naming `diagnostic` after `good` whole records, and
+ * neither may read at or past the payload's end (the guard page
+ * would fault).
+ */
+void
+expectRejected(const std::vector<uint8_t> &payload, size_t count,
+               const char *diagnostic, size_t good,
+               const std::vector<TraceRecord> &originals)
+{
+    const GuardedBytes bytes(payload);
+    std::vector<TraceRecord> out;
+    const Status st = decodeChunk(bytes.data(), bytes.size(), count, out);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData);
+    EXPECT_NE(st.message().find(diagnostic), std::string::npos)
+        << st.str();
+    ASSERT_EQ(out.size(), good);
+    for (size_t i = 0; i < good; ++i)
+        expectRecordsEqual(out[i], originals[i], i);
+
+    ChunkDecoder decoder(bytes.data(), bytes.size(), count);
+    TraceRecord block[3];
+    Status blockSt;
+    size_t decoded = 0;
+    while (blockSt.ok() && decoded < count) {
+        size_t got = 0;
+        blockSt = decoder.next(block, 3, &got);
+        decoded += got;
+    }
+    EXPECT_EQ(blockSt.code(), StatusCode::CorruptData);
+    EXPECT_EQ(blockSt.message(), st.message());
+    EXPECT_EQ(decoded, good);
+}
+
+} // namespace
+
+TEST(DecodeChunk, RejectsMalformedPayloads)
+{
+    // Full-width fields, so the whole records use multi-byte varints.
+    std::vector<TraceRecord> originals = sequentialRecords(80);
+    for (size_t i = 0; i < originals.size(); ++i)
+        originals[i].memAddr = 0x7fff00000000ull + i * 4096;
+    auto encoded = [&](size_t first, size_t n) {
+        std::vector<uint8_t> out;
+        encodeChunk(originals.data() + first, n, out);
+        return out;
+    };
+
+    for (const MalformedCase &c : malformedCases()) {
+        SCOPED_TRACE(c.name);
+        {
+            // Fast region: the bad record starts mid-chunk. A payload
+            // can only end once, so a truncated record instead ends a
+            // long payload: the fast path must hand over to the careful
+            // one without reading past the cut.
+            SCOPED_TRACE("fast region");
+            const size_t good = 40;
+            std::vector<uint8_t> payload = encoded(0, good);
+            const size_t badOffset = payload.size();
+            ASSERT_GT(badOffset, 2 * kMaxRecordBytes);
+            payload.insert(payload.end(), c.bad.begin(), c.bad.end());
+            size_t count = good + 1;
+            if (!c.truncates) {
+                const std::vector<uint8_t> tail = encoded(good, 20);
+                payload.insert(payload.end(), tail.begin(), tail.end());
+                count += 20;
+                ASSERT_GE(payload.size() - badOffset, kMaxRecordBytes);
+            }
+            expectRejected(payload, count, c.diagnostic, good, originals);
+        }
+        {
+            // Careful region: a payload shorter than one worst-case
+            // record, so every record takes the checked path.
+            SCOPED_TRACE("careful region");
+            const size_t good = 1;
+            std::vector<uint8_t> payload = encoded(0, good);
+            payload.insert(payload.end(), c.bad.begin(), c.bad.end());
+            ASSERT_LT(payload.size(), kMaxRecordBytes);
+            expectRejected(payload, good + 1, c.diagnostic, good,
+                           originals);
+        }
+    }
+
+    SCOPED_TRACE("trailing bytes");
+    // Fast region: the count stops the decoder mid-chunk.
+    expectRejected(encoded(0, 50), 10, "trailing bytes", 10, originals);
+    // Careful region: one stray byte after the last record.
+    std::vector<uint8_t> payload = encoded(0, 2);
+    payload.push_back(0);
+    ASSERT_LT(payload.size(), kMaxRecordBytes);
+    expectRejected(payload, 2, "trailing bytes", 2, originals);
+}
+
+TEST(DecodeChunk, EveryVarintLengthRoundTripsOnBothPaths)
+{
+    // Field f of record i encodes as a varint of ((i + f) % 10) + 1
+    // bytes (writtenValue at most 5), at the low or high end of that
+    // length: the records are built from the raw varint values.
+    auto rawValue = [](size_t bytes, bool high) -> uint64_t {
+        if (high)
+            return bytes >= 10 ? UINT64_MAX
+                               : (uint64_t{1} << (7 * bytes)) - 1;
+        return bytes == 1 ? 0 : uint64_t{1} << (7 * (bytes - 1));
+    };
+    std::vector<TraceRecord> records;
+    uint64_t prevIp = 0;
+    uint64_t prevMem = 0;
+    for (size_t i = 0; i < 200; ++i) {
+        const bool high = (i / 10) % 2 != 0;
+        auto field = [&](size_t f) {
+            return unzigzag(rawValue((i + f) % 10 + 1, high));
+        };
+        TraceRecord r;
+        r.ip = prevIp + static_cast<uint64_t>(field(0));
+        r.fallthrough = r.ip + static_cast<uint64_t>(field(1));
+        r.target = r.ip + static_cast<uint64_t>(field(2));
+        r.memAddr = prevMem + static_cast<uint64_t>(field(3));
+        r.writtenValue = static_cast<uint32_t>(
+            high && (i + 4) % 5 == 4 ? UINT32_MAX
+                                     : rawValue((i + 4) % 5 + 1, high));
+        r.cls = static_cast<InstrClass>(i % (kMaxInstrClass + 1));
+        records.push_back(r);
+        prevIp = r.ip;
+        prevMem = r.memAddr;
+    }
+
+    // One long payload: all but the last records take the fast path.
+    std::vector<uint8_t> payload;
+    encodeChunk(records.data(), records.size(), payload);
+    const GuardedBytes bytes(payload);
+    std::vector<TraceRecord> decoded;
+    const Status st =
+        decodeChunk(bytes.data(), bytes.size(), records.size(), decoded);
+    ASSERT_TRUE(st.ok()) << st.str();
+    ASSERT_EQ(decoded.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i)
+        expectRecordsEqual(decoded[i], records[i], i);
+
+    // Each record alone in a short payload: the careful path only.
+    for (size_t i = 0; i < records.size(); ++i) {
+        TraceRecord alone = records[i];
+        alone.ip = static_cast<uint64_t>(unzigzag(rawValue(i % 10 + 1,
+                                                           (i / 10) % 2)));
+        alone.fallthrough = records[i].fallthrough - records[i].ip +
+                            alone.ip;
+        alone.target = records[i].target - records[i].ip + alone.ip;
+        alone.memAddr = records[i].memAddr -
+                        (i == 0 ? 0 : records[i - 1].memAddr);
+        std::vector<uint8_t> single;
+        encodeChunk(&alone, 1, single);
+        std::vector<TraceRecord> one;
+        const GuardedBytes guarded(single);
+        ASSERT_TRUE(decodeChunk(guarded.data(), guarded.size(), 1, one)
+                        .ok());
+        ASSERT_EQ(one.size(), 1u);
+        expectRecordsEqual(one[0], alone, i);
+    }
+}
+
+TEST(TraceStore, StreamedReplayMatchesWholeChunkDecode)
+{
+    // 5,000 records per chunk is not a multiple of the 4,096-record
+    // replay block, so ranges below straddle block ends, chunk ends
+    // and both.
+    constexpr uint32_t kPerChunk = 5000;
+    static_assert(kPerChunk % kReplayBlockRecords != 0);
+    const std::vector<TraceRecord> records = sequentialRecords(23000);
+    const std::string path = writeStore("streamed", records, kPerChunk);
+    Status st;
+    auto reader = TraceStoreReader::open(path, &st);
+    ASSERT_NE(reader, nullptr) << st.str();
+    ASSERT_EQ(reader->numChunks(), 5u);
+
+    DecodedChunkCache &cache = DecodedChunkCache::instance();
+    const size_t capacity = cache.capacityBytes();
+    const std::pair<uint64_t, uint64_t> ranges[] = {
+        {0, 23000},    {0, 4096},     {4095, 2},   {4096, 1},
+        {4090, 1000},  {4999, 2},     {3000, 9000}, {9095, 2},
+        {8191, 4098},  {12000, 11000}, {19999, 3001}, {22999, 1},
+        {17, 1}};
+    for (const auto &[first, n] : ranges) {
+        SCOPED_TRACE("range " + std::to_string(first) + " + " +
+                     std::to_string(n));
+        DigestSink reference;
+        for (uint64_t i = first; i < first + n; ++i)
+            reference.onRecord(records[i]);
+
+        cache.setCapacityBytes(0);
+        DigestSink streamed;
+        st = reader->replayRange(first, n, streamed);
+        ASSERT_TRUE(st.ok()) << st.str();
+
+        cache.setCapacityBytes(64u << 20);
+        DigestSink cachedCold;
+        DigestSink cachedWarm;
+        ASSERT_TRUE(reader->replayRange(first, n, cachedCold).ok());
+        ASSERT_TRUE(reader->replayRange(first, n, cachedWarm).ok());
+
+        EXPECT_EQ(streamed.count(), n);
+        EXPECT_EQ(streamed.digest(), reference.digest());
+        EXPECT_EQ(cachedCold.digest(), streamed.digest());
+        EXPECT_EQ(cachedWarm.digest(), streamed.digest());
+    }
+    cache.clear();
+    cache.setCapacityBytes(capacity);
+    std::remove(path.c_str());
 }

@@ -19,6 +19,7 @@
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
 #include "core/runner.hpp"
+#include "trace/sink.hpp"
 #include "util/bitops.hpp"
 #include "util/cancel.hpp"
 #include "util/signals.hpp"
@@ -721,12 +722,35 @@ TEST(Signals, FirstSigtermDrainsSecondForceExits)
     EXPECT_EQ(WEXITSTATUS(wstatus), 128 + SIGTERM);
 }
 
+namespace {
+
+/** Counts the records it receives after the global token fired. */
+class LateRecordSink : public TraceSink
+{
+  public:
+    void
+    onRecord(const TraceRecord &) override
+    {
+        if (globalCancelToken().cancelled())
+            ++late;
+    }
+
+    uint64_t late = 0;
+};
+
+} // namespace
+
 TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
 {
     // A supervisor's drain depends on cold trace generation honoring
     // the cancel token: SIGTERM mid-generation must cut the run short
-    // (fewer records than asked) instead of blocking the drain until
-    // the trace completes.
+    // at the VM's next cancellation poll (every 2^18 instructions)
+    // instead of blocking the drain until the trace completes. The
+    // check counts records delivered after the token fired, so a
+    // signal that lands after the last record (while the capture is
+    // flushed, fsynced and published) is not mistaken for a run that
+    // ignored it.
+    constexpr uint64_t kPollInterval = uint64_t{1} << 18;
     const std::string dir =
         std::string(::testing::TempDir()) + "bpnsp_sig_coldgen";
     std::filesystem::remove_all(dir);
@@ -744,11 +768,10 @@ TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
         while (!globalCancelToken().cancelled()) {
             auto bp = makePredictor("gshare");
             PredictorSim sim(*bp, /*collect_per_branch=*/false);
-            const uint64_t got = runWorkloadTrace(
-                workload, 0, {&sim}, instructions);
-            if (globalCancelToken().cancelled() &&
-                got >= instructions)
-                ::_exit(93);   // cancelled yet ran to completion
+            LateRecordSink late;
+            runWorkloadTrace(workload, 0, {&sim, &late}, instructions);
+            if (late.late > kPollInterval)
+                ::_exit(93);   // ran past a poll after the signal
             ++instructions;
         }
         ::_exit(0);
