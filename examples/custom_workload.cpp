@@ -100,8 +100,8 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<BranchPredictor>> predictors;
     std::vector<std::unique_ptr<PredictorSim>> sims;
     std::vector<TraceSink *> sinks;
-    for (const char *name : {"bimodal", "gshare", "perceptron",
-                             "tage-sc-l-8KB", "perfect"}) {
+    for (const char *name :
+         {"bimodal", "gshare", "tage-sc-l-8KB", "perfect"}) {
         predictors.push_back(makePredictor(name));
         sims.push_back(
             std::make_unique<PredictorSim>(*predictors.back()));

@@ -38,9 +38,8 @@ main(int argc, char **argv)
 
     std::vector<std::pair<std::string,
                           std::unique_ptr<BranchPredictor>>> preds;
-    for (const char *name :
-         {"bimodal", "gshare", "perceptron", "tage-sc-l-8KB",
-          "tage-sc-l-64KB", "perfect"}) {
+    for (const char *name : {"bimodal", "gshare", "tage-sc-l-8KB",
+                             "tage-sc-l-64KB", "perfect"}) {
         preds.emplace_back(name, makePredictor(name));
     }
     const IpcStudyResult study = runIpcStudy(
@@ -60,7 +59,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", table.render().c_str());
 
-    const size_t tage = 3;
+    const size_t tage = 2;   // tage-sc-l-8KB
     const size_t perfect = study.columns.size() - 1;
     for (size_t s = 0; s < scales.size(); ++s) {
         std::printf("at %ux, perfect prediction is worth +%.1f%% IPC "

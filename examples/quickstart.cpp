@@ -40,16 +40,15 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<BranchPredictor>> predictors;
     std::vector<std::unique_ptr<PredictorSim>> sims;
     std::vector<TraceSink *> sinks;
-    for (const char *name :
-         {"always-taken", "bimodal", "gshare", "local", "perceptron",
-          "ppm", "tage-sc-l-8KB", "tage-sc-l-64KB"}) {
+    for (const char *name : {"always-taken", "bimodal", "gshare",
+                             "tage-sc-l-8KB", "tage-sc-l-64KB"}) {
         predictors.push_back(makePredictor(name));
         sims.push_back(
             std::make_unique<PredictorSim>(*predictors.back()));
         sinks.push_back(sims.back().get());
     }
     // The shared workload path: executes the VM and streams every
-    // record to all eight predictors in one pass.
+    // record to all five predictors in one pass.
     runWorkloadTrace(workload, 0, sinks, instructions);
 
     TextTable table("Prediction accuracy on " + workload.name + " (" +
@@ -65,7 +64,7 @@ main(int argc, char **argv)
     std::printf("%s\n", table.render().c_str());
 
     // H2P screen under the state-of-the-art baseline.
-    const auto &tage_sim = *sims[6];
+    const auto &tage_sim = *sims[3];   // tage-sc-l-8KB
     const H2pCriteria criteria = H2pCriteria{}.scaledTo(instructions);
     size_t h2p_count = 0;
     uint64_t h2p_mispreds = 0;

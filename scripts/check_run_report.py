@@ -19,11 +19,12 @@ must equal cells_total, and — from schema_rev 4 — the serving
 counters (serve.requests, serve.accepted, serve.rejected,
 serve.completed, serve.frames_corrupt) with their admission
 invariants: accepted + rejected <= requests and completed <= accepted,
-and — from schema_rev 5 — the synthesis counters
+and, for revs 5 to 11 only, the synthesis counters
 (synth.profiles_fitted, synth.branches_fitted,
 synth.programs_generated, synth.validate_failures) with their
 invariants: no branches fitted without a fitted profile, and no
-validation failure without a generated program, and — from schema_rev
+validation failure without a generated program (rev 12 dropped them
+with workload synthesis), and — from schema_rev
 6 — the observability counters (obs.spans_recorded,
 obs.spans_dropped, serve.stats_requests) with their invariants: no
 span dropped unless spans were being recorded, and stats requests are
@@ -45,9 +46,10 @@ optional "snapshots" time-series
 section, when present, must be shaped like the sampler wrote it
 (period_ms, total, and a samples array of {t_s, counters, gauges,
 histograms} objects with non-decreasing t_s). Every counter in the
-report (contract or not) must be a non-negative integer, and synth.*
-is a closed namespace: a key outside the contract is a typo in an
-instrumentation site, not a new feature, and fails validation.
+report (contract or not) must be a non-negative integer, and in revs 5
+to 11 synth.* is a closed namespace: a key outside the contract is a
+typo in an instrumentation site, not a new feature, and fails
+validation.
 Exits non-zero on the first violation.
 """
 
@@ -94,10 +96,11 @@ REQUIRED_COUNTERS_REV4 = (
     "serve.completed",
     "serve.frames_corrupt",
 )
-# Added in schema_rev 5: the synthesis contract. Every report proves
-# whether the run fitted profiles, generated programs, or failed a
-# generation validation.
-REQUIRED_COUNTERS_REV5 = (
+# Required in schema_rev 5 to 11 only: the synthesis contract (whether
+# the run fitted profiles, generated programs, or failed a generation
+# validation). Rev 12 dropped these keys with workload synthesis; older
+# reports must still carry them.
+REQUIRED_COUNTERS_SYNTH = (
     "synth.profiles_fitted",
     "synth.branches_fitted",
     "synth.programs_generated",
@@ -150,7 +153,7 @@ REQUIRED_COUNTERS_REV9 = (
     "frontend.ind_mispred",
     "frontend.ftq_stall_cycles",
 )
-MAX_KNOWN_SCHEMA_REV = 11
+MAX_KNOWN_SCHEMA_REV = 12
 
 
 def check(path):
@@ -189,11 +192,12 @@ def check(path):
     for name, value in counters.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"counter {name} not a count: {value!r}")
-    # synth.* is a closed namespace: a key outside the rev-5 contract
-    # is a typo at an instrumentation site, not a new feature.
-    for name in counters:
-        if name.startswith("synth.") and name not in REQUIRED_COUNTERS_REV5:
-            raise ValueError(f"unknown synth.* counter {name}")
+    # In revs 5 to 11 synth.* is a closed namespace: a key outside the
+    # contract is a typo at an instrumentation site, not a new feature.
+    if 5 <= rev <= 11:
+        for name in counters:
+            if name.startswith("synth.") and name not in REQUIRED_COUNTERS_SYNTH:
+                raise ValueError(f"unknown synth.* counter {name}")
     required = REQUIRED_COUNTERS
     if rev >= 2:
         required = required + REQUIRED_COUNTERS_REV2
@@ -201,8 +205,8 @@ def check(path):
         required = required + REQUIRED_COUNTERS_REV3
     if rev >= 4:
         required = required + REQUIRED_COUNTERS_REV4
-    if rev >= 5:
-        required = required + REQUIRED_COUNTERS_REV5
+    if 5 <= rev <= 11:
+        required = required + REQUIRED_COUNTERS_SYNTH
     if rev >= 6:
         required = required + REQUIRED_COUNTERS_REV6
     if rev >= 7:
@@ -260,7 +264,7 @@ def check(path):
                 f"{counters['serve.accepted']}"
             )
 
-    if rev >= 5:
+    if 5 <= rev <= 11:
         # Synthesis bookkeeping: branches are only fitted as part of a
         # fitted profile, and a validation can only fail against a
         # program generated in the same run.

@@ -6,7 +6,7 @@
 # daemon runs with span tracing, snapshot sampling, and slow-request
 # logging on; mid-soak a Stats request must answer from the io thread,
 # the rotated Perfetto traces must pass check_trace.py, and the run
-# report must validate as schema_rev 11 with the serve.* and obs.*
+# report must validate as schema_rev 12 with the serve.* and obs.*
 # contract counters. A final phase proves --watch survives a daemon
 # restart by reconnecting instead of exiting.
 #
@@ -143,7 +143,7 @@ wait "$LOAD_PID" 2>/dev/null || true
     exit 1
 }
 
-# Phase 3: the drained daemon's report must be a valid schema_rev 11
+# Phase 3: the drained daemon's report must be a valid schema_rev 12
 # run report whose serve.* counters prove the soak exercised every
 # path: admission, rejection, corruption, completion, introspection —
 # and whose snapshots section carries the sampled time series.
@@ -155,7 +155,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema_rev"] == 11, report["schema_rev"]
+assert report["schema_rev"] == 12, report["schema_rev"]
 c = report["counters"]
 assert c["serve.requests"] > 0, c
 assert c["serve.completed"] > 0, c

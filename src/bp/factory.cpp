@@ -1,8 +1,6 @@
 #include "bp/factory.hpp"
 
 #include "bp/oracle.hpp"
-#include "bp/perceptron.hpp"
-#include "bp/ppm.hpp"
 #include "bp/simple.hpp"
 #include "bp/tagescl.hpp"
 #include "util/logging.hpp"
@@ -20,12 +18,6 @@ makePredictor(const std::string &name)
         return std::make_unique<BimodalPredictor>();
     if (name == "gshare")
         return std::make_unique<GsharePredictor>();
-    if (name == "local")
-        return std::make_unique<LocalPredictor>();
-    if (name == "perceptron")
-        return std::make_unique<PerceptronPredictor>();
-    if (name == "ppm")
-        return std::make_unique<PpmPredictor>();
     if (name == "perfect")
         return std::make_unique<PerfectPredictor>();
 
@@ -54,11 +46,10 @@ std::vector<std::string>
 knownPredictorNames()
 {
     return {
-        "always-taken",   "always-not-taken", "bimodal",
-        "gshare",         "local",            "perceptron",
-        "ppm",            "tage-8KB",         "tage-64KB",
-        "tage-sc-l-8KB",  "tage-sc-l-64KB",   "tage-sc-l-128KB",
-        "tage-sc-l-256KB", "tage-sc-l-512KB", "tage-sc-l-1024KB",
+        "always-taken",    "always-not-taken", "bimodal",
+        "gshare",          "tage-8KB",         "tage-64KB",
+        "tage-sc-l-8KB",   "tage-sc-l-64KB",   "tage-sc-l-128KB",
+        "tage-sc-l-256KB", "tage-sc-l-512KB",  "tage-sc-l-1024KB",
         "perfect",
     };
 }

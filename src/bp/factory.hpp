@@ -16,10 +16,9 @@ namespace bpnsp {
 
 /**
  * Construct a predictor by name. Supported names:
- *   always-taken, always-not-taken, bimodal, gshare, local,
- *   perceptron, ppm, loop, tage-8KB, tage-64KB,
- *   tage-sc-l-8KB, tage-sc-l-64KB, tage-sc-l-128KB, tage-sc-l-256KB,
- *   tage-sc-l-512KB, tage-sc-l-1024KB, perfect.
+ *   always-taken, always-not-taken, bimodal, gshare, tage-8KB,
+ *   tage-64KB, tage-sc-l-8KB, tage-sc-l-64KB, tage-sc-l-128KB,
+ *   tage-sc-l-256KB, tage-sc-l-512KB, tage-sc-l-1024KB, perfect.
  * fatal() on an unknown name.
  */
 std::unique_ptr<BranchPredictor> makePredictor(const std::string &name);

@@ -92,51 +92,4 @@ GsharePredictor::storageBits() const
     return (1ull << indexBits) * 2 + histBits;
 }
 
-// ---------------------------------------------------------------- local
-
-LocalPredictor::LocalPredictor(unsigned log2_bht, unsigned local_bits)
-    : bhtBits(log2_bht), localBits(local_bits)
-{
-    BPNSP_ASSERT(log2_bht >= 1 && log2_bht <= 24);
-    BPNSP_ASSERT(local_bits >= 1 && local_bits <= 24);
-    histories.assign(1ull << bhtBits, 0);
-    patterns.assign(1ull << localBits, SatCounter(2, 2));
-}
-
-std::string
-LocalPredictor::name() const
-{
-    return "local-" + std::to_string(1ull << bhtBits) + "x" +
-           std::to_string(localBits);
-}
-
-size_t
-LocalPredictor::bhtIndex(uint64_t ip) const
-{
-    return bits(mix64(ip), 0, bhtBits);
-}
-
-bool
-LocalPredictor::predict(uint64_t ip, bool)
-{
-    const uint64_t h =
-        histories[bhtIndex(ip)] & ((1ull << localBits) - 1);
-    return patterns[h].taken();
-}
-
-void
-LocalPredictor::update(uint64_t ip, bool taken, bool, uint64_t)
-{
-    uint64_t &h = histories[bhtIndex(ip)];
-    const uint64_t pattern = h & ((1ull << localBits) - 1);
-    patterns[pattern].update(taken);
-    h = (h << 1) | (taken ? 1 : 0);
-}
-
-uint64_t
-LocalPredictor::storageBits() const
-{
-    return (1ull << bhtBits) * localBits + (1ull << localBits) * 2;
-}
-
 } // namespace bpnsp

@@ -1,9 +1,8 @@
 /**
  * @file
- * Simple baseline predictors: static, bimodal, gshare, and two-level
- * local history. These are the classical designs the paper's Sec. II
- * positions TAGE-SC-L against, and they serve as comparators in the
- * bench harnesses.
+ * Simple baseline predictors: static, bimodal and gshare. These are
+ * the classical designs the paper's Sec. II positions TAGE-SC-L
+ * against, and they serve as comparators in the bench harnesses.
  */
 
 #ifndef BPNSP_BP_SIMPLE_HPP
@@ -85,36 +84,6 @@ class GsharePredictor : public BranchPredictor
     std::vector<SatCounter> table;
 
     size_t indexOf(uint64_t ip) const;
-};
-
-/**
- * Two-level adaptive predictor with per-branch (local) histories
- * (Yeh & Patt): a table of local history registers selects a pattern
- * table of 2-bit counters.
- */
-class LocalPredictor : public BranchPredictor
-{
-  public:
-    /**
-     * @param log2_bht log2 of the branch history table size
-     * @param local_bits local history length
-     */
-    explicit LocalPredictor(unsigned log2_bht = 10,
-                            unsigned local_bits = 10);
-
-    std::string name() const override;
-    bool predict(uint64_t ip, bool) override;
-    void update(uint64_t ip, bool taken, bool predicted,
-                uint64_t target) override;
-    uint64_t storageBits() const override;
-
-  private:
-    unsigned bhtBits;
-    unsigned localBits;
-    std::vector<uint64_t> histories;
-    std::vector<SatCounter> patterns;
-
-    size_t bhtIndex(uint64_t ip) const;
 };
 
 } // namespace bpnsp

@@ -16,7 +16,6 @@
 #include "frontend/frontend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "synth/workload.hpp"
 #include "util/cancel.hpp"
 #include "util/fsutil.hpp"
 #include "util/hash.hpp"
@@ -461,17 +460,8 @@ buildCells(const std::string &workloads, unsigned inputs,
     if (workloads == "all") {
         selected = allWorkloads();
     } else {
-        for (const std::string &spec : splitList(workloads)) {
-            // A spec entry may be a synth population
-            // (synth:<profile>:<base>+<count>), which expands to one
-            // cell row per seed; anything else passes through as-is.
-            std::vector<std::string> names;
-            if (Status st = synth::expandPopulation(spec, &names);
-                !st.ok())
-                fatal(st.str());
-            for (const std::string &name : names)
-                selected.push_back(findWorkload(name));  // fatal() if bad
-        }
+        for (const std::string &name : splitList(workloads))
+            selected.push_back(findWorkload(name));  // fatal() if bad
     }
 
     const std::vector<std::string> predictorNames =

@@ -208,11 +208,6 @@ renderRunReport()
           // never exceeds serve.accepted.
           "serve.requests", "serve.accepted", "serve.rejected",
           "serve.completed", "serve.frames_corrupt",
-          // Synthesis counters (schema_rev 5): every report proves
-          // whether the run fitted profiles or generated programs,
-          // and whether any generated program failed validation.
-          "synth.profiles_fitted", "synth.branches_fitted",
-          "synth.programs_generated", "synth.validate_failures",
           // Observability counters (schema_rev 6): every report
           // proves whether tracing was on (and how lossy the span
           // rings were) and whether the daemon answered live Stats
@@ -253,12 +248,13 @@ renderRunReport()
     // keys (worker deaths, respawns, breaker trips) with the
     // multi-process fleet they counted. Rev 11 drops rev 8's
     // serve.hedges / serve.hedge_wins with the client hedging they
-    // counted. Nothing is ever renamed, so v1 consumers keep parsing
-    // and rev-aware consumers know which keys are guaranteed present
-    // at each rev.
+    // counted. Rev 12 drops rev 5's four synth.* keys with the
+    // workload synthesis they counted. Nothing is ever renamed, so v1
+    // consumers keep parsing and rev-aware consumers know which keys
+    // are guaranteed present at each rev.
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-run-report-v1\",\n"
-        << "  \"schema_rev\": 11,\n  \"run\": {\n";
+        << "  \"schema_rev\": 12,\n  \"run\": {\n";
     for (const auto &[key, value] : reg.runFields())
         oss << "    " << quoted(key) << ": " << quoted(value) << ",\n";
     oss << "    \"git\": " << quoted(gitDescribe()) << ",\n"

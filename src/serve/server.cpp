@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "synth/workload.hpp"
 #include "util/logging.hpp"
 #include "workloads/suite.hpp"
 
@@ -1484,27 +1483,11 @@ ServeServer::closeConn(const std::shared_ptr<Conn> &conn)
 }
 
 const Workload *
-ServeServer::findServableWorkload(const std::string &name)
+ServeServer::findServableWorkload(const std::string &name) const
 {
     for (const Workload &w : workloadsCatalog) {
         if (w.name == name)
             return &w;
-    }
-    // synth:<profile>:<seed> names resolve on demand — gracefully,
-    // since the name is client-controlled and resolution reads a
-    // profile file. A bad name or missing profile is the caller's
-    // InvalidArgument, never a daemon fatal(). Resolved workloads are
-    // cached: repeat requests skip the profile re-parse, and the
-    // returned pointer stays valid for the server's lifetime.
-    if (synth::isSynthName(name)) {
-        std::lock_guard<std::mutex> lock(synthMu);
-        auto it = synthCatalog.find(name);
-        if (it != synthCatalog.end())
-            return &it->second;
-        Workload w;
-        if (!synth::makeSynthWorkload(name, &w).ok())
-            return nullptr;
-        return &synthCatalog.emplace(name, std::move(w)).first->second;
     }
     return nullptr;
 }

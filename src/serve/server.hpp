@@ -193,7 +193,7 @@ class ServeServer
     void closeConn(const std::shared_ptr<Conn> &conn);
 
     /** Non-fatal workload lookup (nullptr when unknown). */
-    const Workload *findServableWorkload(const std::string &name);
+    const Workload *findServableWorkload(const std::string &name) const;
 
     /** Validate the common request fields; Ok or InvalidArgument. */
     Status validateRequest(const ServeRequest &request,
@@ -262,12 +262,6 @@ class ServeServer
 
     std::unique_ptr<TraceCache> cache;
     std::vector<Workload> workloadsCatalog;       ///< loaded at start
-
-    // Resolved synth:<profile>:<seed> workloads, cached by name.
-    // std::map gives pointer stability across inserts, which is what
-    // lets findServableWorkload hand out long-lived Workload*.
-    std::mutex synthMu;
-    std::map<std::string, Workload> synthCatalog;
 };
 
 } // namespace bpnsp::serve

@@ -117,33 +117,6 @@ JsonValue::members() const
     return isObject() ? objVal : kEmptyObject;
 }
 
-JsonValue
-JsonValue::makeString(std::string s)
-{
-    JsonValue v;
-    v.kindTag = Kind::String;
-    v.strVal = std::move(s);
-    return v;
-}
-
-JsonValue
-JsonValue::makeNumber(double d)
-{
-    JsonValue v;
-    v.kindTag = Kind::Number;
-    v.numVal = d;
-    return v;
-}
-
-JsonValue
-JsonValue::makeBool(bool b)
-{
-    JsonValue v;
-    v.kindTag = Kind::Bool;
-    v.boolVal = b;
-    return v;
-}
-
 /** Recursive-descent parser over the input buffer. */
 class JsonParser
 {

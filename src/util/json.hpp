@@ -4,17 +4,16 @@
  * one string and number writer.
  *
  * The repository renders all of its JSON by hand (run reports, campaign
- * results) through jsonEscape()/jsonNumber() but until now never had
- * to *read* any back. The synth
- * subsystem does: fitted workload profiles are versioned JSON documents
- * that `bpnsp_synth generate` and the synth workload resolver load from
- * disk. This parser covers the full JSON grammar (objects, arrays,
- * strings with escapes, numbers, booleans, null) with strict error
- * reporting and no dependencies, and is small enough to audit.
+ * results) through jsonEscape()/jsonNumber(). The parser reads it back:
+ * `bpnsp_client` pretty-prints the daemon's Stats run report, and the
+ * tests check run reports and Chrome-trace exports through it. It
+ * covers the full JSON grammar (objects, arrays, strings with escapes,
+ * numbers, booleans, null) with strict error reporting and no
+ * dependencies, and is small enough to audit.
  *
  * Numbers are held as doubles; integral values up to 2^53 round-trip
- * exactly, which covers every counter and histogram edge the profiles
- * carry.
+ * exactly, which covers every counter and histogram edge a run report
+ * carries.
  */
 
 #ifndef BPNSP_UTIL_JSON_HPP
@@ -70,13 +69,6 @@ class JsonValue
 
     /** Object members in key order (objects only). */
     const std::map<std::string, JsonValue> &members() const;
-
-    /** @name Construction helpers (for tests) */
-    /// @{
-    static JsonValue makeString(std::string s);
-    static JsonValue makeNumber(double v);
-    static JsonValue makeBool(bool v);
-    /// @}
 
     /**
      * Parse a complete JSON document. On grammar violations returns

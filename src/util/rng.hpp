@@ -2,16 +2,17 @@
  * @file
  * Deterministic pseudo-random number generation.
  *
- * All stochastic behavior in the repository (workload synthesis, fault
- * injection, load generation, data tables, clustering initialization)
- * flows through Rng so that every experiment is reproducible from a
- * single seed. The generator is xoshiro256**, which is fast, high
- * quality, and trivially seedable; seeds expand through splitmix64.
+ * All stochastic behavior in the repository (workload construction,
+ * fault injection, load generation, data tables, clustering
+ * initialization) flows through Rng so that every experiment is
+ * reproducible from a single seed. The generator is xoshiro256**,
+ * which is fast, high quality, and trivially seedable; seeds expand
+ * through splitmix64.
  *
  * Subsystems that need many decorrelated streams from one master seed
  * (faultsim's per-failpoint streams, the serve load generator's
- * per-client streams, synth's per-program streams) derive them through
- * Rng::stream() rather than ad-hoc seed arithmetic, so the whole
+ * per-client streams) derive them through Rng::stream() rather than
+ * ad-hoc seed arithmetic, so the whole
  * repository draws from one audited derivation scheme: the master seed
  * and the stream label (a name or an index) are mixed through
  * splitmix64/FNV-1a before seeding the child generator, which keeps

@@ -59,9 +59,6 @@ enum class Opcode : uint8_t {
     JumpInd, CallInd,
 };
 
-/** Printable mnemonic. */
-const char *opcodeName(Opcode op);
-
 /** True for Beq/Bne/Blt/Bge. */
 inline bool
 isCondBranch(Opcode op)

@@ -127,9 +127,6 @@ class ProgramBuilder
     /** Finalize (entry is instruction 0, which jumps to entryLabel). */
     Program finish();
 
-    /** Address of the PRNG seed config word (set by prologue()). */
-    uint64_t seedAddress() const { return seedAddr; }
-
     /**
      * The program's real entry label. The builder emits `jmp entry` as
      * instruction 0, so function bodies may be emitted first and the
@@ -139,12 +136,6 @@ class ProgramBuilder
 
     /** Base address of the in-memory call stack region. */
     static constexpr uint64_t kStackBase = 0x7f000000;
-
-    /**
-     * Address of the stack-pointer word (initialized to kStackBase by
-     * prologue()); recursive kernels spill registers through it.
-     */
-    uint64_t stackPtrAddress() const { return spAddr; }
 
     /** Spill a register to the memory stack (push). Clobbers r2-r3. */
     void push(unsigned reg);
@@ -156,8 +147,8 @@ class ProgramBuilder
     Assembler asm_;
     Rng dataRng;
     uint64_t dataCursor = 0x10000000;   ///< next free data address
-    uint64_t seedAddr = 0;
-    uint64_t spAddr = 0;
+    uint64_t seedAddr = 0;              ///< PRNG seed config word
+    uint64_t spAddr = 0;                ///< stack-pointer word
     Label entryLbl;
     bool prologueDone = false;
 };

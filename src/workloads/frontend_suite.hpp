@@ -4,8 +4,7 @@
  * subsystem exists to predict.
  *
  * Two additions, deliberately kept OUT of specSuite()/lcfSuite() so
- * every historical figure and the synth-validation corpus keep their
- * exact workload populations:
+ * every historical figure keeps its exact workload population:
  *
  *  - vcall: an LCF application (buildLcfApp) whose dispatcher calls
  *    through a function-pointer table (`callr`) instead of a branch

@@ -1,6 +1,5 @@
 #include "workloads/suite.hpp"
 
-#include "synth/workload.hpp"
 #include "util/logging.hpp"
 
 namespace bpnsp {
@@ -12,9 +11,8 @@ allWorkloads()
     std::vector<Workload> lcf = lcfSuite();
     all.insert(all.end(), std::make_move_iterator(lcf.begin()),
                std::make_move_iterator(lcf.end()));
-    // Frontend-stress workloads ride last: the fig_* benches and the
-    // synth-validation corpus iterate specSuite()/lcfSuite() directly
-    // and are unperturbed by these.
+    // Frontend-stress workloads ride last: the fig_* benches iterate
+    // specSuite()/lcfSuite() directly and are unperturbed by these.
     std::vector<Workload> fe = frontendSuite();
     all.insert(all.end(), std::make_move_iterator(fe.begin()),
                std::make_move_iterator(fe.end()));
@@ -24,15 +22,6 @@ allWorkloads()
 Workload
 findWorkload(const std::string &name)
 {
-    // synth:<profile>:<seed> names resolve to generated workloads
-    // (synth/workload.hpp); they are first-class everywhere a suite
-    // name is.
-    if (synth::isSynthName(name)) {
-        Workload w;
-        if (Status st = synth::makeSynthWorkload(name, &w); !st.ok())
-            fatal(st.str());
-        return w;
-    }
     for (auto &w : allWorkloads()) {
         if (w.name == name)
             return w;
@@ -40,8 +29,7 @@ findWorkload(const std::string &name)
     std::string known;
     for (const auto &w : allWorkloads())
         known += " " + w.name;
-    fatal("unknown workload: ", name, "; known:", known,
-          " (or synth:<profile>:<seed>)");
+    fatal("unknown workload: ", name, "; known:", known);
 }
 
 } // namespace bpnsp

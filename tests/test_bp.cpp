@@ -14,8 +14,6 @@
 #include "bp/helper.hpp"
 #include "bp/loop.hpp"
 #include "bp/oracle.hpp"
-#include "bp/perceptron.hpp"
-#include "bp/ppm.hpp"
 #include "bp/sc.hpp"
 #include "bp/sim.hpp"
 #include "bp/simple.hpp"
@@ -123,73 +121,6 @@ TEST(Gshare, RandomStreamNearChance)
         bp, [&](uint64_t) { return rng.chance(0.5); }, 2000, 2000);
     EXPECT_LT(acc, 0.62);
     EXPECT_GT(acc, 0.38);
-}
-
-// --------------------------------------------------------------- local
-
-TEST(Local, LearnsPerBranchPattern)
-{
-    LocalPredictor bp;
-    const double acc = trainAndMeasure(
-        bp, [](uint64_t i) { return i % 3 == 0; }, 2000, 1000);
-    EXPECT_GT(acc, 0.95);
-}
-
-// ---------------------------------------------------------- perceptron
-
-TEST(Perceptron, LearnsHistoryCorrelation)
-{
-    PerceptronPredictor bp;
-    // Outcome equals the outcome 4 steps ago (strong positional
-    // correlation that perceptrons capture directly).
-    bool past[4] = {true, false, true, true};
-    const double acc = trainAndMeasure(
-        bp,
-        [&](uint64_t i) {
-            const bool out = past[i % 4];
-            return out;
-        },
-        2000, 1000);
-    EXPECT_GT(acc, 0.95);
-}
-
-TEST(Perceptron, LearnsBias)
-{
-    PerceptronPredictor bp;
-    const double acc =
-        trainAndMeasure(bp, [](uint64_t) { return false; }, 200, 200);
-    EXPECT_GT(acc, 0.99);
-}
-
-TEST(Perceptron, StorageAccounting)
-{
-    PerceptronConfig cfg;
-    cfg.numTables = 4;
-    cfg.log2Entries = 8;
-    cfg.weightBits = 8;
-    cfg.maxHistory = 64;
-    PerceptronPredictor bp(cfg);
-    EXPECT_EQ(bp.storageBits(), 4u * 256 * 8 + 64);
-}
-
-// ----------------------------------------------------------------- ppm
-
-TEST(Ppm, LearnsPeriodicPattern)
-{
-    PpmPredictor bp;
-    const double acc = trainAndMeasure(
-        bp, [](uint64_t i) { return (i % 7) < 3; }, 3000, 1000);
-    EXPECT_GT(acc, 0.9);
-}
-
-TEST(Ppm, BeatsBimodalOnHistoryPattern)
-{
-    PpmPredictor ppm;
-    BimodalPredictor bim(12);
-    auto pattern = [](uint64_t i) { return (i % 4) < 2; };
-    const double acc_ppm = trainAndMeasure(ppm, pattern, 2000, 1000);
-    const double acc_bim = trainAndMeasure(bim, pattern, 2000, 1000);
-    EXPECT_GT(acc_ppm, acc_bim + 0.2);
 }
 
 // ---------------------------------------------------------------- loop

@@ -2,7 +2,7 @@
  * @file
  * Tests for the obs telemetry subsystem: exact counting under
  * concurrency, histogram percentile math, JSON run-report round-trips
- * through a small in-test parser, empty-stats serialization, the
+ * through util/json's parser, empty-stats serialization, the
  * trace-cache hit/miss counters observed through the real
  * runWorkloadTrace() path, span recording (tree shape, trace-id
  * scoping, ring overflow accounting, Chrome-trace export), and the
@@ -11,12 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +23,7 @@
 #include "obs/report.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "workloads/suite.hpp"
 
@@ -34,213 +32,15 @@ using namespace bpnsp;
 namespace {
 
 /**
- * Minimal JSON reader covering exactly what the run report and the
- * Chrome-trace export emit: objects, arrays, strings, numbers,
- * booleans, and null.
+ * Member `key` of the JSON object `v`. A missing key fails the test
+ * loudly instead of reading as null or 0.
  */
-struct JsonValue
+const JsonValue &
+at(const JsonValue &v, const std::string &key)
 {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-
-    const JsonValue &
-    at(const std::string &key) const
-    {
-        auto it = object.find(key);
-        EXPECT_NE(it, object.end()) << "missing key: " << key;
-        static const JsonValue nullValue;
-        return it == object.end() ? nullValue : it->second;
-    }
-
-    bool has(const std::string &key) const
-    {
-        return object.count(key) != 0;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        EXPECT_EQ(pos, s.size()) << "trailing bytes after document";
-        return v;
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[pos]))) {
-            ++pos;
-        }
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        return pos < s.size() ? s[pos] : '\0';
-    }
-
-    void
-    expect(char c)
-    {
-        ASSERT_EQ(peek(), c) << "at offset " << pos;
-        ++pos;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        switch (peek()) {
-          case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
-          case '"':
-            return parseString();
-          case 't':
-          case 'f':
-            return parseBool();
-          case 'n':
-            parseLiteral("null");
-            return JsonValue{};
-          default:
-            return parseNumber();
-        }
-    }
-
-    void
-    parseLiteral(const char *lit)
-    {
-        skipWs();
-        for (const char *c = lit; *c != '\0'; ++c, ++pos) {
-            ASSERT_LT(pos, s.size());
-            ASSERT_EQ(s[pos], *c) << "bad literal at offset " << pos;
-        }
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (peek() == 't') {
-            parseLiteral("true");
-            v.boolean = true;
-        } else {
-            parseLiteral("false");
-            v.boolean = false;
-        }
-        return v;
-    }
-
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        while (pos < s.size() && s[pos] != '"') {
-            if (s[pos] == '\\' && pos + 1 < s.size()) {
-                ++pos;
-                switch (s[pos]) {
-                  case 'n': v.string += '\n'; break;
-                  case 't': v.string += '\t'; break;
-                  case 'r': v.string += '\r'; break;
-                  default: v.string += s[pos]; break;
-                }
-            } else {
-                v.string += s[pos];
-            }
-            ++pos;
-        }
-        expect('"');
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        skipWs();
-        const size_t start = pos;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-                s[pos] == 'e' || s[pos] == 'E')) {
-            ++pos;
-        }
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = std::strtod(s.substr(start, pos - start).c_str(),
-                               nullptr);
-        EXPECT_GT(pos, start) << "not a number at offset " << start;
-        return v;
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        if (peek() == ']') {
-            ++pos;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parseValue());
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            break;
-        }
-        expect(']');
-        return v;
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        if (peek() == '}') {
-            ++pos;
-            return v;
-        }
-        while (true) {
-            JsonValue key = parseString();
-            expect(':');
-            v.object[key.string] = parseValue();
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            break;
-        }
-        expect('}');
-        return v;
-    }
-
-    // By value: callers hand in temporaries (renderRunReport()).
-    const std::string s;
-    size_t pos = 0;
-};
+    EXPECT_TRUE(v.has(key)) << "missing key: " << key;
+    return v.get(key);
+}
 
 /** Fresh cache directory per test; removed on destruction. */
 class CacheDirGuard
@@ -391,38 +191,39 @@ TEST(ObsReport, JsonRoundTripOfPopulatedReport)
     h.observe(1000);
 
     const std::string text = obs::renderRunReport();
-    JsonParser parser(text);
-    const JsonValue doc = parser.parse();
+    JsonValue doc;
+    const Status st = JsonValue::parse(text, &doc);
+    ASSERT_TRUE(st.ok()) << st.str();
 
-    EXPECT_EQ(doc.at("schema").string, "bpnsp-run-report-v1");
+    EXPECT_EQ(at(doc, "schema").asString(), "bpnsp-run-report-v1");
 
-    const JsonValue &run = doc.at("run");
-    EXPECT_EQ(run.at("workload").string, "leela_like");
-    EXPECT_EQ(run.at("predictor").string, "tage-sc-l-8KB");
-    EXPECT_DOUBLE_EQ(run.at("instructions").number, 123456.0);
-    EXPECT_GE(run.at("wall_seconds").number, 0.0);
-    EXPECT_FALSE(run.at("git").string.empty());
+    const JsonValue &run = at(doc, "run");
+    EXPECT_EQ(at(run, "workload").asString(), "leela_like");
+    EXPECT_EQ(at(run, "predictor").asString(), "tage-sc-l-8KB");
+    EXPECT_DOUBLE_EQ(at(run, "instructions").asDouble(), 123456.0);
+    EXPECT_GE(at(run, "wall_seconds").asDouble(), 0.0);
+    EXPECT_FALSE(at(run, "git").asString().empty());
 
-    const JsonValue &counters = doc.at("counters");
-    EXPECT_DOUBLE_EQ(counters.at("test.obs.roundtrip_events").number,
+    const JsonValue &counters = at(doc, "counters");
+    EXPECT_DOUBLE_EQ(at(counters, "test.obs.roundtrip_events").asDouble(),
                      42.0);
-    EXPECT_DOUBLE_EQ(counters.at("run.instructions").number, 123456.0);
+    EXPECT_DOUBLE_EQ(at(counters, "run.instructions").asDouble(), 123456.0);
     // Contract keys are present even when untouched.
-    EXPECT_DOUBLE_EQ(counters.at("tracestore.cache.hits").number, 0.0);
-    EXPECT_DOUBLE_EQ(counters.at("tracestore.cache.misses").number, 0.0);
-    EXPECT_DOUBLE_EQ(counters.at("bp.predictions").number, 0.0);
-    EXPECT_DOUBLE_EQ(counters.at("bp.mispredicts").number, 0.0);
+    EXPECT_DOUBLE_EQ(at(counters, "tracestore.cache.hits").asDouble(), 0.0);
+    EXPECT_DOUBLE_EQ(at(counters, "tracestore.cache.misses").asDouble(), 0.0);
+    EXPECT_DOUBLE_EQ(at(counters, "bp.predictions").asDouble(), 0.0);
+    EXPECT_DOUBLE_EQ(at(counters, "bp.mispredicts").asDouble(), 0.0);
 
     EXPECT_DOUBLE_EQ(
-        doc.at("gauges").at("test.obs.roundtrip_width").number, 3.5);
+        at(at(doc, "gauges"), "test.obs.roundtrip_width").asDouble(), 3.5);
 
     const JsonValue &hist =
-        doc.at("histograms").at("test.obs.roundtrip_ns");
-    EXPECT_DOUBLE_EQ(hist.at("count").number, 2.0);
-    EXPECT_DOUBLE_EQ(hist.at("sum").number, 2000.0);
-    EXPECT_DOUBLE_EQ(hist.at("min").number, 1000.0);
-    EXPECT_DOUBLE_EQ(hist.at("max").number, 1000.0);
-    EXPECT_DOUBLE_EQ(hist.at("p50").number, 1000.0);
+        at(at(doc, "histograms"), "test.obs.roundtrip_ns");
+    EXPECT_DOUBLE_EQ(at(hist, "count").asDouble(), 2.0);
+    EXPECT_DOUBLE_EQ(at(hist, "sum").asDouble(), 2000.0);
+    EXPECT_DOUBLE_EQ(at(hist, "min").asDouble(), 1000.0);
+    EXPECT_DOUBLE_EQ(at(hist, "max").asDouble(), 1000.0);
+    EXPECT_DOUBLE_EQ(at(hist, "p50").asDouble(), 1000.0);
 
     reg.resetForTest();
 }
@@ -433,15 +234,16 @@ TEST(ObsReport, EmptyHistogramSerializesNullSummaries)
     reg.resetForTest();
     (void)obs::histogram("test.obs.never_observed_ns");
 
-    JsonParser parser(obs::renderRunReport());
-    const JsonValue doc = parser.parse();
+    JsonValue doc;
+    const Status st = JsonValue::parse(obs::renderRunReport(), &doc);
+    ASSERT_TRUE(st.ok()) << st.str();
     const JsonValue &hist =
-        doc.at("histograms").at("test.obs.never_observed_ns");
-    EXPECT_DOUBLE_EQ(hist.at("count").number, 0.0);
-    EXPECT_EQ(hist.at("min").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(hist.at("max").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(hist.at("mean").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(hist.at("p50").kind, JsonValue::Kind::Null);
+        at(at(doc, "histograms"), "test.obs.never_observed_ns");
+    EXPECT_DOUBLE_EQ(at(hist, "count").asDouble(), 0.0);
+    EXPECT_TRUE(at(hist, "min").isNull());
+    EXPECT_TRUE(at(hist, "max").isNull());
+    EXPECT_TRUE(at(hist, "mean").isNull());
+    EXPECT_TRUE(at(hist, "p50").isNull());
 
     reg.resetForTest();
 }
@@ -450,23 +252,26 @@ TEST(ObsReport, StatsJsonEmptyVsPopulated)
 {
     OnlineStats empty;
     EXPECT_TRUE(empty.empty());
-    JsonParser emptyParser(obs::statsJson(empty));
-    const JsonValue emptyDoc = emptyParser.parse();
-    EXPECT_DOUBLE_EQ(emptyDoc.at("count").number, 0.0);
-    EXPECT_EQ(emptyDoc.at("min").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(emptyDoc.at("max").kind, JsonValue::Kind::Null);
-    EXPECT_EQ(emptyDoc.at("mean").kind, JsonValue::Kind::Null);
+    JsonValue emptyDoc;
+    const Status emptySt =
+        JsonValue::parse(obs::statsJson(empty), &emptyDoc);
+    ASSERT_TRUE(emptySt.ok()) << emptySt.str();
+    EXPECT_DOUBLE_EQ(at(emptyDoc, "count").asDouble(), 0.0);
+    EXPECT_TRUE(at(emptyDoc, "min").isNull());
+    EXPECT_TRUE(at(emptyDoc, "max").isNull());
+    EXPECT_TRUE(at(emptyDoc, "mean").isNull());
 
     OnlineStats stats;
     stats.add(1.0);
     stats.add(3.0);
     EXPECT_FALSE(stats.empty());
-    JsonParser parser(obs::statsJson(stats));
-    const JsonValue doc = parser.parse();
-    EXPECT_DOUBLE_EQ(doc.at("count").number, 2.0);
-    EXPECT_DOUBLE_EQ(doc.at("min").number, 1.0);
-    EXPECT_DOUBLE_EQ(doc.at("max").number, 3.0);
-    EXPECT_DOUBLE_EQ(doc.at("mean").number, 2.0);
+    JsonValue doc;
+    const Status st = JsonValue::parse(obs::statsJson(stats), &doc);
+    ASSERT_TRUE(st.ok()) << st.str();
+    EXPECT_DOUBLE_EQ(at(doc, "count").asDouble(), 2.0);
+    EXPECT_DOUBLE_EQ(at(doc, "min").asDouble(), 1.0);
+    EXPECT_DOUBLE_EQ(at(doc, "max").asDouble(), 3.0);
+    EXPECT_DOUBLE_EQ(at(doc, "mean").asDouble(), 2.0);
 }
 
 TEST(ObsReport, WriteRunReportProducesParsableFile)
@@ -478,9 +283,10 @@ TEST(ObsReport, WriteRunReportProducesParsableFile)
     ASSERT_TRUE(in.good());
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    JsonParser parser(text);
-    const JsonValue doc = parser.parse();
-    EXPECT_EQ(doc.at("schema").string, "bpnsp-run-report-v1");
+    JsonValue doc;
+    const Status st = JsonValue::parse(text, &doc);
+    ASSERT_TRUE(st.ok()) << st.str();
+    EXPECT_EQ(at(doc, "schema").asString(), "bpnsp-run-report-v1");
     std::filesystem::remove(path);
 }
 
@@ -708,20 +514,21 @@ TEST(ObsTrace, ChromeTraceExportIsValidJson)
     ASSERT_TRUE(in.good());
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    JsonParser parser(text);
-    const JsonValue doc = parser.parse();
+    JsonValue doc;
+    const Status st = JsonValue::parse(text, &doc);
+    ASSERT_TRUE(st.ok()) << st.str();
 
-    const JsonValue &events = doc.at("traceEvents");
-    ASSERT_EQ(events.kind, JsonValue::Kind::Array);
+    const JsonValue &events = at(doc, "traceEvents");
+    ASSERT_TRUE(events.isArray());
     size_t spans = 0;
-    for (const JsonValue &ev : events.array) {
-        if (ev.at("ph").string == "M")
+    for (const JsonValue &ev : events.items()) {
+        if (at(ev, "ph").asString() == "M")
             continue;   // process/thread name metadata
-        EXPECT_EQ(ev.at("ph").string, "X");
-        EXPECT_FALSE(ev.at("name").string.empty());
-        EXPECT_GE(ev.at("dur").number, 0.0);
+        EXPECT_EQ(at(ev, "ph").asString(), "X");
+        EXPECT_FALSE(at(ev, "name").asString().empty());
+        EXPECT_GE(at(ev, "dur").asDouble(), 0.0);
         // 64-bit ids travel as decimal strings, not JSON numbers.
-        EXPECT_EQ(ev.at("args").at("trace_id").string, "7");
+        EXPECT_EQ(at(at(ev, "args"), "trace_id").asString(), "7");
         ++spans;
     }
     EXPECT_EQ(spans, 2u);
@@ -871,19 +678,22 @@ TEST(ObsReport, SnapshotsSectionOnlyWhenSamplerRan)
     sampler.resetForTest();
 
     {
-        JsonParser parser(obs::renderRunReport());
-        const JsonValue doc = parser.parse();
-        EXPECT_DOUBLE_EQ(doc.at("schema_rev").number, 11.0);
+        JsonValue doc;
+        const Status st = JsonValue::parse(obs::renderRunReport(), &doc);
+        ASSERT_TRUE(st.ok()) << st.str();
+        EXPECT_DOUBLE_EQ(at(doc, "schema_rev").asDouble(), 12.0);
         EXPECT_FALSE(doc.has("snapshots"));
         // The rev-6/7/8 contract counters are present even untouched;
-        // rev 10 dropped the fleet-supervision counters and rev 11 the
-        // client-hedging counters.
-        const JsonValue &counters = doc.at("counters");
+        // rev 10 dropped the fleet-supervision counters, rev 11 the
+        // client-hedging counters and rev 12 the synth.* counters.
+        const JsonValue &counters = at(doc, "counters");
         EXPECT_TRUE(counters.has("obs.spans_recorded"));
         EXPECT_TRUE(counters.has("obs.spans_dropped"));
         EXPECT_TRUE(counters.has("serve.stats_requests"));
-        for (const auto &[name, value] : counters.object)
+        for (const auto &[name, value] : counters.members()) {
             EXPECT_EQ(name.find("fleet"), std::string::npos) << name;
+            EXPECT_NE(name.rfind("synth.", 0), 0u) << name;
+        }
         EXPECT_TRUE(counters.has("serve.client.retries"));
         EXPECT_TRUE(counters.has("serve.client.gave_up"));
         EXPECT_TRUE(counters.has("serve.shed"));
@@ -895,18 +705,19 @@ TEST(ObsReport, SnapshotsSectionOnlyWhenSamplerRan)
     obs::counter("test.obs.report_snap").add(9);
     sampler.sampleOnce();
     {
-        JsonParser parser(obs::renderRunReport());
-        const JsonValue doc = parser.parse();
+        JsonValue doc;
+        const Status st = JsonValue::parse(obs::renderRunReport(), &doc);
+        ASSERT_TRUE(st.ok()) << st.str();
         ASSERT_TRUE(doc.has("snapshots"));
-        const JsonValue &snaps = doc.at("snapshots");
-        EXPECT_DOUBLE_EQ(snaps.at("total").number, 1.0);
-        const JsonValue &samples = snaps.at("samples");
-        ASSERT_EQ(samples.kind, JsonValue::Kind::Array);
-        ASSERT_EQ(samples.array.size(), 1u);
-        const JsonValue &sample = samples.array[0];
-        EXPECT_GE(sample.at("t_s").number, 0.0);
+        const JsonValue &snaps = at(doc, "snapshots");
+        EXPECT_DOUBLE_EQ(at(snaps, "total").asDouble(), 1.0);
+        const JsonValue &samples = at(snaps, "samples");
+        ASSERT_TRUE(samples.isArray());
+        ASSERT_EQ(samples.items().size(), 1u);
+        const JsonValue &sample = samples.items()[0];
+        EXPECT_GE(at(sample, "t_s").asDouble(), 0.0);
         EXPECT_DOUBLE_EQ(
-            sample.at("counters").at("test.obs.report_snap").number,
+            at(at(sample, "counters"), "test.obs.report_snap").asDouble(),
             9.0);
     }
 
@@ -921,17 +732,18 @@ TEST(ObsReport, StatsSnapshotDocumentIsSelfContained)
     obs::counter("test.obs.stats_doc").add(11);
     obs::histogram("test.obs.stats_doc_ns").observe(500);
 
-    JsonParser parser(obs::renderStatsSnapshotJson());
-    const JsonValue doc = parser.parse();
-    EXPECT_EQ(doc.at("schema").string, "bpnsp-stats-v1");
-    EXPECT_FALSE(doc.at("git").string.empty());
-    EXPECT_GE(doc.at("wall_seconds").number, 0.0);
+    JsonValue doc;
+    const Status st = JsonValue::parse(obs::renderStatsSnapshotJson(), &doc);
+    ASSERT_TRUE(st.ok()) << st.str();
+    EXPECT_EQ(at(doc, "schema").asString(), "bpnsp-stats-v1");
+    EXPECT_FALSE(at(doc, "git").asString().empty());
+    EXPECT_GE(at(doc, "wall_seconds").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(
-        doc.at("counters").at("test.obs.stats_doc").number, 11.0);
+        at(at(doc, "counters"), "test.obs.stats_doc").asDouble(), 11.0);
     const JsonValue &hist =
-        doc.at("histograms").at("test.obs.stats_doc_ns");
-    EXPECT_DOUBLE_EQ(hist.at("count").number, 1.0);
-    EXPECT_DOUBLE_EQ(hist.at("p999").number, 500.0);
+        at(at(doc, "histograms"), "test.obs.stats_doc_ns");
+    EXPECT_DOUBLE_EQ(at(hist, "count").asDouble(), 1.0);
+    EXPECT_DOUBLE_EQ(at(hist, "p999").asDouble(), 500.0);
 
     reg.resetForTest();
 }

@@ -213,7 +213,7 @@ TEST(Rng, NamedStreamsReproducibleAndIndependent)
 {
     Rng a = Rng::stream(7, "faultsim.point");
     Rng b = Rng::stream(7, "faultsim.point");
-    Rng c = Rng::stream(7, "synth.structure");
+    Rng c = Rng::stream(7, "serve.loadgen");
     Rng d = Rng::stream(8, "faultsim.point");
     int sameName = 0;
     int sameSeed = 0;
@@ -524,6 +524,22 @@ TEST(JsonWriter, EscapesAndNumbers)
     ASSERT_TRUE(JsonValue::parse("\"" + jsonEscape(raw) + "\"", &doc)
                     .ok());
     EXPECT_EQ(doc.asString(), raw);
+}
+
+TEST(JsonParser, RejectsMalformedInput)
+{
+    // Each document is refused as InvalidArgument, and the message
+    // names the byte offset where parsing stopped.
+    for (const std::string bad :
+         {"not json", "{\"a\": 1} x", "\"abc", "\"\\u00zz\"",
+          "{\"a\": 1"}) {
+        SCOPED_TRACE(bad);
+        JsonValue doc;
+        const Status st = JsonValue::parse(bad, &doc);
+        EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+        EXPECT_NE(st.message().find(" at offset "), std::string::npos)
+            << st.str();
+    }
 }
 
 // --------------------------------------------------------- histogram

@@ -166,8 +166,8 @@ TEST(Suite, SeventeenWorkloads)
     for (const auto &w : all)
         lcf += w.lcf;
     EXPECT_EQ(lcf, 7u);   // six Table II apps + vcall
-    // The historical populations are frozen: fig_* benches and the
-    // synth-validation corpus iterate these two suites directly.
+    // The historical populations are frozen: fig_* benches iterate
+    // these two suites directly.
     EXPECT_EQ(specSuite().size(), 9u);
     EXPECT_EQ(lcfSuite().size(), 6u);
     EXPECT_EQ(frontendSuite().size(), 2u);
