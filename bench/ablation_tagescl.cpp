@@ -70,7 +70,7 @@ main(int argc, char **argv)
         table.cell(sc_gain * 100, 2);
         table.cell(loop_gain * 100, 2);
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("mean gain from SC: %+.2f%% accuracy; from loop "
                 "predictor: %+.2f%% (both on top of the rest of the "
                 "ensemble)\n",

@@ -35,15 +35,14 @@ namespace bpnsp::bench {
  * Standard bench option set; returns the parsed scale factor. Every
  * workload trace is executed on the VM; there is no trace cache on the
  * batch path. Activates the standard telemetry options too
- * (--metrics-out writes a JSON run report on exit, --progress prints
- * an instr/sec heartbeat) and stamps the effective scale into the run
- * manifest.
+ * (--metrics-out writes a JSON run report on exit, --trace-out a
+ * Chrome/Perfetto span trace) and stamps the effective scale into the
+ * run manifest.
  */
 inline double
 parseScale(OptionParser &opts, int argc, char **argv)
 {
     opts.addDouble("scale", 1.0, "multiply trace/slice sizes");
-    opts.addFlag("csv", "emit CSV instead of tables");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
     faultsim::configureFromOptions(opts);
@@ -53,12 +52,11 @@ parseScale(OptionParser &opts, int argc, char **argv)
     return scale;
 }
 
-/** Print a table in the format selected by --csv. */
+/** Print a table followed by a blank line. */
 inline void
-emit(const TextTable &table, bool csv)
+emit(const TextTable &table)
 {
-    std::printf("%s\n",
-                csv ? table.renderCsv().c_str() : table.render().c_str());
+    std::printf("%s\n", table.render().c_str());
 }
 
 /** Banner naming the experiment and its paper counterpart. */

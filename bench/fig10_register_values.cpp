@@ -87,7 +87,7 @@ main(int argc, char **argv)
         table.cell(distinct_sum / kNumRegs, 1);
         std::fprintf(stderr, "  %s done\n", w.name.c_str());
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper: distributions differ drastically across "
                 "branches and carry recognizable structure (log-scale "
                 "value scatter per register).\n");

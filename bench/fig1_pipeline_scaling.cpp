@@ -41,7 +41,7 @@ main(int argc, char **argv)
         "IPC relative to Skylake 1x + TAGE-SC-L 8KB (geomean over "
         "SPEC-like suite)",
         studies, scales);
-    emit(table, opts.getFlag("csv"));
+    emit(table);
 
     // The headline numbers: IPC opportunity of perfect prediction.
     for (size_t s : {size_t{0}, size_t{2}}) {

@@ -59,7 +59,7 @@ main(int argc, char **argv)
         for (size_t n = 1; n <= top; ++n)
             table.cell(topNMispredFraction(ranked, n), 3);
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Top-5 heavy hitters cover %.1f%% of mispredictions "
                 "on average (paper: 37%%; 55.3%% for the top ~10 per "
                 "slice).\n",

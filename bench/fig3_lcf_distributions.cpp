@@ -19,7 +19,7 @@ using namespace bpnsp::bench;
 namespace {
 
 void
-printHistogram(const char *title, const Histogram &h, bool csv)
+printHistogram(const char *title, const Histogram &h)
 {
     TextTable table(title);
     table.setHeader({"bin", "static branch IPs", "fraction"});
@@ -29,7 +29,7 @@ printHistogram(const char *title, const Histogram &h, bool csv)
         table.cell(h.count(i));
         table.cell(h.fraction(i), 4);
     }
-    emit(table, csv);
+    emit(table);
 }
 
 } // namespace
@@ -43,7 +43,6 @@ main(int argc, char **argv)
     const double scale = parseScale(opts, argc, argv);
     const uint64_t instructions = static_cast<uint64_t>(
         static_cast<double>(opts.getInt("instructions")) * scale);
-    const bool csv = opts.getFlag("csv");
 
     banner("LCF branch population distributions", "Fig. 3");
 
@@ -62,11 +61,9 @@ main(int argc, char **argv)
 
     const BranchDistributions d = computeBranchDistributions(totals);
     printHistogram("Dynamic mispredictions per static branch",
-                   d.mispredictions, csv);
-    printHistogram("Dynamic executions per static branch",
-                   d.executions, csv);
-    printHistogram("Prediction accuracy per static branch", d.accuracy,
-                   csv);
+                   d.mispredictions);
+    printHistogram("Dynamic executions per static branch", d.executions);
+    printHistogram("Prediction accuracy per static branch", d.accuracy);
 
     const double under_100_execs = d.executions.fraction(0);
     const double acc_99 = d.accuracy.fraction(d.accuracy.numBins() - 1);

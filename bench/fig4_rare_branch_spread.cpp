@@ -69,7 +69,7 @@ main(int argc, char **argv)
         table.cell(bin.meanAccuracy, 3);
         table.cell(bin.stddevAccuracy, 3);
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     if (!bins.empty() && bins.size() > 1) {
         std::printf("first-bin stddev %.2f vs second-bin %.2f "
                     "(paper: 0.35 vs 0.08)\n",

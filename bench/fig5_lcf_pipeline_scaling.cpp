@@ -36,7 +36,7 @@ main(int argc, char **argv)
         "IPC relative to Skylake 1x + TAGE-SC-L 8KB (geomean over LCF "
         "suite)",
         studies, scales);
-    emit(table, opts.getFlag("csv"));
+    emit(table);
 
     for (size_t s : {size_t{0}, size_t{5}}) {
         std::vector<double> share;

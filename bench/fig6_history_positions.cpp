@@ -106,7 +106,7 @@ main(int argc, char **argv)
         table.cell(static_cast<uint64_t>(mode_pos));
         table.cell(static_cast<uint64_t>(max_pos));
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper: each dependency branch appears at many "
                 "positions with non-uniform likelihood; variation "
                 "grows with history length.\n");

@@ -57,7 +57,7 @@ main(int argc, char **argv)
                 table.cell(closed, 3);
             }
         }
-        emit(table, opts.getFlag("csv"));
+        emit(table);
         std::fprintf(stderr, "  %s done\n", w.name.c_str());
     }
     std::printf("Paper: <0.5 of the gap closed even at 1024KB and 1x; "

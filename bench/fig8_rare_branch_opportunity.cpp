@@ -94,7 +94,7 @@ main(int argc, char **argv)
     table.cell(std::string("MEAN"));
     table.cell(mean(rem_hi), 3);
     table.cell(mean(rem_lo), 3);
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper means: 34.3%% of the opportunity remains from "
                 "branches below the higher threshold, 27.4%% below "
                 "the lower one.\n");

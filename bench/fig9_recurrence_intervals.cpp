@@ -44,7 +44,7 @@ main(int argc, char **argv)
         table.cell(h.count(i));
         table.cell(h.fraction(i), 4);
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
 
     std::printf("\n%s\n", h.render(48).c_str());
     std::printf("Paper: distribution peaks at 100K-1M instructions "

@@ -230,7 +230,7 @@ main(int argc, char **argv)
         table.cell(s.ipcOn.back(), 3);
         table.cell(s.lossAt(scales.size() - 1) * 100.0, 1);
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
 
     std::printf("Per-class target mispredicts:\n");
     for (const WorkloadStudy &s : studies) {

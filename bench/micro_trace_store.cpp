@@ -97,7 +97,7 @@ main(int argc, char **argv)
     };
     row("cold (VM + record)", coldDigest.count(), coldSec);
     row("warm (cached replay)", warmDigest.count(), warmSec);
-    emit(table, opts.getFlag("csv"));
+    emit(table);
 
     // Export the phase timings as gauges so a --metrics-out report of
     // this bench doubles as a perf-trajectory data point.

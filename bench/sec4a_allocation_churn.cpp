@@ -68,7 +68,7 @@ main(int argc, char **argv)
         }
         std::fprintf(stderr, "  %s done\n", name);
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper (full traces): non-H2P median 4 allocations / 4 "
                 "unique entries; H2P median 13,093 / 3,990; per-branch "
                 "allocation share <0.01%% vs 3.6%%.\n");

@@ -70,7 +70,7 @@ main(int argc, char **argv)
                          use_cnn ? "cnn" : "perceptron");
         }
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper direction: branch-specific helpers trained "
                 "offline over multiple inputs generalize to unseen "
                 "inputs; on purely stochastic H2Ps the ceiling is the "

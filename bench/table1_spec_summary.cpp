@@ -84,7 +84,7 @@ main(int argc, char **argv)
         table.percentCell(mispred_frac.mean());
         std::fprintf(stderr, "  %s done\n", w.name.c_str());
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper (30M slices, 10B traces): mean 9.5 phases, "
                 "accuracy 0.952 (0.984 excl. H2Ps), 29 H2Ps in 3+ "
                 "inputs, 55.3%% of mispredictions from ~10 H2Ps per "

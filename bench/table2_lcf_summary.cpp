@@ -75,7 +75,7 @@ main(int argc, char **argv)
     table.cell(mean_acc.mean(), 2);
     table.cell(std::string("-"));
     table.cell(mean_h2ps.mean(), 1);
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper means (30M traces): 14,072 static IPs, 612.8 "
                 "execs/branch, 0.85 accuracy, 5.2 H2Ps.\n");
     return 0;

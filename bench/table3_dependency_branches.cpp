@@ -85,7 +85,7 @@ main(int argc, char **argv)
         table.cell(analyzer.analyzedExecutions());
         std::fprintf(stderr, "  %s done\n", w.name.c_str());
     }
-    emit(table, opts.getFlag("csv"));
+    emit(table);
     std::printf("Paper: 3-484 dependency branches; min positions 1-3; "
                 "max positions 34-1,879 — within the 64KB history "
                 "limit yet spread over many positions.\n");

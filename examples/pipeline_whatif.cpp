@@ -9,12 +9,14 @@
  *                        [--instructions=1000000]
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bp/factory.hpp"
 #include "core/runner.hpp"
 #include "faultsim/faultsim.hpp"
 #include "obs/report.hpp"
+#include "util/logging.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "workloads/suite.hpp"
@@ -59,8 +61,15 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", table.render().c_str());
 
-    const size_t tage = 2;   // tage-sc-l-8KB
-    const size_t perfect = study.columns.size() - 1;
+    auto column = [&](const std::string &name) {
+        const auto it = std::find_if(
+            study.columns.begin(), study.columns.end(),
+            [&](const IpcColumn &col) { return col.name == name; });
+        BPNSP_ASSERT(it != study.columns.end(), "no column ", name);
+        return static_cast<size_t>(it - study.columns.begin());
+    };
+    const size_t tage = column("tage-sc-l-8KB");
+    const size_t perfect = column("perfect");
     for (size_t s = 0; s < scales.size(); ++s) {
         std::printf("at %ux, perfect prediction is worth +%.1f%% IPC "
                     "over tage-sc-l-8KB\n",

@@ -7,6 +7,7 @@
  * Usage: quickstart [--workload=leela_like] [--instructions=2000000]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -37,11 +38,13 @@ main(int argc, char **argv)
         static_cast<uint64_t>(opts.getInt("instructions"));
 
     // One trace pass feeds every predictor.
+    const std::vector<std::string> names{"always-taken", "bimodal",
+                                         "gshare", "tage-sc-l-8KB",
+                                         "tage-sc-l-64KB"};
     std::vector<std::unique_ptr<BranchPredictor>> predictors;
     std::vector<std::unique_ptr<PredictorSim>> sims;
     std::vector<TraceSink *> sinks;
-    for (const char *name : {"always-taken", "bimodal", "gshare",
-                             "tage-sc-l-8KB", "tage-sc-l-64KB"}) {
+    for (const std::string &name : names) {
         predictors.push_back(makePredictor(name));
         sims.push_back(
             std::make_unique<PredictorSim>(*predictors.back()));
@@ -64,7 +67,10 @@ main(int argc, char **argv)
     std::printf("%s\n", table.render().c_str());
 
     // H2P screen under the state-of-the-art baseline.
-    const auto &tage_sim = *sims[3];   // tage-sc-l-8KB
+    const size_t tage =
+        std::find(names.begin(), names.end(), "tage-sc-l-8KB") -
+        names.begin();
+    const PredictorSim &tage_sim = *sims.at(tage);
     const H2pCriteria criteria = H2pCriteria{}.scaledTo(instructions);
     size_t h2p_count = 0;
     uint64_t h2p_mispreds = 0;

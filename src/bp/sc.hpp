@@ -58,9 +58,6 @@ class StatisticalCorrector
     /** Storage estimate in bits. */
     uint64_t storageBits() const;
 
-    /** Sum from the most recent predict() (for tests). */
-    int32_t lastSum() const { return sum; }
-
     /** Current adaptive threshold (for tests). */
     int32_t currentThreshold() const { return threshold; }
 

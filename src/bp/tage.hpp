@@ -99,9 +99,6 @@ class TagePredictor : public BranchPredictor
     /** Alternate prediction computed during the last predict(). */
     bool lastAltPred() const { return altPred; }
 
-    /** Longest history length tracked. */
-    unsigned maxHistory() const { return cfg.maxHist; }
-
     const TageConfig &config() const { return cfg; }
     /// @}
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <memory>
@@ -17,7 +15,6 @@
 
 #include "bp/factory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/store.hpp"
@@ -26,59 +23,6 @@
 #include "vm/interpreter.hpp"
 
 namespace bpnsp {
-
-namespace {
-
-/**
- * Heartbeat sink: appended to the delivery fan-out only when
- * --progress is active, so disabled runs pay nothing. Reports
- * instructions delivered and the delivery rate through inform(), which
- * BPNSP_LOG_LEVEL=warn silences.
- */
-class ProgressSink : public TraceSink
-{
-  public:
-    explicit ProgressSink(const char *source)
-        : src(source), interval(obs::progressInterval()),
-          next(interval), begin(std::chrono::steady_clock::now())
-    {
-    }
-
-    void
-    onRecord(const TraceRecord &) override
-    {
-        if (++seen >= next) {
-            report();
-            next += interval;
-        }
-    }
-
-  private:
-    void
-    report() const
-    {
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "progress (%s): %.0fM instr, %.1fM instr/s", src,
-                      static_cast<double>(seen) / 1e6,
-                      sec > 0.0
-                          ? static_cast<double>(seen) / 1e6 / sec
-                          : 0.0);
-        inform(buf);
-    }
-
-    const char *src;
-    const uint64_t interval;
-    uint64_t next;
-    uint64_t seen = 0;
-    const std::chrono::steady_clock::time_point begin;
-};
-
-} // namespace
 
 /**
  * Instructions delivered between cancellation polls of the VM path.
@@ -103,9 +47,6 @@ runTrace(const Program &program, const std::vector<TraceSink *> &sinks,
     obs::Span span("core.run_trace");
 
     FanoutSink fanout;
-    ProgressSink progress("vm");
-    if (obs::progressInterval() > 0)
-        fanout.add(&progress);
     for (TraceSink *sink : sinks)
         fanout.add(sink);
     Interpreter interp(program);
@@ -139,6 +80,21 @@ namespace {
 std::mutex gCacheMutex;
 std::unique_ptr<TraceCache> gCache;
 
+/**
+ * Run-manifest identity: the last workload executed describes the run
+ * (single-workload binaries, the common case, get exact attribution;
+ * sweeps get their final leg).
+ */
+void
+recordRunIdentity(const Workload &workload, size_t input_idx,
+                  uint64_t instructions)
+{
+    obs::Registry &reg = obs::Registry::instance();
+    reg.setRunField("workload", workload.name);
+    reg.setRunField("input", workload.inputs.at(input_idx).label);
+    reg.setRunField("instruction_budget", std::to_string(instructions));
+}
+
 /** The configured cache, or nullptr when caching is off. */
 TraceCache *
 activeCache()
@@ -166,9 +122,6 @@ replayVerified(const TraceStoreReader &reader,
     obs::ScopedTimer timer(replayNs);
     obs::Span span("trace.replay");
     FanoutSink fanout;
-    ProgressSink progress("replay");
-    if (obs::progressInterval() > 0)
-        fanout.add(&progress);
     for (TraceSink *sink : sinks)
         fanout.add(sink);
     const Status st = reader.replay(fanout, 0);
@@ -225,13 +178,7 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
         obs::counter("core.runner.degraded_runs");
     obs::Span span("run.workload_trace");
 
-    // Run-manifest identity: the last workload executed describes the
-    // run (single-workload binaries, the common case, get exact
-    // attribution; sweeps get their final leg).
-    obs::Registry &reg = obs::Registry::instance();
-    reg.setRunField("workload", workload.name);
-    reg.setRunField("input", workload.inputs.at(input_idx).label);
-    reg.setRunField("instruction_budget", std::to_string(instructions));
+    recordRunIdentity(workload, input_idx, instructions);
 
     TraceCache *cache = activeCache();
     if (cache == nullptr)
@@ -412,9 +359,9 @@ spinThenYield(Ready &&ready)
  * Blocks are handed off synchronously: the producer publishes a block,
  * runs its own share, and waits for every worker before refilling it.
  * onEnd() flushes the partial block and forwards onEnd() to every
- * group; a stream cut short without one (a cancelled replay, whose
- * partial results are discarded) never delivers its last partial
- * block. An exception thrown by a worker's groups is rethrown on the
+ * group; runTrace delivers it on cancellation too, so a study cut
+ * short still feeds every column the same delivered prefix. An
+ * exception thrown by a worker's groups is rethrown on the
  * producer; the workers are joined on destruction.
  */
 class ColumnTeamSink : public TraceSink
@@ -553,21 +500,22 @@ class ColumnTeamSink : public TraceSink
     std::vector<std::thread> workers;
 };
 
+} // namespace
+
 /**
- * The single-pass many-consumer study over any trace source: builds
- * one PredictorSim and one MemorySide per predictor and one CoreModel
- * per (predictor, scale) reading that column's MemorySide, all on the
- * calling thread, runs the trace once through a ColumnTeamSink with
- * one thread per column (up to the hardware's concurrency), and
- * collects the grid once the team is joined.
+ * The single-pass many-consumer study: builds one PredictorSim and one
+ * MemorySide per predictor and one CoreModel per (predictor, scale)
+ * reading that column's MemorySide, all on the calling thread, runs
+ * the VM once through a ColumnTeamSink with one thread per column (up
+ * to the hardware's concurrency), and collects the grid once the team
+ * is joined.
  */
-template <typename RunTraceFn>
 IpcStudyResult
-runIpcStudyOver(
-    RunTraceFn &&run_trace,
+runIpcStudy(
+    const Program &program,
     std::vector<std::pair<std::string,
                           std::unique_ptr<BranchPredictor>>> predictors,
-    const std::vector<unsigned> &scales)
+    const std::vector<unsigned> &scales, uint64_t instructions)
 {
     BPNSP_ASSERT(!predictors.empty() && !scales.empty());
 
@@ -597,7 +545,7 @@ runIpcStudyOver(
         groups.size(), std::max(1u, std::thread::hardware_concurrency())));
     {
         ColumnTeamSink team(groups, members);
-        run_trace(std::vector<TraceSink *>{&team});
+        runTrace(program, {&team}, instructions);
     }
 
     for (size_t p = 0; p < predictors.size(); ++p) {
@@ -611,22 +559,6 @@ runIpcStudyOver(
     return result;
 }
 
-} // namespace
-
-IpcStudyResult
-runIpcStudy(
-    const Program &program,
-    std::vector<std::pair<std::string,
-                          std::unique_ptr<BranchPredictor>>> predictors,
-    const std::vector<unsigned> &scales, uint64_t instructions)
-{
-    return runIpcStudyOver(
-        [&](const std::vector<TraceSink *> &sinks) {
-            runTrace(program, sinks, instructions);
-        },
-        std::move(predictors), scales);
-}
-
 IpcStudyResult
 runIpcStudy(
     const Workload &workload, size_t input_idx,
@@ -634,11 +566,9 @@ runIpcStudy(
                           std::unique_ptr<BranchPredictor>>> predictors,
     const std::vector<unsigned> &scales, uint64_t instructions)
 {
-    return runIpcStudyOver(
-        [&](const std::vector<TraceSink *> &sinks) {
-            runWorkloadTrace(workload, input_idx, sinks, instructions);
-        },
-        std::move(predictors), scales);
+    recordRunIdentity(workload, input_idx, instructions);
+    return runIpcStudy(workload.build(input_idx), std::move(predictors),
+                       scales, instructions);
 }
 
 } // namespace bpnsp

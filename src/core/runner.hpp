@@ -144,7 +144,11 @@ IpcStudyResult runIpcStudy(
                           std::unique_ptr<BranchPredictor>>> predictors,
     const std::vector<unsigned> &scales, uint64_t instructions);
 
-/** The same study over a workload input, through runWorkloadTrace. */
+/**
+ * The same study over a workload input: builds the program, records
+ * the workload, input and budget in the run manifest, and runs the
+ * Program overload (always the VM, never the trace cache).
+ */
 IpcStudyResult runIpcStudy(
     const Workload &workload, size_t input_idx,
     std::vector<std::pair<std::string,

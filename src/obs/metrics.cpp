@@ -35,30 +35,28 @@ Histogram::reset()
     hi.store(0, std::memory_order_relaxed);
 }
 
-Histogram::BucketCounts
-Histogram::bucketCounts() const
-{
-    BucketCounts out;
-    for (size_t i = 0; i < kBuckets; ++i)
-        out[i] = buckets[i].load(std::memory_order_relaxed);
-    return out;
-}
-
 double
-Histogram::percentileFromBuckets(const BucketCounts &counts, double p)
+Histogram::percentile(double p) const
 {
-    uint64_t cnt = 0;
-    for (uint64_t c : counts)
-        cnt += c;
-    if (cnt == 0)
+    if (count() == 0)
         return 0.0;
+    const uint64_t vmin = lo.load(std::memory_order_relaxed);
+    const uint64_t vmax = hi.load(std::memory_order_relaxed);
+    // Copy the buckets once so the rank and the walk see one set of
+    // counts while other threads keep observing.
+    std::array<uint64_t, kBuckets> counts;
+    uint64_t cnt = 0;
+    for (size_t i = 0; i < kBuckets; ++i) {
+        counts[i] = buckets[i].load(std::memory_order_relaxed);
+        cnt += counts[i];
+    }
     p = std::clamp(p, 0.0, 100.0);
 
     // Rank in [0, cnt); walk buckets until the cumulative count
     // covers it, then interpolate linearly inside that bucket.
     const double rank = p / 100.0 * static_cast<double>(cnt);
     uint64_t seen = 0;
-    double last = 0.0;
+    double v = 0.0;
     for (size_t i = 0; i < kBuckets; ++i) {
         const uint64_t in_bucket = counts[i];
         if (in_bucket == 0)
@@ -73,28 +71,16 @@ Histogram::percentileFromBuckets(const BucketCounts &counts, double p)
             const double frac =
                 (rank - static_cast<double>(seen)) /
                 static_cast<double>(in_bucket);
-            return bucket_lo + frac * (bucket_hi - bucket_lo);
+            v = bucket_lo + frac * (bucket_hi - bucket_lo);
+            break;
         }
         seen += in_bucket;
-        last = bucket_hi;
+        v = bucket_hi;
     }
-    return last;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    const uint64_t cnt = count();
-    if (cnt == 0)
-        return 0.0;
-    const uint64_t vmin = lo.load(std::memory_order_relaxed);
-    const uint64_t vmax = hi.load(std::memory_order_relaxed);
-    double v = percentileFromBuckets(bucketCounts(), p);
     // The observed extremes always bound the estimate, which makes
     // single-valued histograms exact.
     v = std::max(v, static_cast<double>(vmin));
-    v = std::min(v, static_cast<double>(vmax));
-    return v;
+    return std::min(v, static_cast<double>(vmax));
 }
 
 HistogramSnapshot
@@ -222,17 +208,6 @@ Registry::histograms() const
     out.reserve(histogramMap.size());
     for (const auto &[name, h] : histogramMap)
         out.emplace_back(name, h->snapshot());
-    return out;
-}
-
-std::vector<std::pair<std::string, const Histogram *>>
-Registry::histogramRefs() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<std::pair<std::string, const Histogram *>> out;
-    out.reserve(histogramMap.size());
-    for (const auto &[name, h] : histogramMap)
-        out.emplace_back(name, h.get());
     return out;
 }
 

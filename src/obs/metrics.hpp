@@ -96,7 +96,7 @@ struct HistogramSnapshot
 
 /**
  * Fixed-footprint histogram over unsigned values (durations in ns,
- * sizes in bytes, per-shard record counts, ...). Buckets are powers of
+ * sizes in bytes, per-chunk record counts, ...). Buckets are powers of
  * two: bucket 0 holds the value 0, bucket i (i >= 1) holds values in
  * [2^(i-1), 2^i). observe() is a relaxed atomic add plus CAS-free
  * min/max maintenance, safe from any thread.
@@ -109,9 +109,6 @@ class Histogram
 {
   public:
     static constexpr size_t kBuckets = 65;   // value 0 + bit widths 1..64
-
-    /** Plain copy of the per-bucket counts (relaxed reads). */
-    using BucketCounts = std::array<uint64_t, kBuckets>;
 
     void
     observe(uint64_t v)
@@ -131,24 +128,6 @@ class Histogram
 
     /** Approximate p-th percentile (0 <= p <= 100); 0 when empty. */
     double percentile(double p) const;
-
-    /**
-     * Copy of the raw bucket counts, the substrate for *interval*
-     * quantiles: subtracting two copies taken at different instants
-     * gives the bucket counts of just the events in between (counts
-     * are monotonic), which percentileFromBuckets() turns into a
-     * windowed percentile. Used by the snapshot sampler.
-     */
-    BucketCounts bucketCounts() const;
-
-    /**
-     * Percentile estimate over a standalone bucket-count array (e.g.
-     * the delta of two bucketCounts() copies). Same interpolation as
-     * percentile(), but clamped only to the bucket bounds — min/max
-     * of the window are not known.
-     */
-    static double percentileFromBuckets(const BucketCounts &counts,
-                                        double p);
 
   private:
     friend class Registry;
@@ -210,14 +189,6 @@ class Registry
     std::vector<std::pair<std::string, double>> gauges() const;
     std::vector<std::pair<std::string, HistogramSnapshot>>
     histograms() const;
-
-    /**
-     * Stable pointers to every registered histogram (metric objects
-     * are never destroyed). The snapshot sampler keys its previous
-     * bucket copies off these identities.
-     */
-    std::vector<std::pair<std::string, const Histogram *>>
-    histogramRefs() const;
     /// @}
 
     /**

@@ -1,6 +1,5 @@
 #include "obs/report.hpp"
 
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -8,7 +7,6 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
@@ -26,7 +24,6 @@ std::string gReportPath;
 std::string gTraceOutPath;
 bool gAtExitInstalled = false;
 bool gTraceAtExitInstalled = false;
-std::atomic<uint64_t> gProgressInterval{0};
 
 // Signal-hook state. The hook cannot take gReportMutex (the
 // interrupted thread might hold it), so the report path is mirrored
@@ -239,10 +236,10 @@ renderRunReport()
     // the robustness counter contract, rev 3 the campaign /
     // cancellation contract, rev 4 the serving contract, rev 5 the
     // synthesis contract, rev 6 the tracing/introspection contract
-    // plus the optional "snapshots" time-series section and exact
-    // histogram quantiles (p999), rev 7 adds the fleet-supervision /
-    // client-retry contract, rev 8 the overload contract
-    // (shed / expired / hedges / hedge_wins), rev 9 the frontend
+    // plus exact histogram quantiles (p999) and an optional
+    // "snapshots" section this writer never emits, rev 7 adds the
+    // fleet-supervision / client-retry contract, rev 8 the overload
+    // contract (shed / expired / hedges / hedge_wins), rev 9 the frontend
     // contract above (btb_miss / ras_over / ind_mispred /
     // ftq_stall_cycles). Rev 10 drops rev 7's three fleet-supervision
     // keys (worker deaths, respawns, breaker trips) with the
@@ -265,56 +262,7 @@ renderRunReport()
 
     appendRegistrySections(oss);
 
-    // Time-series section (schema_rev 6), present only when the
-    // snapshot sampler ran: the ring of interval samples that turns
-    // one aggregate p99 into a p99-over-time curve.
-    SnapshotSampler &sampler = SnapshotSampler::instance();
-    if (sampler.totalSamples() > 0) {
-        oss << ",\n  \"snapshots\": {\n"
-            << "    \"period_ms\": " << sampler.periodMs() << ",\n"
-            << "    \"total\": " << sampler.totalSamples() << ",\n"
-            << "    \"samples\": [";
-        bool firstSample = true;
-        for (const Snapshot &s : sampler.samples()) {
-            oss << (firstSample ? "\n" : ",\n") << "      "
-                << snapshotJson(s);
-            firstSample = false;
-        }
-        oss << "\n    ]\n  }";
-    }
     oss << "\n}\n";
-    return oss.str();
-}
-
-std::string
-snapshotJson(const Snapshot &s)
-{
-    std::ostringstream oss;
-    oss << "{\"t_s\":" << jsonNumber(s.tSeconds) << ",\"counters\":{";
-    bool first = true;
-    for (const auto &[name, delta] : s.counterDeltas) {
-        oss << (first ? "" : ",") << quoted(name) << ":" << delta;
-        first = false;
-    }
-    oss << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : s.gauges) {
-        oss << (first ? "" : ",") << quoted(name) << ":"
-            << jsonNumber(value);
-        first = false;
-    }
-    oss << "},\"histograms\":{";
-    first = true;
-    for (const Snapshot::HistWindow &w : s.histograms) {
-        oss << (first ? "" : ",") << quoted(w.name)
-            << ":{\"count\":" << w.count
-            << ",\"p50\":" << jsonNumber(w.p50)
-            << ",\"p90\":" << jsonNumber(w.p90)
-            << ",\"p99\":" << jsonNumber(w.p99)
-            << ",\"p999\":" << jsonNumber(w.p999) << "}";
-        first = false;
-    }
-    oss << "}}";
     return oss.str();
 }
 
@@ -398,18 +346,6 @@ reportPath()
 }
 
 void
-setProgressInterval(uint64_t instructions)
-{
-    gProgressInterval.store(instructions, std::memory_order_relaxed);
-}
-
-uint64_t
-progressInterval()
-{
-    return gProgressInterval.load(std::memory_order_relaxed);
-}
-
-void
 configureFromOptions(const OptionParser &opts)
 {
     Registry::instance().setRunField("binary", opts.binaryName());
@@ -419,16 +355,12 @@ configureFromOptions(const OptionParser &opts)
         // With a report at stake, Ctrl-C must flush it, not lose it.
         installSignalHandlers();
     }
-    if (opts.getFlag("progress"))
-        setProgressInterval(kDefaultProgressInterval);
     if (const std::string &path = opts.getString("trace-out");
         !path.empty()) {
         setTracePath(path);
         // Like the run report: a Ctrl-C'd run keeps its trace.
         installSignalHandlers();
     }
-    if (const int64_t ms = opts.getInt("snapshot-ms"); ms > 0)
-        SnapshotSampler::instance().start(static_cast<uint64_t>(ms));
 }
 
 } // namespace bpnsp::obs

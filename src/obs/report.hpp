@@ -11,18 +11,14 @@
  *
  * Every binary that parses options through OptionParser accepts:
  *   --metrics-out=FILE   write the run report on exit
- *   --progress           instr/sec heartbeat to stderr (inform level)
  *   --trace-out=FILE     record spans; write a Chrome/Perfetto trace
  *                        (obs/trace.hpp) on exit
- *   --snapshot-ms=N      sample the registry every N ms into the
- *                        report's "snapshots" ring (obs/snapshot.hpp)
  * after calling obs::configureFromOptions(opts) once after parse().
  */
 
 #ifndef BPNSP_OBS_REPORT_HPP
 #define BPNSP_OBS_REPORT_HPP
 
-#include <cstdint>
 #include <string>
 
 namespace bpnsp {
@@ -31,8 +27,6 @@ class OnlineStats;
 class OptionParser;
 
 namespace obs {
-
-struct Snapshot;
 
 /**
  * Render the full run report as a JSON document. Always contains the
@@ -48,13 +42,10 @@ std::string renderRunReport();
  * Stats request (`bpnsp-stats-v1`): the full metric registry —
  * counters, gauges, histograms with the exact p50/p90/p99/p999
  * quantile contract — plus uptime and git identity. Same section
- * format as the run report, minus the run manifest and time series:
- * cheap enough to build on a server's io thread.
+ * format as the run report, minus the run manifest: cheap enough to
+ * build on a server's io thread.
  */
 std::string renderStatsSnapshotJson();
-
-/** One snapshot-sampler interval sample as a JSON object. */
-std::string snapshotJson(const Snapshot &s);
 
 /** Write renderRunReport() to `path`; warn() and false on failure. */
 bool writeRunReport(const std::string &path);
@@ -99,22 +90,9 @@ void setSignalDrainMode(bool graceful);
 std::string reportPath();
 
 /**
- * Enable the progress heartbeat: trace drivers emit an instr/sec line
- * through inform() every `instructions` delivered (0 disables). The
- * heartbeat respects BPNSP_LOG_LEVEL, so CI can silence it.
- */
-void setProgressInterval(uint64_t instructions);
-
-/** Current heartbeat period in instructions (0 = disabled). */
-uint64_t progressInterval();
-
-/** Default heartbeat period used for a bare --progress flag. */
-inline constexpr uint64_t kDefaultProgressInterval = 10'000'000;
-
-/**
  * Wire the standard telemetry options (registered by every
- * OptionParser): --metrics-out installs the exit report, --progress
- * enables the heartbeat. Also records the binary name and argv-level
+ * OptionParser): --metrics-out installs the exit report, --trace-out
+ * enables span recording and the exit trace. Also records the binary name and argv-level
  * fields in the run manifest. Call once, after opts.parse().
  */
 void configureFromOptions(const OptionParser &opts);

@@ -60,7 +60,7 @@ inline constexpr char kTrailerMagic[8] = {'B', 'P', 'T', 'S',
  */
 inline constexpr uint32_t kStoreVersion = 3;
 
-/** Default records per chunk (the unit of seek and shard parallelism). */
+/** Default records per chunk (the unit of seek and verification). */
 inline constexpr uint32_t kDefaultRecordsPerChunk = 1u << 16;
 
 /** Fixed-size file header. */

@@ -141,7 +141,7 @@ class TraceStoreReader
     /** Total records in the store. */
     uint64_t count() const { return totalRecords; }
 
-    /** Number of chunks (the granularity of seek and sharding). */
+    /** Number of chunks (the granularity of seek and verification). */
     uint64_t numChunks() const { return chunks.size(); }
 
     /** Global index of the first record of a chunk. */

@@ -184,7 +184,7 @@ CancelToken *currentCancelToken();
 
 /**
  * RAII thread-local override of currentCancelToken(). Campaign cells,
- * tests, and shard workers wrap their work in a scope so library code
+ * serve workers and tests wrap their work in a scope so library code
  * deep below observes the narrowest token without parameter plumbing.
  */
 class CancelScope

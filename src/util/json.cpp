@@ -62,12 +62,6 @@ jsonNumber(double v)
     return buf;
 }
 
-bool
-JsonValue::asBool(bool def) const
-{
-    return isBool() ? boolVal : def;
-}
-
 double
 JsonValue::asDouble(double def) const
 {
@@ -308,8 +302,10 @@ class JsonParser
                 if (pos + 4 > in.size())
                     return error("truncated \\u escape");
                 unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = in[pos++];
+                // Advance past a digit only once it parsed, so an
+                // error names the offending byte.
+                for (int i = 0; i < 4; ++i, ++pos) {
+                    const char h = in[pos];
                     code <<= 4;
                     if (h >= '0' && h <= '9')
                         code |= static_cast<unsigned>(h - '0');

@@ -55,7 +55,6 @@ class JsonValue
     bool isObject() const { return kindTag == Kind::Object; }
 
     /** Value accessors; fatal-free, return the default on kind mismatch. */
-    bool asBool(bool def = false) const;
     double asDouble(double def = 0.0) const;
     uint64_t asUint(uint64_t def = 0) const;
     const std::string &asString() const;   ///< "" on mismatch

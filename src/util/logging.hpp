@@ -9,8 +9,8 @@
  * warn() and inform() respect a verbosity level, read once from the
  * BPNSP_LOG_LEVEL environment variable ("quiet" silences both, "warn"
  * silences inform() only, "info" — the default — prints both), so CI
- * logs can drop the progress heartbeat and cache chatter without
- * touching per-binary flags. fatal()/panic() always print.
+ * logs can drop cache chatter without touching per-binary flags.
+ * fatal()/panic() always print.
  */
 
 #ifndef BPNSP_UTIL_LOGGING_HPP

@@ -13,13 +13,10 @@ OptionParser::OptionParser(std::string description)
 {
     // Standard telemetry options, available in every binary. The
     // parser only records them; obs::configureFromOptions() (called by
-    // each main after parse()) activates the report and heartbeat.
+    // each main after parse()) activates the report and trace.
     addString("metrics-out", "",
               "write a JSON run report (metrics + run manifest) to "
               "this file on exit");
-    addFlag("progress",
-            "print an instr/sec heartbeat to stderr during trace "
-            "delivery (silence with BPNSP_LOG_LEVEL=warn)");
     addString("faults", "",
               "deterministic fault-injection spec, "
               "e.g. seed=7,tracestore.read.bitflip@0.01*2; see "
@@ -28,10 +25,6 @@ OptionParser::OptionParser(std::string description)
               "record request/phase spans and write a Chrome "
               "trace-event JSON file (opens in ui.perfetto.dev) on "
               "exit");
-    addInt("snapshot-ms", 0,
-           "sample the metric registry every N ms into a bounded "
-           "ring exported as the run report's \"snapshots\" "
-           "time-series (0 = off)");
 }
 
 void

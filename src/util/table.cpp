@@ -165,66 +165,4 @@ TextTable::render() const
     return oss.str();
 }
 
-std::string
-TextTable::renderMarkdown() const
-{
-    std::vector<std::vector<std::string>> all = rows;
-    if (rowOpen)
-        all.push_back(pending);
-
-    std::ostringstream oss;
-    if (!tableTitle.empty())
-        oss << "### " << tableTitle << "\n\n";
-    auto emit = [&](const std::vector<std::string> &r) {
-        oss << "|";
-        for (const auto &cell_text : r)
-            oss << " " << cell_text << " |";
-        oss << "\n";
-    };
-    if (!header.empty()) {
-        emit(header);
-        oss << "|";
-        for (size_t c = 0; c < header.size(); ++c)
-            oss << "---|";
-        oss << "\n";
-    }
-    for (const auto &r : all)
-        emit(r);
-    return oss.str();
-}
-
-std::string
-TextTable::renderCsv() const
-{
-    std::vector<std::vector<std::string>> all = rows;
-    if (rowOpen)
-        all.push_back(pending);
-
-    std::ostringstream oss;
-    auto emit = [&](const std::vector<std::string> &r) {
-        for (size_t c = 0; c < r.size(); ++c) {
-            if (c)
-                oss << ",";
-            // Quote cells containing commas or quotes.
-            if (r[c].find_first_of(",\"\n") != std::string::npos) {
-                oss << '"';
-                for (char ch : r[c]) {
-                    if (ch == '"')
-                        oss << '"';
-                    oss << ch;
-                }
-                oss << '"';
-            } else {
-                oss << r[c];
-            }
-        }
-        oss << "\n";
-    };
-    if (!header.empty())
-        emit(header);
-    for (const auto &r : all)
-        emit(r);
-    return oss.str();
-}
-
 } // namespace bpnsp

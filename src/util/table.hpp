@@ -46,12 +46,6 @@ class TextTable
     /** Render with box-drawing rules. */
     std::string render() const;
 
-    /** Render as GitHub-flavored Markdown. */
-    std::string renderMarkdown() const;
-
-    /** Render as CSV (no title row). */
-    std::string renderCsv() const;
-
     size_t numRows() const { return rows.size(); }
     size_t numCols() const;
 

@@ -324,29 +324,6 @@ TEST(IpcStudy, ParallelGridMatchesSerialComposition)
     }
 }
 
-TEST(IpcStudy, TraceCacheColdAndWarmMatchVmDirect)
-{
-    const Workload w = findWorkload("gcc_like");
-    const uint64_t n = 60000;
-    const IpcStudyResult direct = runIpcStudy(
-        w.build(0), makeColumns(kSevenColumns), kStudyScales, n);
-
-    const ScratchDir dir("ipc_cache");
-    setTraceCacheDir(dir.path);
-    const IpcStudyResult cold = runIpcStudy(
-        w, 0, makeColumns(kSevenColumns), kStudyScales, n);
-    size_t entries = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir.path))
-        entries += e.path().extension() == ".bpt";
-    const IpcStudyResult warm = runIpcStudy(
-        w, 0, makeColumns(kSevenColumns), kStudyScales, n);
-    setTraceCacheDir("");
-
-    EXPECT_EQ(entries, 1u);
-    expectSameGrid(cold, direct);
-    expectSameGrid(warm, direct);
-}
-
 TEST(IpcStudy, ColumnExceptionReachesCallerWithWorkersJoined)
 {
     // The middle column runs on a worker thread whenever there are
@@ -366,8 +343,7 @@ TEST(IpcStudy, CancelledStudyReturnsPromptlyWithWorkersJoined)
     // (ctest's timeout catches a hang), and returning at all means
     // every worker thread was joined.
     const uint64_t forever = uint64_t{1} << 40;
-    const Workload w = findWorkload("mcf_like");
-    const Program p = w.build(0);
+    const Program p = findWorkload("mcf_like").build(0);
     const auto start = std::chrono::steady_clock::now();
     {
         CancelToken fired;
@@ -394,25 +370,6 @@ TEST(IpcStudy, CancelledStudyReturnsPromptlyWithWorkersJoined)
         for (const IpcColumn &col : r.columns)
             for (const PerfCounters &pc : col.perScale)
                 EXPECT_EQ(pc.instructions, delivered);
-    }
-    {
-        // Through a warm trace cache: the fired token stops the replay
-        // before any record, so no onEnd() is ever delivered.
-        const uint64_t n = 20000;
-        const ScratchDir dir("ipc_cancel");
-        setTraceCacheDir(dir.path);
-        runIpcStudy(w, 0, makeColumns({"perfect"}), kStudyScales, n);
-        CancelToken fired;
-        fired.requestCancel();
-        {
-            CancelScope scope(fired);
-            const IpcStudyResult r = runIpcStudy(
-                w, 0, makeColumns(kSevenColumns), kStudyScales, n);
-            for (const IpcColumn &col : r.columns)
-                for (const PerfCounters &pc : col.perScale)
-                    EXPECT_EQ(pc.instructions, 0u);
-        }
-        setTraceCacheDir("");
     }
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)

@@ -5,8 +5,7 @@
  * through util/json's parser, empty-stats serialization, the
  * trace-cache hit/miss counters observed through the real
  * runWorkloadTrace() path, span recording (tree shape, trace-id
- * scoping, ring overflow accounting, Chrome-trace export), and the
- * snapshot sampler's interval deltas and ring wraparound.
+ * scoping, ring overflow accounting, Chrome-trace export).
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -196,6 +194,9 @@ TEST(ObsReport, JsonRoundTripOfPopulatedReport)
     ASSERT_TRUE(st.ok()) << st.str();
 
     EXPECT_EQ(at(doc, "schema").asString(), "bpnsp-run-report-v1");
+    EXPECT_DOUBLE_EQ(at(doc, "schema_rev").asDouble(), 12.0);
+    // The optional rev-6 "snapshots" section is never written.
+    EXPECT_FALSE(doc.has("snapshots"));
 
     const JsonValue &run = at(doc, "run");
     EXPECT_EQ(at(run, "workload").asString(), "leela_like");
@@ -213,6 +214,22 @@ TEST(ObsReport, JsonRoundTripOfPopulatedReport)
     EXPECT_DOUBLE_EQ(at(counters, "tracestore.cache.misses").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(at(counters, "bp.predictions").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(at(counters, "bp.mispredicts").asDouble(), 0.0);
+    // The rev-6/7/8 contract counters are present even untouched;
+    // rev 10 dropped the fleet-supervision counters, rev 11 the
+    // client-hedging counters and rev 12 the synth.* counters.
+    EXPECT_TRUE(counters.has("obs.spans_recorded"));
+    EXPECT_TRUE(counters.has("obs.spans_dropped"));
+    EXPECT_TRUE(counters.has("serve.stats_requests"));
+    for (const auto &[name, value] : counters.members()) {
+        EXPECT_EQ(name.find("fleet"), std::string::npos) << name;
+        EXPECT_NE(name.rfind("synth.", 0), 0u) << name;
+    }
+    EXPECT_TRUE(counters.has("serve.client.retries"));
+    EXPECT_TRUE(counters.has("serve.client.gave_up"));
+    EXPECT_TRUE(counters.has("serve.shed"));
+    EXPECT_TRUE(counters.has("serve.expired"));
+    EXPECT_FALSE(counters.has("serve.hedges"));
+    EXPECT_FALSE(counters.has("serve.hedge_wins"));
 
     EXPECT_DOUBLE_EQ(
         at(at(doc, "gauges"), "test.obs.roundtrip_width").asDouble(), 3.5);
@@ -535,123 +552,6 @@ TEST(ObsTrace, ChromeTraceExportIsValidJson)
     std::filesystem::remove(path);
 }
 
-// --- snapshot sampler ------------------------------------------------
-
-TEST(ObsSnapshot, CounterDeltasAreIntervalsNotTotals)
-{
-    obs::SnapshotSampler &sampler = obs::SnapshotSampler::instance();
-    sampler.resetForTest();
-    obs::Counter &c = obs::counter("test.obs.snap_events");
-
-    sampler.sampleOnce();   // baseline: whatever state the run is in
-    c.add(5);
-    sampler.sampleOnce();
-    c.add(3);
-    sampler.sampleOnce();
-
-    const std::vector<obs::Snapshot> samples = sampler.samples();
-    ASSERT_EQ(samples.size(), 3u);
-
-    auto deltaOf = [](const obs::Snapshot &s, const std::string &name,
-                      uint64_t *out) {
-        for (const auto &[n, d] : s.counterDeltas) {
-            if (n == name) {
-                *out = d;
-                return true;
-            }
-        }
-        return false;
-    };
-    uint64_t delta = 0;
-    ASSERT_TRUE(deltaOf(samples[1], "test.obs.snap_events", &delta));
-    EXPECT_EQ(delta, 5u);
-    ASSERT_TRUE(deltaOf(samples[2], "test.obs.snap_events", &delta));
-    EXPECT_EQ(delta, 3u);
-    // Zero-delta counters are omitted from the sample entirely.
-    EXPECT_FALSE(
-        deltaOf(samples[2], "tracestore.cache.quarantined", &delta));
-
-    sampler.resetForTest();
-}
-
-TEST(ObsSnapshot, RingWrapsKeepingTheNewestOldestFirst)
-{
-    obs::SnapshotSampler &sampler = obs::SnapshotSampler::instance();
-    sampler.resetForTest();
-    sampler.setCapacityForTest(4);
-    obs::Counter &c = obs::counter("test.obs.snap_wrap");
-
-    // Ten samples whose deltas are 1..10: after wrapping, the ring
-    // must hold exactly 7, 8, 9, 10 in that order.
-    for (uint64_t i = 1; i <= 10; ++i) {
-        c.add(i);
-        sampler.sampleOnce();
-    }
-    EXPECT_EQ(sampler.totalSamples(), 10u);
-
-    const std::vector<obs::Snapshot> samples = sampler.samples();
-    ASSERT_EQ(samples.size(), 4u);
-    for (size_t i = 0; i < samples.size(); ++i) {
-        uint64_t delta = 0;
-        bool found = false;
-        for (const auto &[n, d] : samples[i].counterDeltas) {
-            if (n == "test.obs.snap_wrap") {
-                delta = d;
-                found = true;
-            }
-        }
-        ASSERT_TRUE(found) << "sample " << i;
-        EXPECT_EQ(delta, 7 + i) << "sample " << i;
-        if (i > 0) {
-            EXPECT_GE(samples[i].tSeconds, samples[i - 1].tSeconds);
-        }
-    }
-
-    sampler.resetForTest();
-}
-
-TEST(ObsSnapshot, HistogramWindowsSeeOnlyTheirInterval)
-{
-    obs::SnapshotSampler &sampler = obs::SnapshotSampler::instance();
-    sampler.resetForTest();
-    obs::Histogram &h = obs::histogram("test.obs.snap_hist");
-
-    for (int i = 0; i < 100; ++i)
-        h.observe(100);      // bucket [64, 128)
-    sampler.sampleOnce();
-    for (int i = 0; i < 100; ++i)
-        h.observe(100000);   // bucket [65536, 131072)
-    sampler.sampleOnce();
-
-    const std::vector<obs::Snapshot> samples = sampler.samples();
-    ASSERT_EQ(samples.size(), 2u);
-
-    auto windowOf = [](const obs::Snapshot &s, const std::string &name)
-        -> const obs::Snapshot::HistWindow * {
-        for (const obs::Snapshot::HistWindow &w : s.histograms) {
-            if (w.name == name)
-                return &w;
-        }
-        return nullptr;
-    };
-    const obs::Snapshot::HistWindow *w0 =
-        windowOf(samples[0], "test.obs.snap_hist");
-    ASSERT_NE(w0, nullptr);
-    EXPECT_EQ(w0->count, 100u);
-    EXPECT_LT(w0->p99, 128.0);
-
-    // The second window's quantiles reflect ONLY the second burst —
-    // a cumulative view would put its p50 down among the 100s.
-    const obs::Snapshot::HistWindow *w1 =
-        windowOf(samples[1], "test.obs.snap_hist");
-    ASSERT_NE(w1, nullptr);
-    EXPECT_EQ(w1->count, 100u);
-    EXPECT_GE(w1->p50, 65536.0);
-    EXPECT_LE(w1->p999, 131072.0);
-
-    sampler.resetForTest();
-}
-
 TEST(ObsHistogram, P999TracksTheExtremeTail)
 {
     obs::Histogram &h = obs::histogram("test.obs.hist_p999");
@@ -668,61 +568,6 @@ TEST(ObsHistogram, P999TracksTheExtremeTail)
     EXPECT_LE(snap.p50, snap.p90);
     EXPECT_LE(snap.p90, snap.p99);
     EXPECT_LE(snap.p99, snap.p999);
-}
-
-TEST(ObsReport, SnapshotsSectionOnlyWhenSamplerRan)
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::SnapshotSampler &sampler = obs::SnapshotSampler::instance();
-    reg.resetForTest();
-    sampler.resetForTest();
-
-    {
-        JsonValue doc;
-        const Status st = JsonValue::parse(obs::renderRunReport(), &doc);
-        ASSERT_TRUE(st.ok()) << st.str();
-        EXPECT_DOUBLE_EQ(at(doc, "schema_rev").asDouble(), 12.0);
-        EXPECT_FALSE(doc.has("snapshots"));
-        // The rev-6/7/8 contract counters are present even untouched;
-        // rev 10 dropped the fleet-supervision counters, rev 11 the
-        // client-hedging counters and rev 12 the synth.* counters.
-        const JsonValue &counters = at(doc, "counters");
-        EXPECT_TRUE(counters.has("obs.spans_recorded"));
-        EXPECT_TRUE(counters.has("obs.spans_dropped"));
-        EXPECT_TRUE(counters.has("serve.stats_requests"));
-        for (const auto &[name, value] : counters.members()) {
-            EXPECT_EQ(name.find("fleet"), std::string::npos) << name;
-            EXPECT_NE(name.rfind("synth.", 0), 0u) << name;
-        }
-        EXPECT_TRUE(counters.has("serve.client.retries"));
-        EXPECT_TRUE(counters.has("serve.client.gave_up"));
-        EXPECT_TRUE(counters.has("serve.shed"));
-        EXPECT_TRUE(counters.has("serve.expired"));
-        EXPECT_FALSE(counters.has("serve.hedges"));
-        EXPECT_FALSE(counters.has("serve.hedge_wins"));
-    }
-
-    obs::counter("test.obs.report_snap").add(9);
-    sampler.sampleOnce();
-    {
-        JsonValue doc;
-        const Status st = JsonValue::parse(obs::renderRunReport(), &doc);
-        ASSERT_TRUE(st.ok()) << st.str();
-        ASSERT_TRUE(doc.has("snapshots"));
-        const JsonValue &snaps = at(doc, "snapshots");
-        EXPECT_DOUBLE_EQ(at(snaps, "total").asDouble(), 1.0);
-        const JsonValue &samples = at(snaps, "samples");
-        ASSERT_TRUE(samples.isArray());
-        ASSERT_EQ(samples.items().size(), 1u);
-        const JsonValue &sample = samples.items()[0];
-        EXPECT_GE(at(sample, "t_s").asDouble(), 0.0);
-        EXPECT_DOUBLE_EQ(
-            at(at(sample, "counters"), "test.obs.report_snap").asDouble(),
-            9.0);
-    }
-
-    sampler.resetForTest();
-    reg.resetForTest();
 }
 
 TEST(ObsReport, StatsSnapshotDocumentIsSelfContained)

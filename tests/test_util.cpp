@@ -529,16 +529,20 @@ TEST(JsonWriter, EscapesAndNumbers)
 TEST(JsonParser, RejectsMalformedInput)
 {
     // Each document is refused as InvalidArgument, and the message
-    // names the byte offset where parsing stopped.
-    for (const std::string bad :
-         {"not json", "{\"a\": 1} x", "\"abc", "\"\\u00zz\"",
-          "{\"a\": 1"}) {
+    // names the offset of the first byte parsing could not accept.
+    const std::pair<std::string, size_t> cases[] = {
+        {"not json", 0},     {"{\"a\": 1} x", 9}, {"\"abc", 4},
+        {"\"\\u00zz\"", 5}, {"{\"a\": 1", 7},
+    };
+    for (const auto &[bad, offset] : cases) {
         SCOPED_TRACE(bad);
         JsonValue doc;
         const Status st = JsonValue::parse(bad, &doc);
         EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
-        EXPECT_NE(st.message().find(" at offset "), std::string::npos)
-            << st.str();
+        const std::string &msg = st.message();
+        const size_t at = msg.rfind(" at offset ");
+        ASSERT_NE(at, std::string::npos) << st.str();
+        EXPECT_EQ(msg.substr(at), " at offset " + std::to_string(offset));
     }
 }
 
@@ -624,25 +628,6 @@ TEST(TextTable, PercentCell)
     EXPECT_EQ(t.render().find("55.3%") != std::string::npos, true);
 }
 
-TEST(TextTable, CsvEscaping)
-{
-    TextTable t;
-    t.setHeader({"name"});
-    t.addRow({"a,b"});
-    const std::string csv = t.renderCsv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-}
-
-TEST(TextTable, Markdown)
-{
-    TextTable t;
-    t.setHeader({"h1", "h2"});
-    t.addRow({"v1", "v2"});
-    const std::string md = t.renderMarkdown();
-    EXPECT_NE(md.find("| h1 | h2 |"), std::string::npos);
-    EXPECT_NE(md.find("| v1 | v2 |"), std::string::npos);
-}
-
 TEST(Formatting, Grouped)
 {
     EXPECT_EQ(fmtGrouped(0), "0");
@@ -678,6 +663,26 @@ TEST(Options, Defaults)
     p.parse(1, argv);
     EXPECT_EQ(p.getInt("n"), 5);
     EXPECT_FALSE(p.getFlag("f"));
+}
+
+TEST(Options, StandardSetIsMetricsFaultsAndTrace)
+{
+    // Only the three standard options are pre-registered; any other
+    // flag is unknown, and parse() exits 1.
+    for (const char *arg : {"--snapshot-ms=5", "--progress"}) {
+        SCOPED_TRACE(arg);
+        OptionParser p("test");
+        const char *argv[] = {"prog", arg};
+        EXPECT_EXIT(p.parse(2, argv), ::testing::ExitedWithCode(1),
+                    "unknown option");
+    }
+    OptionParser p("test");
+    const char *argv[] = {"prog", "--metrics-out=m.json",
+                          "--faults=seed=7", "--trace-out=t.json"};
+    p.parse(4, argv);
+    EXPECT_EQ(p.getString("metrics-out"), "m.json");
+    EXPECT_EQ(p.getString("faults"), "seed=7");
+    EXPECT_EQ(p.getString("trace-out"), "t.json");
 }
 
 // -------------------------------------------------------------- logging
