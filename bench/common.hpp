@@ -34,10 +34,9 @@ namespace bpnsp::bench {
 /**
  * Standard bench option set; returns the parsed scale factor. Every
  * workload trace is executed on the VM; there is no trace cache on the
- * batch path. Activates the standard telemetry options too
- * (--metrics-out writes a JSON run report on exit, --trace-out a
- * Chrome/Perfetto span trace) and stamps the effective scale into the
- * run manifest.
+ * batch path. Activates the standard options too (--metrics-out
+ * writes a JSON run report on exit, --faults arms fault injection)
+ * and stamps the effective scale into the run manifest.
  */
 inline double
 parseScale(OptionParser &opts, int argc, char **argv)

@@ -24,11 +24,12 @@ and, for revs 5 to 11 only, the synthesis counters
 synth.programs_generated, synth.validate_failures) with their
 invariants: no branches fitted without a fitted profile, and no
 validation failure without a generated program (rev 12 dropped them
-with workload synthesis), and — from schema_rev
-6 — the observability counters (obs.spans_recorded,
-obs.spans_dropped, serve.stats_requests) with their invariants: no
-span dropped unless spans were being recorded, and stats requests are
-a subset of serve.requests, and — from schema_rev 7 — the
+with workload synthesis), and — from schema_rev 6 — the
+observability counter serve.stats_requests with its invariant: stats
+requests are a subset of serve.requests, plus, for revs 6 to 12 only,
+the span counters (obs.spans_recorded, obs.spans_dropped) with their
+invariant: no span dropped unless spans were being recorded (rev 13
+dropped them with span tracing), and — from schema_rev 7 — the
 client-retry counters (serve.client.{retries,gave_up}), plus, for
 revs 7 to 9 only, the fleet-supervision counters
 (serve.fleet.{worker_deaths,respawns,breaker_trips}) with their
@@ -107,12 +108,14 @@ REQUIRED_COUNTERS_SYNTH = (
     "synth.validate_failures",
 )
 # Added in schema_rev 6: the observability contract. Every report
-# proves whether span recording ran, whether the ring ever overflowed,
-# and whether the daemon answered live Stats pulls.
-REQUIRED_COUNTERS_REV6 = (
+# proves whether the daemon answered live Stats pulls.
+REQUIRED_COUNTERS_REV6 = ("serve.stats_requests",)
+# Required in schema_rev 6 to 12 only: the span counters (whether span
+# recording ran, whether its ring ever overflowed). Rev 13 dropped
+# these keys with span tracing; older reports must still carry them.
+REQUIRED_COUNTERS_SPANS = (
     "obs.spans_recorded",
     "obs.spans_dropped",
-    "serve.stats_requests",
 )
 # Added in schema_rev 7: the client-retry contract. Every report
 # proves whether clients needed retries.
@@ -153,7 +156,7 @@ REQUIRED_COUNTERS_REV9 = (
     "frontend.ind_mispred",
     "frontend.ftq_stall_cycles",
 )
-MAX_KNOWN_SCHEMA_REV = 12
+MAX_KNOWN_SCHEMA_REV = 13
 
 
 def check(path):
@@ -209,6 +212,8 @@ def check(path):
         required = required + REQUIRED_COUNTERS_SYNTH
     if rev >= 6:
         required = required + REQUIRED_COUNTERS_REV6
+    if 6 <= rev <= 12:
+        required = required + REQUIRED_COUNTERS_SPANS
     if rev >= 7:
         required = required + REQUIRED_COUNTERS_REV7
     if 7 <= rev <= 9:
@@ -284,14 +289,18 @@ def check(path):
                 f"= {counters['synth.programs_generated']}"
             )
 
-    if rev >= 6:
-        # Observability bookkeeping: the ring only drops spans while
-        # recording is on, and every Stats pull was first a request.
+    if 6 <= rev <= 12:
+        # Span bookkeeping: the ring only drops spans while recording
+        # is on.
         if counters["obs.spans_dropped"] > 0 and counters["obs.spans_recorded"] == 0:
             raise ValueError(
                 f"span accounting broken: {counters['obs.spans_dropped']} "
                 f"span(s) dropped with none recorded"
             )
+
+    if rev >= 6:
+        # Observability bookkeeping: every Stats pull was first a
+        # request.
         if counters["serve.stats_requests"] > counters["serve.requests"]:
             raise ValueError(
                 f"stats accounting broken: stats_requests = "

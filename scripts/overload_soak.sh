@@ -8,7 +8,7 @@
 # (fair-share, heaviest first), expire unmeetable deadlines before
 # they cost worker time, and answer every surviving request with the
 # bit-exact result (--verify). The drained report must validate as
-# schema_rev 12 (shed / expired accounting invariants).
+# schema_rev 13 (shed / expired accounting invariants).
 #
 # Usage: scripts/overload_soak.sh [BUILD_DIR]
 #
@@ -151,9 +151,9 @@ print(
 )
 PY
 
-# Phase 3: drain and audit the rev-12 report: the overload counters
+# Phase 3: drain and audit the rev-13 report: the overload counters
 # must be present, additive, and non-trivial.
-echo "== phase 3: main report validation (schema_rev 12)"
+echo "== phase 3: main report validation (schema_rev 13)"
 kill -TERM "$SERVED_PID"
 SERVED_STATUS=0
 wait "$SERVED_PID" || SERVED_STATUS=$?
@@ -167,7 +167,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema_rev"] == 12, report["schema_rev"]
+assert report["schema_rev"] == 13, report["schema_rev"]
 c = report["counters"]
 assert c["serve.shed"] > 0, "cost-aware admission never shed: %r" % c
 assert c["serve.shed"] + c["serve.accepted"] <= c["serve.requests"], c

@@ -2,13 +2,11 @@
 # Serving-daemon soak: 32 concurrent closed-loop clients against
 # bpnsp_served with every serve.* failpoint active, randomized client
 # kills, a deliberately tiny admission queue (so backpressure actually
-# fires), and a SIGTERM mid-load to prove the graceful drain. The
-# daemon runs with span tracing and slow-request logging on; mid-soak
-# a Stats request must answer from the io thread, the rotated
-# Perfetto traces must pass check_trace.py, and the run
-# report must validate as schema_rev 12 with the serve.* and obs.*
-# contract counters. A final phase proves --watch survives a daemon
-# restart by reconnecting instead of exiting.
+# fires), and a SIGTERM mid-load to prove the graceful drain. Mid-soak
+# a Stats request must answer from the io thread, and the run report
+# must validate as schema_rev 13 with the serve.* contract counters.
+# A final phase proves --watch survives a daemon restart by
+# reconnecting instead of exiting.
 #
 # Usage: scripts/serve_soak.sh [BUILD_DIR]
 #
@@ -21,7 +19,6 @@ BUILD_DIR="${1:-build}"
 SERVED="$BUILD_DIR/src/serve/bpnsp_served"
 CLIENT="$BUILD_DIR/src/serve/bpnsp_client"
 CHECKER="$(dirname "$0")/check_run_report.py"
-TRACECHECK="$(dirname "$0")/check_trace.py"
 
 WORK="$(mktemp -d /tmp/bpnsp-serve-soak.XXXXXX)"
 SOCKET="$WORK/served.sock"
@@ -50,9 +47,6 @@ echo "== serve soak: workdir $WORK"
     --threads=2 \
     --queue-depth=2 \
     --metrics-out="$REPORT" \
-    --trace-dir="$WORK/traces" \
-    --trace-rotate-ms=1000 \
-    --slow-ms=50 \
     --faults="seed=9,serve.accept.fail@0.02,serve.frame.corrupt@0.01,serve.worker.stall@0.1" \
     &
 SERVED_PID=$!
@@ -142,7 +136,7 @@ wait "$LOAD_PID" 2>/dev/null || true
     exit 1
 }
 
-# Phase 3: the drained daemon's report must be a valid schema_rev 12
+# Phase 3: the drained daemon's report must be a valid schema_rev 13
 # run report whose serve.* counters prove the soak exercised every
 # path: admission, rejection, corruption, completion, introspection.
 echo "== phase 3: report validation"
@@ -153,7 +147,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema_rev"] == 12, report["schema_rev"]
+assert report["schema_rev"] == 13, report["schema_rev"]
 c = report["counters"]
 assert c["serve.requests"] > 0, c
 assert c["serve.completed"] > 0, c
@@ -161,40 +155,23 @@ assert c["serve.rejected"] > 0, "no backpressure observed: %r" % c
 assert c["serve.frames_corrupt"] > 0, "no corrupt frames observed: %r" % c
 assert c["serve.drains"] == 1, c
 assert c["serve.stats_requests"] >= 1, c
-assert c["obs.spans_recorded"] > 0, "tracing was on but recorded nothing"
-assert c["serve.slow_requests"] > 0, (
-    "50 ms threshold with stalled workers never fired: %r" % c
-)
 print(
     "serve soak ok: %d requests, %d completed, %d rejected, "
-    "%d corrupt frame(s), %d worker stall(s), %d slow, "
-    "%d span(s)"
+    "%d corrupt frame(s), %d worker stall(s)"
     % (
         c["serve.requests"],
         c["serve.completed"],
         c["serve.rejected"],
         c["serve.frames_corrupt"],
         c["serve.worker_stalls"],
-        c["serve.slow_requests"],
-        c["obs.spans_recorded"],
     )
 )
 PY
 
-# Phase 4: every rotated Perfetto trace the daemon wrote must be a
-# structurally valid Chrome trace-event document.
-echo "== phase 4: trace validation"
-TRACES=("$WORK"/traces/*.json)
-[ -e "${TRACES[0]}" ] || {
-    echo "tracing was on under load but no trace files were written" >&2
-    exit 1
-}
-python3 "$TRACECHECK" "${TRACES[@]}"
-
-# Phase 5: a stats --watch must outlive a daemon restart. Start a
+# Phase 4: a stats --watch must outlive a daemon restart. Start a
 # fresh single-process daemon, point a watch at it, bounce the
 # daemon, and check the watch reconnected instead of exiting.
-echo "== phase 5: --watch survives a daemon restart"
+echo "== phase 4: --watch survives a daemon restart"
 WATCH_SOCKET="$WORK/watch.sock"
 start_watch_daemon() {
     "$SERVED" --socket="$WATCH_SOCKET" --trace-cache="$CACHE" \

@@ -15,7 +15,6 @@
 #include "faultsim/faultsim.hpp"
 #include "frontend/frontend.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/fsutil.hpp"
 #include "util/hash.hpp"
@@ -252,12 +251,6 @@ runCampaign(const CampaignConfig &config)
                 if (config.cellDeadlineMs > 0)
                     cellToken.setDeadlineAfterMs(config.cellDeadlineMs);
                 CancelScope cellScope(cellToken);
-                // Cell index + 1 as the trace id (0 means untraced):
-                // in a --trace-out export every span under one cell —
-                // vm.execute, trace.replay, chunk decodes — carries
-                // the id of the cell that drove it.
-                obs::ScopedTraceId cellTrace(i + 1);
-                obs::Span cellSpan("campaign.cell");
                 st = executeCell(config.cells[i], &cellResult);
             }
             cellResult.wallMs = elapsedMs(start);

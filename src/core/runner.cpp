@@ -15,7 +15,6 @@
 
 #include "bp/factory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/store.hpp"
 #include "util/cancel.hpp"
@@ -44,7 +43,6 @@ runTrace(const Program &program, const std::vector<TraceSink *> &sinks,
     static obs::Histogram &runTraceNs =
         obs::histogram("core.run_trace_ns");
     obs::ScopedTimer timer(runTraceNs);
-    obs::Span span("core.run_trace");
 
     FanoutSink fanout;
     for (TraceSink *sink : sinks)
@@ -120,7 +118,6 @@ replayVerified(const TraceStoreReader &reader,
         obs::histogram("tracestore.replay_ns");
 
     obs::ScopedTimer timer(replayNs);
-    obs::Span span("trace.replay");
     FanoutSink fanout;
     for (TraceSink *sink : sinks)
         fanout.add(sink);
@@ -176,7 +173,6 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
         obs::counter("tracestore.cache.misses");
     static obs::Counter &degraded =
         obs::counter("core.runner.degraded_runs");
-    obs::Span span("run.workload_trace");
 
     recordRunIdentity(workload, input_idx, instructions);
 

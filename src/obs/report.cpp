@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -21,15 +20,12 @@ namespace {
 
 std::mutex gReportMutex;
 std::string gReportPath;
-std::string gTraceOutPath;
 bool gAtExitInstalled = false;
-bool gTraceAtExitInstalled = false;
 
 // Signal-hook state. The hook cannot take gReportMutex (the
 // interrupted thread might hold it), so the report path is mirrored
 // into a fixed buffer it can read lock-free.
 char gSignalReportPath[4096] = {};
-char gSignalTracePath[4096] = {};
 
 std::string
 quoted(const std::string &s)
@@ -47,21 +43,6 @@ writeReportAtExit()
     }
     if (!path.empty())
         writeRunReport(path);
-}
-
-void
-writeTraceAtExit()
-{
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lock(gReportMutex);
-        path = gTraceOutPath;
-    }
-    if (path.empty())
-        return;
-    if (Status st = TraceRecorder::instance().exportChromeTrace(path);
-        !st.ok())
-        warn("cannot write trace: ", st.str());
 }
 
 /**
@@ -82,9 +63,6 @@ reportFlushHook(int /*sig*/)
 {
     if (gSignalReportPath[0] != '\0')
         writeRunReport(gSignalReportPath);
-    if (gSignalTracePath[0] != '\0')
-        (void)TraceRecorder::instance().exportChromeTrace(
-            gSignalTracePath);
 }
 
 /**
@@ -205,11 +183,8 @@ renderRunReport()
           // never exceeds serve.accepted.
           "serve.requests", "serve.accepted", "serve.rejected",
           "serve.completed", "serve.frames_corrupt",
-          // Observability counters (schema_rev 6): every report
-          // proves whether tracing was on (and how lossy the span
-          // rings were) and whether the daemon answered live Stats
-          // requests.
-          "obs.spans_recorded", "obs.spans_dropped",
+          // Observability counter (schema_rev 6): every report
+          // proves whether the daemon answered live Stats requests.
           "serve.stats_requests",
           // Client-retry counters (schema_rev 7): every report proves
           // whether the run's clients needed retries, and how many
@@ -246,12 +221,14 @@ renderRunReport()
     // multi-process fleet they counted. Rev 11 drops rev 8's
     // serve.hedges / serve.hedge_wins with the client hedging they
     // counted. Rev 12 drops rev 5's four synth.* keys with the
-    // workload synthesis they counted. Nothing is ever renamed, so v1
+    // workload synthesis they counted. Rev 13 drops rev 6's
+    // obs.spans_recorded / obs.spans_dropped with the span tracing
+    // they counted. Nothing is ever renamed, so v1
     // consumers keep parsing and rev-aware consumers know which keys
     // are guaranteed present at each rev.
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-run-report-v1\",\n"
-        << "  \"schema_rev\": 12,\n  \"run\": {\n";
+        << "  \"schema_rev\": 13,\n  \"run\": {\n";
     for (const auto &[key, value] : reg.runFields())
         oss << "    " << quoted(key) << ": " << quoted(value) << ",\n";
     oss << "    \"git\": " << quoted(gitDescribe()) << ",\n"
@@ -312,20 +289,6 @@ setReportPath(const std::string &path)
 }
 
 void
-setTracePath(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(gReportMutex);
-    gTraceOutPath = path;
-    std::snprintf(gSignalTracePath, sizeof(gSignalTracePath), "%s",
-                  path.c_str());
-    TraceRecorder::instance().setEnabled(!path.empty());
-    if (!path.empty() && !gTraceAtExitInstalled) {
-        gTraceAtExitInstalled = true;
-        std::atexit(writeTraceAtExit);
-    }
-}
-
-void
 installSignalHandlers()
 {
     signals::setFirstSignalHook(reportFlushHook);
@@ -353,12 +316,6 @@ configureFromOptions(const OptionParser &opts)
         !path.empty()) {
         setReportPath(path);
         // With a report at stake, Ctrl-C must flush it, not lose it.
-        installSignalHandlers();
-    }
-    if (const std::string &path = opts.getString("trace-out");
-        !path.empty()) {
-        setTracePath(path);
-        // Like the run report: a Ctrl-C'd run keeps its trace.
         installSignalHandlers();
     }
 }

@@ -9,11 +9,9 @@
  * ("Telemetry"); reports are stable input for CI artifacts and the
  * BENCH_*.json perf-trajectory files.
  *
- * Every binary that parses options through OptionParser accepts:
- *   --metrics-out=FILE   write the run report on exit
- *   --trace-out=FILE     record spans; write a Chrome/Perfetto trace
- *                        (obs/trace.hpp) on exit
- * after calling obs::configureFromOptions(opts) once after parse().
+ * Every binary that parses options through OptionParser accepts
+ * --metrics-out=FILE (write the run report on exit) after calling
+ * obs::configureFromOptions(opts) once after parse().
  */
 
 #ifndef BPNSP_OBS_REPORT_HPP
@@ -57,13 +55,6 @@ bool writeRunReport(const std::string &path);
 void setReportPath(const std::string &path);
 
 /**
- * Enable span recording and arrange for a Chrome/Perfetto trace to
- * be written to `path` at process exit. An empty path disables
- * recording and cancels a pending exit trace.
- */
-void setTracePath(const std::string &path);
-
-/**
  * Install SIGINT/SIGTERM handlers (idempotent). The first signal
  * fires the global cancel token (util/cancel.hpp) so cooperative
  * loops drain; unless graceful-drain mode is on, it then writes the
@@ -91,9 +82,8 @@ std::string reportPath();
 
 /**
  * Wire the standard telemetry options (registered by every
- * OptionParser): --metrics-out installs the exit report, --trace-out
- * enables span recording and the exit trace. Also records the binary name and argv-level
- * fields in the run manifest. Call once, after opts.parse().
+ * OptionParser): --metrics-out installs the exit report. Also records
+ * the binary name in the run manifest. Call once, after opts.parse().
  */
 void configureFromOptions(const OptionParser &opts);
 

@@ -243,18 +243,17 @@ quantileCell(const JsonValue &hist, const char *key)
  * inspectable from an older client.
  */
 void
-printStatsPretty(const std::string &json, uint64_t trace_id)
+printStatsPretty(const std::string &json)
 {
     JsonValue doc;
     if (!JsonValue::parse(json, &doc).ok() || !doc.isObject()) {
         std::fputs(json.c_str(), stdout);
         return;
     }
-    std::printf("%s  git %s  wall %.1fs  (stats trace id %llu)\n",
+    std::printf("%s  git %s  wall %.1fs\n",
                 doc.get("schema").asString().c_str(),
                 doc.get("git").asString().c_str(),
-                doc.get("wall_seconds").asDouble(),
-                static_cast<unsigned long long>(trace_id));
+                doc.get("wall_seconds").asDouble());
 
     std::printf("counters:\n");
     for (const auto &[name, value] : doc.get("counters").members())
@@ -310,8 +309,7 @@ runStats(const OptionParser &opts)
     uint64_t reconnectBackoffMs = 0;
     for (;;) {
         std::string json;
-        uint64_t traceId = 0;
-        st = client.connected() ? client.stats(&json, &traceId)
+        st = client.connected() ? client.stats(&json)
                                 : Status::ioError("not connected");
         if (!st.ok()) {
             if (!watch) {
@@ -336,7 +334,7 @@ runStats(const OptionParser &opts)
         if (raw)
             std::fputs(json.c_str(), stdout);
         else
-            printStatsPretty(json, traceId);
+            printStatsPretty(json);
         std::fflush(stdout);
         if (!watch)
             return 0;

@@ -2,7 +2,7 @@
  * @file
  * bpnsp_served: the prediction-serving daemon. Binds one UNIX-domain
  * socket (there is no TCP listener), serves concurrent
- * bpnsp-serve-v2 requests — predictor simulation over trace slices,
+ * bpnsp-serve-v3 requests — predictor simulation over trace slices,
  * branch stats, H2P lists, trace materialization — from a shared
  * on-disk trace corpus, and drains gracefully on SIGINT/SIGTERM:
  * in-flight requests finish, the listener closes immediately, and the
@@ -33,7 +33,6 @@
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "tracestore/chunk_cache.hpp"
 #include "util/cancel.hpp"
@@ -65,14 +64,6 @@ main(int argc, char **argv)
     opts.addInt("max-seconds", 0,
                 "self-terminate (drain) after N seconds (0 = run "
                 "until signalled)");
-    opts.addString("trace-dir", "",
-                   "write rotating Chrome-trace span exports into this "
-                   "directory (trace-<seq>.json, size-bounded)");
-    opts.addInt("trace-files", 8, "rotated trace files kept");
-    opts.addInt("trace-rotate-ms", 2000, "trace rotation period");
-    opts.addInt("slow-ms", 0,
-                "log requests slower than N ms with their span tree "
-                "(0 = off)");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
     faultsim::configureFromOptions(opts);
@@ -97,20 +88,8 @@ main(int argc, char **argv)
     config.queueDepth =
         static_cast<size_t>(opts.getInt("queue-depth"));
     config.traceCacheDir = cacheDir;
-    config.slowMs = static_cast<uint32_t>(opts.getInt("slow-ms"));
     config.maxInflightCostMs =
         static_cast<uint64_t>(opts.getInt("max-inflight-cost"));
-
-    // Continuous span capture for a long-lived daemon: --trace-dir
-    // rotates bounded exports (newest N kept) instead of the one-shot
-    // at-exit file --trace-out writes.
-    const std::string traceDir = opts.getString("trace-dir");
-    if (!traceDir.empty()) {
-        obs::TraceRecorder::instance().setEnabled(true);
-        obs::TraceRecorder::instance().startRotation(
-            traceDir, static_cast<size_t>(opts.getInt("trace-files")),
-            static_cast<uint64_t>(opts.getInt("trace-rotate-ms")));
-    }
 
     serve::ServeServer server(std::move(config));
     if (const Status st = server.start(); !st.ok()) {
@@ -135,8 +114,6 @@ main(int argc, char **argv)
     inform("bpnsp_served: draining (in-flight requests finish, "
            "listener closed)");
     server.drain();
-    if (!traceDir.empty())
-        obs::TraceRecorder::instance().stopRotation();
 
     // The run report flushes through the --metrics-out atexit hook
     // (obs::configureFromOptions), after the drain has settled every

@@ -270,7 +270,7 @@ ServeClient::ping(std::string *info)
 }
 
 Status
-ServeClient::stats(std::string *json, uint64_t *trace_id_out)
+ServeClient::stats(std::string *json)
 {
     ServeRequest request;
     request.type = MessageType::Stats;
@@ -282,8 +282,6 @@ ServeClient::stats(std::string *json, uint64_t *trace_id_out)
         return statusFromWire(reply.code, reply.message);
     if (json != nullptr)
         *json = reply.statsJson;
-    if (trace_id_out != nullptr)
-        *trace_id_out = reply.traceId;
     return Status();
 }
 

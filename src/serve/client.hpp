@@ -1,6 +1,6 @@
 /**
  * @file
- * Client side of bpnsp-serve-v2: a small blocking client (one
+ * Client side of bpnsp-serve-v3: a small blocking client (one
  * outstanding request per connection) plus a closed-loop load
  * generator for the latency bench and the soak test.
  *
@@ -107,10 +107,9 @@ class ServeClient
     /**
      * Live metric snapshot: a bpnsp-stats-v1 JSON document rendered by
      * the server's io thread (never queued behind workers, so it works
-     * under full load and during a drain). `trace_id_out` (optional)
-     * receives the server-assigned trace id.
+     * under full load and during a drain).
      */
-    Status stats(std::string *json, uint64_t *trace_id_out = nullptr);
+    Status stats(std::string *json);
 
     /**
      * Send a request and do NOT wait for the reply. Used by the load

@@ -498,7 +498,6 @@ encodeReplyPayload(const ServeReply &reply)
     WireWriter w;
     w.u16(static_cast<uint16_t>(reply.code));
     w.str(reply.message);
-    w.u64(reply.traceId);
     w.u32(reply.retryAfterMs);
     switch (reply.type) {
       case MessageType::PingReply:
@@ -560,7 +559,6 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
     uint16_t code = 0;
     r.u16(&code);
     r.str(&reply.message);
-    r.u64(&reply.traceId);
     r.u32(&reply.retryAfterMs);
     reply.code = static_cast<WireCode>(code);
     switch (type) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * `bpnsp-serve-v2`: the wire protocol of the prediction-serving
+ * `bpnsp-serve-v3`: the wire protocol of the prediction-serving
  * daemon.
  *
  * Every message travels in one length-prefixed, checksummed, versioned
@@ -8,7 +8,7 @@
  *
  *   offset size field
  *   0      4    magic       0x31565342 ("BSV1")
- *   4      2    version     kProtocolVersion (2)
+ *   4      2    version     kProtocolVersion (3)
  *   6      2    type        MessageType
  *   8      8    request id  chosen by the client, echoed verbatim in
  *                           the matching reply
@@ -17,15 +17,15 @@
  *   24     N    payload     message-specific fields (WireWriter)
  *
  * Versioning rule: the magic+version pair is checked before anything
- * else — a version this side does not speak (v1 included) is refused
- * with a clean InvalidArgument, never misparsed. Each message type has
- * exactly one payload layout: decoders read every field and refuse a
- * payload with bytes left over. Any layout change bumps
+ * else — a version this side does not speak (v1 and v2 included) is
+ * refused with a clean InvalidArgument, never misparsed. Each message
+ * type has exactly one payload layout: decoders read every field and
+ * refuse a payload with bytes left over. Any layout change bumps
  * kProtocolVersion.
  *
  * Every reply payload starts with the same prefix — u16 code, str
- * message, u64 traceId, u32 retryAfterMs — followed by its type's own
- * fields (encodeReplyPayload lists them per type).
+ * message, u32 retryAfterMs — followed by its type's own fields
+ * (encodeReplyPayload lists them per type).
  *
  * Payload primitives are fixed-width little-endian integers and
  * u32-length-prefixed strings; every read is bounds-checked and
@@ -54,7 +54,7 @@ namespace bpnsp::serve {
 
 /** Protocol identity (see the frame layout above). */
 inline constexpr uint32_t kFrameMagic = 0x31565342u;   // "BSV1"
-inline constexpr uint16_t kProtocolVersion = 2;
+inline constexpr uint16_t kProtocolVersion = 3;
 
 /** Hard payload bound: larger prefixes are refused before any read. */
 inline constexpr uint32_t kMaxFramePayload = 16u * 1024 * 1024;
@@ -167,14 +167,6 @@ struct ServeReply
     MessageType type = MessageType::Invalid;
     WireCode code = WireCode::Ok;
     std::string message;
-
-    /**
-     * Server-assigned trace id, stamped into every reply (including
-     * errors). Correlates a reply with the server-side span tree: the
-     * same id appears in --trace-out / --trace-dir exports and in
-     * `serve.slow_request` log lines. 0 means "unassigned".
-     */
-    uint64_t traceId = 0;
 
     /**
      * Retry-after hint in milliseconds. Non-zero only on

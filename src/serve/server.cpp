@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <iomanip>
 #include <utility>
 
 #include <fcntl.h>
@@ -12,8 +11,6 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-
-#include <sstream>
 
 #include "analysis/branch_stats.hpp"
 #include "analysis/h2p.hpp"
@@ -24,7 +21,6 @@
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "workloads/suite.hpp"
 
@@ -174,19 +170,6 @@ requestNsForType(MessageType type)
     }
 }
 
-/**
- * Server-assigned trace ids: unique within the process, monotonically
- * increasing, never 0 (0 means "unassigned" on the wire). Every
- * request gets one — even rejected ones, so a RESOURCE_EXHAUSTED
- * reply is still correlatable with the admission decision.
- */
-uint64_t
-allocTraceId()
-{
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 uint64_t
 nowNs()
 {
@@ -247,7 +230,6 @@ struct ServeServer::Pending
     uint64_t requestId = 0;
     ServeRequest request;
     uint64_t enqueuedNs = 0;
-    uint64_t traceId = 0;
 
     // Scheduler view, stamped at admission.
     uint64_t peer = 0;
@@ -504,7 +486,6 @@ ServeServer::acceptOne()
         obs::counter("serve.accept_failures");
     static uint64_t nextConnId = 1;
 
-    obs::Span span("serve.accept");
     const int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0) {
         if (errno != EAGAIN && errno != EWOULDBLOCK &&
@@ -656,10 +637,9 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
             serveAccepted().inc();
             ServeReply reply;
             reply.type = MessageType::PingReply;
-            reply.traceId = allocTraceId();
             reply.serverInfo =
-                "bpnsp-serve-v2 workers=" +
-                std::to_string(cfg.workers) +
+                "bpnsp-serve-v" + std::to_string(kProtocolVersion) +
+                " workers=" + std::to_string(cfg.workers) +
                 " queue=" + std::to_string(cfg.queueDepth);
             sendReply(conn, header.requestId, reply);
             serveCompleted().inc();
@@ -679,12 +659,7 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
             statsRequests.inc();
             ServeReply reply;
             reply.type = MessageType::StatsReply;
-            reply.traceId = allocTraceId();
-            {
-                obs::ScopedTraceId traceScope(reply.traceId);
-                obs::Span span("serve.stats");
-                reply.statsJson = obs::renderStatsSnapshotJson();
-            }
+            reply.statsJson = obs::renderStatsSnapshotJson();
             sendReply(conn, header.requestId, reply);
             serveCompleted().inc();
             continue;
@@ -851,12 +826,11 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
                    const FrameHeader &header, ServeRequest request)
 {
     serveRequests().inc();
-    const uint64_t traceId = allocTraceId();
 
     if (!acceptingFlag.load()) {
         serveRejected().inc();
         sendError(conn, header.requestId, WireCode::Busy,
-                  "server is draining", traceId);
+                  "server is draining");
         return;
     }
 
@@ -865,7 +839,6 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
     p.requestId = header.requestId;
     p.request = std::move(request);
     p.enqueuedNs = nowNs();
-    p.traceId = traceId;
     p.peer = conn->peer;
     p.interactive = isInteractiveQueued(p.request.type);
     estimateCost(&p);
@@ -944,7 +917,7 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
                   WireCode::ResourceExhausted,
                   "shed under overload (heaviest client, newest "
                   "work first); retry after the hint",
-                  victim.traceId, retryAfterMs);
+                  retryAfterMs);
     }
     if (shedSelf) {
         serveRejected().inc();
@@ -954,7 +927,7 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
                   "admission queue full (" +
                       std::to_string(cfg.queueDepth) +
                       " requests); retry with backoff",
-                  traceId, retryAfterMs);
+                  retryAfterMs);
         return;
     }
     queueCv.notify_one();
@@ -1090,14 +1063,12 @@ ServeServer::popRequest(Pending *out)
     for (;;) {
         bool popped = false;
         std::vector<Pending> expired;
-        uint64_t sweepStartNs = 0;
         uint32_t retryAfterMs = 0;
         {
             std::unique_lock<std::mutex> lock(queueMu);
             queueCv.wait(lock, [this] {
                 return quitFlag.load() || queuedCount > 0;
             });
-            sweepStartNs = nowNs();
             sweepExpiredLocked(&expired);
             retryAfterMs = retryAfterMsLocked();
 
@@ -1118,35 +1089,20 @@ ServeServer::popRequest(Pending *out)
                 return false;
         }
 
-        if (!expired.empty()) {
-            const uint64_t sweepEndNs = nowNs();
-            obs::emitSpan("serve.queue_sweep",
-                          expired.front().traceId, sweepStartNs,
-                          sweepEndNs > sweepStartNs
-                              ? sweepEndNs - sweepStartNs
-                              : 0);
-            for (const Pending &p : expired) {
-                serveRejected().inc();
-                serveExpired().inc();
-                sendError(p.conn, p.requestId,
-                          WireCode::DeadlineExceeded,
-                          "deadline expired in the admission queue "
-                          "(estimated backlog exceeds the remaining "
-                          "budget)",
-                          p.traceId, retryAfterMs);
-            }
+        for (const Pending &p : expired) {
+            serveRejected().inc();
+            serveExpired().inc();
+            sendError(p.conn, p.requestId, WireCode::DeadlineExceeded,
+                      "deadline expired in the admission queue "
+                      "(estimated backlog exceeds the remaining budget)",
+                      retryAfterMs);
         }
         if (!popped)
             continue;   // swept everything; wait for more work
 
         const uint64_t now = nowNs();
-        const uint64_t wait =
-            now > out->enqueuedNs ? now - out->enqueuedNs : 0;
-        queueWait.observe(wait);
-        // Retroactive span: the wait started on the io thread, ended
-        // here. Recorded explicitly since no scope lived across both.
-        obs::emitSpan("serve.queue_wait", out->traceId, out->enqueuedNs,
-                      wait);
+        queueWait.observe(now > out->enqueuedNs ? now - out->enqueuedNs
+                                                : 0);
         return true;
     }
 }
@@ -1171,8 +1127,6 @@ ServeServer::execute(const Pending &pending)
 
     const uint64_t execStartNs = nowNs();
     {
-        obs::ScopedTraceId traceScope(pending.traceId);
-        obs::Span span("serve.execute");
         // The request's own token, chained to stopToken so stop()
         // cuts it; the deadline is *absolute* from admission, so queue
         // wait already spent the budget — the deadline-propagation
@@ -1189,14 +1143,11 @@ ServeServer::execute(const Pending &pending)
         CancelScope scope(token);
         ServeReply reply;
         const Status st = runRequest(pending.request, &reply);
-        obs::Span replySpan("serve.reply");
-        if (st.ok()) {
-            reply.traceId = pending.traceId;
+        if (st.ok())
             sendReply(pending.conn, pending.requestId, reply);
-        } else {
+        else
             sendError(pending.conn, pending.requestId, wireCodeFor(st),
-                      st.str(), pending.traceId);
-        }
+                      st.str());
     }
     const uint64_t execEndNs = nowNs();
     const uint64_t execDurNs =
@@ -1212,12 +1163,6 @@ ServeServer::execute(const Pending &pending)
                                        : 0;
     requestNs.observe(wall);
     requestNsForType(pending.request.type).observe(wall);
-    // The root of the request's span tree: admission to reply.
-    obs::emitSpan("serve.request", pending.traceId, pending.enqueuedNs,
-                  wall);
-    if (cfg.slowMs != 0 &&
-        wall >= static_cast<uint64_t>(cfg.slowMs) * 1000000ull)
-        logSlowRequest(pending, wall);
     serveCompleted().inc();
 
     std::lock_guard<std::mutex> lock(queueMu);
@@ -1239,11 +1184,8 @@ ServeServer::runRequest(const ServeRequest &request, ServeReply *reply)
     Status st = validateRequest(request, &workload);
     if (!st.ok())
         return st;
-    std::shared_ptr<TraceStoreReader> reader;
-    {
-        obs::Span span("serve.ensure_reader");
-        reader = ensureReader(*workload, request, &st);
-    }
+    const std::shared_ptr<TraceStoreReader> reader =
+        ensureReader(*workload, request, &st);
     if (reader == nullptr)
         return st;
 
@@ -1280,11 +1222,7 @@ ServeServer::replayTrace(const TraceCacheKey &key,
                          const TraceStoreReader &reader, uint64_t first,
                          uint64_t count, TraceSink &sink)
 {
-    Status st;
-    {
-        obs::Span span("serve.replay");
-        st = reader.replayRange(first, count, sink);
-    }
+    const Status st = reader.replayRange(first, count, sink);
     if (st.code() == StatusCode::CorruptData) {
         cache->quarantine(key, st.str());
         dropReader(traceCacheDigest(key));
@@ -1418,7 +1356,7 @@ ServeServer::sendReply(const std::shared_ptr<Conn> &conn,
 void
 ServeServer::sendError(const std::shared_ptr<Conn> &conn,
                        uint64_t request_id, WireCode code,
-                       const std::string &message, uint64_t trace_id,
+                       const std::string &message,
                        uint32_t retry_after_ms)
 {
     if (!conn->open.load())
@@ -1427,7 +1365,6 @@ ServeServer::sendError(const std::shared_ptr<Conn> &conn,
     reply.type = MessageType::Error;
     reply.code = code;
     reply.message = message;
-    reply.traceId = trace_id;
     reply.retryAfterMs = retry_after_ms;
     const std::vector<uint8_t> payload = encodeReplyPayload(reply);
     std::vector<uint8_t> frame;
@@ -1437,37 +1374,6 @@ ServeServer::sendError(const std::shared_ptr<Conn> &conn,
     std::lock_guard<std::mutex> lock(conn->writeMu);
     if (!sendAll(conn->fd, frame.data(), frame.size()))
         conn->open.store(false);
-}
-
-void
-ServeServer::logSlowRequest(const Pending &pending, uint64_t wall_ns)
-{
-    static obs::Counter &slow = obs::counter("serve.slow_requests");
-    slow.inc();
-
-    // Structured single-line record: greppable key=value pairs, span
-    // offsets relative to admission so the line reads as a timeline.
-    std::ostringstream os;
-    os << "serve.slow_request trace_id=" << pending.traceId
-       << " type=" << messageTypeName(pending.request.type)
-       << " workload=" << pending.request.workload
-       << " wall_ms=" << wall_ns / 1000000 << "." << std::setw(3)
-       << std::setfill('0') << (wall_ns / 1000) % 1000;
-    if (obs::TraceRecorder::instance().enabled()) {
-        const std::vector<obs::SpanEvent> spans =
-            obs::TraceRecorder::instance().spansFor(pending.traceId);
-        os << " spans=[";
-        for (size_t i = 0; i < spans.size(); ++i) {
-            const obs::SpanEvent &e = spans[i];
-            const uint64_t off = e.startNs >= pending.enqueuedNs
-                                     ? e.startNs - pending.enqueuedNs
-                                     : 0;
-            os << (i != 0 ? " " : "") << e.name << "@+" << off / 1000
-               << "us/" << e.durNs / 1000 << "us";
-        }
-        os << "]";
-    }
-    warn(os.str());
 }
 
 void

@@ -91,16 +91,6 @@ struct ServeConfig
      * queue pressure.
      */
     uint64_t maxInflightCostMs = 0;
-
-    /**
-     * Slow-request threshold in milliseconds (0 = off). A request
-     * whose accept-to-reply wall time crosses it is counted in
-     * `serve.slow_requests` and logged as a structured
-     * `serve.slow_request` warn line carrying its trace id and — when
-     * span recording is on — its whole span tree, offsets relative to
-     * admission.
-     */
-    uint32_t slowMs = 0;
 };
 
 /** The serving engine. */
@@ -187,9 +177,8 @@ class ServeServer
                    uint64_t request_id, const ServeReply &reply);
     void sendError(const std::shared_ptr<Conn> &conn,
                    uint64_t request_id, WireCode code,
-                   const std::string &message, uint64_t trace_id = 0,
+                   const std::string &message,
                    uint32_t retry_after_ms = 0);
-    void logSlowRequest(const Pending &pending, uint64_t wall_ns);
     void closeConn(const std::shared_ptr<Conn> &conn);
 
     /** Non-fatal workload lookup (nullptr when unknown). */

@@ -13,7 +13,6 @@
 
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/fsutil.hpp"
 #include "util/logging.hpp"
@@ -480,7 +479,6 @@ TraceStoreReader::chunkViaCache(uint64_t index, DecodedChunk *out) const
         *out = std::move(cached);
         return Status();
     }
-    obs::Span span("trace.chunk_decode");
     const Clock::time_point start = Clock::now();
     if (Status st = readChunk(index); !st.ok())
         return st;
@@ -507,7 +505,6 @@ TraceStoreReader::streamChunk(uint64_t index, uint64_t skip,
                               std::vector<TraceRecord> &block,
                               TraceSink &sink) const
 {
-    obs::Span span("trace.chunk_decode");
     const Clock::time_point start = Clock::now();
     if (Status st = readChunk(index); !st.ok())
         return st;
@@ -592,8 +589,6 @@ TraceStoreReader::replayRange(uint64_t first, uint64_t n,
     }
     if (n == 0)
         return Status();
-    obs::Span span("trace.replay_range");
-
     // Locate the chunk containing `first` (the index is sorted).
     uint64_t lo = 0;
     uint64_t hi = chunks.size();

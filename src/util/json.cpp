@@ -192,14 +192,12 @@ class JsonParser
           case 't':
             if (consumeWord("true")) {
                 out->kindTag = JsonValue::Kind::Bool;
-                out->boolVal = true;
                 return Status();
             }
             return error("expected 'true'");
           case 'f':
             if (consumeWord("false")) {
                 out->kindTag = JsonValue::Kind::Bool;
-                out->boolVal = false;
                 return Status();
             }
             return error("expected 'false'");

@@ -6,10 +6,10 @@
  * The repository renders all of its JSON by hand (run reports, campaign
  * results) through jsonEscape()/jsonNumber(). The parser reads it back:
  * `bpnsp_client` pretty-prints the daemon's Stats run report, and the
- * tests check run reports and Chrome-trace exports through it. It
- * covers the full JSON grammar (objects, arrays, strings with escapes,
- * numbers, booleans, null) with strict error reporting and no
- * dependencies, and is small enough to audit.
+ * tests check run reports through it. It covers the full JSON grammar
+ * (objects, arrays, strings with escapes, numbers, booleans, null)
+ * with strict error reporting and no dependencies, and is small
+ * enough to audit.
  *
  * Numbers are held as doubles; integral values up to 2^53 round-trip
  * exactly, which covers every counter and histogram edge a run report
@@ -48,7 +48,6 @@ class JsonValue
 
     Kind kind() const { return kindTag; }
     bool isNull() const { return kindTag == Kind::Null; }
-    bool isBool() const { return kindTag == Kind::Bool; }
     bool isNumber() const { return kindTag == Kind::Number; }
     bool isString() const { return kindTag == Kind::String; }
     bool isArray() const { return kindTag == Kind::Array; }
@@ -78,7 +77,6 @@ class JsonValue
 
   private:
     Kind kindTag = Kind::Null;
-    bool boolVal = false;
     double numVal = 0.0;
     std::string strVal;
     std::vector<JsonValue> arrVal;

@@ -11,9 +11,10 @@ namespace bpnsp {
 OptionParser::OptionParser(std::string description)
     : desc(std::move(description))
 {
-    // Standard telemetry options, available in every binary. The
-    // parser only records them; obs::configureFromOptions() (called by
-    // each main after parse()) activates the report and trace.
+    // Standard options, available in every binary. The parser only
+    // records them; obs::configureFromOptions() and
+    // faultsim::configureFromOptions() (called by each main after
+    // parse()) activate the report and the fault plan.
     addString("metrics-out", "",
               "write a JSON run report (metrics + run manifest) to "
               "this file on exit");
@@ -21,10 +22,6 @@ OptionParser::OptionParser(std::string description)
               "deterministic fault-injection spec, "
               "e.g. seed=7,tracestore.read.bitflip@0.01*2; see "
               "DESIGN.md \"Robustness\"");
-    addString("trace-out", "",
-              "record request/phase spans and write a Chrome "
-              "trace-event JSON file (opens in ui.perfetto.dev) on "
-              "exit");
 }
 
 void

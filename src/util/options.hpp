@@ -17,11 +17,10 @@ namespace bpnsp {
 /**
  * Declarative command-line parser.
  *
- * Every parser pre-registers the standard telemetry options
- * --metrics-out=FILE (JSON run report on exit) and --trace-out=FILE
- * (Chrome/Perfetto span trace on exit), plus the standard robustness
- * option --faults=SPEC (deterministic fault injection); binaries
- * activate them by passing the parsed parser to
+ * Every parser pre-registers the standard telemetry option
+ * --metrics-out=FILE (JSON run report on exit) and the standard
+ * robustness option --faults=SPEC (deterministic fault injection);
+ * binaries activate them by passing the parsed parser to
  * obs::configureFromOptions() and faultsim::configureFromOptions()
  * once after parse().
  */

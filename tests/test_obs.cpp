@@ -4,8 +4,7 @@
  * concurrency, histogram percentile math, JSON run-report round-trips
  * through util/json's parser, empty-stats serialization, the
  * trace-cache hit/miss counters observed through the real
- * runWorkloadTrace() path, span recording (tree shape, trace-id
- * scoping, ring overflow accounting, Chrome-trace export).
+ * runWorkloadTrace() path.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "workloads/suite.hpp"
@@ -194,7 +192,7 @@ TEST(ObsReport, JsonRoundTripOfPopulatedReport)
     ASSERT_TRUE(st.ok()) << st.str();
 
     EXPECT_EQ(at(doc, "schema").asString(), "bpnsp-run-report-v1");
-    EXPECT_DOUBLE_EQ(at(doc, "schema_rev").asDouble(), 12.0);
+    EXPECT_DOUBLE_EQ(at(doc, "schema_rev").asDouble(), 13.0);
     // The optional rev-6 "snapshots" section is never written.
     EXPECT_FALSE(doc.has("snapshots"));
 
@@ -216,13 +214,13 @@ TEST(ObsReport, JsonRoundTripOfPopulatedReport)
     EXPECT_DOUBLE_EQ(at(counters, "bp.mispredicts").asDouble(), 0.0);
     // The rev-6/7/8 contract counters are present even untouched;
     // rev 10 dropped the fleet-supervision counters, rev 11 the
-    // client-hedging counters and rev 12 the synth.* counters.
-    EXPECT_TRUE(counters.has("obs.spans_recorded"));
-    EXPECT_TRUE(counters.has("obs.spans_dropped"));
+    // client-hedging counters, rev 12 the synth.* counters and rev 13
+    // the obs.spans_* counters.
     EXPECT_TRUE(counters.has("serve.stats_requests"));
     for (const auto &[name, value] : counters.members()) {
         EXPECT_EQ(name.find("fleet"), std::string::npos) << name;
         EXPECT_NE(name.rfind("synth.", 0), 0u) << name;
+        EXPECT_NE(name.rfind("obs.spans_", 0), 0u) << name;
     }
     EXPECT_TRUE(counters.has("serve.client.retries"));
     EXPECT_TRUE(counters.has("serve.client.gave_up"));
@@ -355,201 +353,6 @@ TEST(ObsIntegration, UncachedRunsTouchNeitherHitNorMiss)
               kInstructions);
     EXPECT_EQ(counterValue("tracestore.cache.misses"), missBefore);
     EXPECT_EQ(counterValue("tracestore.cache.hits"), hitBefore);
-}
-
-// --- span tracing ----------------------------------------------------
-
-namespace {
-
-/** Enable the recorder for one test; restore + drain on exit. */
-class TracingGuard
-{
-  public:
-    TracingGuard()
-    {
-        obs::TraceRecorder::instance().resetForTest();
-        obs::TraceRecorder::instance().setEnabled(true);
-    }
-
-    ~TracingGuard()
-    {
-        obs::TraceRecorder::instance().setEnabled(false);
-        obs::TraceRecorder::instance().resetForTest();
-    }
-};
-
-} // namespace
-
-TEST(ObsTrace, DisabledRecorderRecordsNothing)
-{
-    obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-    rec.setEnabled(false);
-    rec.resetForTest();
-    const uint64_t recordedBefore = counterValue("obs.spans_recorded");
-    {
-        obs::Span outer("test.obs.disabled_outer");
-        obs::Span inner("test.obs.disabled_inner");
-    }
-    EXPECT_EQ(rec.bufferedEvents(), 0u);
-    EXPECT_TRUE(rec.drain().empty());
-    EXPECT_EQ(counterValue("obs.spans_recorded"), recordedBefore);
-}
-
-TEST(ObsTrace, SpanTreeIsBalancedAndProperlyNested)
-{
-    TracingGuard guard;
-    {
-        obs::Span parent("test.obs.parent");
-        {
-            obs::Span child("test.obs.child");
-            obs::Span grandchild("test.obs.grandchild");
-        }
-        obs::Span sibling("test.obs.sibling");
-    }
-
-    const std::vector<obs::SpanEvent> events =
-        obs::TraceRecorder::instance().drain();
-    ASSERT_EQ(events.size(), 4u);
-
-    // Events are recorded at span end, so they arrive innermost-first;
-    // find them by name to assert on the tree shape.
-    auto find = [&](const char *name) -> const obs::SpanEvent & {
-        for (const obs::SpanEvent &e : events) {
-            if (std::string(e.name) == name)
-                return e;
-        }
-        ADD_FAILURE() << "span not recorded: " << name;
-        static obs::SpanEvent missing;
-        return missing;
-    };
-    const obs::SpanEvent &parent = find("test.obs.parent");
-    const obs::SpanEvent &child = find("test.obs.child");
-    const obs::SpanEvent &grandchild = find("test.obs.grandchild");
-    const obs::SpanEvent &sibling = find("test.obs.sibling");
-
-    EXPECT_EQ(parent.depth, 0u);
-    EXPECT_EQ(child.depth, 1u);
-    EXPECT_EQ(grandchild.depth, 2u);
-    EXPECT_EQ(sibling.depth, 1u);
-
-    // Containment: every child interval sits inside its parent's.
-    auto contains = [](const obs::SpanEvent &outer,
-                       const obs::SpanEvent &inner) {
-        return outer.startNs <= inner.startNs &&
-               inner.startNs + inner.durNs <=
-                   outer.startNs + outer.durNs;
-    };
-    EXPECT_TRUE(contains(parent, child));
-    EXPECT_TRUE(contains(child, grandchild));
-    EXPECT_TRUE(contains(parent, sibling));
-    // Siblings are disjoint: child ended before sibling began.
-    EXPECT_LE(child.startNs + child.durNs, sibling.startNs);
-
-    // All on the calling thread's track.
-    EXPECT_EQ(parent.tid, child.tid);
-    EXPECT_EQ(parent.tid, sibling.tid);
-}
-
-TEST(ObsTrace, ScopedTraceIdTagsSpansAndRestores)
-{
-    TracingGuard guard;
-    EXPECT_EQ(obs::currentTraceId(), 0u);
-    {
-        obs::ScopedTraceId outer(42);
-        EXPECT_EQ(obs::currentTraceId(), 42u);
-        obs::Span a("test.obs.tagged_a");
-        {
-            obs::ScopedTraceId inner(43);
-            EXPECT_EQ(obs::currentTraceId(), 43u);
-            obs::Span b("test.obs.tagged_b");
-        }
-        EXPECT_EQ(obs::currentTraceId(), 42u);
-    }
-    EXPECT_EQ(obs::currentTraceId(), 0u);
-
-    obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-    const std::vector<obs::SpanEvent> for42 = rec.spansFor(42);
-    ASSERT_EQ(for42.size(), 1u);
-    EXPECT_EQ(std::string(for42[0].name), "test.obs.tagged_a");
-    const std::vector<obs::SpanEvent> for43 = rec.spansFor(43);
-    ASSERT_EQ(for43.size(), 1u);
-    EXPECT_EQ(std::string(for43[0].name), "test.obs.tagged_b");
-    // spansFor copies without consuming: a drain still sees both.
-    EXPECT_EQ(rec.drain().size(), 2u);
-}
-
-TEST(ObsTrace, FullRingDropsNewestAndCountsTheLoss)
-{
-    TracingGuard guard;
-    obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-    constexpr size_t kCapacity = 16;
-    constexpr size_t kOverflow = 5;
-    rec.setRingCapacity(kCapacity);
-
-    const uint64_t recordedBefore = counterValue("obs.spans_recorded");
-    const uint64_t droppedBefore = counterValue("obs.spans_dropped");
-
-    // A fresh thread gets a fresh ring at the small capacity (the
-    // main-thread ring was created earlier at the default size).
-    std::thread recorder([] {
-        for (size_t i = 0; i < kCapacity + kOverflow; ++i)
-            obs::Span span("test.obs.overflow");
-    });
-    recorder.join();
-
-    EXPECT_EQ(counterValue("obs.spans_recorded"),
-              recordedBefore + kCapacity);
-    EXPECT_EQ(counterValue("obs.spans_dropped"),
-              droppedBefore + kOverflow);
-    // The oldest events survive (drop-newest, never overwrite).
-    EXPECT_EQ(rec.drain().size(), kCapacity);
-
-    // Draining frees the slots: the same ring records again.
-    std::thread again([] { obs::Span span("test.obs.refilled"); });
-    again.join();
-    const std::vector<obs::SpanEvent> refilled = rec.drain();
-    ASSERT_EQ(refilled.size(), 1u);
-    EXPECT_EQ(std::string(refilled[0].name), "test.obs.refilled");
-
-    rec.setRingCapacity(8192);
-}
-
-TEST(ObsTrace, ChromeTraceExportIsValidJson)
-{
-    TracingGuard guard;
-    {
-        obs::ScopedTraceId trace(7);
-        obs::Span outer("test.obs.export_outer");
-        obs::Span inner("test.obs.export_inner");
-    }
-
-    const std::string path =
-        std::string(::testing::TempDir()) + "bpnsp_obs_trace.json";
-    ASSERT_TRUE(
-        obs::TraceRecorder::instance().exportChromeTrace(path).ok());
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    JsonValue doc;
-    const Status st = JsonValue::parse(text, &doc);
-    ASSERT_TRUE(st.ok()) << st.str();
-
-    const JsonValue &events = at(doc, "traceEvents");
-    ASSERT_TRUE(events.isArray());
-    size_t spans = 0;
-    for (const JsonValue &ev : events.items()) {
-        if (at(ev, "ph").asString() == "M")
-            continue;   // process/thread name metadata
-        EXPECT_EQ(at(ev, "ph").asString(), "X");
-        EXPECT_FALSE(at(ev, "name").asString().empty());
-        EXPECT_GE(at(ev, "dur").asDouble(), 0.0);
-        // 64-bit ids travel as decimal strings, not JSON numbers.
-        EXPECT_EQ(at(at(ev, "args"), "trace_id").asString(), "7");
-        ++spans;
-    }
-    EXPECT_EQ(spans, 2u);
-    std::filesystem::remove(path);
 }
 
 TEST(ObsHistogram, P999TracksTheExtremeTail)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the serving subsystem: bpnsp-serve-v2 protocol round
+ * Tests for the serving subsystem: bpnsp-serve-v3 protocol round
  * trips, frame-decoder hardening against malformed and truncated
  * input, server request semantics (validation, deadlines,
  * backpressure, drain), bit-identity of served results against direct
@@ -118,8 +118,7 @@ class ServeTest : public ::testing::Test
 {
   protected:
     void
-    startServer(unsigned workers = 2, size_t queue_depth = 32,
-                uint32_t slow_ms = 0)
+    startServer(unsigned workers = 2, size_t queue_depth = 32)
     {
         scratch = std::make_unique<ScratchDir>(
             ::testing::UnitTest::GetInstance()
@@ -130,7 +129,6 @@ class ServeTest : public ::testing::Test
         config.workers = workers;
         config.queueDepth = queue_depth;
         config.traceCacheDir = scratch->file("cache");
-        config.slowMs = slow_ms;
         server = std::make_unique<ServeServer>(std::move(config));
         ASSERT_TRUE(server->start().ok());
     }
@@ -333,7 +331,7 @@ sampleRequests()
 
 /**
  * One fully populated reply of every reply type, each with its own
- * message, trace id and retry-after hint.
+ * message and retry-after hint.
  */
 std::vector<ServeReply>
 sampleReplies()
@@ -344,12 +342,11 @@ sampleReplies()
         ServeReply r;
         r.type = type;
         r.message = "reply " + std::to_string(salt);
-        r.traceId = 0xDEADBEEF00000000ull + salt;
         r.retryAfterMs = static_cast<uint32_t>(100 * salt);
         out.push_back(r);
         return out.back();
     };
-    base(MessageType::PingReply).serverInfo = "bpnsp-serve-v2 workers=2";
+    base(MessageType::PingReply).serverInfo = "bpnsp-serve-v3 workers=2";
     {
         ServeReply &r = base(MessageType::SimulateReply);
         r.delivered = kTraceLen;
@@ -416,7 +413,6 @@ expectSameReply(const ServeReply &want, const ServeReply &got)
     EXPECT_EQ(got.type, want.type);
     EXPECT_EQ(got.code, want.code);
     EXPECT_EQ(got.message, want.message);
-    EXPECT_EQ(got.traceId, want.traceId);
     EXPECT_EQ(got.retryAfterMs, want.retryAfterMs);
     EXPECT_EQ(got.delivered, want.delivered);
     EXPECT_EQ(got.condExecs, want.condExecs);
@@ -488,7 +484,7 @@ TEST(ServeProtocol, RequestPayloadRoundTrip)
 
 TEST(ServeProtocol, ReplyPayloadRoundTrip)
 {
-    // Every reply type, with its trace id, retry-after hint and (for
+    // Every reply type, with its retry-after hint and (for
     // BranchStatsReply) the target-class block.
     for (const ServeReply &reply : sampleReplies()) {
         const std::vector<uint8_t> payload = encodeReplyPayload(reply);
@@ -552,16 +548,18 @@ TEST(ServeProtocol, BadMagicIsRefused)
 
 TEST(ServeProtocol, V1FrameHeaderIsRefusedWithInvalidArgument)
 {
-    // A well-formed frame from a v1 peer: right magic, every field
-    // sane, only the version word differs.
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(MessageType::Ping, 1, {}, &frame).ok());
-    const uint16_t v1 = 1;
-    std::memcpy(frame.data() + 4, &v1, sizeof(v1));
-    FrameHeader header;
-    const Status st =
-        parseFrameHeader(frame.data(), frame.size(), &header);
-    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << st.str();
+    // A well-formed frame from a v1 or v2 peer: right magic, every
+    // field sane, only the version word differs.
+    for (const uint16_t version : {uint16_t{1}, uint16_t{2}}) {
+        SCOPED_TRACE(version);
+        std::vector<uint8_t> frame;
+        ASSERT_TRUE(encodeFrame(MessageType::Ping, 1, {}, &frame).ok());
+        std::memcpy(frame.data() + 4, &version, sizeof(version));
+        FrameHeader header;
+        const Status st =
+            parseFrameHeader(frame.data(), frame.size(), &header);
+        EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << st.str();
+    }
 }
 
 TEST(ServeProtocol, UnsupportedVersionIsRefused)
@@ -653,25 +651,22 @@ TEST(ServeProtocol, MalformedPayloadNeverCrashesDecoder)
     EXPECT_TRUE(out.branches.empty());
 }
 
-TEST(ServeProtocol, ReplyPrefixCarriesTraceIdAndRetryHintOnEveryType)
+TEST(ServeProtocol, ReplyPrefixCarriesRetryHintOnEveryType)
 {
-    // The v2 layout: every reply starts code, message, trace id,
-    // retry-after hint, whatever its type.
+    // The v3 layout: every reply starts code, message, retry-after
+    // hint, whatever its type.
     for (const ServeReply &reply : sampleReplies()) {
         const std::vector<uint8_t> payload = encodeReplyPayload(reply);
         WireReader r(payload.data(), payload.size());
         uint16_t code = 0;
         std::string message;
-        uint64_t traceId = 0;
         uint32_t retryAfterMs = 0;
         r.u16(&code);
         r.str(&message);
-        r.u64(&traceId);
         r.u32(&retryAfterMs);
         ASSERT_TRUE(r.ok()) << messageTypeName(reply.type);
         EXPECT_EQ(static_cast<WireCode>(code), reply.code);
         EXPECT_EQ(message, reply.message);
-        EXPECT_EQ(traceId, reply.traceId);
         EXPECT_EQ(retryAfterMs, reply.retryAfterMs);
     }
 }
@@ -685,7 +680,7 @@ TEST_F(ServeTest, PingAndServerInfo)
     ASSERT_TRUE(client.connectUnix(socketPath()).ok());
     std::string info;
     ASSERT_TRUE(client.ping(&info).ok());
-    EXPECT_NE(info.find("bpnsp-serve-v2"), std::string::npos);
+    EXPECT_NE(info.find("bpnsp-serve-v3"), std::string::npos);
 }
 
 TEST_F(ServeTest, SimulateMatchesDirectRunBitForBit)
@@ -1132,23 +1127,28 @@ TEST_F(ServeTest, GarbageBytesGetErrorReplyAndClose)
 TEST_F(ServeTest, V1FrameOnTheWireGetsInvalidArgumentAndClose)
 {
     startServer();
-    RawConn raw(socketPath());
-    ASSERT_TRUE(raw.ok());
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(MessageType::Ping, 5, {}, &frame).ok());
-    const uint16_t v1 = 1;
-    std::memcpy(frame.data() + 4, &v1, sizeof(v1));
-    raw.send(frame);
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    ASSERT_EQ(static_cast<MessageType>(header.type), MessageType::Error);
-    ServeReply reply;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
-                                   payload.size(), &reply)
-                    .ok());
-    EXPECT_EQ(reply.code, WireCode::InvalidArgument) << reply.message;
-    EXPECT_TRUE(raw.closedByPeer());
+    for (const uint16_t version : {uint16_t{1}, uint16_t{2}}) {
+        SCOPED_TRACE(version);
+        RawConn raw(socketPath());
+        ASSERT_TRUE(raw.ok());
+        std::vector<uint8_t> frame;
+        ASSERT_TRUE(encodeFrame(MessageType::Ping, 5, {}, &frame).ok());
+        std::memcpy(frame.data() + 4, &version, sizeof(version));
+        raw.send(frame);
+        FrameHeader header;
+        std::vector<uint8_t> payload;
+        ASSERT_TRUE(raw.recvFrame(&header, &payload));
+        ASSERT_EQ(static_cast<MessageType>(header.type),
+                  MessageType::Error);
+        ServeReply reply;
+        ASSERT_TRUE(decodeReplyPayload(MessageType::Error,
+                                       payload.data(), payload.size(),
+                                       &reply)
+                        .ok());
+        EXPECT_EQ(reply.code, WireCode::InvalidArgument)
+            << reply.message;
+        EXPECT_TRUE(raw.closedByPeer());
+    }
 }
 
 TEST_F(ServeTest, RetiredType16FrameGetsInvalidArgumentAndClose)
@@ -1346,45 +1346,7 @@ TEST_F(ServeTest, DecodedChunkCacheServesRepeatedReplays)
     EXPECT_EQ(first.delivered, second.delivered);
 }
 
-// --- tracing & live introspection ------------------------------------
-
-TEST_F(ServeTest, EveryReplyCarriesADistinctMonotonicTraceId)
-{
-    startServer();
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
-
-    // Success, error, and io-thread replies all get server-assigned
-    // ids, strictly increasing across sequential requests.
-    std::vector<uint64_t> ids;
-
-    ServeReply reply;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
-    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
-    ids.push_back(reply.traceId);
-
-    ServeRequest bad = simulateRequest("gshare");
-    bad.workload = "no_such_workload";
-    ASSERT_TRUE(client.call(bad, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::InvalidArgument);
-    ids.push_back(reply.traceId);   // rejected, still traced
-
-    std::string json;
-    uint64_t statsId = 0;
-    ASSERT_TRUE(client.stats(&json, &statsId).ok());
-    ids.push_back(statsId);
-
-    ASSERT_TRUE(client.call(simulateRequest("bimodal"), &reply).ok());
-    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
-    ids.push_back(reply.traceId);
-
-    for (size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_NE(ids[i], 0u) << "reply " << i << " untagged";
-        if (i > 0) {
-            EXPECT_GT(ids[i], ids[i - 1]);
-        }
-    }
-}
+// --- live introspection ----------------------------------------------
 
 TEST_F(ServeTest, StatsReturnsALiveSelfContainedSnapshot)
 {
@@ -1399,9 +1361,7 @@ TEST_F(ServeTest, StatsReturnsALiveSelfContainedSnapshot)
 
     const uint64_t statsBefore = counterValue("serve.stats_requests");
     std::string json;
-    uint64_t traceId = 0;
-    ASSERT_TRUE(client.stats(&json, &traceId).ok());
-    EXPECT_NE(traceId, 0u);
+    ASSERT_TRUE(client.stats(&json).ok());
     EXPECT_GT(counterValue("serve.stats_requests"), statsBefore);
 
     JsonValue doc;
@@ -1482,9 +1442,7 @@ TEST_F(ServeTest, StatsIsAnsweredWhileDrainWaitsForInFlightWork)
     // The in-flight request is stalled in the single worker, the
     // drain is waiting on it — and Stats still answers.
     std::string json;
-    uint64_t traceId = 0;
-    EXPECT_TRUE(statsClient.stats(&json, &traceId).ok());
-    EXPECT_NE(traceId, 0u);
+    EXPECT_TRUE(statsClient.stats(&json).ok());
     JsonValue doc;
     ASSERT_TRUE(JsonValue::parse(json, &doc).ok());
     EXPECT_EQ(doc.get("schema").asString(), "bpnsp-stats-v1");
@@ -1493,22 +1451,6 @@ TEST_F(ServeTest, StatsIsAnsweredWhileDrainWaitsForInFlightWork)
     inflight.join();
     EXPECT_TRUE(replyOk.load());
     server.reset();   // already drained
-}
-
-TEST_F(ServeTest, SlowRequestThresholdCountsCrossings)
-{
-    // 1 ms threshold: a 120k-record simulate always crosses it.
-    startServer(/*workers=*/2, /*queue_depth=*/32, /*slow_ms=*/1);
-    const uint64_t slowBefore = counterValue("serve.slow_requests");
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
-    ServeReply reply;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
-    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
-
-    server->drain();   // settle the worker-side accounting
-    EXPECT_GT(counterValue("serve.slow_requests"), slowBefore);
 }
 
 // --- overload: admission budget, deadline sweep ----------------------
