@@ -58,9 +58,6 @@ class StatisticalCorrector
     /** Storage estimate in bits. */
     uint64_t storageBits() const;
 
-    /** Current adaptive threshold (for tests). */
-    int32_t currentThreshold() const { return threshold; }
-
     /** Current IMLI counter (for tests). */
     uint64_t imliCount() const { return imli; }
 

@@ -90,14 +90,8 @@ class TagePredictor : public BranchPredictor
 
     /** @name Introspection for the statistical corrector and tests. */
     /// @{
-    /** Provider table of the last predict(); -1 means bimodal. */
-    int lastProviderTable() const { return provider; }
-
     /** Direction counter magnitude of the provider (0 = bimodal). */
     uint32_t lastConfidence() const { return providerConf; }
-
-    /** Alternate prediction computed during the last predict(). */
-    bool lastAltPred() const { return altPred; }
 
     const TageConfig &config() const { return cfg; }
     /// @}

@@ -9,10 +9,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
 #include "bp/factory.hpp"
 #include "obs/metrics.hpp"
 #include "tracestore/cache.hpp"
@@ -310,201 +306,51 @@ characterize(const Workload &workload, size_t input_idx,
 
 namespace {
 
-/** Busy-wait hint: lets a spinning hyperthread yield its pipeline. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    _mm_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-}
-
 /**
- * Wait until `ready()` holds: spin with a pause hint for a short
- * while, then keep polling with std::this_thread::yield(). A handoff
- * is normally tens of microseconds away, so spinning catches it
- * without a kernel wake-up; yielding afterwards gives the core back
- * when the machine is oversubscribed and the peer is not running.
+ * Run fn(0) .. fn(n - 1) on up to min(n, hardware threads) threads, the
+ * caller among them, each thread taking the next index until none is
+ * left. The first exception thrown by any call is rethrown on the
+ * caller once every thread is joined; the other threads stop taking
+ * indices as soon as it is recorded.
  */
-template <typename Ready>
+template <typename Fn>
 void
-spinThenYield(Ready &&ready)
+parallelFor(size_t n, const Fn &fn)
 {
-    constexpr unsigned kSpinPolls = 1u << 12;
-    for (unsigned polls = 0; !ready(); ++polls) {
-        if (polls < kSpinPolls)
-            cpuRelax();
-        else
-            std::this_thread::yield();
-    }
-}
-
-/**
- * The IPC study's fan-out. Buffers the trace into blocks and hands
- * each block to a fixed team of threads, the calling (producing)
- * thread among them. Every member owns whole column groups — a
- * PredictorSim, its MemorySide and its CoreModels — round-robin, and
- * feeds them record by record, so each consumer sees exactly the
- * stream and the sim-before-cores order a serial FanoutSink would give
- * it; only independent columns run concurrently. The caller takes the
- * last (never larger) share because it also produces the trace; a
- * team of one starts no threads.
- *
- * Blocks are handed off synchronously: the producer publishes a block,
- * runs its own share, and waits for every worker before refilling it.
- * onEnd() flushes the partial block and forwards onEnd() to every
- * group; runTrace delivers it on cancellation too, so a study cut
- * short still feeds every column the same delivered prefix. An
- * exception thrown by a worker's groups is rethrown on the
- * producer; the workers are joined on destruction.
- */
-class ColumnTeamSink : public TraceSink
-{
-  public:
-    /** Records per block (~192 KiB of TraceRecords). */
-    static constexpr size_t kBlockRecords = 4096;
-
-    ColumnTeamSink(std::vector<FanoutSink> &column_groups,
-                   unsigned members)
-        : block(kBlockRecords), shares(members)
-    {
-        for (size_t g = 0; g < column_groups.size(); ++g)
-            shares[g % members].push_back(&column_groups[g]);
-        try {
-            for (unsigned m = 0; m + 1 < members; ++m)
-                workers.emplace_back([this, m]() { work(m); });
-        } catch (...) {
-            stop();
-            throw;
-        }
-    }
-
-    ~ColumnTeamSink() override
-    {
-        awaitWorkers();   // idle unless a dispatch was cut short
-        stop();
-    }
-
-    ColumnTeamSink(const ColumnTeamSink &) = delete;
-    ColumnTeamSink &operator=(const ColumnTeamSink &) = delete;
-
-    void
-    onRecord(const TraceRecord &rec) override
-    {
-        block[filled++] = rec;
-        if (filled == kBlockRecords)
-            dispatch(Step::Records);
-    }
-
-    void onEnd() override { dispatch(Step::End); }
-
-  private:
-    enum class Step : uint8_t { Records, End, Exit };
-
-    /** Deliver the filled block (and an End) to every share. */
-    void
-    dispatch(Step step)
-    {
-        publish(filled, step);
-        feed(shares.back(), filled, step);
-        awaitWorkers();
-        filled = 0;
-        std::lock_guard<std::mutex> lock(failureMutex);
-        if (failure)
-            std::rethrow_exception(std::exchange(failure, nullptr));
-    }
-
-    void
-    awaitWorkers() const
-    {
-        spinThenYield([this]() {
-            return busy.load(std::memory_order_acquire) == 0;
-        });
-    }
-
-    /** Release one step to the workers (they start at once). */
-    void
-    publish(size_t count, Step step)
-    {
-        stepCount = count;
-        stepKind = step;
-        busy.store(static_cast<unsigned>(workers.size()),
-                   std::memory_order_relaxed);
-        generation.fetch_add(1, std::memory_order_release);
-    }
-
-    void
-    stop()
-    {
-        publish(0, Step::Exit);
-        for (std::thread &t : workers)
-            t.join();
-    }
-
-    void
-    feed(const std::vector<FanoutSink *> &share, size_t count,
-         Step step) const
-    {
-        for (FanoutSink *group : share) {
-            for (size_t i = 0; i < count; ++i)
-                group->onRecord(block[i]);
-            if (step == Step::End)
-                group->onEnd();
-        }
-    }
-
-    void
-    work(unsigned member)
-    {
-        uint64_t seen = 0;
-        for (;;) {
-            spinThenYield([&]() {
-                return generation.load(std::memory_order_acquire) !=
-                       seen;
-            });
-            ++seen;
-            if (stepKind == Step::Exit)
-                return;
+    std::atomic<size_t> next{0};
+    std::mutex failureMutex;
+    std::exception_ptr failure;
+    auto work = [&]() {
+        for (size_t i = next++; i < n; i = next++) {
             try {
-                feed(shares[member], stepCount, stepKind);
+                fn(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(failureMutex);
                 if (!failure)
                     failure = std::current_exception();
+                next.store(n);
             }
-            busy.fetch_sub(1, std::memory_order_release);
         }
+    };
+    const size_t threads = std::min<size_t>(
+        n, std::max(1u, std::thread::hardware_concurrency()));
+    {
+        // jthreads join on destruction, also when starting one throws.
+        std::vector<std::jthread> workers;
+        for (size_t t = 1; t < threads; ++t)
+            workers.emplace_back(work);
+        work();
     }
-
-    std::vector<TraceRecord> block;
-    size_t filled = 0;
-    std::vector<std::vector<FanoutSink *>> shares;
-
-    // Written by the producer before the generation bump, read by the
-    // workers after observing it.
-    size_t stepCount = 0;
-    Step stepKind = Step::Records;
-
-    alignas(64) std::atomic<uint64_t> generation{0};
-    alignas(64) std::atomic<unsigned> busy{0};
-
-    std::mutex failureMutex;
-    std::exception_ptr failure;   ///< first worker exception, if any
-
-    std::vector<std::thread> workers;
-};
+    if (failure)
+        std::rethrow_exception(failure);
+}
 
 } // namespace
 
 /**
- * The single-pass many-consumer study: builds one PredictorSim and one
- * MemorySide per predictor and one CoreModel per (predictor, scale)
- * reading that column's MemorySide, all on the calling thread, runs
- * the VM once through a ColumnTeamSink with one thread per column (up
- * to the hardware's concurrency), and collects the grid once the team
- * is joined.
+ * One task per predictor column: each builds its PredictorSim, one
+ * MemorySide shared by every scale and one CoreModel per scale,
+ * feeds them from its own VM run, and fills its column of the grid.
  */
 IpcStudyResult
 runIpcStudy(
@@ -517,41 +363,30 @@ runIpcStudy(
 
     IpcStudyResult result;
     result.scales = scales;
-
-    std::vector<std::unique_ptr<PredictorSim>> sims;
-    std::vector<std::unique_ptr<MemorySide>> memories;
-    std::vector<std::vector<std::unique_ptr<CoreModel>>> cores;
-    std::vector<FanoutSink> groups(predictors.size());
+    result.columns.resize(predictors.size());
+    CancelToken &cancel = *currentCancelToken();
     const CoreConfig base = CoreConfig::skylake();
-    for (size_t p = 0; p < predictors.size(); ++p) {
-        sims.push_back(std::make_unique<PredictorSim>(
-            *predictors[p].second, /*collect_per_branch=*/false));
-        groups[p].add(sims.back().get());
-        memories.push_back(std::make_unique<MemorySide>(*sims.back()));
-        groups[p].add(memories.back().get());
-        cores.emplace_back();
+    parallelFor(predictors.size(), [&](size_t p) {
+        // Worker threads do not inherit the caller's cancel scope.
+        CancelScope scope(cancel);
+        PredictorSim sim(*predictors[p].second,
+                         /*collect_per_branch=*/false);
+        MemorySide memory(sim);
+        std::vector<std::unique_ptr<CoreModel>> cores;
+        std::vector<TraceSink *> sinks{&sim, &memory};
         for (unsigned scale : scales) {
-            cores.back().push_back(std::make_unique<CoreModel>(
-                base.scaled(scale), *memories.back()));
-            groups[p].add(cores.back().back().get());
+            cores.push_back(
+                std::make_unique<CoreModel>(base.scaled(scale), memory));
+            sinks.push_back(cores.back().get());
         }
-    }
+        runTrace(program, sinks, instructions);
 
-    const unsigned members = static_cast<unsigned>(std::min<size_t>(
-        groups.size(), std::max(1u, std::thread::hardware_concurrency())));
-    {
-        ColumnTeamSink team(groups, members);
-        runTrace(program, {&team}, instructions);
-    }
-
-    for (size_t p = 0; p < predictors.size(); ++p) {
-        IpcColumn col;
+        IpcColumn &col = result.columns[p];
         col.name = predictors[p].first;
-        col.accuracy = sims[p]->accuracy();
-        for (size_t s = 0; s < scales.size(); ++s)
-            col.perScale.push_back(cores[p][s]->counters());
-        result.columns.push_back(std::move(col));
-    }
+        col.accuracy = sim.accuracy();
+        for (const auto &core : cores)
+            col.perScale.push_back(core->counters());
+    });
     return result;
 }
 

@@ -3,8 +3,9 @@
  * Trace execution and characterization drivers — the top of the
  * library, tying workloads, predictors, the pipeline model, and the
  * analyses together. One VM execution can feed any number of consumers
- * through a fanout, which is how the bench harnesses evaluate many
- * predictor/pipeline configurations in a single trace pass.
+ * through a fanout; an IPC study runs one such execution per predictor
+ * column, each feeding every pipeline scale of that column, as
+ * independent tasks on parallel threads.
  */
 
 #ifndef BPNSP_CORE_RUNNER_HPP
@@ -129,14 +130,17 @@ struct IpcStudyResult
 };
 
 /**
- * Run every (predictor, pipeline-scale) combination over one trace in
- * a single pass. Takes ownership of the predictors.
+ * Run every (predictor, pipeline-scale) combination over one program.
+ * Takes ownership of the predictors.
  *
- * Each predictor column (its PredictorSim, one MemorySide shared by
- * every scale, and its CoreModels) runs on one of up to
- * min(columns, hardware threads) threads, the caller among them, so
- * the predictors must not share mutable state. Results are
- * bit-identical to feeding every column serially.
+ * Each predictor column is one task: it builds a PredictorSim, one
+ * MemorySide shared by every scale and one CoreModel per scale, and
+ * feeds them from its own runTrace() of the program. Tasks run on up
+ * to min(columns, hardware threads) threads, the caller among them,
+ * under the caller's currentCancelToken(), so the predictors must not
+ * share mutable state. Results are bit-identical to feeding every
+ * column serially from one pass. A column that throws has its first
+ * exception rethrown here once every thread is joined.
  */
 IpcStudyResult runIpcStudy(
     const Program &program,

@@ -1,13 +1,11 @@
 #include "obs/report.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "util/cancel.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/options.hpp"

@@ -5,8 +5,8 @@
 
 namespace bpnsp {
 
-Interpreter::Interpreter(Program program)
-    : prog(std::move(program)), pcIndex(prog.entry)
+Interpreter::Interpreter(const Program &program)
+    : prog(program), pcIndex(prog.entry)
 {
     BPNSP_ASSERT(!prog.code.empty(), "interpreting an empty program");
     BPNSP_ASSERT(prog.entry < prog.code.size(), "entry out of range");

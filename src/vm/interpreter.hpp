@@ -22,10 +22,11 @@ class Interpreter
 {
   public:
     /**
-     * Take a copy of the program (so temporaries are safe) and load
-     * its initial data image.
+     * Borrow the program, which must outlive the interpreter, and load
+     * its initial data image. Temporaries are rejected at compile time.
      */
-    explicit Interpreter(Program program);
+    explicit Interpreter(const Program &program);
+    Interpreter(Program &&) = delete;
 
     /**
      * Execute up to max_instrs instructions, streaming each retired
@@ -62,7 +63,7 @@ class Interpreter
     uint64_t pc() const { return pcIndex; }
 
   private:
-    const Program prog;
+    const Program &prog;
     Memory mem;
     uint64_t regs[kNumRegs] = {};
     uint64_t pcIndex;

@@ -16,11 +16,15 @@
 
 namespace bpnsp {
 
-/** Sparse 64-bit-word memory with 4 KiB pages. */
+/**
+ * Sparse 64-bit-word memory with 512-byte pages: small enough that a
+ * program's scattered initialised words do not each pin a 4 KiB page
+ * in every concurrent VM.
+ */
 class Memory
 {
   public:
-    static constexpr uint64_t kPageBytes = 4096;
+    static constexpr uint64_t kPageBytes = 512;
     static constexpr uint64_t kWordsPerPage = kPageBytes / 8;
 
     /** Read the 64-bit word containing byte address addr (0 if untouched). */

@@ -302,9 +302,10 @@ TEST(IpcStudy, PerfectH2pColumnBetweenBaselineAndPerfect)
 
 TEST(IpcStudy, ParallelGridMatchesSerialComposition)
 {
-    // Column counts above, below and at the single-column inline
-    // path; instruction counts around the 4096-record block size, so
-    // empty, partial and exact blocks and the onEnd flush all occur.
+    // Column counts above and below a 4-thread machine's, and one
+    // column on the caller alone; budgets from one instruction up.
+    // Each column's own VM run must give the cells that one shared
+    // serial pass gives.
     const std::vector<std::vector<std::string>> columnSets{
         kSevenColumns, {"tage-sc-l-8KB", "perfect"}, {"tage-sc-l-64KB"}};
     for (const char *name : {"mcf_like", "gcc_like"}) {
@@ -364,12 +365,15 @@ TEST(IpcStudy, CancelledStudyReturnsPromptlyWithWorkersJoined)
         const IpcStudyResult r = runIpcStudy(
             p, makeColumns(kSevenColumns), kStudyScales, forever);
         EXPECT_EQ(deadline.check().code(), StatusCode::DeadlineExceeded);
-        // Every core saw the same delivered prefix, and only that.
-        const uint64_t delivered = r.columns[0].perScale[0].instructions;
-        EXPECT_LT(delivered, forever);
-        for (const IpcColumn &col : r.columns)
+        // Each column runs its own VM, so columns may stop at
+        // different points; every core of a column saw that column's
+        // delivered prefix, and it is short of the budget.
+        for (const IpcColumn &col : r.columns) {
+            const uint64_t delivered = col.perScale[0].instructions;
+            EXPECT_LT(delivered, forever);
             for (const PerfCounters &pc : col.perScale)
                 EXPECT_EQ(pc.instructions, delivered);
+        }
     }
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "trace/sink.hpp"
 #include "vm/assembler.hpp"
 #include "vm/interpreter.hpp"
@@ -47,6 +49,16 @@ TEST(Memory, WordGranularity)
     // Any address within the same 8-byte word aliases it.
     EXPECT_EQ(mem.read(0x1007), 42u);
     EXPECT_EQ(mem.read(0x1008), 0u);
+}
+
+TEST(Memory, PageBoundary)
+{
+    Memory mem;
+    mem.write(Memory::kPageBytes - 8, 1);
+    mem.write(Memory::kPageBytes, 2);
+    EXPECT_EQ(mem.pageCount(), 2u);
+    EXPECT_EQ(mem.read(Memory::kPageBytes - 8), 1u);
+    EXPECT_EQ(mem.read(Memory::kPageBytes), 2u);
 }
 
 // --------------------------------------------------------- assembler
@@ -112,6 +124,9 @@ TEST(Assembler, StaticCondBranchCount)
 
 // ------------------------------------------------------- interpreter
 
+// The interpreter borrows its program, so a temporary must not bind.
+static_assert(!std::is_constructible_v<Interpreter, Program &&>);
+
 namespace {
 
 /** Run a program to halt (or budget) and return the sink. */
@@ -135,7 +150,8 @@ TEST(Interpreter, Arithmetic)
     a.addi(4, 3, 10);
     a.sub(5, 4, 1);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(3), 42u);
@@ -152,7 +168,8 @@ TEST(Interpreter, DivisionByZeroYieldsZero)
     a.div(3, 1, 2);
     a.rem(4, 1, 2);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(3), 0u);
@@ -167,7 +184,8 @@ TEST(Interpreter, LoadStore)
     a.store(2, 1, 8);    // mem[0x2008] = 77
     a.load(3, 1, 8);     // r3 = mem[0x2008]
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(3), 77u);
@@ -181,7 +199,8 @@ TEST(Interpreter, DataInitLoaded)
     a.li(1, 0x3000);
     a.load(2, 1, 0);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(2), 123u);
@@ -198,7 +217,8 @@ TEST(Interpreter, BranchSemantics)
     a.bind(skip);
     a.li(4, 222);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(3), 0u);
@@ -215,7 +235,8 @@ TEST(Interpreter, SignedComparison)
     a.li(3, 1);
     a.bind(neg);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(3), 0u);   // skipped
@@ -234,7 +255,8 @@ TEST(Interpreter, CallRet)
     a.call(func);
     a.call(func);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(5), 2u);
@@ -285,7 +307,8 @@ TEST(Interpreter, IndirectCallReturns)
     a.callr(6);
     a.callr(6);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(5), 2u);
@@ -307,7 +330,8 @@ TEST(Interpreter, LeaMatchesLabelTarget)
     a.bind(entry);
     a.lea(7, spot);
     a.jmpr(7);
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(7), a.labelTarget(spot));
@@ -362,7 +386,8 @@ TEST(Interpreter, HashDeterministic)
     a.hash(2, 1, 0);
     a.hash(3, 1, 0);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     VectorSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(2), interp.reg(3));
@@ -375,7 +400,8 @@ TEST(Interpreter, BudgetStopsExecution)
     Label head = a.here();
     a.addi(1, 1, 1);
     a.jmp(head);
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     CountingSink sink;
     const uint64_t executed = interp.run(sink, 1000);
     EXPECT_EQ(executed, 1000u);
@@ -390,7 +416,8 @@ TEST(Interpreter, RestartOnHalt)
     Assembler a("t");
     a.addi(1, 1, 1);
     a.halt();
-    Interpreter interp(a.finish());
+    const Program prog = a.finish();
+    Interpreter interp(prog);
     interp.setRestartOnHalt(true);
     CountingSink sink;
     interp.run(sink, 10);

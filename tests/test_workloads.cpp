@@ -26,7 +26,8 @@ TEST(ProgramBuilder, PrologueSetsConventions)
     b.text().bind(b.entryLabel());
     b.prologue();
     b.text().halt();
-    Interpreter interp(b.finish());
+    const Program prog = b.finish();
+    Interpreter interp(prog);
     CountingSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(ProgramBuilder::Zero), 0u);
@@ -50,7 +51,8 @@ TEST(ProgramBuilder, ChanceApproximatesBias)
     a.bind(done);
     b.loopEnd(loop);
     a.halt();
-    Interpreter interp(b.finish());
+    const Program prog = b.finish();
+    Interpreter interp(prog);
     CountingSink sink;
     interp.run(sink, 2000000);
     const double frac =
@@ -73,7 +75,8 @@ TEST(ProgramBuilder, PushPopRoundTrip)
     b.pop(8);
     b.pop(7);
     a.halt();
-    Interpreter interp(b.finish());
+    const Program prog = b.finish();
+    Interpreter interp(prog);
     CountingSink sink;
     interp.run(sink, 100);
     EXPECT_EQ(interp.reg(7), 111u);
@@ -94,7 +97,8 @@ TEST(ProgramBuilder, PeriodicGateFiresEveryPeriod)
     a.bind(skip);
     b.loopEnd(loop);
     a.halt();
-    Interpreter interp(b.finish());
+    const Program prog = b.finish();
+    Interpreter interp(prog);
     CountingSink sink;
     interp.run(sink, 10000);
     EXPECT_EQ(interp.reg(14), 8u);   // 64 / 2^3
@@ -124,7 +128,8 @@ TEST(Dispatch, TreeReachesEveryFunction)
         a.bind(done);
     }
     a.halt();
-    Interpreter interp(b.finish());
+    const Program prog = b.finish();
+    Interpreter interp(prog);
     CountingSink sink;
     interp.run(sink, 10000);
     for (int f = 0; f < 4; ++f)
