@@ -7,6 +7,10 @@
  * for N consecutive iterations and then falls through once. When the
  * trip count has been confirmed several times, it predicts the exit
  * iteration exactly — a domain-specific template model (Sec. II).
+ *
+ * Both calls take the branch's mix64(ip), which the TAGE-SC-L ensemble
+ * computes once per branch for all of its components, and are defined
+ * here so that the ensemble inlines them.
  */
 
 #ifndef BPNSP_BP_LOOP_HPP
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "bp/predictor.hpp"
+#include "util/bitops.hpp"
 
 namespace bpnsp {
 
@@ -37,11 +42,60 @@ class LoopPredictor
     explicit LoopPredictor(unsigned log2_entries = 6,
                            unsigned max_iter_bits = 14);
 
-    /** Look up a loop prediction for the branch at ip. */
-    LoopPrediction lookup(uint64_t ip) const;
+    /** Look up a loop prediction for the branch hashing to pc_hash. */
+    LoopPrediction
+    lookup(uint64_t pc_hash) const
+    {
+        const Entry &e = entries[indexOf(pc_hash)];
+        LoopPrediction out;
+        if (!e.valid || e.tag != tagOf(pc_hash) ||
+            e.confidence < kConfidentAt)
+            return out;
+        out.valid = true;
+        // Taken while inside the loop; fall through on the exit
+        // iteration.
+        out.taken = (e.currentIter + 1) < e.pastIter;
+        return out;
+    }
 
     /** Train with the resolved direction. */
-    void update(uint64_t ip, bool taken);
+    void
+    update(uint64_t pc_hash, bool taken)
+    {
+        Entry &e = entries[indexOf(pc_hash)];
+        const uint32_t tag = tagOf(pc_hash);
+
+        if (!e.valid || e.tag != tag) {
+            // Adopt the slot on a not-taken outcome (potential loop
+            // exit boundary) so that counting starts aligned with a
+            // full visit.
+            if (!taken) {
+                e = Entry{};
+                e.tag = tag;
+                e.valid = true;
+            }
+            return;
+        }
+
+        if (taken) {
+            if (e.currentIter < iterMax)
+                ++e.currentIter;
+            else
+                e.valid = false;   // trip count out of range; give up
+            return;
+        }
+
+        // Loop exit observed: check the learned trip count.
+        const uint32_t trip = e.currentIter + 1;
+        if (e.pastIter == trip) {
+            if (e.confidence < kConfidenceMax)
+                ++e.confidence;
+        } else {
+            e.pastIter = trip;
+            e.confidence = 0;
+        }
+        e.currentIter = 0;
+    }
 
     /** Storage estimate in bits. */
     uint64_t storageBits() const;
@@ -63,8 +117,17 @@ class LoopPredictor
     uint32_t iterMax;
     std::vector<Entry> entries;
 
-    size_t indexOf(uint64_t ip) const;
-    uint32_t tagOf(uint64_t ip) const;
+    size_t
+    indexOf(uint64_t pc_hash) const
+    {
+        return bits(pc_hash, 0, indexBits);
+    }
+
+    uint32_t
+    tagOf(uint64_t pc_hash) const
+    {
+        return static_cast<uint32_t>(bits(pc_hash, indexBits, 14));
+    }
 };
 
 } // namespace bpnsp

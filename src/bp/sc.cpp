@@ -1,5 +1,6 @@
 #include "bp/sc.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/bitops.hpp"
@@ -9,71 +10,59 @@ namespace bpnsp {
 
 StatisticalCorrector::StatisticalCorrector(const ScConfig &config)
     : cfg(config), threshold(config.initialThreshold),
-      history(config.histLengths.empty()
-                  ? 2
-                  : config.histLengths.back() + 1)
+      folds(config.histLengths.empty() ? 1 : config.histLengths.back()),
+      imliHash(mix64(0))
 {
     BPNSP_ASSERT(!cfg.histLengths.empty());
-    weightMax = (1 << (cfg.weightBits - 1)) - 1;
-    weightMin = -(1 << (cfg.weightBits - 1));
+    BPNSP_ASSERT(cfg.weightBits >= 2 && cfg.weightBits <= 8);
+    weightMax = static_cast<int8_t>((1 << (cfg.weightBits - 1)) - 1);
+    weightMin = static_cast<int8_t>(-(1 << (cfg.weightBits - 1)));
 
-    gehl.assign(cfg.histLengths.size(),
-                std::vector<int32_t>(1ull << cfg.log2Entries, 0));
+    gehl.assign(cfg.histLengths.size() << cfg.log2Entries, 0);
     bias.assign(1ull << (cfg.log2Entries + 1), 0);
     imliTable.assign(1ull << cfg.log2Imli, 0);
     lastIndex.assign(cfg.histLengths.size(), 0);
 
-    folds.reserve(cfg.histLengths.size());
     for (unsigned len : cfg.histLengths)
-        folds.emplace_back(len, cfg.log2Entries);
+        foldSlot.push_back(folds.add(len, cfg.log2Entries));
 }
 
 bool
-StatisticalCorrector::predict(uint64_t ip, bool primary_pred,
+StatisticalCorrector::predict(uint64_t pc_hash, bool primary_pred,
                               uint32_t primary_conf)
 {
     primaryPred = primary_pred;
-    const uint64_t pc_hash = mix64(ip);
 
     // The primary prediction enters the sum with a confidence-scaled
     // weight, so high-confidence TAGE predictions are hard to override.
     sum = (primary_pred ? 1 : -1) *
           static_cast<int32_t>(3 + 2 * primary_conf);
 
-    lastBiasIndex = bits((pc_hash << 1) | (primary_pred ? 1 : 0), 0,
-                         cfg.log2Entries + 1);
-    sum += 2 * bias[lastBiasIndex] + 1;
+    // Every weight w votes 2w + 1, so a zero weight still votes.
+    const uint64_t mask = (1ull << cfg.log2Entries) - 1;
+    lastBiasIndex = ((pc_hash << 1) | (primary_pred ? 1 : 0)) &
+                    ((mask << 1) | 1);
+    int32_t weights = bias[lastBiasIndex];
 
-    for (size_t t = 0; t < gehl.size(); ++t) {
-        lastIndex[t] = bits(pc_hash ^ folds[t].value() ^
-                                (pc_hash >> (t + 4)),
-                            0, cfg.log2Entries);
-        sum += 2 * gehl[t][lastIndex[t]] + 1;
+    for (size_t t = 0; t < lastIndex.size(); ++t) {
+        lastIndex[t] =
+            (t << cfg.log2Entries) |
+            ((pc_hash ^ folds[foldSlot[t]] ^
+              (pc_hash >> (t + 4))) &
+             mask);
+        weights += gehl[lastIndex[t]];
     }
 
-    lastImliIndex = bits(pc_hash ^ mix64(imli), 0, cfg.log2Imli);
-    sum += 2 * imliTable[lastImliIndex] + 1;
+    lastImliIndex = (pc_hash ^ imliHash) & (imliTable.size() - 1);
+    weights += imliTable[lastImliIndex];
+    sum += 2 * weights + static_cast<int32_t>(lastIndex.size()) + 2;
 
     const bool sc_pred = sum >= 0;
     // Only override a disagreeing primary prediction when the
     // statistical evidence clears the adaptive threshold.
-    if (sc_pred != primary_pred && std::abs(sum) < threshold)
-        finalPred = primary_pred;
-    else
-        finalPred = sc_pred;
+    const bool keep = (sc_pred != primary_pred) & (std::abs(sum) < threshold);
+    finalPred = keep ? primary_pred : sc_pred;
     return finalPred;
-}
-
-void
-StatisticalCorrector::adjust(int32_t &w, bool taken)
-{
-    if (taken) {
-        if (w < weightMax)
-            ++w;
-    } else {
-        if (w > weightMin)
-            --w;
-    }
 }
 
 void
@@ -81,58 +70,58 @@ StatisticalCorrector::update(uint64_t ip, bool taken, uint64_t target)
 {
     // Threshold adaptation (Seznec's TC mechanism): tune how bold the
     // corrector is, based on whether overrides would have helped.
+    // A disagreement with the primary steps the counter down when the
+    // corrector was right and up when it was wrong; the threshold moves
+    // when the counter reaches -8 or 8.
     const bool sc_pred = sum >= 0;
-    if (sc_pred != primaryPred) {
-        if (sc_pred == taken) {
-            if (--thresholdCtr <= -8) {
-                thresholdCtr = 0;
-                if (threshold > 4)
-                    --threshold;
-            }
-        } else {
-            if (++thresholdCtr >= 8) {
-                thresholdCtr = 0;
-                if (threshold < 128)
-                    ++threshold;
-            }
-        }
+    thresholdCtr += sc_pred == primaryPred ? 0 : (sc_pred == taken ? -1 : 1);
+    if (thresholdCtr <= -8) {
+        thresholdCtr = 0;
+        if (threshold > 4)
+            --threshold;
+    } else if (thresholdCtr >= 8) {
+        thresholdCtr = 0;
+        if (threshold < 128)
+            ++threshold;
     }
 
     // Train on mispredictions and low-margin correct predictions.
-    if (finalPred != taken || std::abs(sum) < threshold * 2) {
-        adjust(bias[lastBiasIndex], taken);
-        for (size_t t = 0; t < gehl.size(); ++t)
-            adjust(gehl[t][lastIndex[t]], taken);
-        adjust(imliTable[lastImliIndex], taken);
+    if ((finalPred != taken) | (std::abs(sum) < threshold * 2)) {
+        const int step = taken ? 1 : -1;
+        const int lo = weightMin;
+        const int hi = weightMax;
+        const auto adjust = [&](int8_t &w) {
+            w = static_cast<int8_t>(std::clamp(w + step, lo, hi));
+        };
+        adjust(bias[lastBiasIndex]);
+        for (size_t index : lastIndex)
+            adjust(gehl[index]);
+        adjust(imliTable[lastImliIndex]);
     }
 
     // IMLI: count successive iterations of the inner-most loop,
     // identified by a backward taken conditional branch.
-    if (taken && target < ip) {
-        if (target == lastLoopTarget) {
-            if (imli < (1ull << cfg.log2Imli) - 1)
-                ++imli;
-        } else {
-            lastLoopTarget = target;
-            imli = 1;
-        }
-    } else if (!taken && target < ip) {
-        imli = 0;
+    // Whether a branch is backward is fixed per branch, so only that
+    // test is a branch; the outcome selects values.
+    if (target < ip) {
+        const uint64_t next =
+            target == lastLoopTarget
+                ? std::min<uint64_t>(imli + 1, (1ull << cfg.log2Imli) - 1)
+                : 1;
+        imli = taken ? next : 0;
+        lastLoopTarget = taken ? target : lastLoopTarget;
+        imliHash = mix64(imli);
     }
 
     // Global history for the GEHL folds.
-    for (size_t t = 0; t < folds.size(); ++t) {
-        const bool expired = history.at(cfg.histLengths[t] - 1);
-        folds[t].update(taken, expired);
-    }
-    history.push(taken);
+    folds.push(taken);
 }
 
 uint64_t
 StatisticalCorrector::storageBits() const
 {
     uint64_t total = 0;
-    total += gehl.size() * (1ull << cfg.log2Entries) * cfg.weightBits;
+    total += gehl.size() * cfg.weightBits;
     total += (1ull << (cfg.log2Entries + 1)) * cfg.weightBits;
     total += (1ull << cfg.log2Imli) * cfg.weightBits;
     total += cfg.histLengths.back();

@@ -7,6 +7,12 @@
  * lengths and an IMLI (inner-most loop iteration) table vote on whether
  * to keep or invert the primary prediction. The decision threshold is
  * adapted dynamically.
+ *
+ * predict() takes the branch's mix64(ip) from the caller (the TAGE-SC-L
+ * ensemble hashes each branch once for all components); the IMLI
+ * counter's hash is recomputed only on backward branches, the only ones
+ * that move the counter. The GEHL tables read one FoldedHistories (one
+ * fold per history length), and every weight is stored in one byte.
  */
 
 #ifndef BPNSP_BP_SC_HPP
@@ -39,12 +45,13 @@ class StatisticalCorrector
     /**
      * Decide the final prediction.
      *
-     * @param ip branch instruction pointer
+     * @param pc_hash mix64 of the branch instruction pointer
      * @param primary_pred the TAGE(+loop) prediction
      * @param primary_conf provider counter confidence (0..3)
      * @return the possibly-inverted final prediction
      */
-    bool predict(uint64_t ip, bool primary_pred, uint32_t primary_conf);
+    bool predict(uint64_t pc_hash, bool primary_pred,
+                 uint32_t primary_conf);
 
     /**
      * Train with the resolved outcome. Must follow each predict().
@@ -58,23 +65,33 @@ class StatisticalCorrector
     /** Storage estimate in bits. */
     uint64_t storageBits() const;
 
-    /** Current IMLI counter (for tests). */
+    /** @name Introspection for tests. */
+    /// @{
+    /** Current IMLI counter. */
     uint64_t imliCount() const { return imli; }
+
+    /** The last predict()'s vote (>= 0 votes taken). */
+    int32_t lastSum() const { return sum; }
+
+    /** |sum| a disagreeing vote needs to override the primary. */
+    int32_t overrideThreshold() const { return threshold; }
+    /// @}
 
   private:
     ScConfig cfg;
     int32_t threshold;
     int32_t thresholdCtr = 0;
-    int32_t weightMax;
-    int32_t weightMin;
+    int8_t weightMax;
+    int8_t weightMin;
 
-    std::vector<std::vector<int32_t>> gehl;   ///< [table][entry]
-    std::vector<int32_t> bias;                ///< indexed by (ip, pred)
-    std::vector<int32_t> imliTable;
-    HistoryRegister history;
-    std::vector<FoldedHistory> folds;
+    std::vector<int8_t> gehl;        ///< [table << log2Entries | entry]
+    std::vector<int8_t> bias;        ///< indexed by (ip, pred)
+    std::vector<int8_t> imliTable;
+    FoldedHistories folds;
+    std::vector<unsigned> foldSlot;  ///< per GEHL table
 
     uint64_t imli = 0;
+    uint64_t imliHash;               ///< mix64(imli)
     uint64_t lastLoopTarget = 0;
 
     // predict() scratch consumed by update()
@@ -84,8 +101,6 @@ class StatisticalCorrector
     std::vector<size_t> lastIndex;
     size_t lastBiasIndex = 0;
     size_t lastImliIndex = 0;
-
-    void adjust(int32_t &w, bool taken);
 };
 
 } // namespace bpnsp

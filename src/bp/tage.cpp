@@ -1,5 +1,7 @@
 #include "bp/tage.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/bitops.hpp"
@@ -72,7 +74,7 @@ TageConfig::preset(unsigned kilobytes)
 }
 
 TagePredictor::TagePredictor(const TageConfig &config)
-    : cfg(config), history(config.maxHist + 1), rng(0x7a6e)
+    : cfg(config), folds(config.maxHist), rng(0x7a6e)
 {
     BPNSP_ASSERT(cfg.log2Entries.size() == cfg.numTables,
                  "log2Entries size mismatch");
@@ -83,32 +85,44 @@ TagePredictor::TagePredictor(const TageConfig &config)
     }
     BPNSP_ASSERT(cfg.tagBits.size() == cfg.numTables,
                  "tagBits size mismatch");
+    BPNSP_ASSERT(cfg.numTables <= 32, "the hit mask is 32 bits");
+    BPNSP_ASSERT(cfg.ctrBits >= 2 && cfg.ctrBits <= 8);
+    BPNSP_ASSERT(cfg.uBits >= 1 && cfg.uBits <= 8);
+    BPNSP_ASSERT(cfg.uResetPeriod >= 1);
 
-    histLen = cfg.histLengths();
-    tables.resize(cfg.numTables);
-    ownerIp.resize(cfg.numTables);
-    entryBase.resize(cfg.numTables);
+    const std::vector<unsigned> histLen = cfg.histLengths();
+    geom.resize(cfg.numTables);
     uint64_t base = 0;
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        tables[t].assign(1ull << cfg.log2Entries[t], Entry{});
-        ownerIp[t].assign(1ull << cfg.log2Entries[t], 0);
-        entryBase[t] = base;
-        base += tables[t].size();
+        // The tag's top bit is the valid bit.
+        BPNSP_ASSERT(cfg.tagBits[t] >= 2 && cfg.tagBits[t] <= 15,
+                     "TAGE tag width out of range");
+        BPNSP_ASSERT(cfg.log2Entries[t] >= 1 && cfg.log2Entries[t] < 32);
+        Table &g = geom[t];
+        g.base = base;
+        g.indexMask = (1u << cfg.log2Entries[t]) - 1;
+        g.tagMask = static_cast<uint16_t>((1u << cfg.tagBits[t]) - 1);
+        const uint64_t mask =
+            (1ull << std::min<unsigned>(16, histLen[t])) - 1;
+        if (pathMasks.empty() || pathMasks.back() != mask)
+            pathMasks.push_back(mask);
+        g.pathSlot = static_cast<uint8_t>(pathMasks.size() - 1);
+        base += 1ull << cfg.log2Entries[t];
+
+        g.indexFold = folds.add(histLen[t], cfg.log2Entries[t]);
+        g.tagFold = folds.add(histLen[t], cfg.tagBits[t]);
+        g.tag2Fold = folds.add(histLen[t], cfg.tagBits[t] - 1);
     }
-    bimodal.assign(1ull << cfg.log2Bimodal, SatCounter(2, 2));
+    entries.assign(base, Entry{});
+    pathHash.assign(pathMasks.size(), 0);
+    bimodal.assign(1ull << cfg.log2Bimodal, 2);
+    bimodalMask = (1ull << cfg.log2Bimodal) - 1;
     lastIndex.assign(cfg.numTables, 0);
     lastTag.assign(cfg.numTables, 0);
-
-    idxFold.reserve(cfg.numTables);
-    tagFold1.reserve(cfg.numTables);
-    tagFold2.reserve(cfg.numTables);
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        idxFold.emplace_back(histLen[t], cfg.log2Entries[t]);
-        tagFold1.emplace_back(histLen[t], cfg.tagBits[t]);
-        tagFold2.emplace_back(histLen[t],
-                              cfg.tagBits[t] > 1 ? cfg.tagBits[t] - 1
-                                                 : 1);
-    }
+    ctrMax = static_cast<int8_t>((1 << (cfg.ctrBits - 1)) - 1);
+    ctrMin = static_cast<int8_t>(-(1 << (cfg.ctrBits - 1)));
+    uMax = static_cast<uint8_t>((1u << cfg.uBits) - 1);
+    nextDecay = cfg.uResetPeriod;
 }
 
 std::string
@@ -117,143 +131,126 @@ TagePredictor::name() const
     return "tage-" + cfg.label;
 }
 
-int8_t
-TagePredictor::ctrMax() const
-{
-    return static_cast<int8_t>((1 << (cfg.ctrBits - 1)) - 1);
-}
-
-int8_t
-TagePredictor::ctrMin() const
-{
-    return static_cast<int8_t>(-(1 << (cfg.ctrBits - 1)));
-}
-
-size_t
-TagePredictor::bimodalIndex(uint64_t ip) const
-{
-    return bits(mix64(ip), 0, cfg.log2Bimodal);
-}
-
-void
-TagePredictor::computeIndices(uint64_t ip)
-{
-    const uint64_t pc_hash = mix64(ip);
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        const uint64_t path =
-            mix64(pathHistory & ((1ull << std::min<unsigned>(
-                                      16, histLen[t])) -
-                                 1)) >>
-            (t + 1);
-        lastIndex[t] = bits(pc_hash ^ (pc_hash >> (t + 2)) ^
-                                idxFold[t].value() ^ path,
-                            0, cfg.log2Entries[t]);
-        lastTag[t] = static_cast<uint16_t>(
-            bits(pc_hash ^ tagFold1[t].value() ^
-                     (static_cast<uint64_t>(tagFold2[t].value()) << 1),
-                 0, cfg.tagBits[t]));
-    }
-}
-
 bool
 TagePredictor::predict(uint64_t ip, bool)
 {
-    computeIndices(ip);
+    return predictHashed(mix64(ip));
+}
 
-    provider = -1;
-    altTable = -1;
-    for (int t = static_cast<int>(cfg.numTables) - 1; t >= 0; --t) {
-        const Entry &e = tables[t][lastIndex[t]];
-        if (e.tag == lastTag[t] && ownerIp[t][lastIndex[t]] != 0) {
-            if (provider < 0) {
-                provider = t;
-            } else {
-                altTable = t;
-                break;
-            }
-        }
+bool
+TagePredictor::predictHashed(uint64_t pc_hash)
+{
+    // Latch every table's index and tag, and collect the hits: bit t
+    // set = table t matches. histLengths() is strictly increasing, so
+    // equal path masks are adjacent and each distinct one is hashed
+    // once.
+    for (size_t k = 0; k < pathMasks.size(); ++k)
+        pathHash[k] = mix64(pathHistory & pathMasks[k]);
+    uint32_t hits = 0;
+    for (unsigned t = 0; t < cfg.numTables; ++t) {
+        const Table &g = geom[t];
+        const uint64_t path = pathHash[g.pathSlot] >> (t + 1);
+        const uint64_t index = g.base + ((pc_hash ^ (pc_hash >> (t + 2)) ^
+                                          folds[g.indexFold] ^ path) &
+                                         g.indexMask);
+        const auto tag = static_cast<uint16_t>(
+            kValid |
+            ((pc_hash ^ folds[g.tagFold] ^
+              (static_cast<uint64_t>(folds[g.tag2Fold]) << 1)) &
+             g.tagMask));
+        lastIndex[t] = index;
+        lastTag[t] = tag;
+        hits |= static_cast<uint32_t>(entries[index].tag == tag) << t;
     }
 
+    // The provider is the longest-history hit, the alternate the next.
+    const int provider = static_cast<int>(std::bit_width(hits)) - 1;
+    const int alt =
+        provider < 0
+            ? -1
+            : static_cast<int>(std::bit_width(hits ^ (1u << provider))) - 1;
+    lastBimodal = pc_hash & bimodalMask;
+    last.provider = provider;
+    last.altTable = alt;
 
-    const bool bimodal_pred = bimodal[bimodalIndex(ip)].taken();
+    const bool bimodal_pred = bimodal[lastBimodal] >= 2;
     if (provider < 0) {
-        providerPred = altPred = finalPred = bimodal_pred;
-        providerWeakNew = false;
-        providerConf = 0;
-        return finalPred;
+        last.providerPred = last.altPred = last.pred = bimodal_pred;
+        last.weakNew = false;
+        last.confidence = 0;
+        return last.pred;
     }
 
-    const Entry &pe = tables[provider][lastIndex[provider]];
-    providerPred = pe.ctr >= 0;
-    providerConf = pe.ctr >= 0 ? static_cast<uint32_t>(pe.ctr)
-                               : static_cast<uint32_t>(-pe.ctr - 1);
-    altPred = altTable >= 0
-                  ? (tables[altTable][lastIndex[altTable]].ctr >= 0)
-                  : bimodal_pred;
+    const Entry &pe = entries[lastIndex[provider]];
+    last.providerPred = pe.ctr >= 0;
+    last.confidence = pe.ctr >= 0 ? static_cast<uint32_t>(pe.ctr)
+                                  : static_cast<uint32_t>(-pe.ctr - 1);
+    last.altPred =
+        alt >= 0 ? (entries[lastIndex[alt]].ctr >= 0) : bimodal_pred;
 
     // Newly allocated entries (u == 0, weak counter) may be less
     // reliable than the alternate prediction; arbitrate dynamically.
-    providerWeakNew =
-        pe.u == 0 && (pe.ctr == 0 || pe.ctr == -1);
-    finalPred = (providerWeakNew && useAltOnNa.read() >= 0) ? altPred
-                                                            : providerPred;
-    return finalPred;
+    last.weakNew = pe.u == 0 && (pe.ctr == 0 || pe.ctr == -1);
+    last.pred = (last.weakNew && useAltOnNa.read() >= 0)
+                    ? last.altPred
+                    : last.providerPred;
+    return last.pred;
 }
 
 void
 TagePredictor::update(uint64_t ip, bool taken, bool predicted,
                       uint64_t)
 {
-    (void)predicted;   // equals finalPred by contract
+    (void)predicted;   // equals last.pred by contract
     ++updateCount;
+    const int step = taken ? 1 : -1;
+    const auto trainBimodal = [&] {
+        uint8_t &c = bimodal[lastBimodal];
+        c = static_cast<uint8_t>(std::clamp(c + step, 0, 3));
+    };
 
-    if (provider >= 0) {
-        Entry &pe = tables[provider][lastIndex[provider]];
+    if (last.provider >= 0) {
+        Entry &pe = entries[lastIndex[last.provider]];
 
-        // Arbitrate the use-alt-on-newly-allocated policy.
-        if (providerWeakNew && providerPred != altPred)
-            useAltOnNa.update(altPred == taken);
-
-        // Usefulness: the provider proved its value over the alternate.
-        if (providerPred != altPred) {
-            if (providerPred == taken) {
-                if (pe.u < (1u << cfg.uBits) - 1)
-                    ++pe.u;
-            } else if (pe.u > 0) {
-                --pe.u;
-            }
+        if (last.providerPred != last.altPred) {
+            // Arbitrate the use-alt-on-newly-allocated policy.
+            if (last.weakNew)
+                useAltOnNa.update(last.altPred == taken);
+            // Usefulness: the provider proved its value (or not) over
+            // the alternate.
+            pe.u = static_cast<uint8_t>(std::clamp(
+                pe.u + (last.providerPred == taken ? 1 : -1), 0,
+                int{uMax}));
         }
 
         // Direction counter.
-        if (taken) {
-            if (pe.ctr < ctrMax())
-                ++pe.ctr;
-        } else {
-            if (pe.ctr > ctrMin())
-                --pe.ctr;
-        }
+        pe.ctr = static_cast<int8_t>(
+            std::clamp(pe.ctr + step, int{ctrMin}, int{ctrMax}));
 
         // Also train the bimodal when the provider is the lowest table
         // and weak, keeping the base predictor warm.
-        if (provider == 0 && (pe.ctr == 0 || pe.ctr == -1))
-            bimodal[bimodalIndex(ip)].update(taken);
+        if (last.provider == 0 && (pe.ctr == 0 || pe.ctr == -1))
+            trainBimodal();
     } else {
-        bimodal[bimodalIndex(ip)].update(taken);
+        trainBimodal();
     }
 
-    if (finalPred != taken)
+    if (last.pred != taken)
         allocate(ip, taken);
 
-    if (updateCount % cfg.uResetPeriod == 0)
+    if (updateCount == nextDecay) {
+        nextDecay += cfg.uResetPeriod;
         decayUsefulness();
+    }
 
-    pushHistory(taken, ip);
+    folds.push(taken);
+    pathHistory = (pathHistory << 1) | ((ip >> 2) & 1);
 }
 
 void
 TagePredictor::allocate(uint64_t ip, bool taken)
 {
-    const unsigned first = static_cast<unsigned>(provider + 1);
+    const unsigned first = static_cast<unsigned>(last.provider + 1);
     if (first >= cfg.numTables)
         return;
 
@@ -265,54 +262,35 @@ TagePredictor::allocate(uint64_t ip, bool taken)
                 static_cast<unsigned>(rng.below(
                     std::min<uint64_t>(2, cfg.numTables - first - 1)));
 
-    unsigned allocated = 0;
-    bool any_free = false;
-    for (unsigned t = start; t < cfg.numTables && allocated < 1; ++t) {
-        Entry &e = tables[t][lastIndex[t]];
+    for (unsigned t = start; t < cfg.numTables; ++t) {
+        Entry &e = entries[lastIndex[t]];
         if (e.u == 0) {
-            const uint64_t evicted = ownerIp[t][lastIndex[t]];
             e.tag = lastTag[t];
             e.ctr = taken ? 0 : -1;
-            e.u = 0;
-            ownerIp[t][lastIndex[t]] = ip;
             if (allocListener != nullptr) {
-                allocListener->onAllocation(
-                    ip, t, entryBase[t] + lastIndex[t], evicted);
+                uint64_t &owner = ownerIp[lastIndex[t]];
+                const uint64_t evicted = owner;
+                owner = ip;
+                allocListener->onAllocation(ip, t, lastIndex[t],
+                                            evicted);
             }
-            ++allocated;
-            any_free = true;
+            return;
         }
     }
-    if (!any_free) {
-        // Nothing free: age the candidates so future allocations can
-        // succeed (usefulness decrement on allocation failure).
-        for (unsigned t = first; t < cfg.numTables; ++t) {
-            Entry &e = tables[t][lastIndex[t]];
-            if (e.u > 0)
-                --e.u;
-        }
+    // Nothing free: age the candidates so future allocations can
+    // succeed (usefulness decrement on allocation failure).
+    for (unsigned t = first; t < cfg.numTables; ++t) {
+        Entry &e = entries[lastIndex[t]];
+        if (e.u > 0)
+            --e.u;
     }
 }
 
 void
 TagePredictor::decayUsefulness()
 {
-    for (auto &table : tables)
-        for (auto &e : table)
-            e.u >>= 1;
-}
-
-void
-TagePredictor::pushHistory(bool taken, uint64_t ip)
-{
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        const bool expired = history.at(histLen[t] - 1);
-        idxFold[t].update(taken, expired);
-        tagFold1[t].update(taken, expired);
-        tagFold2[t].update(taken, expired);
-    }
-    history.push(taken);
-    pathHistory = (pathHistory << 1) | ((ip >> 2) & 1);
+    for (auto &e : entries)
+        e.u >>= 1;
 }
 
 void
@@ -325,6 +303,12 @@ TagePredictor::trackOther(uint64_t ip, InstrClass cls, uint64_t)
 void
 TagePredictor::setAllocationListener(TageAllocationListener *listener)
 {
+    if (listener != nullptr) {
+        BPNSP_ASSERT(updateCount == 0,
+                     "attach the TAGE allocation listener before the "
+                     "first update");
+        ownerIp.assign(entries.size(), 0);
+    }
     allocListener = listener;
 }
 

@@ -1,5 +1,7 @@
 #include "bp/tagescl.hpp"
 
+#include "util/bitops.hpp"
+
 namespace bpnsp {
 
 TageSclConfig
@@ -27,22 +29,22 @@ TageSclPredictor::name() const
 }
 
 bool
-TageSclPredictor::predict(uint64_t ip, bool oracle_taken)
+TageSclPredictor::predict(uint64_t ip, bool)
 {
-    bool pred = tageComp.predict(ip, oracle_taken);
-    uint32_t conf = tageComp.lastConfidence();
+    pcHash = mix64(ip);
+    bool pred = tageComp.predictHashed(pcHash);
+    uint32_t conf = tageComp.lastDecision().confidence;
 
     if (cfg.enableLoop) {
-        const auto loop = loopComp.lookup(ip);
+        const auto loop = loopComp.lookup(pcHash);
         if (loop.valid) {
             pred = loop.taken;
             conf = 3;   // a confident loop prediction is strong
         }
     }
 
-    scActive = cfg.enableSc;
-    if (scActive)
-        pred = scComp.predict(ip, pred, conf);
+    if (cfg.enableSc)
+        pred = scComp.predict(pcHash, pred, conf);
     return pred;
 }
 
@@ -54,8 +56,8 @@ TageSclPredictor::update(uint64_t ip, bool taken, bool predicted,
     // `predicted` argument is its own last output by contract.
     tageComp.update(ip, taken, predicted, target);
     if (cfg.enableLoop)
-        loopComp.update(ip, taken);
-    if (scActive)
+        loopComp.update(pcHash, taken);
+    if (cfg.enableSc)
         scComp.update(ip, taken, target);
 }
 

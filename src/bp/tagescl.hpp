@@ -4,6 +4,9 @@
  * Predictors Again") and the paper's reference state-of-the-art
  * predictor. TAGE provides the primary prediction, the loop predictor
  * overrides for counted loops, and the statistical corrector arbitrates.
+ *
+ * predict() computes mix64(ip) once and hands it to all three
+ * components; update() reuses it.
  */
 
 #ifndef BPNSP_BP_TAGESCL_HPP
@@ -50,16 +53,20 @@ class TageSclPredictor : public BranchPredictor
                     uint64_t target) override;
     uint64_t storageBits() const override;
 
-    /** The TAGE component (for instrumentation). */
+    /** @name The components (for instrumentation and tests). */
+    /// @{
     TagePredictor &tage() { return tageComp; }
     const TagePredictor &tage() const { return tageComp; }
+    const LoopPredictor &loop() const { return loopComp; }
+    const StatisticalCorrector &sc() const { return scComp; }
+    /// @}
 
   private:
     TageSclConfig cfg;
     TagePredictor tageComp;
     LoopPredictor loopComp;
     StatisticalCorrector scComp;
-    bool scActive = false;
+    uint64_t pcHash = 0;   ///< mix64 of the branch last predicted
 };
 
 } // namespace bpnsp

@@ -20,7 +20,7 @@ constexpr unsigned kTagBits = 11;
 } // namespace
 
 Ittage::Ittage(unsigned log2Entries_, unsigned numTables)
-    : log2Entries(log2Entries_), history(kMaxHistory + 1)
+    : log2Entries(log2Entries_), folds(kMaxHistory)
 {
     BPNSP_ASSERT(log2Entries >= 4 && log2Entries <= 20,
                  "ITTAGE log2Entries out of sane range");
@@ -38,13 +38,10 @@ Ittage::Ittage(unsigned log2Entries_, unsigned numTables)
             kMinHistory *
             std::pow(static_cast<double>(kMaxHistory) / kMinHistory,
                      frac)));
-        tables.push_back(Table{
-            len,
-            FoldedHistory(len, log2Entries),
-            FoldedHistory(len, kTagBits),
-            FoldedHistory(len, kTagBits - 1),
-            std::vector<Entry>(rows),
-        });
+        foldSlots.push_back({folds.add(len, log2Entries),
+                             folds.add(len, kTagBits),
+                             folds.add(len, kTagBits - 1)});
+        tables.emplace_back(rows);
     }
     // The base table is twice the tagged size: it is tagless, so
     // aliasing is its only failure mode and capacity is cheap.
@@ -66,12 +63,12 @@ Ittage::computeIndices(uint64_t ip)
 {
     const uint64_t pc = mix64(ip);
     for (unsigned t = 0; t < tables.size(); ++t) {
-        const Table &tab = tables[t];
-        lastIndex[t] = bits(pc ^ (pc >> (t + 2)) ^ tab.indexFold.value(),
-                            0, log2Entries);
+        const auto &[index_fold, tag_fold, tag2_fold] = foldSlots[t];
+        lastIndex[t] = bits(pc ^ (pc >> (t + 2)) ^ folds[index_fold], 0,
+                            log2Entries);
         lastTag[t] = static_cast<uint16_t>(
-            bits(pc ^ tab.tagFold.value() ^
-                     (static_cast<uint64_t>(tab.tagFold2.value()) << 1),
+            bits(pc ^ folds[tag_fold] ^
+                     (static_cast<uint64_t>(folds[tag2_fold]) << 1),
                  0, kTagBits));
     }
     lastBaseIndex = bits(pc, 0, log2Entries + 1);
@@ -85,7 +82,7 @@ Ittage::predict(uint64_t ip, uint64_t *target)
 
     providerTable = -1;
     for (int t = static_cast<int>(tables.size()) - 1; t >= 0; --t) {
-        const Entry &e = tables[t].rows[lastIndex[t]];
+        const Entry &e = tables[t][lastIndex[t]];
         if (e.valid && e.tag == lastTag[t]) {
             providerTable = t;
             break;
@@ -94,7 +91,7 @@ Ittage::predict(uint64_t ip, uint64_t *target)
 
     if (providerTable >= 0) {
         lastPrediction =
-            tables[providerTable].rows[lastIndex[providerTable]].target;
+            tables[providerTable][lastIndex[providerTable]].target;
     } else if (baseValid[lastBaseIndex]) {
         lastPrediction = baseTable[lastBaseIndex];
     } else {
@@ -118,7 +115,7 @@ Ittage::update(uint64_t ip, uint64_t actualTarget)
         ++mispredictCount;
 
     if (providerTable >= 0) {
-        Entry &e = tables[providerTable].rows[lastIndex[providerTable]];
+        Entry &e = tables[providerTable][lastIndex[providerTable]];
         if (e.target == actualTarget) {
             e.conf.increment();
             if (correct && e.useful < 3)
@@ -147,7 +144,7 @@ Ittage::update(uint64_t ip, uint64_t actualTarget)
                 ++first;   // skip one table half the time
             bool allocated = false;
             for (int t = first; t < numTables; ++t) {
-                Entry &e = tables[t].rows[lastIndex[t]];
+                Entry &e = tables[t][lastIndex[t]];
                 if (!e.valid || e.useful == 0) {
                     e.valid = true;
                     e.tag = lastTag[t];
@@ -162,7 +159,7 @@ Ittage::update(uint64_t ip, uint64_t actualTarget)
                 // Everybody useful: age them so a later attempt can
                 // succeed (TAGE usefulness-decrement-on-failure).
                 for (int t = first; t < numTables; ++t) {
-                    Entry &e = tables[t].rows[lastIndex[t]];
+                    Entry &e = tables[t][lastIndex[t]];
                     if (e.useful > 0)
                         --e.useful;
                 }
@@ -174,13 +171,7 @@ Ittage::update(uint64_t ip, uint64_t actualTarget)
 void
 Ittage::pushHistory(bool bit)
 {
-    for (auto &t : tables) {
-        const bool expired = history.at(t.historyLength - 1);
-        t.indexFold.update(bit, expired);
-        t.tagFold.update(bit, expired);
-        t.tagFold2.update(bit, expired);
-    }
-    history.push(bit);
+    folds.push(bit);
 }
 
 uint64_t

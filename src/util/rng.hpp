@@ -77,8 +77,10 @@ class Rng
     below(uint64_t bound)
     {
         // Rejection-free Lemire reduction is overkill here; modulo bias
-        // is negligible for the bounds we use (all << 2^64).
-        return next() % bound;
+        // is negligible for the bounds we use (all << 2^64). A power of
+        // two takes the same value by a mask, without a division.
+        const uint64_t r = next();
+        return (bound & (bound - 1)) == 0 ? r & (bound - 1) : r % bound;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */

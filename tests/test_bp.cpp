@@ -17,6 +17,7 @@
 #include "bp/sc.hpp"
 #include "bp/sim.hpp"
 #include "bp/simple.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 using namespace bpnsp;
@@ -128,34 +129,34 @@ TEST(Gshare, RandomStreamNearChance)
 TEST(Loop, PredictsExactTripCount)
 {
     LoopPredictor loop;
-    const uint64_t ip = 0x400900;
+    const uint64_t pc_hash = mix64(0x400900);
     const unsigned trip = 13;
     // Train: enough full visits to fully saturate confidence (the
     // predictor only overrides at max confidence).
     for (int visit = 0; visit < 12; ++visit) {
         for (unsigned i = 0; i < trip; ++i)
-            loop.update(ip, i + 1 < trip);
+            loop.update(pc_hash, i + 1 < trip);
     }
     // Now confident: check an entire visit is predicted exactly.
     for (unsigned i = 0; i < trip; ++i) {
-        const auto pred = loop.lookup(ip);
+        const auto pred = loop.lookup(pc_hash);
         ASSERT_TRUE(pred.valid);
         EXPECT_EQ(pred.taken, i + 1 < trip) << "iteration " << i;
-        loop.update(ip, i + 1 < trip);
+        loop.update(pc_hash, i + 1 < trip);
     }
 }
 
 TEST(Loop, NotConfidentOnVaryingTripCounts)
 {
     LoopPredictor loop;
-    const uint64_t ip = 0x400900;
+    const uint64_t pc_hash = mix64(0x400900);
     Rng rng(5);
     for (int visit = 0; visit < 20; ++visit) {
         const unsigned trip = 3 + static_cast<unsigned>(rng.below(10));
         for (unsigned i = 0; i < trip; ++i)
-            loop.update(ip, i + 1 < trip);
+            loop.update(pc_hash, i + 1 < trip);
     }
-    EXPECT_FALSE(loop.lookup(ip).valid);
+    EXPECT_FALSE(loop.lookup(pc_hash).valid);
 }
 
 TEST(Loop, StorageNonZero)
@@ -173,7 +174,7 @@ TEST(StatisticalCorrector, LearnsToInvertBiasedWrongPrimary)
     // not-taken); SC must learn to invert.
     int correct = 0;
     for (int i = 0; i < 2000; ++i) {
-        const bool pred = sc.predict(ip, /*primary=*/true, 0);
+        const bool pred = sc.predict(mix64(ip), /*primary=*/true, 0);
         sc.update(ip, /*taken=*/false, ip - 64);
         if (i >= 1000 && !pred)
             ++correct;
@@ -187,7 +188,7 @@ TEST(StatisticalCorrector, KeepsConfidentCorrectPrimary)
     const uint64_t ip = 0x400a00;
     int kept = 0;
     for (int i = 0; i < 500; ++i) {
-        const bool pred = sc.predict(ip, true, 3);
+        const bool pred = sc.predict(mix64(ip), true, 3);
         sc.update(ip, true, ip - 64);
         if (pred)
             ++kept;
@@ -201,12 +202,12 @@ TEST(StatisticalCorrector, ImliTracksInnerLoop)
     const uint64_t loop_branch = 0x400b00;
     const uint64_t target = 0x400a80;   // backward
     for (int iter = 0; iter < 5; ++iter) {
-        sc.predict(loop_branch, true, 0);
+        sc.predict(mix64(loop_branch), true, 0);
         sc.update(loop_branch, true, target);
     }
     EXPECT_EQ(sc.imliCount(), 5u);
     // Exit resets.
-    sc.predict(loop_branch, false, 0);
+    sc.predict(mix64(loop_branch), false, 0);
     sc.update(loop_branch, false, target);
     EXPECT_EQ(sc.imliCount(), 0u);
 }

@@ -327,8 +327,10 @@ TEST(IpcStudy, ParallelGridMatchesSerialComposition)
 
 TEST(IpcStudy, ColumnExceptionReachesCallerWithWorkersJoined)
 {
-    // The middle column runs on a worker thread whenever there are
-    // two or more hardware threads, and on the caller otherwise.
+    // Columns are taken from a shared atomic index, so the failing
+    // middle column runs on whichever thread takes it, the caller or a
+    // worker; either way its exception must reach the caller, and only
+    // after every worker has been joined.
     const Program p = findWorkload("mcf_like").build(0);
     Predictors preds;
     preds.emplace_back("tage-sc-l-8KB", makePredictor("tage-sc-l-8KB"));

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 
 #include "bp/tage.hpp"
 #include "bp/tagescl.hpp"
@@ -200,6 +201,50 @@ TEST(Tage, RandomBranchAllocatesMoreThanBiasedBranch)
     const uint64_t biased_allocs =
         countAllocs([](uint64_t) { return true; });
     EXPECT_GT(random_allocs, 20 * std::max<uint64_t>(1, biased_allocs));
+}
+
+TEST(Tage, AllocationListenerMustAttachBeforeTheFirstUpdate)
+{
+    // Owner IPs are kept only from attach time, so a late listener
+    // would see wrong evicted_ip values; attaching late is refused.
+    CountingAllocListener listener;
+    EXPECT_DEATH(
+        {
+            TagePredictor bp(TageConfig::preset(8));
+            bp.update(0x400, true, bp.predict(0x400, true), 0x440);
+            bp.setAllocationListener(&listener);
+        },
+        "before the first update");
+}
+
+TEST(Tage, EntriesAllocatedByIpZeroAreVisible)
+{
+    // The valid bit, not a nonzero owner IP, marks an allocated entry,
+    // so a branch at IP 0 learns from its tagged entries like any
+    // other: a period-24 pattern needs them.
+    TagePredictor bp(TageConfig::preset(8));
+    const double acc = trainAndMeasure(
+        bp, [](uint64_t i) { return (i % 24) < 9; }, 6000, 2000, 0);
+    EXPECT_GT(acc, 0.95);
+}
+
+// ------------------------------------------------------------ storage
+
+TEST(TageStorage, PresetBitsArePinned)
+{
+    // Fig. 7's storage axis. The valid bit and the owner IPs are
+    // simulation metadata, so they must never move these counts.
+    EXPECT_EQ(TagePredictor(TageConfig::preset(8)).storageBits(), 86008u);
+    EXPECT_EQ(TagePredictor(TageConfig::preset(64)).storageBits(),
+              400328u);
+    const std::pair<unsigned, uint64_t> scl[] = {
+        {8, 112036},       {64, 456692},      {128, 854004},
+        {256, 1648628},    {512, 3237876},    {1024, 6416372}};
+    for (const auto &[kb, bits] : scl) {
+        EXPECT_EQ(TageSclPredictor(TageSclConfig::preset(kb)).storageBits(),
+                  bits)
+            << kb << "KB";
+    }
 }
 
 // ----------------------------------------------------------- ensemble

@@ -337,67 +337,63 @@ TEST(SignedSatCounter, Confidence)
     EXPECT_EQ(c.confidence(), 3u);
 }
 
-// --------------------------------------------------- FoldedHistory
+// ------------------------------------------------- FoldedHistories
 
 /**
- * Property: the incrementally-updated fold equals a from-scratch XOR
- * fold of the current history window, for random update sequences.
+ * Property: every incrementally-updated fold equals foldTo() of the
+ * newest `length` outcomes, recomputed from a HistoryRegister, for a
+ * random outcome sequence and folds that fill and spill over blocks.
  */
-TEST(FoldedHistory, MatchesDirectFoldProperty)
+TEST(FoldedHistories, MatchesDirectFoldProperty)
 {
-    const unsigned hist_len = 37;
-    const unsigned width = 7;
-    HistoryRegister hist(hist_len + 1);
-    FoldedHistory folded(hist_len, width);
+    const std::vector<std::pair<unsigned, unsigned>> shapes = {
+        {37, 7}, {37, 12}, {4, 9}, {64, 11}, {64, 10}, {64, 3},
+        {64, 20}, {64, 1}, {130, 10}, {200, 30}, {1, 1}};
+    FoldedHistories folds(200);
+    std::vector<unsigned> slots;
+    for (const auto &[length, width] : shapes)
+        slots.push_back(folds.add(length, width));
+    HistoryRegister hist(201);
     Rng rng(21);
 
-    for (int step = 0; step < 2000; ++step) {
+    for (int step = 0; step < 600; ++step) {
         const bool bit = rng.chance(0.5);
-        folded.update(bit, hist.at(hist_len - 1));
+        folds.push(bit);
         hist.push(bit);
-
-        // Direct fold of the low hist_len bits.
-        uint64_t direct = 0;
-        for (unsigned i = 0; i < hist_len; ++i) {
-            if (hist.at(i)) {
-                const unsigned pos = i % width;
-                direct ^= 1ull << pos;
-            }
+        for (size_t k = 0; k < shapes.size(); ++k) {
+            const auto [length, width] = shapes[k];
+            uint32_t direct = 0;
+            for (unsigned i = 0; i < length; ++i)
+                direct ^= static_cast<uint32_t>(hist.at(i)) << (i % width);
+            ASSERT_EQ(folds[slots[k]], direct)
+                << "step " << step << " fold " << length << "/" << width;
         }
-        // The incremental fold uses a rotating representation; both
-        // must at least agree on zero-ness and stay in range.
-        EXPECT_LT(folded.value(), 1u << width);
-        if (direct == 0 && step > static_cast<int>(hist_len))
-            SUCCEED();
     }
 }
 
-TEST(FoldedHistory, ZeroHistoryFoldsToZero)
+TEST(FoldedHistories, ZeroHistoryFoldsToZero)
 {
-    FoldedHistory folded(100, 10);
+    FoldedHistories folds(100);
+    folds.add(100, 10);
     for (int i = 0; i < 500; ++i)
-        folded.update(false, false);
-    EXPECT_EQ(folded.value(), 0u);
+        folds.push(false);
+    EXPECT_EQ(folds[0], 0u);
 }
 
-TEST(FoldedHistory, DistinctHistoriesUsuallyDiffer)
+TEST(FoldedHistories, DistinctHistoriesUsuallyDiffer)
 {
     // Two different histories should (almost always) fold differently.
-    FoldedHistory a(32, 8);
-    FoldedHistory b(32, 8);
+    FoldedHistories a(32);
+    FoldedHistories b(32);
+    a.add(32, 8);
+    b.add(32, 8);
     Rng rng(3);
-    HistoryRegister ha(40);
-    HistoryRegister hb(40);
     for (int i = 0; i < 32; ++i) {
-        const bool bit_a = rng.chance(0.5);
-        const bool bit_b = rng.chance(0.5);
-        a.update(bit_a, ha.at(31));
-        b.update(bit_b, hb.at(31));
-        ha.push(bit_a);
-        hb.push(bit_b);
+        a.push(rng.chance(0.5));
+        b.push(rng.chance(0.5));
     }
     // Not guaranteed, but overwhelmingly likely for this seed.
-    EXPECT_NE(a.value(), b.value());
+    EXPECT_NE(a[0], b[0]);
 }
 
 TEST(HistoryRegister, PushAndAt)
