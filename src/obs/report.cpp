@@ -189,7 +189,7 @@ renderRunReport()
           // calls gave up after the retry budget.
           "serve.client.retries", "serve.client.gave_up",
           // Overload counters (schema_rev 8): every report proves how
-          // the run behaved past saturation — fair-share sheds and
+          // the run behaved past saturation — full-queue refusals and
           // deadline expiries swept before execution. Invariant
           // checked downstream: serve.shed + serve.accepted never
           // exceeds serve.requests (a shed request is never also

@@ -14,8 +14,8 @@
  * requests that fail retryably — BUSY, admission rejection, a dropped
  * connection — are retried up to N extra times with jittered
  * exponential backoff. This is how a client
- * rides out overload shedding or a daemon restart without scripting a
- * loop.
+ * rides out a full admission queue or a daemon restart without
+ * scripting a loop.
  *
  * Examples:
  *   bpnsp_client --socket=/tmp/b.sock --op=ping
@@ -347,9 +347,14 @@ runStats(const OptionParser &opts)
 int
 runLoad(const OptionParser &opts)
 {
+    const int64_t clients = opts.getInt("clients");
+    if (clients < 1 || clients > kMaxLoadGenClients)
+        fatal("--clients=", clients, " outside [1, ", kMaxLoadGenClients,
+              "]");
+
     LoadGenConfig cfg;
     cfg.socketPath = opts.getString("socket");
-    cfg.clients = static_cast<unsigned>(opts.getInt("clients"));
+    cfg.clients = static_cast<unsigned>(clients);
     cfg.requestsPerClient =
         static_cast<unsigned>(opts.getInt("requests"));
     cfg.workload = opts.getString("workload");
@@ -364,21 +369,22 @@ runLoad(const OptionParser &opts)
     cfg.seed = static_cast<uint64_t>(opts.getInt("seed"));
     cfg.verify = opts.getFlag("verify");
     cfg.retry = retryPolicyFromOptions(opts);
-    cfg.openLoopHz = opts.getDouble("open-loop-hz");
-    cfg.interactiveFraction = opts.getDouble("interactive-frac");
     cfg.deadlineMs =
         static_cast<uint32_t>(opts.getInt("deadline-ms"));
 
-    const LoadGenResult result = runLoadGen(cfg);
+    LoadGenResult result;
+    if (const Status st = runLoadGen(cfg, &result); !st.ok())
+        fatal("bpnsp_client: ", st.str());
     std::printf(
         "loadgen: %u client(s) x %u request(s): %llu ok, %llu "
-        "rejected, %llu error(s), %llu transport, %llu killed, %llu "
+        "rejected, %llu expired, %llu error(s), %llu transport, %llu killed, %llu "
         "mismatch(es), %llu retried (%llu retries, %llu gave up, "
         "first-try %.4f) in %.2fs (%.0f req/s, p50 %.2fms, p99 "
         "%.2fms)\n",
         cfg.clients, cfg.requestsPerClient,
         static_cast<unsigned long long>(result.ok),
         static_cast<unsigned long long>(result.rejected),
+        static_cast<unsigned long long>(result.expired),
         static_cast<unsigned long long>(result.errors),
         static_cast<unsigned long long>(result.transport),
         static_cast<unsigned long long>(result.killed),
@@ -388,20 +394,6 @@ runLoad(const OptionParser &opts)
         static_cast<unsigned long long>(result.gaveUp),
         result.firstTryFraction(), result.elapsedSeconds,
         result.requestsPerSecond(), result.p50Ms, result.p99Ms);
-    // Machine-parsable overload line (one key=value row the soak
-    // script greps): per-class tails plus the shed/expire story.
-    std::printf(
-        "loadgen-overload: interactive_p50_ms=%.3f "
-        "interactive_p99_ms=%.3f interactive_ok=%llu batch_p50_ms=%.3f "
-        "batch_p99_ms=%.3f expired=%llu "
-        "rejected=%llu ok=%llu mismatches=%llu\n",
-        result.interactiveP50Ms, result.interactiveP99Ms,
-        static_cast<unsigned long long>(result.interactiveOk),
-        result.batchP50Ms, result.batchP99Ms,
-        static_cast<unsigned long long>(result.expired),
-        static_cast<unsigned long long>(result.rejected),
-        static_cast<unsigned long long>(result.ok),
-        static_cast<unsigned long long>(result.mismatches));
 
     if (result.mismatches != 0)
         return 1;
@@ -439,15 +431,10 @@ main(int argc, char **argv)
     opts.addInt("watch-ms", 1000, "stats: --watch poll period");
     opts.addFlag("raw", "stats: print the JSON document verbatim");
     opts.addInt("deadline-ms", 0, "per-request deadline (0 = none)");
-    opts.addInt("clients", 4, "loadgen: concurrent clients");
+    opts.addInt("clients", 4,
+                "loadgen: concurrent clients, 1 to " +
+                    std::to_string(kMaxLoadGenClients));
     opts.addInt("requests", 32, "loadgen: requests per client");
-    opts.addDouble("open-loop-hz", 0.0,
-                   "loadgen: per-client open-loop send rate in req/s "
-                   "(0 = closed loop); offered load does not slow "
-                   "down when the server does");
-    opts.addDouble("interactive-frac", 0.0,
-                   "loadgen: fraction of requests sent as interactive "
-                   "BranchStats reads");
     opts.addDouble("kill-prob", 0.0,
                    "loadgen: P(vanish before reading the reply)");
     opts.addInt("seed", 1, "loadgen: randomization seed");

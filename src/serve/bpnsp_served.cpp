@@ -10,10 +10,9 @@
  *
  * The daemon is one process: one ServeServer whose --threads
  * simulation workers share the process-wide decoded-chunk cache and
- * each run one request at a time.
- * Admission has one policy: when the queue overflows (--queue-depth,
- * --max-inflight-cost) the heaviest client's newest work is shed
- * first, and every client earns the same deficit-round-robin quantum.
+ * each run one request at a time, popping one bounded FIFO admission
+ * queue (--queue-depth): a request arriving at a full queue is refused
+ * with RESOURCE_EXHAUSTED.
  *
  * Quickstart:
  *   bpnsp_served --socket=/tmp/bpnsp.sock --trace-cache=/tmp/traces &
@@ -49,14 +48,12 @@ main(int argc, char **argv)
         "Serve trace/simulation queries over a UNIX-domain socket.");
     opts.addString("socket", "bpnsp_served.sock",
                    "UNIX-domain socket path to bind");
-    opts.addInt("threads", 4, "simulation worker threads");
+    opts.addInt("threads", 4,
+                "simulation worker threads, 1 to " +
+                    std::to_string(serve::kMaxServeWorkers));
     opts.addInt("queue-depth", 64,
                 "admission queue bound; beyond it requests are "
                 "rejected with RESOURCE_EXHAUSTED");
-    opts.addInt("max-inflight-cost", 0,
-                "cost-aware admission bound: max estimated queued + "
-                "in-flight work in ms of predicted execute time "
-                "(0 = count-only admission)");
     opts.addString("trace-cache", "",
                    "trace corpus directory (required)");
     opts.addInt("chunk-cache-mb", 64,
@@ -82,14 +79,19 @@ main(int argc, char **argv)
         DecodedChunkCache::instance().setCapacityBytes(
             static_cast<size_t>(mb) * 1024 * 1024);
 
+    const int64_t threads = opts.getInt("threads");
+    if (threads < 1 || threads > serve::kMaxServeWorkers)
+        fatal("--threads=", threads, " outside [1, ",
+              serve::kMaxServeWorkers, "]");
+    const int64_t queueDepth = opts.getInt("queue-depth");
+    if (queueDepth < 1)
+        fatal("--queue-depth=", queueDepth, " must be at least 1");
+
     serve::ServeConfig config;
     config.socketPath = opts.getString("socket");
-    config.workers = static_cast<unsigned>(opts.getInt("threads"));
-    config.queueDepth =
-        static_cast<size_t>(opts.getInt("queue-depth"));
+    config.workers = static_cast<unsigned>(threads);
+    config.queueDepth = static_cast<size_t>(queueDepth);
     config.traceCacheDir = cacheDir;
-    config.maxInflightCostMs =
-        static_cast<uint64_t>(opts.getInt("max-inflight-cost"));
 
     serve::ServeServer server(std::move(config));
     if (const Status st = server.start(); !st.ok()) {

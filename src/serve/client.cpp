@@ -304,8 +304,6 @@ struct ClientTally
     uint64_t gaveUp = 0;
     uint64_t expired = 0;
     std::vector<double> latenciesMs;
-    std::vector<double> interactiveMs;   ///< BranchStats Ok replies
-    std::vector<double> batchMs;         ///< everything else Ok
 };
 
 /**
@@ -343,21 +341,7 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
     retry.seed = cfg.retry.seed + index;   // decorrelate the jitter
     client.setRetryPolicy(retry);
 
-    const auto loopStart = std::chrono::steady_clock::now();
     for (unsigned i = 0; i < cfg.requestsPerClient; ++i) {
-        if (cfg.openLoopHz > 0.0) {
-            // Open-loop pacing: request i is *due* at start + i/Hz.
-            // Sleep only when ahead of schedule; when the server is
-            // slow we are behind and send immediately — the arrival
-            // process never slows down, the queue grows. That is what
-            // makes a 10x oversubscription test honest.
-            const auto due =
-                loopStart +
-                std::chrono::nanoseconds(static_cast<uint64_t>(
-                    1e9 * static_cast<double>(i) / cfg.openLoopHz));
-            if (due > std::chrono::steady_clock::now())
-                std::this_thread::sleep_until(due);
-        }
         if (!client.connected()) {
             if (!client.connectUnix(cfg.socketPath).ok()) {
                 ++tally.transport;
@@ -368,23 +352,15 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
         }
 
         ServeRequest request;
-        const bool interactive =
-            cfg.interactiveFraction > 0.0 &&
-            rng.chance(cfg.interactiveFraction);
-        request.type = interactive ? MessageType::BranchStats
-                                   : MessageType::Simulate;
+        request.type = MessageType::Simulate;
         request.workload = cfg.workload;
         request.inputIdx = cfg.inputIdx;
         request.instructions = cfg.instructions;
         request.deadlineMs = cfg.deadlineMs;
         request.predictor =
             cfg.predictors[rng.below(cfg.predictors.size())];
-        if (interactive) {
-            // A small hot-branch read: the interactive class the
-            // scheduler is supposed to protect under overload.
-            request.topK = 4;
-        } else if (cfg.sliceRecords != 0 &&
-                   cfg.sliceRecords < cfg.instructions) {
+        if (cfg.sliceRecords != 0 &&
+            cfg.sliceRecords < cfg.instructions) {
             request.first =
                 rng.below(cfg.instructions - cfg.sliceRecords + 1);
             request.count = cfg.sliceRecords;
@@ -421,9 +397,7 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
         tally.latenciesMs.push_back(latencyMs);
         if (reply.code == WireCode::Ok) {
             ++tally.ok;
-            (interactive ? tally.interactiveMs : tally.batchMs)
-                .push_back(latencyMs);
-            if (cfg.verify && !interactive) {
+            if (cfg.verify) {
                 const uint64_t first = request.first;
                 const uint64_t count =
                     request.count == 0
@@ -438,12 +412,9 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
         } else if (reply.code == WireCode::ResourceExhausted ||
                    reply.code == WireCode::Busy) {
             ++tally.rejected;
-            // Closed-loop backoff: the server asked for it. Open loop
-            // must not back off — slowing the arrival process would
-            // falsify the offered load.
-            if (cfg.openLoopHz <= 0.0)
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    1 + static_cast<long>(rng.below(5))));
+            // Closed-loop backoff: the server asked for it.
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                1 + static_cast<long>(rng.below(5))));
         } else {
             ++tally.errors;
         }
@@ -467,9 +438,14 @@ exactPercentile(std::vector<double> &sorted, double q)
 
 } // namespace
 
-LoadGenResult
-runLoadGen(const LoadGenConfig &cfg)
+Status
+runLoadGen(const LoadGenConfig &cfg, LoadGenResult *out)
 {
+    if (cfg.clients < 1 || cfg.clients > kMaxLoadGenClients)
+        return Status::invalidArgument(
+            "loadgen: client count " + std::to_string(cfg.clients) +
+            " outside [1, " + std::to_string(kMaxLoadGenClients) + "]");
+
     // --verify's reference: the whole trace, executed once on the VM
     // and shared read-only by every client thread.
     VectorSink trace;
@@ -490,10 +466,9 @@ runLoadGen(const LoadGenConfig &cfg)
         t.join();
     const auto t1 = std::chrono::steady_clock::now();
 
-    LoadGenResult result;
+    LoadGenResult &result = *out;
+    result = LoadGenResult();
     std::vector<double> all;
-    std::vector<double> interactiveAll;
-    std::vector<double> batchAll;
     for (const ClientTally &t : tallies) {
         result.attempted += t.attempted;
         result.ok += t.ok;
@@ -508,25 +483,13 @@ runLoadGen(const LoadGenConfig &cfg)
         result.expired += t.expired;
         all.insert(all.end(), t.latenciesMs.begin(),
                    t.latenciesMs.end());
-        interactiveAll.insert(interactiveAll.end(),
-                              t.interactiveMs.begin(),
-                              t.interactiveMs.end());
-        batchAll.insert(batchAll.end(), t.batchMs.begin(),
-                        t.batchMs.end());
     }
     result.elapsedSeconds =
         std::chrono::duration<double>(t1 - t0).count();
     std::sort(all.begin(), all.end());
     result.p50Ms = exactPercentile(all, 0.50);
     result.p99Ms = exactPercentile(all, 0.99);
-    std::sort(interactiveAll.begin(), interactiveAll.end());
-    result.interactiveOk = interactiveAll.size();
-    result.interactiveP50Ms = exactPercentile(interactiveAll, 0.50);
-    result.interactiveP99Ms = exactPercentile(interactiveAll, 0.99);
-    std::sort(batchAll.begin(), batchAll.end());
-    result.batchP50Ms = exactPercentile(batchAll, 0.50);
-    result.batchP99Ms = exactPercentile(batchAll, 0.99);
-    return result;
+    return Status();
 }
 
 } // namespace bpnsp::serve

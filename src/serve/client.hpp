@@ -7,8 +7,8 @@
  * The client is deliberately simple — connect, send one frame, block
  * for the matching reply — because every caller here (CLI, tests,
  * bench workers) wants request/reply semantics; concurrency comes from
- * running many clients, which the server's fair-share scheduler
- * spreads over its worker pool.
+ * running many clients, whose requests the server's FIFO admission
+ * queue hands to its worker pool in arrival order.
  *
  * Retry contract: a RetryPolicy makes call() retry — with bounded,
  * jittered exponential backoff — when the failure is *retryable*
@@ -136,11 +136,14 @@ class ServeClient
     std::string endpointPath;
 };
 
+/** Upper bound on LoadGenConfig::clients (one thread each). */
+constexpr unsigned kMaxLoadGenClients = 256;
+
 /** Knobs of one closed-loop load-generation run. */
 struct LoadGenConfig
 {
     std::string socketPath;
-    unsigned clients = 4;           ///< concurrent connections
+    unsigned clients = 4;           ///< connections, [1, kMaxLoadGenClients]
     unsigned requestsPerClient = 32;
     std::string workload = "mcf_like";
     uint32_t inputIdx = 0;
@@ -151,20 +154,7 @@ struct LoadGenConfig
     uint64_t seed = 1;              ///< drives slice + kill draws
     bool verify = false;            ///< check replies vs direct runs
     RetryPolicy retry;              ///< per-client retry discipline
-
-    /**
-     * Open-loop send rate per client in requests/second (0 = closed
-     * loop: send, wait for the reply, send again). Open loop is what
-     * makes oversubscription honest — a slow server does not slow the
-     * arrival process, it grows the queue.
-     */
-    double openLoopHz = 0.0;
-
-    /** Fraction of requests sent as interactive BranchStats reads. */
-    double interactiveFraction = 0.0;
-
-    /** Per-request deadline stamped on the wire (0 = none). */
-    uint32_t deadlineMs = 0;
+    uint32_t deadlineMs = 0;        ///< per-request deadline (0 = none)
 };
 
 /** What the closed loop observed. */
@@ -181,16 +171,9 @@ struct LoadGenResult
     uint64_t retries = 0;    ///< total extra attempts
     uint64_t gaveUp = 0;     ///< retry budget exhausted, still failing
     uint64_t expired = 0;    ///< DEADLINE_EXCEEDED replies
-    uint64_t interactiveOk = 0; ///< Ok interactive (BranchStats) replies
     double elapsedSeconds = 0.0;
     double p50Ms = 0.0;      ///< exact percentiles over all replies
     double p99Ms = 0.0;
-    // Per-priority-class percentiles (0 when the class saw no Ok
-    // reply): interactive = BranchStats, batch = everything else.
-    double interactiveP50Ms = 0.0;
-    double interactiveP99Ms = 0.0;
-    double batchP50Ms = 0.0;
-    double batchP99Ms = 0.0;
 
     /** 1.0 = every request answered on its first attempt. */
     double
@@ -213,13 +196,15 @@ struct LoadGenResult
 
 /**
  * Run `clients` concurrent closed loops of Simulate requests against a
- * server and aggregate what they saw. With cfg.verify, the trace is
- * executed once on the VM in this process and every Ok Simulate reply
- * is checked bit-for-bit against a fresh predictor over the same
- * slice of it, so the check never reads the server's corpus. Latency percentiles are exact (computed from the full sample
- * vector, not a histogram estimate).
+ * server and aggregate what they saw into `*out`. With cfg.verify,
+ * the trace is executed once on the VM in this process and every Ok
+ * reply is checked bit-for-bit against a fresh predictor over the
+ * same slice of it, so the check never reads the server's corpus.
+ * Latency percentiles are exact (computed from the full sample
+ * vector, not a histogram estimate). InvalidArgument, before any
+ * thread starts, when cfg.clients is outside [1, kMaxLoadGenClients].
  */
-LoadGenResult runLoadGen(const LoadGenConfig &cfg);
+Status runLoadGen(const LoadGenConfig &cfg, LoadGenResult *out);
 
 } // namespace bpnsp::serve
 

@@ -93,51 +93,16 @@ serveExpired()
     return c;
 }
 
-/**
- * Cost-model op classes. Ping/Stats answer on the io thread and never
- * reach the scheduler, so only the four queued types need a slot;
- * anything unexpected shares the materialize slot (it is the most
- * conservative prior).
- */
-unsigned
-costClassFor(MessageType type)
-{
-    switch (type) {
-      case MessageType::Simulate:
-        return 0;
-      case MessageType::BranchStats:
-        return 1;
-      case MessageType::H2p:
-        return 2;
-      default:
-        return 3;   // Materialize and anything unexpected
-    }
-}
-
-/**
- * The two scheduler priorities. BranchStats is the one interactive op
- * that actually queues (Ping/Stats answer inline): operators
- * poll it while the batch classes grind, so it must not wait behind
- * them.
- */
-bool
-isInteractiveQueued(MessageType type)
-{
-    return type == MessageType::BranchStats;
-}
-
-/** Deficit-round-robin quantum: estimated work a client earns per pass. */
-constexpr uint64_t kDrrQuantumNs = 10ull * 1000 * 1000;
-
 /** mmap'd reader LRU cap (open trace store readers). */
 constexpr size_t kMaxOpenReaders = 32;
 
-/** Cold-path cost multipliers over the warm per-unit EWMA. */
-constexpr uint64_t kColdOpenFactor = 2;   ///< open + full verify pass
-constexpr uint64_t kColdGenFactor = 8;    ///< full trace generation
-
-/** EWMA refinement only kicks in once a class has real evidence. */
-constexpr uint64_t kCostModelMinSamples = 8;
+/** Execute time of every request, the retry-after hint's rate. */
+obs::Histogram &
+serveExecNs()
+{
+    static obs::Histogram &h = obs::histogram("serve.exec_ns");
+    return h;
+}
 
 /**
  * Per-request-type latency histograms (accept-to-reply), alongside
@@ -217,7 +182,6 @@ setNonBlocking(int fd)
 struct ServeServer::Conn
 {
     int fd = -1;
-    uint64_t peer = 0;            ///< fair-share identity (see admit)
     std::vector<uint8_t> inbuf;   ///< unparsed bytes, frame-aligned
     std::mutex writeMu;           ///< serializes reply frames
     std::atomic<bool> open{true};
@@ -230,43 +194,12 @@ struct ServeServer::Pending
     uint64_t requestId = 0;
     ServeRequest request;
     uint64_t enqueuedNs = 0;
-
-    // Scheduler view, stamped at admission.
-    uint64_t peer = 0;
-    bool interactive = false;
-    uint64_t costNs = 0;      ///< estimated execute time
-    uint64_t costUnits = 1;   ///< work units behind the estimate
-    bool costWarm = true;     ///< reader was open (EWMA-grade sample)
     uint64_t deadlineNs = 0;  ///< absolute expiry (0 = none)
-};
-
-/** One client's slice of the admission queue (keyed by peer). */
-struct ServeServer::PeerQueue
-{
-    uint64_t peer = 0;
-    std::deque<Pending> interactive;
-    std::deque<Pending> batch;
-    uint64_t costNs = 0;      ///< estimated work queued here
-    uint64_t deficitNs = 0;   ///< DRR credit (batch class)
-
-    bool empty() const { return interactive.empty() && batch.empty(); }
 };
 
 ServeServer::ServeServer(ServeConfig config)
     : cfg(std::move(config))
 {
-    if (cfg.workers == 0)
-        cfg.workers = 1;
-    if (cfg.queueDepth == 0)
-        cfg.queueDepth = 1;
-    // Cost-model priors, ns per work unit (x16 fixed point): replay
-    // classes start near the observed ~10 ns/record of a warm mmap'd
-    // replay; materialize is bookkeeping once the reader is open.
-    // All refined online from warm executions.
-    costNsPerUnitX16[0].store(10 * 16);   // simulate
-    costNsPerUnitX16[1].store(14 * 16);   // branch-stats (per-branch map)
-    costNsPerUnitX16[2].store(14 * 16);   // h2p (sliced stats)
-    costNsPerUnitX16[3].store(2 * 16);    // materialize (reader ready)
 }
 
 ServeServer::~ServeServer()
@@ -285,6 +218,13 @@ ServeServer::start()
     if (cfg.traceCacheDir.empty())
         return Status::invalidArgument(
             "serve: trace cache directory required");
+    if (cfg.workers < 1 || cfg.workers > kMaxServeWorkers)
+        return Status::invalidArgument(
+            "serve: worker count " + std::to_string(cfg.workers) +
+            " outside [1, " + std::to_string(kMaxServeWorkers) + "]");
+    if (cfg.queueDepth == 0)
+        return Status::invalidArgument(
+            "serve: queue depth must be at least 1");
 
     struct sockaddr_un addr;
     if (cfg.socketPath.size() >= sizeof(addr.sun_path))
@@ -370,7 +310,7 @@ ServeServer::drain()
     {
         std::unique_lock<std::mutex> lock(queueMu);
         idleCv.wait(lock, [this] {
-            return queuedCount == 0 && inFlight == 0;
+            return queue.empty() && inFlight == 0;
         });
     }
 
@@ -484,7 +424,6 @@ ServeServer::acceptOne()
         obs::counter("serve.connections");
     static obs::Counter &acceptFailures =
         obs::counter("serve.accept_failures");
-    static uint64_t nextConnId = 1;
 
     const int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0) {
@@ -504,18 +443,6 @@ ServeServer::acceptOne()
     setNonBlocking(fd);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    // Fair-share identity: the peer *process* (SO_PEERCRED pid on
-    // UNIX-domain sockets), so one client opening many connections is
-    // still one client to the scheduler. A peer without credentials
-    // falls back to per-connection identity.
-    struct ucred cred;
-    socklen_t credLen = sizeof(cred);
-    if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &credLen) ==
-            0 &&
-        cred.pid > 0)
-        conn->peer = static_cast<uint64_t>(cred.pid);
-    else
-        conn->peer = nextConnId++;
     conns.push_back(std::move(conn));
     connections.inc();
 }
@@ -670,155 +597,27 @@ ServeServer::parseFrames(const std::shared_ptr<Conn> &conn)
 }
 
 /**
- * Estimate a request's execute cost: work units (trace records the
- * handler will touch) × the op class's observed ns-per-unit EWMA × a
- * cold/warm multiplier from the reader-cache state. The estimate is
- * deliberately cheap (one map lookup, at worst one stat()) because it
- * runs on the io thread for every request.
- */
-void
-ServeServer::estimateCost(Pending *pending)
-{
-    const ServeRequest &r = pending->request;
-    uint64_t units = r.instructions;
-    if (r.type == MessageType::Simulate)
-        units = r.count != 0 ? r.count
-                             : (r.instructions > r.first
-                                    ? r.instructions - r.first
-                                    : 1);
-    if (units == 0)
-        units = 1;
-
-    // Cold/warm: an open reader replays immediately; an on-disk entry
-    // pays open + a full verify pass; a missing entry pays full trace
-    // generation. The digest needs the workload's input — resolvable
-    // only for known workloads, so unknown names (rejected later by
-    // validateRequest) just count as warm.
-    uint64_t mult = 1;
-    bool warm = true;
-    const Workload *w = findServableWorkload(r.workload);
-    if (w != nullptr && r.inputIdx < w->inputs.size()) {
-        const TraceCacheKey key = corpusKeyFor(*w, r);
-        const std::string digest = traceCacheDigest(key);
-        bool open = false;
-        {
-            std::lock_guard<std::mutex> lock(readersMu);
-            open = readers.find(digest) != readers.end();
-        }
-        if (!open) {
-            warm = false;
-            mult = cache->contains(key) ? kColdOpenFactor
-                                        : kColdGenFactor;
-            // Cold cost scales with the whole trace (generation and
-            // verify read every record), not just the slice.
-            units = std::max(units, r.instructions);
-        }
-    }
-
-    const unsigned cls = costClassFor(r.type);
-    const uint64_t nsPerUnitX16 = costNsPerUnitX16[cls].load(
-        std::memory_order_relaxed);
-    pending->costUnits = units;
-    pending->costWarm = warm;
-    pending->costNs = units * nsPerUnitX16 / 16 * mult;
-    if (pending->costNs == 0)
-        pending->costNs = 1000;   // floor: nothing is free
-}
-
-/** Fold a warm observation into the op class's ns-per-unit EWMA. */
-void
-ServeServer::noteObservedCost(MessageType type, uint64_t units,
-                              uint64_t exec_ns, bool warm)
-{
-    if (!warm || units == 0)
-        return;   // cold samples measure generation, not the class
-    const unsigned cls = costClassFor(type);
-    const uint64_t obsX16 = exec_ns * 16 / units;
-    uint64_t cur = costNsPerUnitX16[cls].load(
-        std::memory_order_relaxed);
-    // alpha = 1/8: stable under noisy per-request timings but adapts
-    // within a few dozen requests. Lost races just drop a sample.
-    const uint64_t next = std::max<uint64_t>(
-        1, cur - cur / 8 + obsX16 / 8);
-    costNsPerUnitX16[cls].compare_exchange_weak(
-        cur, next, std::memory_order_relaxed);
-    costSamples[cls].fetch_add(1, std::memory_order_relaxed);
-}
-
-ServeServer::PeerQueue &
-ServeServer::peerQueueFor(uint64_t peer)
-{
-    for (PeerQueue &pq : peerQueues) {
-        if (pq.peer == peer)
-            return pq;
-    }
-    PeerQueue pq;
-    pq.peer = peer;
-    peerQueues.push_back(std::move(pq));
-    return peerQueues.back();
-}
-
-bool
-ServeServer::overCapacityLocked(uint64_t arriving_cost_ns) const
-{
-    if (queuedCount + 1 > cfg.queueDepth)
-        return true;
-    if (cfg.maxInflightCostMs != 0 &&
-        queuedCostNs + inflightCostNs + arriving_cost_ns >
-            cfg.maxInflightCostMs * 1000000ull)
-        return true;
-    return false;
-}
-
-/**
- * Retry-after hint: the moment the backlog could plausibly have
- * drained through the worker pool. A floor on client backoff, never a
- * guarantee.
+ * Retry-after hint: how long the backlog (queued plus in-flight)
+ * takes to drain through the worker pool at the mean observed execute
+ * time. A floor on client backoff, never a guarantee.
  */
 uint32_t
 ServeServer::retryAfterMsLocked() const
 {
-    const uint64_t backlogNs =
-        (queuedCostNs + inflightCostNs) / cfg.workers;
-    uint64_t ms = backlogNs / 1000000ull;
-    if (ms < 1)
-        ms = 1;
-    if (ms > 30000)
-        ms = 30000;
-    return static_cast<uint32_t>(ms);
-}
-
-/** Undo one queued request's accounting (already out of its deque). */
-void
-ServeServer::removeQueuedLocked(const Pending &pending)
-{
-    PeerQueue &pq = peerQueueFor(pending.peer);
-    pq.costNs -= std::min(pq.costNs, pending.costNs);
-    queuedCostNs -= std::min(queuedCostNs, pending.costNs);
-    --queuedCount;
+    const obs::Histogram &exec = serveExecNs();
+    const double meanNs =
+        exec.count() == 0 ? 0.0
+                          : static_cast<double>(exec.sum()) /
+                                static_cast<double>(exec.count());
+    const double backlogMs = static_cast<double>(queue.size() + inFlight) /
+                             cfg.workers * meanNs / 1e6;
+    return static_cast<uint32_t>(std::clamp(backlogMs, 1.0, 30000.0));
 }
 
 void
 ServeServer::updateQueueGaugesLocked()
 {
-    static obs::Gauge &interactiveDepth =
-        obs::gauge("serve.queue_depth.interactive");
-    static obs::Gauge &batchDepth =
-        obs::gauge("serve.queue_depth.batch");
-    static obs::Gauge &inflightCost =
-        obs::gauge("serve.inflight_cost_ms");
-    size_t ni = 0;
-    size_t nb = 0;
-    for (const PeerQueue &pq : peerQueues) {
-        ni += pq.interactive.size();
-        nb += pq.batch.size();
-    }
-    queueDepthGauge().set(static_cast<double>(queuedCount));
-    interactiveDepth.set(static_cast<double>(ni));
-    batchDepth.set(static_cast<double>(nb));
-    inflightCost.set(
-        static_cast<double>((queuedCostNs + inflightCostNs) /
-                            1000000ull));
+    queueDepthGauge().set(static_cast<double>(queue.size()));
 }
 
 void
@@ -839,91 +638,27 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
     p.requestId = header.requestId;
     p.request = std::move(request);
     p.enqueuedNs = nowNs();
-    p.peer = conn->peer;
-    p.interactive = isInteractiveQueued(p.request.type);
-    estimateCost(&p);
     if (p.request.deadlineMs != 0)
         p.deadlineNs =
             p.enqueuedNs +
             static_cast<uint64_t>(p.request.deadlineMs) * 1000000ull;
 
-    std::vector<Pending> shed;   // victims, replied to after unlock
-    bool shedSelf = false;
+    bool full = false;
     uint32_t retryAfterMs = 0;
     {
         std::lock_guard<std::mutex> lock(queueMu);
-        retryAfterMs = retryAfterMsLocked();
-        // An interactive read pops ahead of all batch work, and
-        // in-flight work cannot be shed: with no other read queued it
-        // runs next, so the cost budget does not turn it away (the
-        // count bound still does). Otherwise, when one read costs
-        // close to the whole budget, another client's running replays
-        // shed every read.
-        bool runsNext = p.interactive && queuedCount < cfg.queueDepth;
-        for (const PeerQueue &pq : peerQueues)
-            runsNext = runsNext && pq.interactive.empty();
-        while (!runsNext && overCapacityLocked(p.costNs)) {
-            // Heaviest-first: the client holding the most estimated
-            // queued work absorbs the shed — counting the arrival as
-            // part of its own client's backlog, so a lone client
-            // overflowing the queue still sheds its own newest work
-            // (which is the arrival itself).
-            PeerQueue *heavy = nullptr;
-            uint64_t heavyCost = 0;
-            uint64_t ownCost = p.costNs;
-            for (PeerQueue &pq : peerQueues) {
-                if (pq.peer == p.peer) {
-                    ownCost += pq.costNs;
-                    continue;
-                }
-                if (!pq.empty() &&
-                    (heavy == nullptr || pq.costNs > heavyCost)) {
-                    heavy = &pq;
-                    heavyCost = pq.costNs;
-                }
-            }
-            if (heavy == nullptr || heavyCost <= ownCost) {
-                // The arriving client *is* the heaviest (or no other
-                // client holds anything): newest-first means the
-                // arrival itself is the victim.
-                shedSelf = true;
-                break;
-            }
-            // Shed the heaviest client's newest batch work first;
-            // its interactive tail only when it queued nothing else.
-            std::deque<Pending> &victims = heavy->batch.empty()
-                                               ? heavy->interactive
-                                               : heavy->batch;
-            Pending victim = std::move(victims.back());
-            victims.pop_back();
-            removeQueuedLocked(victim);
-            shed.push_back(std::move(victim));
-        }
-        if (!shedSelf) {
-            PeerQueue &pq = peerQueueFor(p.peer);
-            pq.costNs += p.costNs;
-            queuedCostNs += p.costNs;
-            ++queuedCount;
-            (p.interactive ? pq.interactive : pq.batch)
-                .push_back(std::move(p));
+        full = queue.size() >= cfg.queueDepth;
+        if (full) {
+            retryAfterMs = retryAfterMsLocked();
+        } else {
+            queue.push_back(std::move(p));
             updateQueueGaugesLocked();
         }
     }
-
-    for (const Pending &victim : shed) {
+    if (full) {
         serveRejected().inc();
         serveShed().inc();
-        sendError(victim.conn, victim.requestId,
-                  WireCode::ResourceExhausted,
-                  "shed under overload (heaviest client, newest "
-                  "work first); retry after the hint",
-                  retryAfterMs);
-    }
-    if (shedSelf) {
-        serveRejected().inc();
-        serveShed().inc();
-        sendError(conn, header.requestId,
-                  WireCode::ResourceExhausted,
+        sendError(conn, header.requestId, WireCode::ResourceExhausted,
                   "admission queue full (" +
                       std::to_string(cfg.queueDepth) +
                       " requests); retry with backoff",
@@ -947,112 +682,29 @@ ServeServer::workerLoop()
 }
 
 /**
- * Deadline sweep (queueMu held): move every queued request that can
- * no longer finish in time into `expired` — expiry replies go out
- * before the request costs a worker anything. "Cannot finish" means
- * the absolute deadline already passed, or (once the op class's cost
- * model has real evidence) the remaining budget is smaller than the
- * estimated execute time.
+ * Deadline sweep (queueMu held): move every queued request whose
+ * absolute deadline has passed into `expired`, so its expiry reply
+ * goes out before the request costs a worker anything.
  */
 void
 ServeServer::sweepExpiredLocked(std::vector<Pending> *expired)
 {
     const uint64_t now = nowNs();
-    for (PeerQueue &pq : peerQueues) {
-        for (std::deque<Pending> *dq : {&pq.interactive, &pq.batch}) {
-            for (auto it = dq->begin(); it != dq->end();) {
-                bool late = false;
-                if (it->deadlineNs != 0) {
-                    if (now >= it->deadlineNs) {
-                        late = true;
-                    } else if (costSamples[costClassFor(
-                                   it->request.type)]
-                                       .load(
-                                           std::memory_order_relaxed) >=
-                                   kCostModelMinSamples &&
-                               it->deadlineNs - now < it->costNs) {
-                        late = true;
-                    }
-                }
-                if (!late) {
-                    ++it;
-                    continue;
-                }
-                Pending victim = std::move(*it);
-                it = dq->erase(it);
-                removeQueuedLocked(victim);
-                expired->push_back(std::move(victim));
-            }
-        }
-    }
-    if (!expired->empty())
-        updateQueueGaugesLocked();
-}
-
-/**
- * Scheduler selection (queueMu held): any interactive request first
- * (round-robin across clients), else batch work by deficit round
- * robin — a client may dequeue when its deficit covers the head's
- * estimated cost; every pass over the rotation earns each waiting
- * client one quantum. Clients that go idle leave the rotation and
- * their deficit resets.
- */
-bool
-ServeServer::popNextLocked(Pending *out)
-{
-    // Drop idle peers so the rotation only visits clients with work
-    // (and an idle client cannot bank deficit).
-    for (auto it = peerQueues.begin(); it != peerQueues.end();) {
-        if (it->empty() && it->costNs == 0)
-            it = peerQueues.erase(it);
-        else
+    for (auto it = queue.begin(); it != queue.end();) {
+        if (it->deadlineNs != 0 && now >= it->deadlineNs) {
+            expired->push_back(std::move(*it));
+            it = queue.erase(it);
+        } else {
             ++it;
-    }
-    if (peerQueues.empty() || queuedCount == 0)
-        return false;
-    const size_t n = peerQueues.size();
-
-    for (size_t i = 0; i < n; ++i) {
-        PeerQueue &pq = peerQueues[(rrInteractive + i) % n];
-        if (pq.interactive.empty())
-            continue;
-        rrInteractive = (rrInteractive + i + 1) % n;
-        *out = std::move(pq.interactive.front());
-        pq.interactive.pop_front();
-        removeQueuedLocked(*out);
-        return true;
-    }
-
-    for (;;) {
-        bool anyBatch = false;
-        for (size_t i = 0; i < n; ++i) {
-            PeerQueue &pq = peerQueues[rrBatch % n];
-            rrBatch = (rrBatch + 1) % n;
-            if (pq.batch.empty())
-                continue;
-            anyBatch = true;
-            if (pq.deficitNs < pq.batch.front().costNs) {
-                pq.deficitNs += kDrrQuantumNs;
-                continue;
-            }
-            pq.deficitNs -= pq.batch.front().costNs;
-            *out = std::move(pq.batch.front());
-            pq.batch.pop_front();
-            removeQueuedLocked(*out);
-            return true;
         }
-        if (!anyBatch)
-            return false;
-        // Every waiting client earned a quantum this pass; the next
-        // pass (or one soon after) can afford its head.
     }
 }
 
 /**
- * Block until the fair-share scheduler hands this worker a request
- * (true) or the server quits (false). Expired requests found while
- * popping are answered DEADLINE_EXCEEDED here, before any worker time
- * is spent on them.
+ * Block until the queue hands this worker its oldest request (true)
+ * or the server quits (false). Expired requests found while popping
+ * are answered DEADLINE_EXCEEDED here, before any worker time is spent
+ * on them.
  */
 bool
 ServeServer::popRequest(Pending *out)
@@ -1067,23 +719,24 @@ ServeServer::popRequest(Pending *out)
         {
             std::unique_lock<std::mutex> lock(queueMu);
             queueCv.wait(lock, [this] {
-                return quitFlag.load() || queuedCount > 0;
+                return quitFlag.load() || !queue.empty();
             });
             sweepExpiredLocked(&expired);
-            retryAfterMs = retryAfterMsLocked();
+            if (!expired.empty())
+                retryAfterMs = retryAfterMsLocked();
 
-            popped = popNextLocked(out);
-            if (popped) {
+            if (!queue.empty()) {
+                *out = std::move(queue.front());
+                queue.pop_front();
+                popped = true;
                 ++inFlight;
-                inflightCostNs += out->costNs;
                 // serve.accepted counts requests handed to a worker:
-                // queued work that is later shed or swept was never
-                // accepted, keeping shed + accepted <= requests
-                // additive.
+                // queued work that is later swept was never accepted,
+                // keeping shed + accepted <= requests additive.
                 serveAccepted().inc();
             }
             updateQueueGaugesLocked();
-            if (queuedCount == 0 && inFlight == 0)
+            if (queue.empty() && inFlight == 0)
                 idleCv.notify_all();
             if (!popped && expired.empty() && quitFlag.load())
                 return false;
@@ -1093,8 +746,7 @@ ServeServer::popRequest(Pending *out)
             serveRejected().inc();
             serveExpired().inc();
             sendError(p.conn, p.requestId, WireCode::DeadlineExceeded,
-                      "deadline expired in the admission queue "
-                      "(estimated backlog exceeds the remaining budget)",
+                      "deadline expired in the admission queue",
                       retryAfterMs);
         }
         if (!popped)
@@ -1111,7 +763,6 @@ void
 ServeServer::execute(const Pending &pending)
 {
     static obs::Counter &stalls = obs::counter("serve.worker_stalls");
-    static obs::Histogram &execNs = obs::histogram("serve.exec_ns");
     static obs::Histogram &requestNs =
         obs::histogram("serve.request_ns");
 
@@ -1152,11 +803,7 @@ ServeServer::execute(const Pending &pending)
     const uint64_t execEndNs = nowNs();
     const uint64_t execDurNs =
         execEndNs > execStartNs ? execEndNs - execStartNs : 0;
-    execNs.observe(static_cast<double>(execDurNs));
-    // Cold executions measured generation, not the op class, and are
-    // skipped inside.
-    noteObservedCost(pending.request.type, pending.costUnits, execDurNs,
-                     pending.costWarm);
+    serveExecNs().observe(execDurNs);
 
     const uint64_t wall =
         execEndNs > pending.enqueuedNs ? execEndNs - pending.enqueuedNs
@@ -1167,9 +814,7 @@ ServeServer::execute(const Pending &pending)
 
     std::lock_guard<std::mutex> lock(queueMu);
     --inFlight;
-    inflightCostNs -= std::min(inflightCostNs, pending.costNs);
-    updateQueueGaugesLocked();
-    if (queuedCount == 0 && inFlight == 0)
+    if (queue.empty() && inFlight == 0)
         idleCv.notify_all();
 }
 

@@ -14,28 +14,19 @@
  *    prefix, corrupt checksum, mid-frame disconnect — produces a clean
  *    Status, a best-effort Error reply, and a closed connection; never
  *    a crash.
- *  - Admission is cost-aware and fair (DESIGN.md "Overload"): each
- *    request gets an estimated cost (work units × op-class ns/unit,
- *    refined online from observed execute times, × a cold/warm
- *    reader-cache multiplier) and is queued into a per-client
- *    (SO_PEERCRED) deficit queue at one of two priorities
- *    (interactive BranchStats above batch Simulate/Materialize/H2p).
- *    When the queue is full by count (queueDepth) or by estimated
- *    work (maxInflightCostMs) the scheduler always sheds from the
- *    heaviest client first — newest batch work first — answering
- *    RESOURCE_EXHAUSTED with a retry-after hint (serve.rejected,
- *    serve.shed). An interactive read with no other read queued runs
- *    next, so only the count bound can refuse it. Backpressure stays
- *    explicit and memory bounded under any offered load. Requests
- *    whose deadline can no longer be met are swept out with
- *    DEADLINE_EXCEEDED before consuming worker time (serve.expired).
- *  - A fixed pool of worker threads pops requests, one at a time:
- *    deficit round robin alone decides which request runs next. Every
- *    op shares one execute path (validate, open the reader, dispatch,
- *    reply) and one replay helper, which quarantines an entry whose
- *    replay hits damage. The in-memory decoded-chunk LRU
- *    (tracestore/chunk_cache.hpp) lets repeat replays of a hot trace
- *    skip the varint decode.
+ *  - Admission is one bounded FIFO queue (DESIGN.md "Admission"): a
+ *    request that arrives with queueDepth requests already queued is
+ *    refused at once with RESOURCE_EXHAUSTED and a retry-after hint
+ *    (serve.rejected, serve.shed), so memory stays bounded under any
+ *    offered load. Requests whose absolute deadline passes while they
+ *    wait are swept out with DEADLINE_EXCEEDED before consuming worker
+ *    time (serve.expired).
+ *  - A fixed pool of worker threads pops requests in arrival order,
+ *    one at a time. Every op shares one execute path (validate, open
+ *    the reader, dispatch, reply) and one replay helper, which
+ *    quarantines an entry whose replay hits damage. The in-memory
+ *    decoded-chunk LRU (tracestore/chunk_cache.hpp) lets repeat
+ *    replays of a hot trace skip the varint decode.
  *  - Each request runs under its own CancelToken carrying the
  *    client-supplied deadline, parented to the server's stop token —
  *    deliberately *not* to the process-global signal token, so a
@@ -75,22 +66,16 @@
 
 namespace bpnsp::serve {
 
+/** Upper bound on ServeConfig::workers (one thread each). */
+constexpr unsigned kMaxServeWorkers = 256;
+
 /** Everything a server needs. */
 struct ServeConfig
 {
     std::string socketPath;    ///< UNIX-domain socket (required)
-    unsigned workers = 4;      ///< fixed worker pool size
-    size_t queueDepth = 64;    ///< bounded admission queue
+    unsigned workers = 4;      ///< worker pool size, [1, kMaxServeWorkers]
+    size_t queueDepth = 64;    ///< admission queue bound (>= 1)
     std::string traceCacheDir; ///< on-disk corpus (required)
-
-    /**
-     * Cost-aware admission bound: the maximum *estimated* queued plus
-     * in-flight work, in milliseconds of predicted execute time
-     * (0 = count-only admission via queueDepth). With it set, 64
-     * cached stats queries and 2 cold Simulates stop being "the same"
-     * queue pressure.
-     */
-    uint64_t maxInflightCostMs = 0;
 };
 
 /** The serving engine. */
@@ -105,8 +90,10 @@ class ServeServer
 
     /**
      * Bind, listen, and spawn the I/O thread plus the worker pool.
-     * InvalidArgument for a missing socket path or trace cache dir,
-     * IoError when the OS refuses the socket.
+     * InvalidArgument for a missing socket path or trace cache dir, a
+     * worker count outside [1, kMaxServeWorkers] or a zero queue
+     * depth, before anything is bound or spawned; IoError when the OS
+     * refuses the socket.
      */
     Status start();
 
@@ -130,7 +117,6 @@ class ServeServer
   private:
     struct Conn;
     struct Pending;
-    struct PeerQueue;
 
     // --- I/O side (io thread) ---
     void ioLoop();
@@ -140,16 +126,9 @@ class ServeServer
     void admit(const std::shared_ptr<Conn> &conn,
                const FrameHeader &header, ServeRequest request);
 
-    // --- admission scheduler (queueMu held unless noted) ---
-    void estimateCost(Pending *pending);
-    void noteObservedCost(MessageType type, uint64_t units,
-                          uint64_t exec_ns, bool warm);
-    PeerQueue &peerQueueFor(uint64_t peer);
-    bool overCapacityLocked(uint64_t arriving_cost_ns) const;
+    // --- admission queue (queueMu held) ---
     uint32_t retryAfterMsLocked() const;
-    void removeQueuedLocked(const Pending &pending);
     void sweepExpiredLocked(std::vector<Pending> *expired);
-    bool popNextLocked(Pending *out);
     void updateQueueGaugesLocked();
 
     // --- worker side ---
@@ -220,24 +199,8 @@ class ServeServer
     std::condition_variable queueCv;       ///< workers wait here
     std::condition_variable idleCv;        ///< drain() waits here
 
-    // Per-client deficit queues (the admission queue). All
-    // scheduler state below queueMu. Peers with no queued work are
-    // dropped from the rotation (their deficit resets), so the deque
-    // stays as small as the set of clients with work in flight.
-    std::deque<PeerQueue> peerQueues;
-    size_t queuedCount = 0;                ///< requests across peers
-    uint64_t queuedCostNs = 0;             ///< estimated queued work
-    uint64_t inflightCostNs = 0;           ///< estimated popped work
-    size_t rrInteractive = 0;              ///< round-robin cursors
-    size_t rrBatch = 0;
+    std::deque<Pending> queue;             ///< admitted, arrival order
     unsigned inFlight = 0;                 ///< popped, not yet replied
-
-    // Online cost model: per-op-class EWMA of observed execute ns per
-    // work unit (x16 fixed point), seeded with priors and refined
-    // from warm executions only. Atomics: estimateCost reads on the
-    // io thread while workers refine.
-    std::atomic<uint64_t> costNsPerUnitX16[4];
-    std::atomic<uint64_t> costSamples[4] = {};
 
     std::mutex readersMu;
     struct ReaderEntry

@@ -133,25 +133,6 @@ class ServeTest : public ::testing::Test
         ASSERT_TRUE(server->start().ok());
     }
 
-    /** Server with the cost-aware admission budget engaged. */
-    void
-    startServerOverload(uint64_t max_inflight_cost_ms,
-                        unsigned workers = 1, size_t queue_depth = 32)
-    {
-        scratch = std::make_unique<ScratchDir>(
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->name());
-        ServeConfig config;
-        config.socketPath = scratch->file("s.sock");
-        config.workers = workers;
-        config.queueDepth = queue_depth;
-        config.traceCacheDir = scratch->file("cache");
-        config.maxInflightCostMs = max_inflight_cost_ms;
-        server = std::make_unique<ServeServer>(std::move(config));
-        ASSERT_TRUE(server->start().ok());
-    }
-
     void
     TearDown() override
     {
@@ -1039,8 +1020,9 @@ TEST_F(ServeTest, BackpressureRejectsWithResourceExhausted)
     ASSERT_TRUE(faultsim::configure("serve.worker.stall").ok());
 
     const uint64_t rejectedBefore = counterValue("serve.rejected");
+    const uint64_t shedBefore = counterValue("serve.shed");
     constexpr unsigned kBurst = 12;
-    std::atomic<unsigned> rejected{0}, okOrOther{0};
+    std::atomic<unsigned> rejected{0}, hinted{0}, okOrOther{0};
     std::vector<std::thread> threads;
     for (unsigned c = 0; c < kBurst; ++c) {
         threads.emplace_back([&] {
@@ -1050,17 +1032,114 @@ TEST_F(ServeTest, BackpressureRejectsWithResourceExhausted)
             ServeReply reply;
             if (!client.call(simulateRequest("gshare"), &reply).ok())
                 return;
-            if (reply.code == WireCode::ResourceExhausted)
+            if (reply.code == WireCode::ResourceExhausted) {
                 ++rejected;
-            else
+                if (reply.retryAfterMs > 0)
+                    ++hinted;
+            } else {
                 ++okOrOther;
+            }
         });
     }
     for (std::thread &t : threads)
         t.join();
     EXPECT_GT(rejected.load(), 0u);
+    // Every count-bound refusal tells the client when to come back.
+    EXPECT_EQ(hinted.load(), rejected.load());
     EXPECT_GT(okOrOther.load(), 0u);   // the queue still served some
     EXPECT_GT(counterValue("serve.rejected"), rejectedBefore);
+    EXPECT_GT(counterValue("serve.shed"), shedBefore);
+}
+
+TEST_F(ServeTest, QueuedRequestsRunInArrivalOrder)
+{
+    // One worker, stalled on its first request: everything sent while
+    // it stalls queues, and the worker then takes it oldest first
+    // whatever the request type.
+    startServer(/*workers=*/1);
+    ASSERT_TRUE(faultsim::configure("serve.worker.stall*1").ok());
+
+    ServeRequest read;
+    read.type = MessageType::BranchStats;
+    read.workload = "mcf_like";
+    read.instructions = kTraceLen;
+    read.predictor = "gshare";
+    read.topK = 4;
+
+    RawConn raw(socketPath());
+    ASSERT_TRUE(raw.ok());
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(encodeFrame(MessageType::Simulate, 1,
+                            encodeRequestPayload(
+                                simulateRequest("gshare")),
+                            &frame)
+                    .ok());
+    raw.send(frame);
+    // Let the worker pop #1 and stall (>= 25 ms) before the rest.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+    std::vector<uint8_t> burst;
+    const std::vector<std::pair<uint64_t, ServeRequest>> queued = {
+        {2, simulateRequest("bimodal")},
+        {3, simulateRequest("gshare")},
+        {4, read}};
+    for (const auto &[id, request] : queued) {
+        ASSERT_TRUE(encodeFrame(request.type, id,
+                                encodeRequestPayload(request), &frame)
+                        .ok());
+        burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    raw.send(burst);
+
+    for (uint64_t want = 1; want <= 4; ++want) {
+        FrameHeader header;
+        std::vector<uint8_t> payload;
+        ASSERT_TRUE(raw.recvFrame(&header, &payload));
+        EXPECT_EQ(header.requestId, want);
+        EXPECT_EQ(static_cast<MessageType>(header.type),
+                  want == 4 ? MessageType::BranchStatsReply
+                            : MessageType::SimulateReply);
+    }
+}
+
+TEST_F(ServeTest, StartRefusesAnOutOfRangePoolBeforeBinding)
+{
+    // A pool size or queue bound that came from an unchecked cast
+    // (--threads=-1, --queue-depth=-1) is refused before any thread
+    // exists or the socket is bound.
+    scratch = std::make_unique<ScratchDir>("StartRefusesOutOfRange");
+    const auto refused = [&](unsigned workers, size_t queue_depth) {
+        ServeConfig config;
+        config.socketPath = scratch->file("s.sock");
+        config.workers = workers;
+        config.queueDepth = queue_depth;
+        config.traceCacheDir = scratch->file("cache");
+        ServeServer bad(std::move(config));
+        const Status st = bad.start();
+        return st.code() == StatusCode::InvalidArgument &&
+               !bad.running() &&
+               !std::filesystem::exists(scratch->file("s.sock"));
+    };
+    EXPECT_TRUE(refused(100000, 32));
+    EXPECT_TRUE(refused(0, 32));
+    EXPECT_TRUE(refused(kMaxServeWorkers + 1, 32));
+    EXPECT_TRUE(refused(2, 0));
+}
+
+TEST(ServeLoadGen, RefusesAnOutOfRangeClientCountBeforeStarting)
+{
+    // No server: a refused config must return before it connects or
+    // starts a single client thread.
+    LoadGenConfig cfg;
+    cfg.socketPath = "/nonexistent/bpnsp.sock";
+    LoadGenResult result;
+    for (const unsigned clients : {0u, kMaxLoadGenClients + 1, 100000u}) {
+        cfg.clients = clients;
+        EXPECT_EQ(runLoadGen(cfg, &result).code(),
+                  StatusCode::InvalidArgument)
+            << clients;
+        EXPECT_EQ(result.attempted, 0u);
+    }
 }
 
 TEST_F(ServeTest, DeadlineExceededOnSlowRequest)
@@ -1309,7 +1388,8 @@ TEST_F(ServeTest, LoadGenClosedLoopWithKillsAndVerify)
     cfg.sliceRecords = 40000;
     cfg.killProb = 0.15;
     cfg.verify = true;
-    const LoadGenResult result = runLoadGen(cfg);
+    LoadGenResult result;
+    ASSERT_TRUE(runLoadGen(cfg, &result).ok());
     EXPECT_GT(result.ok, 0u);
     EXPECT_EQ(result.mismatches, 0u);
     EXPECT_GT(result.killed, 0u);
@@ -1453,82 +1533,7 @@ TEST_F(ServeTest, StatsIsAnsweredWhileDrainWaitsForInFlightWork)
     server.reset();   // already drained
 }
 
-// --- overload: admission budget, deadline sweep ----------------------
-
-TEST_F(ServeTest, CostBudgetAdmissionShedsWithRetryAfterHint)
-{
-    // A 1 ms inflight-work budget cannot fit a cold 120k-record
-    // simulate (prior estimate ~10 ms): cost-aware admission sheds it
-    // up front with RESOURCE_EXHAUSTED and a non-zero retry hint,
-    // before any queueing or worker time.
-    startServerOverload(/*max_inflight_cost_ms=*/1);
-    const uint64_t shedBefore = counterValue("serve.shed");
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 1;
-    client.setRetryPolicy(policy);
-    ServeReply reply;
-    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::ResourceExhausted)
-        << wireCodeName(reply.code) << ": " << reply.message;
-    EXPECT_GT(reply.retryAfterMs, 0u);
-    EXPECT_GT(counterValue("serve.shed"), shedBefore);
-}
-
-TEST_F(ServeTest, CostBudgetAdmitsAReadWhenNoReadIsQueued)
-{
-    // One stalled worker and a 20 ms budget. Cold estimates (x8 for
-    // generation, 120k records): Simulate 9.6 ms, BranchStats 13.4 ms.
-    // The Simulate fits; a read on top of it overflows the budget, but
-    // with no other read queued it runs next, so it is admitted. A
-    // second read, queued behind the first, is shed as before.
-    startServerOverload(/*max_inflight_cost_ms=*/20);
-    ASSERT_TRUE(faultsim::configure("serve.worker.stall*1").ok());
-
-    ServeRequest read;
-    read.type = MessageType::BranchStats;
-    read.workload = "mcf_like";
-    read.instructions = kTraceLen;
-    read.predictor = "gshare";
-    read.topK = 4;
-
-    RawConn raw(socketPath());
-    ASSERT_TRUE(raw.ok());
-    std::vector<uint8_t> frame;
-    const std::vector<std::pair<uint64_t, ServeRequest>> sends = {
-        {1, simulateRequest("gshare")}, {2, read}, {3, read}};
-    for (const auto &[id, request] : sends) {
-        ASSERT_TRUE(encodeFrame(request.type, id,
-                                encodeRequestPayload(request), &frame)
-                        .ok());
-        raw.send(frame);
-        // Let the worker pop the Simulate and stall (>= 25 ms) before
-        // the reads arrive; a read queued beside it would pop first.
-        if (id == 1)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-
-    std::map<uint64_t, ServeReply> replies;
-    while (replies.size() < sends.size()) {
-        FrameHeader header;
-        std::vector<uint8_t> payload;
-        ASSERT_TRUE(raw.recvFrame(&header, &payload));
-        ServeReply reply;
-        ASSERT_TRUE(decodeReplyPayload(
-                        static_cast<MessageType>(header.type),
-                        payload.data(), payload.size(), &reply)
-                        .ok());
-        replies[header.requestId] = reply;
-    }
-    EXPECT_EQ(replies[1].type, MessageType::SimulateReply);
-    EXPECT_EQ(replies[2].type, MessageType::BranchStatsReply)
-        << wireCodeName(replies[2].code) << ": " << replies[2].message;
-    EXPECT_EQ(replies[2].code, WireCode::Ok);
-    EXPECT_EQ(replies[3].type, MessageType::Error);
-    EXPECT_EQ(replies[3].code, WireCode::ResourceExhausted);
-}
+// --- deadline sweep --------------------------------------------------
 
 TEST_F(ServeTest, DeadlineSweepExpiresQueuedRequestBeforeWorkerTime)
 {
