@@ -147,7 +147,6 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema_rev"] == 13, report["schema_rev"]
 c = report["counters"]
 assert c["serve.requests"] > 0, c
 assert c["serve.completed"] > 0, c

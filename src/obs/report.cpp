@@ -153,77 +153,44 @@ renderRunReport()
     Registry &reg = Registry::instance();
 
     // Guarantee the contract keys exist even in runs that never touch
-    // the instrumented paths (e.g. a bench invoked with --help-ish
-    // flows): touching a counter registers it at value 0.
+    // the instrumented paths: touching a counter registers it at value
+    // 0, so a report can tell "did not happen" from "not measured".
+    // scripts/check_run_report.py requires every key of this set at the
+    // schema_rev written below; change both together.
     for (const char *name :
          {"run.instructions", "tracestore.cache.hits",
           "tracestore.cache.misses", "bp.predictions",
           "bp.mispredicts",
-          // Robustness counters (schema_rev 2): consumers key off
-          // these to detect runs that healed themselves.
+          // Robustness: whether the run healed itself (retried
+          // chunks, quarantined entries, degraded runs) and whether
+          // fault injection was active.
           "tracestore.replay.chunk_retries",
           "tracestore.cache.quarantined", "core.runner.degraded_runs",
           "faultsim.injected",
-          // Campaign/cancellation counters (schema_rev 3): every
-          // report proves whether the run was a campaign, whether it
-          // resumed, and whether any delivery loop was cancelled.
-          // Invariant checked downstream: cells_done + cells_failed +
-          // cells_skipped == cells_total once a campaign drains
-          // (campaign.interrupted == 0).
+          // Campaigns and cancellation. Once a campaign drains
+          // (campaign.interrupted == 0), cells_done + cells_failed +
+          // cells_skipped == cells_total.
           "campaign.cells_total", "campaign.cells_done",
           "campaign.cells_failed", "campaign.cells_retried",
           "campaign.cells_skipped", "campaign.resumed",
           "campaign.interrupted", "core.runner.cancelled",
-          // Serving counters (schema_rev 4): every report proves
-          // whether the run served requests, and the admission books
-          // must balance — serve.accepted + serve.rejected ==
-          // serve.requests once a server drains, and serve.completed
-          // never exceeds serve.accepted.
+          // Serving. serve.accepted + serve.rejected and serve.shed +
+          // serve.accepted never exceed serve.requests (a request
+          // refused by the full FIFO queue never reaches a worker),
+          // serve.completed never exceeds serve.accepted, and a Stats
+          // pull is one of serve.requests.
           "serve.requests", "serve.accepted", "serve.rejected",
           "serve.completed", "serve.frames_corrupt",
-          // Observability counter (schema_rev 6): every report
-          // proves whether the daemon answered live Stats requests.
-          "serve.stats_requests",
-          // Client-retry counters (schema_rev 7): every report proves
-          // whether the run's clients needed retries, and how many
-          // calls gave up after the retry budget.
-          "serve.client.retries", "serve.client.gave_up",
-          // Overload counters (schema_rev 8): every report proves how
-          // the run behaved past saturation — full-queue refusals and
-          // deadline expiries swept before execution. Invariant
-          // checked downstream: serve.shed + serve.accepted never
-          // exceeds serve.requests (a shed request is never also
-          // handed to a worker).
-          "serve.shed", "serve.expired",
-          // Frontend counters (schema_rev 9): every report proves what
-          // the fetch engine cost — BTB misses, RAS overflows,
-          // indirect-target mispredicts, and the FTQ-unabsorbed stall
-          // cycles. All zero in runs that never wire a FrontendModel
-          // (the frontend is opt-in per simulation).
+          "serve.stats_requests", "serve.client.retries",
+          "serve.client.gave_up", "serve.shed", "serve.expired",
+          // Frontend: BTB misses, RAS overflows, indirect-target
+          // mispredicts and FTQ-unabsorbed stall cycles; all zero in
+          // runs that never wire a FrontendModel.
           "frontend.btb_miss", "frontend.ras_over",
           "frontend.ind_mispred", "frontend.ftq_stall_cycles"}) {
         reg.counter(name);
     }
 
-    // schema_rev bumps within the v1 schema: rev 2 added
-    // the robustness counter contract, rev 3 the campaign /
-    // cancellation contract, rev 4 the serving contract, rev 5 the
-    // synthesis contract, rev 6 the tracing/introspection contract
-    // plus exact histogram quantiles (p999) and an optional
-    // "snapshots" section this writer never emits, rev 7 adds the
-    // fleet-supervision / client-retry contract, rev 8 the overload
-    // contract (shed / expired / hedges / hedge_wins), rev 9 the frontend
-    // contract above (btb_miss / ras_over / ind_mispred /
-    // ftq_stall_cycles). Rev 10 drops rev 7's three fleet-supervision
-    // keys (worker deaths, respawns, breaker trips) with the
-    // multi-process fleet they counted. Rev 11 drops rev 8's
-    // serve.hedges / serve.hedge_wins with the client hedging they
-    // counted. Rev 12 drops rev 5's four synth.* keys with the
-    // workload synthesis they counted. Rev 13 drops rev 6's
-    // obs.spans_recorded / obs.spans_dropped with the span tracing
-    // they counted. Nothing is ever renamed, so v1
-    // consumers keep parsing and rev-aware consumers know which keys
-    // are guaranteed present at each rev.
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-run-report-v1\",\n"
         << "  \"schema_rev\": 13,\n  \"run\": {\n";

@@ -351,12 +351,15 @@ runLoad(const OptionParser &opts)
     if (clients < 1 || clients > kMaxLoadGenClients)
         fatal("--clients=", clients, " outside [1, ", kMaxLoadGenClients,
               "]");
+    const int64_t requests = opts.getInt("requests");
+    if (requests < 1 || requests > kMaxLoadGenRequests)
+        fatal("--requests=", requests, " outside [1, ",
+              kMaxLoadGenRequests, "]");
 
     LoadGenConfig cfg;
     cfg.socketPath = opts.getString("socket");
     cfg.clients = static_cast<unsigned>(clients);
-    cfg.requestsPerClient =
-        static_cast<unsigned>(opts.getInt("requests"));
+    cfg.requestsPerClient = static_cast<unsigned>(requests);
     cfg.workload = opts.getString("workload");
     cfg.inputIdx = static_cast<uint32_t>(opts.getInt("input"));
     cfg.instructions =
@@ -434,7 +437,9 @@ main(int argc, char **argv)
     opts.addInt("clients", 4,
                 "loadgen: concurrent clients, 1 to " +
                     std::to_string(kMaxLoadGenClients));
-    opts.addInt("requests", 32, "loadgen: requests per client");
+    opts.addInt("requests", 32,
+                "loadgen: requests per client, 1 to " +
+                    std::to_string(kMaxLoadGenRequests));
     opts.addDouble("kill-prob", 0.0,
                    "loadgen: P(vanish before reading the reply)");
     opts.addInt("seed", 1, "loadgen: randomization seed");

@@ -445,6 +445,12 @@ runLoadGen(const LoadGenConfig &cfg, LoadGenResult *out)
         return Status::invalidArgument(
             "loadgen: client count " + std::to_string(cfg.clients) +
             " outside [1, " + std::to_string(kMaxLoadGenClients) + "]");
+    if (cfg.requestsPerClient < 1 ||
+        cfg.requestsPerClient > kMaxLoadGenRequests)
+        return Status::invalidArgument(
+            "loadgen: request count " +
+            std::to_string(cfg.requestsPerClient) + " outside [1, " +
+            std::to_string(kMaxLoadGenRequests) + "]");
 
     // --verify's reference: the whole trace, executed once on the VM
     // and shared read-only by every client thread.

@@ -139,12 +139,15 @@ class ServeClient
 /** Upper bound on LoadGenConfig::clients (one thread each). */
 constexpr unsigned kMaxLoadGenClients = 256;
 
+/** Upper bound on LoadGenConfig::requestsPerClient. */
+constexpr unsigned kMaxLoadGenRequests = 1u << 20;
+
 /** Knobs of one closed-loop load-generation run. */
 struct LoadGenConfig
 {
     std::string socketPath;
     unsigned clients = 4;           ///< connections, [1, kMaxLoadGenClients]
-    unsigned requestsPerClient = 32;
+    unsigned requestsPerClient = 32; ///< [1, kMaxLoadGenRequests]
     std::string workload = "mcf_like";
     uint32_t inputIdx = 0;
     uint64_t instructions = 200000;
@@ -202,7 +205,8 @@ struct LoadGenResult
  * same slice of it, so the check never reads the server's corpus.
  * Latency percentiles are exact (computed from the full sample
  * vector, not a histogram estimate). InvalidArgument, before any
- * thread starts, when cfg.clients is outside [1, kMaxLoadGenClients].
+ * thread starts, when cfg.clients is outside [1, kMaxLoadGenClients]
+ * or cfg.requestsPerClient outside [1, kMaxLoadGenRequests].
  */
 Status runLoadGen(const LoadGenConfig &cfg, LoadGenResult *out);
 

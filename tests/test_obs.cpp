@@ -212,10 +212,8 @@ TEST(ObsReport, JsonRoundTripOfPopulatedReport)
     EXPECT_DOUBLE_EQ(at(counters, "tracestore.cache.misses").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(at(counters, "bp.predictions").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(at(counters, "bp.mispredicts").asDouble(), 0.0);
-    // The rev-6/7/8 contract counters are present even untouched;
-    // rev 10 dropped the fleet-supervision counters, rev 11 the
-    // client-hedging counters, rev 12 the synth.* counters and rev 13
-    // the obs.spans_* counters.
+    // The serving counters are present even untouched, and no retired
+    // key comes back.
     EXPECT_TRUE(counters.has("serve.stats_requests"));
     for (const auto &[name, value] : counters.members()) {
         EXPECT_EQ(name.find("fleet"), std::string::npos) << name;

@@ -475,6 +475,39 @@ TEST(CoreModel, LongDependencyChainLimitsIpc)
     EXPECT_LT(ipc, 1.2);
 }
 
+TEST(CoreModel, IssueWindowNeverClampsOnPaperConfigs)
+{
+    // IssueWindow::alloc clamps a request beyond its cycle window into
+    // the window, which would time that instruction approximately.
+    // Pin that it never happens on the paper's shapes: SPEC-like, LCF
+    // and the interpreter workload (with the default frontend), at the
+    // narrowest and widest scale, at fig1's default budget. mcf_like's
+    // long miss chains are the first to clamp when the window shrinks.
+    const CoreConfig base = CoreConfig::skylake();
+    for (const char *name :
+         {"gcc_like", "mcf_like", "rdbms", "interp_like"}) {
+        for (const char *predictor : {"perfect", "tage-sc-l-8KB"}) {
+            SCOPED_TRACE(testing::Message() << name << " " << predictor);
+            auto bp = makePredictor(predictor);
+            PredictorSim sim(*bp, /*collect_per_branch=*/false);
+            FrontendModel fe{FrontendConfig{}};
+            const bool with_fe = std::string(name) == "interp_like";
+            MemorySide memory(sim, with_fe ? &fe : nullptr);
+            CoreModel narrow(base.scaled(1), memory);
+            CoreModel wide(base.scaled(32), memory);
+            std::vector<TraceSink *> sinks{&sim};
+            if (with_fe)
+                sinks.push_back(&fe);
+            sinks.insert(sinks.end(), {&memory, &narrow, &wide});
+            runWorkloadTrace(findWorkload(name), 0, sinks, 2000000);
+
+            EXPECT_EQ(narrow.counters().instructions, 2000000u);
+            EXPECT_EQ(narrow.issueClamps(), 0u);
+            EXPECT_EQ(wide.issueClamps(), 0u);
+        }
+    }
+}
+
 // ------------------------------------- shared vs owning memory side
 
 namespace {

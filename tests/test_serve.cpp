@@ -1142,6 +1142,20 @@ TEST(ServeLoadGen, RefusesAnOutOfRangeClientCountBeforeStarting)
     }
 }
 
+TEST(ServeLoadGen, RefusesAnOutOfRangeRequestCountBeforeStarting)
+{
+    LoadGenConfig cfg;
+    cfg.socketPath = "/nonexistent/bpnsp.sock";
+    LoadGenResult result;
+    for (const unsigned requests : {0u, kMaxLoadGenRequests + 1}) {
+        cfg.requestsPerClient = requests;
+        EXPECT_EQ(runLoadGen(cfg, &result).code(),
+                  StatusCode::InvalidArgument)
+            << requests;
+        EXPECT_EQ(result.attempted, 0u);
+    }
+}
+
 TEST_F(ServeTest, DeadlineExceededOnSlowRequest)
 {
     startServer();
