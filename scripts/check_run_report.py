@@ -4,7 +4,7 @@
 Usage: check_run_report.py REPORT.json [REPORT.json ...]
 
 Accepts exactly the contract the writer (src/obs/report.cpp) emits:
-schema "bpnsp-run-report-v1" at schema_rev 13, with the top-level keys
+schema "bpnsp-run-report-v1" at schema_rev 14, with the top-level keys
 schema, schema_rev, run, counters, gauges and histograms and no others.
 Any other revision, including an older one, is refused: a contract
 change bumps the writer and this checker together and regenerates the
@@ -20,7 +20,7 @@ import json
 import sys
 
 SCHEMA = "bpnsp-run-report-v1"
-SCHEMA_REV = 13
+SCHEMA_REV = 14
 TOP_LEVEL_KEYS = ("schema", "schema_rev", "run", "counters", "gauges",
                   "histograms")
 REQUIRED_RUN_KEYS = ("instructions", "wall_seconds", "git")
@@ -40,8 +40,8 @@ REQUIRED_COUNTERS = (
     # bounded FIFO admission queue was full; serve.expired counts
     # queued requests whose deadline passed before a worker took them.
     "serve.requests", "serve.accepted", "serve.rejected", "serve.completed",
-    "serve.frames_corrupt", "serve.stats_requests", "serve.client.retries",
-    "serve.client.gave_up", "serve.shed", "serve.expired",
+    "serve.frames_corrupt", "serve.stats_requests", "serve.shed",
+    "serve.expired",
     # The fetch engine (all zero when no FrontendModel is wired in).
     "frontend.btb_miss", "frontend.ras_over", "frontend.ind_mispred",
     "frontend.ftq_stall_cycles",

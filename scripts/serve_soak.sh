@@ -4,7 +4,7 @@
 # kills, a deliberately tiny admission queue (so backpressure actually
 # fires), and a SIGTERM mid-load to prove the graceful drain. Mid-soak
 # a Stats request must answer from the io thread, and the run report
-# must validate as schema_rev 13 with the serve.* contract counters.
+# must validate as schema_rev 14 with the serve.* contract counters.
 # A final phase proves --watch survives a daemon restart by
 # reconnecting instead of exiting.
 #
@@ -136,7 +136,7 @@ wait "$LOAD_PID" 2>/dev/null || true
     exit 1
 }
 
-# Phase 3: the drained daemon's report must be a valid schema_rev 13
+# Phase 3: the drained daemon's report must be a valid schema_rev 14
 # run report whose serve.* counters prove the soak exercised every
 # path: admission, rejection, corruption, completion, introspection.
 echo "== phase 3: report validation"

@@ -42,9 +42,9 @@ def add_snapshots(report):
 
 
 CASES = (
-    ("schema_rev 12", schema_rev(12), "schema_rev 12 is not 13"),
+    ("schema_rev 13", schema_rev(13), "schema_rev 13 is not 14"),
     ("schema_rev missing", lambda report: report.pop("schema_rev"),
-     "schema_rev None is not 13"),
+     "schema_rev None is not 14"),
     ("bp.predictions dropped", drop_counter("bp.predictions"),
      "missing counter bp.predictions"),
     ("frontend.ftq_stall_cycles dropped",

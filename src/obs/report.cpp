@@ -181,8 +181,7 @@ renderRunReport()
           // pull is one of serve.requests.
           "serve.requests", "serve.accepted", "serve.rejected",
           "serve.completed", "serve.frames_corrupt",
-          "serve.stats_requests", "serve.client.retries",
-          "serve.client.gave_up", "serve.shed", "serve.expired",
+          "serve.stats_requests", "serve.shed", "serve.expired",
           // Frontend: BTB misses, RAS overflows, indirect-target
           // mispredicts and FTQ-unabsorbed stall cycles; all zero in
           // runs that never wire a FrontendModel.
@@ -193,7 +192,7 @@ renderRunReport()
 
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"bpnsp-run-report-v1\",\n"
-        << "  \"schema_rev\": 13,\n  \"run\": {\n";
+        << "  \"schema_rev\": 14,\n  \"run\": {\n";
     for (const auto &[key, value] : reg.runFields())
         oss << "    " << quoted(key) << ": " << quoted(value) << ",\n";
     oss << "    \"git\": " << quoted(gitDescribe()) << ",\n"

@@ -2,20 +2,15 @@
  * @file
  * bpnsp_client: command-line client for a running bpnsp_served.
  *
- * Single-request mode (--op=ping|simulate|branch-stats|h2p|
- * materialize) prints one human-readable result; --op=stats
- * pulls the server's live metric-registry snapshot (add --watch to
- * poll it; the watch survives daemon restarts by reconnecting with
- * backoff); --op=loadgen runs the closed-loop load generator (N
- * concurrent clients, optional randomized kills and reply
- * verification) and prints its aggregate tally.
- *
- * --retries=N arms the client-side retry policy (serve/client.hpp):
- * requests that fail retryably — BUSY, admission rejection, a dropped
- * connection — are retried up to N extra times with jittered
- * exponential backoff. This is how a client
- * rides out a full admission queue or a daemon restart without
- * scripting a loop.
+ * Single-request mode (--op=ping|simulate|branch-stats|materialize)
+ * sends one request, once, and prints one human-readable result (a
+ * RESOURCE_EXHAUSTED or BUSY reply is printed and exits 1; the caller
+ * decides whether to try again); --op=stats pulls the server's live
+ * metric-registry snapshot (add --watch to poll it; the watch survives
+ * daemon restarts by reconnecting with backoff); --op=loadgen runs the
+ * closed-loop load generator (N concurrent clients, optional
+ * randomized kills and reply verification) and prints its aggregate
+ * tally.
  *
  * Examples:
  *   bpnsp_client --socket=/tmp/b.sock --op=ping
@@ -24,7 +19,7 @@
  *       --instructions=200000 --first=50000 --count=100000
  *   bpnsp_client --socket=/tmp/b.sock --op=stats --watch
  *   bpnsp_client --socket=/tmp/b.sock --op=loadgen --clients=32 \
- *       --requests=64 --kill-prob=0.05 --verify --retries=4
+ *       --requests=64 --kill-prob=0.05 --verify
  *
  * Exit status: 0 on an Ok reply (loadgen: no transport errors and no
  * verify mismatches), 1 otherwise.
@@ -48,21 +43,6 @@ using namespace bpnsp::serve;
 
 namespace {
 
-/** The --retries/--retry-*-ms knobs as a RetryPolicy. */
-RetryPolicy
-retryPolicyFromOptions(const OptionParser &opts)
-{
-    RetryPolicy policy;
-    policy.maxAttempts =
-        1 + static_cast<unsigned>(opts.getInt("retries"));
-    policy.baseBackoffMs =
-        static_cast<uint64_t>(opts.getInt("retry-base-ms"));
-    policy.maxBackoffMs =
-        static_cast<uint64_t>(opts.getInt("retry-cap-ms"));
-    policy.seed = static_cast<uint64_t>(opts.getInt("seed"));
-    return policy;
-}
-
 std::vector<std::string>
 splitCsv(const std::string &csv)
 {
@@ -85,7 +65,6 @@ runOne(const OptionParser &opts, const std::string &op)
         warn("bpnsp_client: ", st.str());
         return 1;
     }
-    client.setRetryPolicy(retryPolicyFromOptions(opts));
 
     ServeRequest request;
     request.workload = opts.getString("workload");
@@ -95,8 +74,6 @@ runOne(const OptionParser &opts, const std::string &op)
     request.predictor = opts.getString("predictor");
     request.first = static_cast<uint64_t>(opts.getInt("first"));
     request.count = static_cast<uint64_t>(opts.getInt("count"));
-    request.sliceLength =
-        static_cast<uint64_t>(opts.getInt("slice"));
     request.topK = static_cast<uint32_t>(opts.getInt("top"));
     request.deadlineMs =
         static_cast<uint32_t>(opts.getInt("deadline-ms"));
@@ -107,14 +84,12 @@ runOne(const OptionParser &opts, const std::string &op)
         request.type = MessageType::Simulate;
     } else if (op == "branch-stats") {
         request.type = MessageType::BranchStats;
-    } else if (op == "h2p") {
-        request.type = MessageType::H2p;
     } else if (op == "materialize") {
         request.type = MessageType::Materialize;
     } else {
         fatal("unknown --op \"", op,
-              "\" (want ping|simulate|branch-stats|h2p|materialize|"
-              "stats|loadgen)");
+              "\" (want ping|simulate|branch-stats|materialize|stats|"
+              "loadgen)");
     }
 
     ServeReply reply;
@@ -173,18 +148,6 @@ runOne(const OptionParser &opts, const std::string &op)
                         static_cast<unsigned long long>(row.execs),
                         static_cast<unsigned long long>(
                             row.targetMispreds));
-        break;
-      case MessageType::H2pReply:
-        std::printf("h2p %s/%s: %zu H2P ip(s) over %llu slice(s), "
-                    "avg/slice %.2f, avg mispred fraction %.4f\n",
-                    request.workload.c_str(),
-                    request.predictor.c_str(), reply.h2pIps.size(),
-                    static_cast<unsigned long long>(reply.slices),
-                    bitsDouble(reply.avgPerSliceBits),
-                    bitsDouble(reply.avgMispredFractionBits));
-        for (const uint64_t ip : reply.h2pIps)
-            std::printf("  0x%llx\n",
-                        static_cast<unsigned long long>(ip));
         break;
       case MessageType::MaterializeReply:
         std::printf("materialized %s input %u: digest %s, %llu "
@@ -371,7 +334,6 @@ runLoad(const OptionParser &opts)
     cfg.killProb = opts.getDouble("kill-prob");
     cfg.seed = static_cast<uint64_t>(opts.getInt("seed"));
     cfg.verify = opts.getFlag("verify");
-    cfg.retry = retryPolicyFromOptions(opts);
     cfg.deadlineMs =
         static_cast<uint32_t>(opts.getInt("deadline-ms"));
 
@@ -381,9 +343,7 @@ runLoad(const OptionParser &opts)
     std::printf(
         "loadgen: %u client(s) x %u request(s): %llu ok, %llu "
         "rejected, %llu expired, %llu error(s), %llu transport, %llu killed, %llu "
-        "mismatch(es), %llu retried (%llu retries, %llu gave up, "
-        "first-try %.4f) in %.2fs (%.0f req/s, p50 %.2fms, p99 "
-        "%.2fms)\n",
+        "mismatch(es) in %.2fs (%.0f req/s, p50 %.2fms, p99 %.2fms)\n",
         cfg.clients, cfg.requestsPerClient,
         static_cast<unsigned long long>(result.ok),
         static_cast<unsigned long long>(result.rejected),
@@ -392,10 +352,7 @@ runLoad(const OptionParser &opts)
         static_cast<unsigned long long>(result.transport),
         static_cast<unsigned long long>(result.killed),
         static_cast<unsigned long long>(result.mismatches),
-        static_cast<unsigned long long>(result.retried),
-        static_cast<unsigned long long>(result.retries),
-        static_cast<unsigned long long>(result.gaveUp),
-        result.firstTryFraction(), result.elapsedSeconds,
+        result.elapsedSeconds,
         result.requestsPerSecond(), result.p50Ms, result.p99Ms);
 
     if (result.mismatches != 0)
@@ -416,8 +373,7 @@ main(int argc, char **argv)
     opts.addString("socket", "bpnsp_served.sock",
                    "server UNIX-domain socket path");
     opts.addString("op", "ping",
-                   "ping|simulate|branch-stats|h2p|materialize|stats|"
-                   "loadgen");
+                   "ping|simulate|branch-stats|materialize|stats|loadgen");
     opts.addString("workload", "mcf_like", "workload name");
     opts.addInt("input", 0, "workload input index");
     opts.addInt("instructions", 200000, "trace length (cache key)");
@@ -427,8 +383,6 @@ main(int argc, char **argv)
     opts.addInt("count", 0,
                 "simulate: slice record count (0 = to end; loadgen: "
                 "random slice width, 0 = whole trace)");
-    opts.addInt("slice", 0,
-                "branch-stats/h2p: slice length (0 = whole trace)");
     opts.addInt("top", 0, "branch-stats: top-K rows (0 = all)");
     opts.addFlag("watch", "stats: poll the snapshot until killed");
     opts.addInt("watch-ms", 1000, "stats: --watch poll period");
@@ -443,11 +397,6 @@ main(int argc, char **argv)
     opts.addDouble("kill-prob", 0.0,
                    "loadgen: P(vanish before reading the reply)");
     opts.addInt("seed", 1, "loadgen: randomization seed");
-    opts.addInt("retries", 0,
-                "extra attempts for retryable failures "
-                "(0 = single-shot)");
-    opts.addInt("retry-base-ms", 10, "first retry's backoff scale");
-    opts.addInt("retry-cap-ms", 1000, "retry backoff cap");
     opts.addFlag("verify",
                  "loadgen: check every Ok Simulate reply bit-for-bit "
                  "against the same slice of a VM run in this process");

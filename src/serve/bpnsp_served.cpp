@@ -3,8 +3,10 @@
  * bpnsp_served: the prediction-serving daemon. Binds one UNIX-domain
  * socket (there is no TCP listener), serves concurrent
  * bpnsp-serve-v3 requests — predictor simulation over trace slices,
- * branch stats, H2P lists, trace materialization — from a shared
- * on-disk trace corpus, and drains gracefully on SIGINT/SIGTERM:
+ * per-branch and per-target-class branch stats, trace
+ * materialization — from a shared on-disk trace corpus, answers Ping
+ * and Stats probes from its io thread, and drains gracefully on
+ * SIGINT/SIGTERM:
  * in-flight requests finish, the listener closes immediately, and the
  * final run report (--metrics-out) captures the serve.* counters.
  *
@@ -12,7 +14,8 @@
  * simulation workers share the process-wide decoded-chunk cache and
  * each run one request at a time, popping one bounded FIFO admission
  * queue (--queue-depth): a request arriving at a full queue is refused
- * with RESOURCE_EXHAUSTED.
+ * with RESOURCE_EXHAUSTED and a retry-after hint. The client never
+ * retries on its own; resending is the caller's choice.
  *
  * Quickstart:
  *   bpnsp_served --socket=/tmp/bpnsp.sock --trace-cache=/tmp/traces &

@@ -1,7 +1,6 @@
 #include "serve/client.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -15,23 +14,10 @@
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
 #include "core/runner.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "workloads/suite.hpp"
 
 namespace bpnsp::serve {
-
-bool
-isRetryableCode(WireCode code)
-{
-    switch (code) {
-      case WireCode::Busy:              // draining / no entry published
-      case WireCode::ResourceExhausted: // admission queue full
-        return true;
-      default:
-        return false;
-    }
-}
 
 // --- ServeClient -----------------------------------------------------
 
@@ -83,15 +69,6 @@ ServeClient::reconnect()
     if (endpointPath.empty())
         return Status::invalidArgument("client was never connected");
     return connectUnix(endpointPath);
-}
-
-void
-ServeClient::setRetryPolicy(const RetryPolicy &p)
-{
-    policy = p;
-    if (policy.maxAttempts == 0)
-        policy.maxAttempts = 1;
-    jitterState = 0;   // re-seed from the new policy on next draw
 }
 
 Status
@@ -158,90 +135,17 @@ ServeClient::callOnce(const ServeRequest &request, ServeReply *reply)
     return st;
 }
 
-namespace {
-
-/** xorshift64*: one cheap, seedable jitter stream per client. */
-uint64_t
-jitterNext(uint64_t *state)
-{
-    uint64_t x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    return x * 0x2545f4914f6cdd1dull;
-}
-
-} // namespace
-
 Status
 ServeClient::call(const ServeRequest &request, ServeReply *reply)
 {
-    static obs::Counter &retriesCounter =
-        obs::counter("serve.client.retries");
-    static obs::Counter &gaveUpCounter =
-        obs::counter("serve.client.gave_up");
-
-    for (unsigned attempt = 1;; ++attempt) {
-        Status st;
-        if (fd < 0 && !endpointPath.empty())
-            st = reconnect();   // a restarted server = a fresh socket
-        if (st.ok())
-            st = callOnce(request, reply);
-
-        // Classify the outcome. A transport failure is retryable: the
-        // reply (if any) was never seen, and every request type is a
-        // pure read or a content-addressed materialization, so
-        // re-sending cannot double-apply anything.
-        uint32_t hintMs = 0;
-        bool retryable = false;
-        if (!st.ok()) {
-            retryable = st.code() != StatusCode::InvalidArgument;
-        } else if (isRetryableCode(reply->code)) {
-            retryable = true;
-            hintMs = reply->retryAfterMs;
-        } else {
-            return st;   // success, or a non-retryable app error
-        }
-
-        if (!retryable || attempt >= policy.maxAttempts) {
-            if (retryable && policy.maxAttempts > 1) {
-                gaveUpCounter.inc();
-                ++gaveUpTally;
-                // Break the give-up down by terminal code so a soak
-                // can tell shed (resource_exhausted) from corrupt
-                // (corrupt_data) from timeout (deadline_exceeded). A
-                // transport-level Status maps through the same wire
-                // code table the server would have used.
-                const WireCode terminal =
-                    st.ok() ? reply->code : wireCodeFor(st);
-                std::string name = "serve.client.gave_up.";
-                for (const char *p = wireCodeName(terminal); *p != '\0';
-                     ++p)
-                    name += static_cast<char>(
-                        std::tolower(static_cast<unsigned char>(*p)));
-                obs::counter(name).inc();
-            }
+    if (fd < 0 && !endpointPath.empty()) {
+        // callOnce closed the socket on a transport error; a restarted
+        // server means a fresh socket.
+        const Status st = reconnect();
+        if (!st.ok())
             return st;
-        }
-
-        // Jittered exponential backoff, floored by the server's
-        // retry-after hint: the hint knows when the server could have
-        // room again; the jitter keeps a retrying herd from stampeding
-        // it.
-        if (jitterState == 0)
-            jitterState = policy.seed * 0x9e3779b97f4a7c15ull | 1;
-        uint64_t backoffMs =
-            policy.baseBackoffMs << std::min(attempt - 1, 20u);
-        backoffMs = std::min(backoffMs, policy.maxBackoffMs);
-        backoffMs = backoffMs / 2 +
-                    jitterNext(&jitterState) % (backoffMs + 1);
-        backoffMs = std::max<uint64_t>(backoffMs, hintMs);
-        retriesCounter.inc();
-        ++retriesTally;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoffMs));
     }
+    return callOnce(request, reply);
 }
 
 Status
@@ -299,9 +203,6 @@ struct ClientTally
     uint64_t transport = 0;
     uint64_t killed = 0;
     uint64_t mismatches = 0;
-    uint64_t retried = 0;
-    uint64_t retries = 0;
-    uint64_t gaveUp = 0;
     uint64_t expired = 0;
     std::vector<double> latenciesMs;
 };
@@ -337,9 +238,6 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
     // derivation, so nearby client indices stay decorrelated.
     Rng rng = Rng::stream(cfg.seed, index);
     ServeClient client;
-    RetryPolicy retry = cfg.retry;
-    retry.seed = cfg.retry.seed + index;   // decorrelate the jitter
-    client.setRetryPolicy(retry);
 
     for (unsigned i = 0; i < cfg.requestsPerClient; ++i) {
         if (!client.connected()) {
@@ -378,16 +276,9 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
         }
 
         const auto t0 = std::chrono::steady_clock::now();
-        const uint64_t retriesBefore = client.retriesObserved();
         ServeReply reply;
         const Status st = client.call(request, &reply);
         const auto t1 = std::chrono::steady_clock::now();
-        const uint64_t retriesDelta =
-            client.retriesObserved() - retriesBefore;
-        if (retriesDelta > 0) {
-            ++tally.retried;
-            tally.retries += retriesDelta;
-        }
         if (!st.ok()) {
             ++tally.transport;
             continue;
@@ -419,7 +310,6 @@ clientLoop(const LoadGenConfig &cfg, unsigned index,
             ++tally.errors;
         }
     }
-    tally.gaveUp = client.gaveUpObserved();
     return tally;
 }
 
@@ -483,9 +373,6 @@ runLoadGen(const LoadGenConfig &cfg, LoadGenResult *out)
         result.transport += t.transport;
         result.killed += t.killed;
         result.mismatches += t.mismatches;
-        result.retried += t.retried;
-        result.retries += t.retries;
-        result.gaveUp += t.gaveUp;
         result.expired += t.expired;
         all.insert(all.end(), t.latenciesMs.begin(),
                    t.latenciesMs.end());

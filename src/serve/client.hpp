@@ -10,21 +10,13 @@
  * running many clients, whose requests the server's FIFO admission
  * queue hands to its worker pool in arrival order.
  *
- * Retry contract: a RetryPolicy makes call() retry — with bounded,
- * jittered exponential backoff — when the failure is *retryable*
- * (BUSY, RESOURCE_EXHAUSTED admission rejection, or a transport error
- * on a request the client never saw answered). Every request type is
- * a pure read or a content-addressed materialization, so re-sending
- * one can never double-apply anything. The server's retry-after hint
- * (reply.retryAfterMs) is a floor on the backoff. serve.client.retries
- * / serve.client.gave_up count what the policy did; each give-up also
- * bumps serve.client.gave_up.<code> with the terminal wire code, so a
- * soak can tell shed from corrupt from timeout.
- *
- * There is no hedging: a call is one request on one connection,
- * re-sent only by the RetryPolicy. A second copy sent to the same
- * daemon joins the same admission queue, so it adds load without
- * adding a replica that could answer sooner.
+ * A call is one attempt: the client never re-sends a request. A
+ * RESOURCE_EXHAUSTED or BUSY reply comes back to the caller with the
+ * server's retry-after hint (reply.retryAfterMs), and the caller
+ * decides whether to wait and send again (the load generator backs
+ * off briefly and moves on). A transport error closes the socket; the
+ * next call() on the same client reconnects to the remembered path
+ * before it sends.
  */
 
 #ifndef BPNSP_SERVE_CLIENT_HPP
@@ -38,18 +30,6 @@
 #include "util/status.hpp"
 
 namespace bpnsp::serve {
-
-/** True for the reply codes that mean "retry later, it may clear". */
-bool isRetryableCode(WireCode code);
-
-/** Bounded, jittered exponential backoff for retryable failures. */
-struct RetryPolicy
-{
-    unsigned maxAttempts = 1;    ///< total tries; 1 = never retry
-    uint64_t baseBackoffMs = 10; ///< first retry's backoff scale
-    uint64_t maxBackoffMs = 1000; ///< backoff cap
-    uint64_t seed = 1;           ///< jitter stream seed
-};
 
 /** Blocking request/reply client over one connection. */
 class ServeClient
@@ -65,8 +45,8 @@ class ServeClient
     Status connectUnix(const std::string &socket_path);
 
     /**
-     * Re-establish the last connectUnix socket path (retry path: a
-     * restarted server means a fresh socket).
+     * Re-establish the last connectUnix socket path (a restarted
+     * server means a fresh socket).
      */
     Status reconnect();
 
@@ -75,26 +55,8 @@ class ServeClient
     void close();
 
     /**
-     * Retry discipline for call() and the probes built on it. The
-     * default policy (maxAttempts = 1) never retries, preserving
-     * strict single-shot semantics for callers that do their own
-     * failure handling.
-     */
-    void setRetryPolicy(const RetryPolicy &policy);
-    const RetryPolicy &retryPolicy() const { return policy; }
-
-    /**
-     * Attempts beyond the first across this client's lifetime, and
-     * calls abandoned with a retryable failure after the budget
-     * (mirrors the serve.client.{retries,gave_up} counters).
-     */
-    uint64_t retriesObserved() const { return retriesTally; }
-    uint64_t gaveUpObserved() const { return gaveUpTally; }
-
-    /**
-     * Send `request` and block for the reply, retrying per the policy
-     * when the failure is retryable (reconnecting first if the
-     * transport dropped). Protocol-level
+     * Send `request` once and block for the reply, reconnecting first
+     * when an earlier transport error closed the socket. Protocol-level
      * failures (connection loss, malformed reply, id mismatch) come
      * back as a Status; application-level failures arrive as an Ok
      * Status with reply->code != WireCode::Ok.
@@ -127,11 +89,6 @@ class ServeClient
     int fd = -1;
     uint64_t nextRequestId = 1;
 
-    RetryPolicy policy;
-    uint64_t jitterState = 0;   ///< lazily seeded from policy.seed
-    uint64_t retriesTally = 0;
-    uint64_t gaveUpTally = 0;
-
     // Remembered socket path for reconnect() (empty = never connected).
     std::string endpointPath;
 };
@@ -156,7 +113,6 @@ struct LoadGenConfig
     double killProb = 0.0;          ///< P(disconnect before reply)
     uint64_t seed = 1;              ///< drives slice + kill draws
     bool verify = false;            ///< check replies vs direct runs
-    RetryPolicy retry;              ///< per-client retry discipline
     uint32_t deadlineMs = 0;        ///< per-request deadline (0 = none)
 };
 
@@ -170,23 +126,10 @@ struct LoadGenResult
     uint64_t transport = 0;  ///< connection-level failures
     uint64_t killed = 0;     ///< deliberate client-side disconnects
     uint64_t mismatches = 0; ///< verify failures (must stay 0)
-    uint64_t retried = 0;    ///< requests that needed >= 1 retry
-    uint64_t retries = 0;    ///< total extra attempts
-    uint64_t gaveUp = 0;     ///< retry budget exhausted, still failing
     uint64_t expired = 0;    ///< DEADLINE_EXCEEDED replies
     double elapsedSeconds = 0.0;
     double p50Ms = 0.0;      ///< exact percentiles over all replies
     double p99Ms = 0.0;
-
-    /** 1.0 = every request answered on its first attempt. */
-    double
-    firstTryFraction() const
-    {
-        if (attempted == 0)
-            return 1.0;
-        return 1.0 - static_cast<double>(retried) /
-                         static_cast<double>(attempted);
-    }
 
     double
     requestsPerSecond() const

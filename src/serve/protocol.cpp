@@ -30,10 +30,6 @@ messageTypeName(MessageType type)
         return "branch-stats";
       case MessageType::BranchStatsReply:
         return "branch-stats-reply";
-      case MessageType::H2p:
-        return "h2p";
-      case MessageType::H2pReply:
-        return "h2p-reply";
       case MessageType::Materialize:
         return "materialize";
       case MessageType::MaterializeReply:
@@ -55,7 +51,6 @@ isRequestType(MessageType type)
       case MessageType::Ping:
       case MessageType::Simulate:
       case MessageType::BranchStats:
-      case MessageType::H2p:
       case MessageType::Materialize:
       case MessageType::Stats:
         return true;
@@ -420,7 +415,6 @@ encodeRequestPayload(const ServeRequest &request)
         w.u32(request.deadlineMs);
         break;
       case MessageType::BranchStats:
-      case MessageType::H2p:
         w.str(request.workload);
         w.u32(request.inputIdx);
         w.u64(request.instructions);
@@ -462,7 +456,6 @@ decodeRequestPayload(MessageType type, const uint8_t *payload,
         r.u32(&req.deadlineMs);
         break;
       case MessageType::BranchStats:
-      case MessageType::H2p:
         r.str(&req.workload);
         r.u32(&req.inputIdx);
         r.u64(&req.instructions);
@@ -526,14 +519,6 @@ encodeReplyPayload(const ServeReply &reply)
             w.u64(row.execs);
             w.u64(row.targetMispreds);
         }
-        break;
-      case MessageType::H2pReply:
-        w.u64(reply.slices);
-        w.u64(reply.avgPerSliceBits);
-        w.u64(reply.avgMispredFractionBits);
-        w.u32(static_cast<uint32_t>(reply.h2pIps.size()));
-        for (const uint64_t ip : reply.h2pIps)
-            w.u64(ip);
         break;
       case MessageType::MaterializeReply:
         w.str(reply.digest);
@@ -601,22 +586,6 @@ decodeReplyPayload(MessageType type, const uint8_t *payload,
             r.u64(&row.execs);
             r.u64(&row.targetMispreds);
             reply.targetClasses.push_back(row);
-        }
-        break;
-      }
-      case MessageType::H2pReply: {
-        r.u64(&reply.slices);
-        r.u64(&reply.avgPerSliceBits);
-        r.u64(&reply.avgMispredFractionBits);
-        uint32_t n = 0;
-        r.u32(&n);
-        if (r.ok() && static_cast<uint64_t>(n) * 8 > r.remaining())
-            return Status::corruptData(
-                "h2p reply ip count exceeds payload");
-        for (uint32_t i = 0; i < n && r.ok(); ++i) {
-            uint64_t ip = 0;
-            r.u64(&ip);
-            reply.h2pIps.push_back(ip);
         }
         break;
       }

@@ -82,8 +82,8 @@ enum class MessageType : uint16_t
     SimulateReply = 4,
     BranchStats = 5,
     BranchStatsReply = 6,
-    H2p = 7,
-    H2pReply = 8,
+    // 7/8 (an H2P screening request and its reply) and 16/17 (Cancel
+    // and its reply) are retired: such a frame is an unknown type.
     Materialize = 9,
     MaterializeReply = 10,
     Error = 11,   ///< generic failure reply (any request type)
@@ -132,10 +132,10 @@ struct ServeRequest
     std::string workload;      ///< workload name (all request types)
     uint32_t inputIdx = 0;     ///< input index within the workload
     uint64_t instructions = 0; ///< trace length (cache-key identity)
-    std::string predictor;     ///< Simulate / BranchStats / H2p
+    std::string predictor;     ///< Simulate / BranchStats
     uint64_t first = 0;        ///< Simulate: slice start record
     uint64_t count = 0;        ///< Simulate: slice length (0 = to end)
-    uint64_t sliceLength = 0;  ///< BranchStats / H2p slicing (0 = whole)
+    uint64_t sliceLength = 0;  ///< BranchStats: carried on the wire, not read
     uint32_t topK = 0;         ///< BranchStats: rows returned (0 = all)
     uint32_t deadlineMs = 0;   ///< per-request deadline (0 = none)
 };
@@ -169,10 +169,11 @@ struct ServeReply
     std::string message;
 
     /**
-     * Retry-after hint in milliseconds. Non-zero only on
-     * RESOURCE_EXHAUSTED from cost-budget shedding, where it tells the
-     * client the earliest moment a retry could plausibly succeed.
-     * Clients treat it as a floor on their backoff, never a guarantee.
+     * Retry-after hint in milliseconds. Non-zero only on the admission
+     * queue's RESOURCE_EXHAUSTED refusals (queue full) and
+     * DEADLINE_EXCEEDED expiries (deadline passed while queued), where
+     * it estimates when the queue could take the request again. A hint,
+     * never a guarantee.
      */
     uint32_t retryAfterMs = 0;
 
@@ -185,12 +186,6 @@ struct ServeReply
     // BranchStatsReply
     std::vector<BranchRow> branches;
     std::vector<TargetClassStat> targetClasses; ///< stable class order
-
-    // H2pReply
-    std::vector<uint64_t> h2pIps;        ///< sorted ascending
-    uint64_t slices = 0;
-    uint64_t avgPerSliceBits = 0;        ///< double, bit-cast
-    uint64_t avgMispredFractionBits = 0; ///< double, bit-cast
 
     // MaterializeReply
     std::string digest;

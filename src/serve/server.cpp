@@ -12,8 +12,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "analysis/branch_stats.hpp"
-#include "analysis/h2p.hpp"
 #include "analysis/target_stats.hpp"
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
@@ -116,7 +114,6 @@ requestNsForType(MessageType type)
         obs::histogram("serve.request_ns.simulate");
     static obs::Histogram &branchStats =
         obs::histogram("serve.request_ns.branch_stats");
-    static obs::Histogram &h2p = obs::histogram("serve.request_ns.h2p");
     static obs::Histogram &materialize =
         obs::histogram("serve.request_ns.materialize");
     static obs::Histogram &other =
@@ -126,8 +123,6 @@ requestNsForType(MessageType type)
         return sim;
       case MessageType::BranchStats:
         return branchStats;
-      case MessageType::H2p:
-        return h2p;
       case MessageType::Materialize:
         return materialize;
       default:
@@ -840,8 +835,6 @@ ServeServer::runRequest(const ServeRequest &request, ServeReply *reply)
         return executeSimulate(request, key, *reader, reply);
       case MessageType::BranchStats:
         return executeBranchStats(request, key, *reader, reply);
-      case MessageType::H2p:
-        return executeH2p(request, key, *reader, reply);
       case MessageType::Materialize:
         reply->type = MessageType::MaterializeReply;
         reply->digest = traceCacheDigest(key);
@@ -949,32 +942,6 @@ ServeServer::executeBranchStats(const ServeRequest &request,
     return st;
 }
 
-Status
-ServeServer::executeH2p(const ServeRequest &request,
-                        const TraceCacheKey &key,
-                        const TraceStoreReader &reader, ServeReply *reply)
-{
-    const uint64_t sliceLen = request.sliceLength != 0
-                                  ? request.sliceLength
-                                  : request.instructions;
-    std::unique_ptr<BranchPredictor> predictor =
-        makePredictor(request.predictor);
-    SlicedBranchStats stats(*predictor, sliceLen);
-    const Status st = replayTrace(key, reader, 0, reader.count(), stats);
-    if (!st.ok())
-        return st;
-    const H2pSummary summary =
-        summarizeH2ps(stats, H2pCriteria{}.scaledTo(sliceLen));
-    reply->type = MessageType::H2pReply;
-    reply->h2pIps.assign(summary.allH2ps.begin(), summary.allH2ps.end());
-    std::sort(reply->h2pIps.begin(), reply->h2pIps.end());
-    reply->slices = stats.slices().size();
-    reply->avgPerSliceBits = doubleBits(summary.avgPerSlice);
-    reply->avgMispredFractionBits =
-        doubleBits(summary.avgMispredFraction);
-    return st;
-}
-
 // --- shared helpers --------------------------------------------------
 
 void
@@ -1069,8 +1036,7 @@ ServeServer::validateRequest(const ServeRequest &request,
             "]");
 
     if (request.type == MessageType::Simulate ||
-        request.type == MessageType::BranchStats ||
-        request.type == MessageType::H2p) {
+        request.type == MessageType::BranchStats) {
         static const std::vector<std::string> known =
             knownPredictorNames();
         if (std::find(known.begin(), known.end(), request.predictor) ==

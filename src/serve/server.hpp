@@ -147,9 +147,6 @@ class ServeServer
                               const TraceCacheKey &key,
                               const TraceStoreReader &reader,
                               ServeReply *reply);
-    Status executeH2p(const ServeRequest &request,
-                      const TraceCacheKey &key,
-                      const TraceStoreReader &reader, ServeReply *reply);
 
     // --- shared helpers ---
     void sendReply(const std::shared_ptr<Conn> &conn,

@@ -64,12 +64,6 @@ setDrainMode(bool graceful)
     gDrain.store(graceful, std::memory_order_relaxed);
 }
 
-bool
-drainMode()
-{
-    return gDrain.load(std::memory_order_relaxed);
-}
-
 void
 installGracefulDrain()
 {

@@ -56,9 +56,6 @@ void setFirstSignalHook(FirstSignalHook hook);
  */
 void setDrainMode(bool graceful);
 
-/** Current drain mode. */
-bool drainMode();
-
 /** installHandlers() + setDrainMode(true), for supervisors. */
 void installGracefulDrain();
 

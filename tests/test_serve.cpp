@@ -26,7 +26,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "analysis/h2p.hpp"
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
 #include "core/runner.hpp"
@@ -235,14 +234,22 @@ counterValue(const char *name)
     return obs::Registry::instance().counterValue(name);
 }
 
-/** Whole-trace result of mcf_like `input_idx` straight from the VM. */
+/**
+ * Result of records [first, first + count) of mcf_like `input_idx`
+ * straight from the VM (by default the whole trace).
+ */
 DirectResult
-vmDirectRun(const std::string &predictor, uint32_t input_idx)
+vmDirectRun(const std::string &predictor, uint32_t input_idx,
+            uint64_t first = 0, uint64_t count = kTraceLen)
 {
+    VectorSink trace;
+    runTrace(findWorkload("mcf_like").build(input_idx), {&trace},
+             kTraceLen);
     auto bp = makePredictor(predictor);
     PredictorSim sim(*bp, /*collect_per_branch=*/false);
-    runTrace(findWorkload("mcf_like").build(input_idx), {&sim},
-             kTraceLen);
+    for (uint64_t i = first; i < first + count; ++i)
+        sim.onRecord(trace.get().at(i));
+    sim.onEnd();
     return {sim.condExecs(), sim.condMispreds(),
             doubleBits(sim.accuracy())};
 }
@@ -287,19 +294,16 @@ sampleRequests()
     ServeRequest sim = simulateRequest("gshare", 100, 5000);
     sim.deadlineMs = 250;
     out.push_back(sim);
-    for (const MessageType type :
-         {MessageType::BranchStats, MessageType::H2p}) {
-        ServeRequest r;
-        r.type = type;
-        r.workload = "xz_like";
-        r.inputIdx = 2;
-        r.instructions = 90000;
-        r.predictor = "tage-sc-l-8KB";
-        r.sliceLength = 3000;
-        r.topK = 16;
-        r.deadlineMs = 40;
-        out.push_back(r);
-    }
+    ServeRequest branchStats;
+    branchStats.type = MessageType::BranchStats;
+    branchStats.workload = "xz_like";
+    branchStats.inputIdx = 2;
+    branchStats.instructions = 90000;
+    branchStats.predictor = "tage-sc-l-8KB";
+    branchStats.sliceLength = 3000;
+    branchStats.topK = 16;
+    branchStats.deadlineMs = 40;
+    out.push_back(branchStats);
     ServeRequest mat;
     mat.type = MessageType::Materialize;
     mat.workload = "mcf_like";
@@ -347,13 +351,6 @@ sampleReplies()
             {static_cast<uint8_t>(InstrClass::JumpInd), 7, 4},
             {static_cast<uint8_t>(InstrClass::CallInd), 0, 0},
         };
-    }
-    {
-        ServeReply &r = base(MessageType::H2pReply);
-        r.h2pIps = {0x10, 0x20, 0x400};
-        r.slices = 12;
-        r.avgPerSliceBits = doubleBits(2.5);
-        r.avgMispredFractionBits = doubleBits(0.125);
     }
     {
         ServeReply &r = base(MessageType::MaterializeReply);
@@ -414,10 +411,6 @@ expectSameReply(const ServeReply &want, const ServeReply &got)
         EXPECT_EQ(got.targetClasses[i].targetMispreds,
                   want.targetClasses[i].targetMispreds);
     }
-    EXPECT_EQ(got.h2pIps, want.h2pIps);
-    EXPECT_EQ(got.slices, want.slices);
-    EXPECT_EQ(got.avgPerSliceBits, want.avgPerSliceBits);
-    EXPECT_EQ(got.avgMispredFractionBits, want.avgMispredFractionBits);
     EXPECT_EQ(got.digest, want.digest);
     EXPECT_EQ(got.records, want.records);
     EXPECT_EQ(got.path, want.path);
@@ -588,7 +581,7 @@ TEST(ServeProtocol, MalformedPayloadNeverCrashesDecoder)
         junk[i] = static_cast<uint8_t>(i * 37 + 11);
     for (const MessageType type :
          {MessageType::Simulate, MessageType::BranchStats,
-          MessageType::H2p, MessageType::Materialize}) {
+          MessageType::Materialize}) {
         ServeRequest out;
         for (size_t len = 0; len <= junk.size(); ++len)
             decodeRequestPayload(type, junk.data(), len, &out);
@@ -818,25 +811,19 @@ TEST_F(ServeTest, InPlaceDamageUnderAnOpenReaderIsQuarantined)
     stats.workload = "mcf_like";
     stats.instructions = kTraceLen;
     stats.predictor = "gshare";
-    ServeRequest h2p = stats;
-    h2p.type = MessageType::H2p;
-    h2p.sliceLength = 30000;
+    // A partial replay that starts inside the damaged first chunk.
+    const uint64_t first = 10000, count = 50000;
+    const ServeRequest slice = simulateRequest("gshare", first, count);
 
     const DirectResult direct = vmDirectRun("gshare", 0);
-    auto bp = makePredictor("gshare");
-    SlicedBranchStats sliced(*bp, h2p.sliceLength);
-    runTrace(findWorkload("mcf_like").build(0), {&sliced}, kTraceLen);
-    const H2pSummary summary =
-        summarizeH2ps(sliced, H2pCriteria{}.scaledTo(h2p.sliceLength));
-    std::vector<uint64_t> directIps(summary.allH2ps.begin(),
-                                    summary.allH2ps.end());
-    std::sort(directIps.begin(), directIps.end());
+    const DirectResult directSlice =
+        vmDirectRun("gshare", 0, first, count);
 
     const std::string entry =
         TraceCache(scratch->file("cache")).entryPath(corpusKey(0));
     ServeClient client;
     ASSERT_TRUE(client.connectUnix(socketPath()).ok());
-    for (const ServeRequest &request : {stats, h2p}) {
+    for (const ServeRequest &request : {stats, slice}) {
         SCOPED_TRACE(messageTypeName(request.type));
         // Open the key; its reader stays mapped across the damage.
         ServeReply reply;
@@ -872,10 +859,10 @@ TEST_F(ServeTest, InPlaceDamageUnderAnOpenReaderIsQuarantined)
             EXPECT_EQ(reply.condExecs, direct.condExecs);
             EXPECT_EQ(reply.condMispreds, direct.condMispreds);
         } else {
-            EXPECT_EQ(reply.slices, sliced.slices().size());
-            EXPECT_EQ(reply.h2pIps, directIps);
-            EXPECT_EQ(reply.avgPerSliceBits,
-                      doubleBits(summary.avgPerSlice));
+            EXPECT_EQ(reply.delivered, count);
+            EXPECT_EQ(reply.condExecs, directSlice.condExecs);
+            EXPECT_EQ(reply.condMispreds, directSlice.condMispreds);
+            EXPECT_EQ(reply.accuracyBits, directSlice.accuracyBits);
         }
     }
 }
@@ -944,7 +931,7 @@ TEST_F(ServeTest, InvalidRequestsGetCleanErrorsAndConnectionSurvives)
     EXPECT_TRUE(client.ping(&info).ok());
 }
 
-TEST_F(ServeTest, BranchStatsAndH2pReplies)
+TEST_F(ServeTest, BranchStatsReplies)
 {
     startServer();
     ServeClient client;
@@ -983,16 +970,6 @@ TEST_F(ServeTest, BranchStatsAndH2pReplies)
     EXPECT_GT(reply.targetClasses[1].execs, 0u);
     for (const TargetClassStat &row : reply.targetClasses)
         EXPECT_LE(row.targetMispreds, row.execs);
-
-    request.type = MessageType::H2p;
-    request.predictor = "tage-sc-l-8KB";
-    request.sliceLength = 30000;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
-    EXPECT_EQ(reply.slices, 4u);   // 120000 / 30000
-    // IPs arrive sorted ascending.
-    for (size_t i = 1; i < reply.h2pIps.size(); ++i)
-        EXPECT_LT(reply.h2pIps[i - 1], reply.h2pIps[i]);
 }
 
 TEST_F(ServeTest, MaterializePublishesIntoTheCorpus)
@@ -1244,31 +1221,45 @@ TEST_F(ServeTest, V1FrameOnTheWireGetsInvalidArgumentAndClose)
     }
 }
 
-TEST_F(ServeTest, RetiredType16FrameGetsInvalidArgumentAndClose)
+TEST_F(ServeTest, RetiredTypesGetInvalidArgumentAndClose)
 {
-    // Type 16 once carried a u64 target request id. A well-framed
-    // frame of that shape (valid magic, version, length and checksum)
-    // is now refused like any unknown type, never parsed as a request.
+    // Type 7 (H2p) carried the BranchStats request layout, type 8 its
+    // reply, and type 16 a u64 target request id. A well-framed frame
+    // of each shape (valid magic, version, length and checksum) is now
+    // refused like any unknown type, never parsed as a request.
+    ServeRequest h2p;
+    h2p.type = MessageType::BranchStats;
+    h2p.workload = "mcf_like";
+    h2p.instructions = kTraceLen;
+    h2p.predictor = "gshare";
+    h2p.sliceLength = 30000;
+    const std::vector<std::pair<uint16_t, std::vector<uint8_t>>> frames =
+        {{7, encodeRequestPayload(h2p)},
+         {8, encodeReplyPayload(ServeReply())},
+         {16, std::vector<uint8_t>(8, 0x01)}};
     startServer();
-    RawConn raw(socketPath());
-    ASSERT_TRUE(raw.ok());
-    const std::vector<uint8_t> targetId(8, 0x01);
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(encodeFrame(static_cast<MessageType>(16), 7, targetId,
-                            &frame)
-                    .ok());
-    raw.send(frame);
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(raw.recvFrame(&header, &payload));
-    EXPECT_EQ(header.requestId, 7u);
-    ASSERT_EQ(static_cast<MessageType>(header.type), MessageType::Error);
-    ServeReply reply;
-    ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
-                                   payload.size(), &reply)
-                    .ok());
-    EXPECT_EQ(reply.code, WireCode::InvalidArgument) << reply.message;
-    EXPECT_TRUE(raw.closedByPeer());
+    for (const auto &[type, body] : frames) {
+        SCOPED_TRACE(type);
+        RawConn raw(socketPath());
+        ASSERT_TRUE(raw.ok());
+        std::vector<uint8_t> frame;
+        ASSERT_TRUE(encodeFrame(static_cast<MessageType>(type), 7, body,
+                                &frame)
+                        .ok());
+        raw.send(frame);
+        FrameHeader header;
+        std::vector<uint8_t> payload;
+        ASSERT_TRUE(raw.recvFrame(&header, &payload));
+        EXPECT_EQ(header.requestId, 7u);
+        ASSERT_EQ(static_cast<MessageType>(header.type),
+                  MessageType::Error);
+        ServeReply reply;
+        ASSERT_TRUE(decodeReplyPayload(MessageType::Error, payload.data(),
+                                       payload.size(), &reply)
+                        .ok());
+        EXPECT_EQ(reply.code, WireCode::InvalidArgument) << reply.message;
+        EXPECT_TRUE(raw.closedByPeer());
+    }
 }
 
 TEST_F(ServeTest, CorruptChecksumOnWireGetsCorruptDataAndClose)
@@ -1386,6 +1377,28 @@ TEST_F(ServeTest, DrainClosesSeveralOpenConnections)
     }
     server->drain();
     server.reset();
+}
+
+TEST_F(ServeTest, CallReconnectsAfterADaemonRestart)
+{
+    // call() sends once. The call that meets the dropped connection
+    // fails and closes the socket; the next call() on the same client
+    // reconnects to the remembered path before it sends.
+    startServer();
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    std::string info;
+    ASSERT_TRUE(client.ping(&info).ok());
+
+    const ServeConfig config = server->config();
+    server->drain();
+    server = std::make_unique<ServeServer>(config);
+    ASSERT_TRUE(server->start().ok());
+
+    EXPECT_FALSE(client.ping(&info).ok());
+    EXPECT_FALSE(client.connected());
+    EXPECT_TRUE(client.ping(&info).ok());
+    EXPECT_TRUE(client.connected());
 }
 
 TEST_F(ServeTest, LoadGenClosedLoopWithKillsAndVerify)
@@ -1639,192 +1652,6 @@ TEST(ServeProtocol, BranchStatsTargetBlockRoundTripsAndBoundsItsCount)
                                  lying.data(), lying.size(), &refused)
                   .code(),
               StatusCode::CorruptData);
-}
-
-TEST(ServeClientPolicy, RetryGatesOnIdempotencyAndCode)
-{
-    // Every request type is a pure read or a content-addressed
-    // write, so idempotency never blocks a retry: the reply code is
-    // the whole gate.
-    EXPECT_TRUE(isRetryableCode(WireCode::Busy));
-    EXPECT_TRUE(isRetryableCode(WireCode::ResourceExhausted));
-    EXPECT_FALSE(isRetryableCode(WireCode::Ok));
-    EXPECT_FALSE(isRetryableCode(WireCode::InvalidArgument));
-    EXPECT_FALSE(isRetryableCode(WireCode::IoError));
-    EXPECT_FALSE(isRetryableCode(WireCode::Internal));
-    EXPECT_FALSE(isRetryableCode(WireCode::CorruptData));
-}
-
-namespace {
-
-/**
- * A scripted one-connection server: answers each Ping with the next
- * scripted wire code (Ok = a real PingReply, anything else = an Error
- * frame carrying that code and a retry-after hint). After the script
- * runs dry, every request gets Ok.
- */
-class ScriptedServer
-{
-  public:
-    ScriptedServer(const std::string &path,
-                   std::vector<WireCode> script)
-        : socketPath(path), replies(std::move(script))
-    {
-        listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        struct sockaddr_un addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ::unlink(path.c_str());
-        EXPECT_EQ(::bind(listenFd,
-                         reinterpret_cast<struct sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        EXPECT_EQ(::listen(listenFd, 4), 0);
-        serverThread = std::thread([this] { serve(); });
-    }
-
-    ~ScriptedServer()
-    {
-        ::shutdown(listenFd, SHUT_RDWR);
-        ::close(listenFd);
-        serverThread.join();
-        ::unlink(socketPath.c_str());
-    }
-
-    int served() const { return servedCount.load(); }
-
-  private:
-    void
-    serve()
-    {
-        size_t next = 0;
-        for (;;) {
-            const int fd = ::accept(listenFd, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            for (;;) {
-                uint8_t head[kFrameHeaderBytes];
-                if (!readExactFd(fd, head, sizeof(head), 2000).ok())
-                    break;
-                FrameHeader header;
-                if (!parseFrameHeader(head, sizeof(head), &header)
-                         .ok())
-                    break;
-                std::vector<uint8_t> payload(header.payloadLen);
-                if (header.payloadLen > 0 &&
-                    !readExactFd(fd, payload.data(), payload.size(),
-                                 2000)
-                         .ok())
-                    break;
-                servedCount.fetch_add(1);
-                const WireCode code = next < replies.size()
-                                          ? replies[next++]
-                                          : WireCode::Ok;
-                ServeReply reply;
-                if (code == WireCode::Ok) {
-                    reply.type = MessageType::PingReply;
-                    reply.serverInfo = "scripted";
-                } else {
-                    reply.type = MessageType::Error;
-                    reply.code = code;
-                    reply.message = "scripted failure";
-                    reply.retryAfterMs = 5;
-                }
-                std::vector<uint8_t> frame;
-                ASSERT_TRUE(encodeFrame(reply.type, header.requestId,
-                                        encodeReplyPayload(reply),
-                                        &frame)
-                                .ok());
-                if (!writeAllFd(fd, frame.data(), frame.size(), 2000)
-                         .ok())
-                    break;
-            }
-            ::close(fd);
-        }
-    }
-
-    std::string socketPath;
-    std::vector<WireCode> replies;
-    int listenFd = -1;
-    std::thread serverThread;
-    std::atomic<int> servedCount{0};
-};
-
-} // namespace
-
-TEST(ServeClientRetry, RetriesRetryableFailuresThenSucceeds)
-{
-    ScratchDir dir("retry_ok");
-    ScriptedServer server(dir.file("s.sock"),
-                          {WireCode::ResourceExhausted, WireCode::Busy});
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 5;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    client.setRetryPolicy(policy);
-
-    ServeRequest request;
-    request.type = MessageType::Ping;
-    ServeReply reply;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::Ok);
-    EXPECT_EQ(reply.serverInfo, "scripted");
-    EXPECT_EQ(client.retriesObserved(), 2u);
-    EXPECT_EQ(client.gaveUpObserved(), 0u);
-    EXPECT_EQ(server.served(), 3);
-}
-
-TEST(ServeClientRetry, GivesUpAfterBudgetAndCountsIt)
-{
-    ScratchDir dir("retry_giveup");
-    ScriptedServer server(
-        dir.file("s.sock"),
-        std::vector<WireCode>(8, WireCode::ResourceExhausted));
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 3;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    client.setRetryPolicy(policy);
-
-    ServeRequest request;
-    request.type = MessageType::Ping;
-    ServeReply reply;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::ResourceExhausted);
-    EXPECT_EQ(client.retriesObserved(), 2u);   // 3 attempts total
-    EXPECT_EQ(client.gaveUpObserved(), 1u);
-    EXPECT_EQ(server.served(), 3);
-}
-
-TEST(ServeClientRetry, NonRetryableCodeIsNeverRetried)
-{
-    ScratchDir dir("retry_invalid");
-    ScriptedServer server(dir.file("s.sock"),
-                          {WireCode::InvalidArgument});
-
-    ServeClient client;
-    ASSERT_TRUE(client.connectUnix(dir.file("s.sock")).ok());
-    RetryPolicy policy;
-    policy.maxAttempts = 5;
-    policy.baseBackoffMs = 1;
-    client.setRetryPolicy(policy);
-
-    ServeRequest request;
-    request.type = MessageType::Ping;
-    ServeReply reply;
-    ASSERT_TRUE(client.call(request, &reply).ok());
-    EXPECT_EQ(reply.code, WireCode::InvalidArgument);
-    EXPECT_EQ(client.retriesObserved(), 0u);
-    EXPECT_EQ(client.gaveUpObserved(), 0u);
-    EXPECT_EQ(server.served(), 1);
 }
 
 namespace {
