@@ -77,7 +77,7 @@ struct WorkloadStudy
 
 /**
  * One trace pass per workload: a TAGE-SC-L direction predictor, the
- * default frontend, and paired off/on cores at every scale. Sink
+ * default frontend, and an off and an on core stepping every scale. Sink
  * order is load-bearing — PredictorSim and FrontendModel must see
  * each record before the memory sides and cores that read their
  * per-record latches, and a memory side before its cores.
@@ -101,28 +101,19 @@ studyWorkload(const Workload &workload, StudyGroup group,
     MemorySide memOff(sim);
     MemorySide memOn(sim, &fe);
 
-    std::vector<TraceSink *> sinks{&sim, &fe, &memOff, &memOn};
-    std::vector<std::unique_ptr<CoreModel>> offCores;
-    std::vector<std::unique_ptr<CoreModel>> onCores;
-    const CoreConfig base = CoreConfig::skylake();
-    for (unsigned scale : scales) {
-        offCores.push_back(
-            std::make_unique<CoreModel>(base.scaled(scale), memOff));
-        onCores.push_back(
-            std::make_unique<CoreModel>(base.scaled(scale), memOn));
-        sinks.push_back(offCores.back().get());
-        sinks.push_back(onCores.back().get());
-    }
+    CoreModel coresOff(CoreConfig::skylake(), scales, memOff);
+    CoreModel coresOn(CoreConfig::skylake(), scales, memOn);
 
-    study.instructions =
-        runWorkloadTrace(workload, 0, sinks, instructions);
+    study.instructions = runWorkloadTrace(
+        workload, 0, {&sim, &fe, &memOff, &memOn, &coresOff, &coresOn},
+        instructions);
     study.targetMispredicts = fe.targetMispredicts();
     study.btbMisses = fe.btbMisses();
     study.ftqStallCycles = fe.ftqStallCycles();
     study.perClass = targetClassRows(fe);
     for (size_t s = 0; s < scales.size(); ++s) {
-        study.ipcOff.push_back(offCores[s]->counters().ipc());
-        study.ipcOn.push_back(onCores[s]->counters().ipc());
+        study.ipcOff.push_back(coresOff.counters(s).ipc());
+        study.ipcOn.push_back(coresOn.counters(s).ipc());
     }
     return study;
 }

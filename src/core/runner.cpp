@@ -349,8 +349,8 @@ parallelFor(size_t n, const Fn &fn)
 
 /**
  * One task per predictor column: each builds its PredictorSim, one
- * MemorySide shared by every scale and one CoreModel per scale,
- * feeds them from its own VM run, and fills its column of the grid.
+ * MemorySide and one CoreModel stepping every scale, feeds them from
+ * its own VM run, and fills its column of the grid.
  */
 IpcStudyResult
 runIpcStudy(
@@ -372,20 +372,14 @@ runIpcStudy(
         PredictorSim sim(*predictors[p].second,
                          /*collect_per_branch=*/false);
         MemorySide memory(sim);
-        std::vector<std::unique_ptr<CoreModel>> cores;
-        std::vector<TraceSink *> sinks{&sim, &memory};
-        for (unsigned scale : scales) {
-            cores.push_back(
-                std::make_unique<CoreModel>(base.scaled(scale), memory));
-            sinks.push_back(cores.back().get());
-        }
-        runTrace(program, sinks, instructions);
+        CoreModel core(base, scales, memory);
+        runTrace(program, {&sim, &memory, &core}, instructions);
 
         IpcColumn &col = result.columns[p];
         col.name = predictors[p].first;
         col.accuracy = sim.accuracy();
-        for (const auto &core : cores)
-            col.perScale.push_back(core->counters());
+        for (size_t s = 0; s < scales.size(); ++s)
+            col.perScale.push_back(core.counters(s));
     });
     return result;
 }

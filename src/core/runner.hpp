@@ -134,8 +134,8 @@ struct IpcStudyResult
  * Takes ownership of the predictors.
  *
  * Each predictor column is one task: it builds a PredictorSim, one
- * MemorySide shared by every scale and one CoreModel per scale, and
- * feeds them from its own runTrace() of the program. Tasks run on up
+ * MemorySide and one CoreModel stepping every scale, and feeds them
+ * from its own runTrace() of the program. Tasks run on up
  * to min(columns, hardware threads) threads, the caller among them,
  * under the caller's currentCancelToken(), so the predictors must not
  * share mutable state. Results are bit-identical to feeding every

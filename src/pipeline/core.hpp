@@ -10,11 +10,18 @@
  * and retire widths, and (5) branch mispredictions, which stall the
  * front end until the branch resolves plus a redirect penalty.
  *
- * The model is split in two. A MemorySide owns the cache hierarchy
- * and the I-cache line tracking; it depends on no capacity, so one of
- * them serves every pipeline scale of a predictor column. Each
- * CoreModel is a per-scale scoreboard reading the MemorySide's
- * per-record latencies.
+ * A predictor column of the paper's IPC studies is one chain of
+ * sinks: PredictorSim -> [FrontendModel] -> MemorySide -> CoreModel.
+ * The MemorySide owns the cache hierarchy and the I-cache line
+ * tracking; it depends on no capacity, so one serves every scale. The
+ * CoreModel holds one scoreboard per pipeline scale and steps them
+ * all in one onRecord: the record, its latencies and its flush
+ * latches are decoded once, and the counters that no capacity changes
+ * (instructions, branches, mispredicts, flush and FTQ-stall cycles)
+ * are counted once; only the cycle count is per scale. A single-scale
+ * core is the same class with one scale. tests/test_core_reference.cpp
+ * checks every record's fetch, issue and retire cycle at every scale
+ * against a naive reference scoreboard.
  *
  * This reproduces the mechanism behind the paper's IPC results: as
  * capacities scale up, correctly-predicted code exposes more ILP while
@@ -128,14 +135,22 @@ class MemorySide : public TraceSink
     MemoryLatch latch;
 };
 
+/** The cycles the core gave the record it saw last, at one scale. */
+struct CoreTiming
+{
+    uint64_t fetch = 0;    ///< fetch cycle, I-cache and FTQ stalls paid
+    uint64_t issue = 0;
+    uint64_t retire = 0;
+};
+
 /**
- * The core model, consuming a trace stream: a per-scale scoreboard
- * that reads a MemorySide's latch for its cache latencies.
+ * The core model, consuming a trace stream: one scoreboard per
+ * pipeline scale, all reading one MemorySide's latch for their cache
+ * latencies.
  *
  * Branch outcomes are read from a PredictorSim that must be registered
  * *before* this sink in the same fanout, so that by the time the core
- * sees a record the predictor has already resolved it. This lets one
- * predictor feed many core configurations in a single trace pass.
+ * sees a record the predictor has already resolved it.
  *
  * A FrontendModel may optionally be wired in the same way (registered
  * before this sink); the core then charges its per-record FTQ stall
@@ -145,10 +160,12 @@ class MemorySide : public TraceSink
  * which preserves the timing of every pre-frontend configuration
  * bit for bit.
  *
- * Constructed from (config, predictor[, frontend]) the core owns a
- * private MemorySide and steps it itself; constructed from a shared
- * MemorySide (registered before it) it reads that one, and takes its
- * predictor and frontend from it. Both give identical counters.
+ * Constructed from (config, scales, memory) it times `config` scaled
+ * by each factor over a shared MemorySide (registered before it),
+ * taking its predictor and frontend from that. Constructed from
+ * (config, memory) it is the one-scale case at `config` itself; from
+ * (config, predictor[, frontend]) it also owns a private MemorySide
+ * and steps it itself. Every form gives identical counters.
  */
 class CoreModel : public TraceSink
 {
@@ -156,36 +173,61 @@ class CoreModel : public TraceSink
     CoreModel(const CoreConfig &config, const PredictorSim &bp_outcomes,
               const FrontendModel *frontend = nullptr);
     CoreModel(const CoreConfig &config, const MemorySide &memory);
+    CoreModel(const CoreConfig &config, const std::vector<unsigned> &scales,
+              const MemorySide &memory);
 
     void onRecord(const TraceRecord &rec) override;
 
-    /** Results so far. */
-    const PerfCounters &counters() const { return stats; }
+    /** The scale factors timed, in construction order. */
+    const std::vector<unsigned> &scales() const { return factors; }
+
+    /** Results so far at scale index `scale`. */
+    PerfCounters
+    counters(size_t scale = 0) const
+    {
+        PerfCounters out = shared;
+        out.cycles = cores.at(scale).lastRetire;
+        return out;
+    }
+
+    /** Cycles of the record seen last, at scale index `scale`. */
+    CoreTiming
+    lastTiming(size_t scale = 0) const
+    {
+        const Scoreboard &s = cores.at(scale);
+        return {s.lastFetch, s.lastIssue, s.lastRetire};
+    }
 
     /** The memory side this core reads (owned or shared). */
     const MemorySide &memory() const { return mem; }
 
+    /** The unscaled configuration. */
     const CoreConfig &config() const { return cfg; }
 
     /**
-     * Issue requests that landed beyond the scheduler's cycle window
-     * and were clamped into it, i.e. timed approximately. Zero on
-     * every configuration the paper benches run.
+     * Issue requests at scale index `scale` that landed beyond the
+     * scheduler's cycle window and were clamped into it, i.e. timed
+     * approximately. Zero on every configuration the paper benches run.
      */
-    uint64_t issueClamps() const { return issueSlots.clamps(); }
+    uint64_t
+    issueClamps(size_t scale = 0) const
+    {
+        return cores.at(scale).issueSlots.clamps;
+    }
 
   private:
-    CoreModel(const CoreConfig &config, std::unique_ptr<MemorySide> owned,
-              const MemorySide *shared);
+    CoreModel(const CoreConfig &config, const std::vector<unsigned> &scales,
+              std::unique_ptr<MemorySide> owned, const MemorySide *shared);
 
     /**
      * In-order slot allocator: grants at most `width` slots per cycle
      * to a monotonically nondecreasing sequence of requests.
      */
-    class SlotAllocator
+    struct SlotAllocator
     {
-      public:
-        explicit SlotAllocator(unsigned width_) : width(width_) {}
+        unsigned width = 1;
+        uint64_t cycle = 0;
+        unsigned used = 0;
 
         /** Earliest cycle >= bound with a free slot; consumes it. */
         uint64_t
@@ -216,26 +258,23 @@ class CoreModel : public TraceSink
                 used = width;
             }
         }
-
-      private:
-        unsigned width;
-        uint64_t cycle = 0;
-        unsigned used = 0;
     };
 
     /**
      * Out-of-order slot allocator: grants at most `width` slots per
      * cycle, to requests arriving in any cycle order (the scheduler
      * wakes instructions as operands become ready, not in program
-     * order). Backed by a ring of per-cycle counters whose floor
-     * advances with the (monotonic) fetch stream.
+     * order). Backed by a ring of kWindow per-cycle counters whose
+     * floor advances with the fetch stream.
      */
-    class IssueWindow
+    struct IssueWindow
     {
-      public:
-        explicit IssueWindow(unsigned width_)
-            : width(static_cast<uint16_t>(width_)), used(kWindow, 0)
-        {}
+        static constexpr uint64_t kWindow = 1ull << 15;
+
+        uint16_t *used = nullptr;   ///< kWindow counters
+        uint16_t width = 1;
+        uint64_t floor = 0;
+        uint64_t clamps = 0;   ///< requests alloc() clamped so far
 
         /** Advance the window floor (cycles below are immutable). */
         void
@@ -243,13 +282,16 @@ class CoreModel : public TraceSink
         {
             if (cycle <= floor)
                 return;
-            // Slots of cycles dropping below the new floor are
+            // Counters of cycles dropping below the new floor are
             // recycled for the cycles entering at the top of the
-            // window; clear them as they change identity.
+            // window; clear them as they change identity. They are
+            // one range of the ring, so at most two spans of it.
             const uint64_t steps =
                 std::min<uint64_t>(cycle - floor, kWindow);
-            for (uint64_t i = 0; i < steps; ++i)
-                used[(floor + i) % kWindow] = 0;
+            const uint64_t lo = floor % kWindow;
+            const uint64_t head = std::min(steps, kWindow - lo);
+            std::fill_n(used + lo, head, uint16_t{0});
+            std::fill_n(used, steps - head, uint16_t{0});
             floor = cycle;
         }
 
@@ -263,7 +305,7 @@ class CoreModel : public TraceSink
             // on the paper's configurations.
             if (c >= floor + kWindow) {
                 c = floor + kWindow - 1;
-                ++clampCount;
+                ++clamps;
             }
             while (used[c % kWindow] >= width &&
                    c + 1 < floor + kWindow) {
@@ -272,23 +314,14 @@ class CoreModel : public TraceSink
             ++used[c % kWindow];
             return c;
         }
-
-        /** Requests alloc() clamped into the window so far. */
-        uint64_t clamps() const { return clampCount; }
-
-      private:
-        static constexpr uint64_t kWindow = 1ull << 15;
-        uint16_t width;
-        uint64_t floor = 0;
-        uint64_t clampCount = 0;
-        std::vector<uint16_t> used;
     };
 
     /** A fixed-size ring with a cursor that wraps without a divide. */
-    class Ring
+    struct Ring
     {
-      public:
-        explicit Ring(unsigned size) : slots(size, 0) {}
+        uint64_t *slots = nullptr;
+        uint32_t size = 1;
+        uint32_t pos = 0;
 
         /** The slot at the cursor. */
         uint64_t &at() { return slots[pos]; }
@@ -296,33 +329,43 @@ class CoreModel : public TraceSink
         void
         advance()
         {
-            if (++pos == slots.size())
+            if (++pos == size)
                 pos = 0;
         }
+    };
 
-      private:
-        std::vector<uint64_t> slots;
-        size_t pos = 0;
+    /** Register index that sources past numSrc read: always ready. */
+    static constexpr unsigned kNoSource = kNumRegs;
+    /** Register index written when a record has no destination. */
+    static constexpr unsigned kNoDest = kNumRegs + 1;
+
+    /** One scale's scoreboard; its rings point into `ringSlots`. */
+    struct Scoreboard
+    {
+        SlotAllocator fetchSlots;
+        IssueWindow issueSlots;
+        SlotAllocator retireSlots;
+        Ring rob;     ///< retire cycles, ROB window
+        Ring sched;   ///< issue cycles, scheduler window
+        Ring lq;      ///< load retire cycles
+        Ring sq;      ///< store retire cycles
+        uint64_t regReady[kNumRegs + 2] = {};
+        uint64_t fetchResume = 0;   ///< front end stalled until here
+        uint64_t lastFetch = 0;
+        uint64_t lastIssue = 0;
+        uint64_t lastRetire = 0;    ///< also the cycle count
     };
 
     CoreConfig cfg;
+    std::vector<unsigned> factors;
     std::unique_ptr<MemorySide> ownMemory;   ///< null when shared
     const MemorySide &mem;
     const PredictorSim &bp;
     const FrontendModel *fe;   ///< optional; nullptr = perfect fetch
-    PerfCounters stats;
-
-    SlotAllocator fetchSlots;
-    IssueWindow issueSlots;
-    SlotAllocator retireSlots;
-
-    uint64_t regReady[kNumRegs] = {};
-    Ring robRing;     ///< retire cycles, ROB window
-    Ring schedRing;   ///< issue cycles, scheduler window
-    Ring lqRing;      ///< load retire cycles
-    Ring sqRing;      ///< store retire cycles
-    uint64_t fetchResume = 0;         ///< front end stalled until here
-    uint64_t lastRetire = 0;
+    PerfCounters shared;       ///< every counter but cycles
+    std::vector<Scoreboard> cores;
+    std::unique_ptr<uint64_t[]> ringSlots;     ///< every scale's rings
+    std::unique_ptr<uint16_t[]> windowSlots;   ///< every issue window
 
     unsigned execLatency(const TraceRecord &rec) const;
 };

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -56,27 +57,39 @@ splitCsv(const std::string &csv)
     return out;
 }
 
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+constexpr uint64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+
+/**
+ * Integer option `name`, refused with fatal() outside [lo, hi]: a
+ * negative value must not wrap into a huge unsigned one.
+ */
+uint64_t
+optionInRange(const OptionParser &opts, const std::string &name,
+              int64_t lo, uint64_t hi)
+{
+    const int64_t v = opts.getInt(name);
+    if (v < lo || static_cast<uint64_t>(v) > hi)
+        fatal("--", name, "=", v, " outside [", lo, ", ", hi, "]");
+    return static_cast<uint64_t>(v);
+}
+
 int
 runOne(const OptionParser &opts, const std::string &op)
 {
-    ServeClient client;
-    Status st = client.connectUnix(opts.getString("socket"));
-    if (!st.ok()) {
-        warn("bpnsp_client: ", st.str());
-        return 1;
-    }
-
     ServeRequest request;
     request.workload = opts.getString("workload");
-    request.inputIdx = static_cast<uint32_t>(opts.getInt("input"));
+    request.inputIdx =
+        static_cast<uint32_t>(optionInRange(opts, "input", 0, kMaxU32));
     request.instructions =
-        static_cast<uint64_t>(opts.getInt("instructions"));
+        optionInRange(opts, "instructions", 1, kMaxI64);
     request.predictor = opts.getString("predictor");
-    request.first = static_cast<uint64_t>(opts.getInt("first"));
-    request.count = static_cast<uint64_t>(opts.getInt("count"));
-    request.topK = static_cast<uint32_t>(opts.getInt("top"));
-    request.deadlineMs =
-        static_cast<uint32_t>(opts.getInt("deadline-ms"));
+    request.first = optionInRange(opts, "first", 0, kMaxI64);
+    request.count = optionInRange(opts, "count", 0, kMaxI64);
+    request.topK =
+        static_cast<uint32_t>(optionInRange(opts, "top", 0, kMaxU32));
+    request.deadlineMs = static_cast<uint32_t>(
+        optionInRange(opts, "deadline-ms", 0, kMaxU32));
 
     if (op == "ping") {
         request.type = MessageType::Ping;
@@ -92,6 +105,12 @@ runOne(const OptionParser &opts, const std::string &op)
               "loadgen)");
     }
 
+    ServeClient client;
+    Status st = client.connectUnix(opts.getString("socket"));
+    if (!st.ok()) {
+        warn("bpnsp_client: ", st.str());
+        return 1;
+    }
     ServeReply reply;
     st = client.call(request, &reply);
     if (!st.ok()) {
@@ -250,38 +269,34 @@ printStatsPretty(const std::string &json)
  * --raw prints the JSON document verbatim for scripts.
  *
  * A watch is a monitoring loop, so a daemon restart mid-watch must
- * not kill it: on a dropped connection the watch reconnects with
- * capped backoff and keeps polling. One-shot mode (no --watch) keeps
- * strict fail-fast semantics for scripts.
+ * not kill it: on a failed poll the watch backs off (capped) and polls
+ * again, and ServeClient::call() reconnects to the remembered socket
+ * path first. One-shot mode (no --watch) keeps strict fail-fast
+ * semantics for scripts.
  */
 int
 runStats(const OptionParser &opts)
 {
-    ServeClient client;
-    Status st = client.connectUnix(opts.getString("socket"));
-
     const bool raw = opts.getFlag("raw");
     const bool watch = opts.getFlag("watch");
     const int64_t watchMs = opts.getInt("watch-ms");
-    if (!st.ok()) {
-        warn("bpnsp_client: ", st.str());
-        if (!watch)
-            return 1;
-    }
+
+    // A failed connect still remembers the path, so the first stats()
+    // retries it and reports its error.
+    ServeClient client;
+    (void)client.connectUnix(opts.getString("socket"));
 
     uint64_t reconnectBackoffMs = 0;
     for (;;) {
         std::string json;
-        st = client.connected() ? client.stats(&json)
-                                : Status::ioError("not connected");
+        const Status st = client.stats(&json);
         if (!st.ok()) {
             if (!watch) {
                 warn("bpnsp_client: ", st.str());
                 return 1;
             }
-            // Daemon gone (restart, crash, drain): back off, then try
-            // the endpoint again. The watch outlives the daemon.
-            client.close();
+            // Daemon gone (restart, crash, drain): back off, then poll
+            // again. The watch outlives the daemon.
             reconnectBackoffMs =
                 reconnectBackoffMs == 0
                     ? 100
@@ -290,7 +305,6 @@ runStats(const OptionParser &opts)
                  reconnectBackoffMs, " ms");
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(reconnectBackoffMs));
-            client.reconnect();
             continue;
         }
         reconnectBackoffMs = 0;
@@ -310,32 +324,25 @@ runStats(const OptionParser &opts)
 int
 runLoad(const OptionParser &opts)
 {
-    const int64_t clients = opts.getInt("clients");
-    if (clients < 1 || clients > kMaxLoadGenClients)
-        fatal("--clients=", clients, " outside [1, ", kMaxLoadGenClients,
-              "]");
-    const int64_t requests = opts.getInt("requests");
-    if (requests < 1 || requests > kMaxLoadGenRequests)
-        fatal("--requests=", requests, " outside [1, ",
-              kMaxLoadGenRequests, "]");
-
     LoadGenConfig cfg;
     cfg.socketPath = opts.getString("socket");
-    cfg.clients = static_cast<unsigned>(clients);
-    cfg.requestsPerClient = static_cast<unsigned>(requests);
+    cfg.clients = static_cast<unsigned>(
+        optionInRange(opts, "clients", 1, kMaxLoadGenClients));
+    cfg.requestsPerClient = static_cast<unsigned>(
+        optionInRange(opts, "requests", 1, kMaxLoadGenRequests));
     cfg.workload = opts.getString("workload");
-    cfg.inputIdx = static_cast<uint32_t>(opts.getInt("input"));
-    cfg.instructions =
-        static_cast<uint64_t>(opts.getInt("instructions"));
+    cfg.inputIdx =
+        static_cast<uint32_t>(optionInRange(opts, "input", 0, kMaxU32));
+    cfg.instructions = optionInRange(opts, "instructions", 1, kMaxI64);
     cfg.predictors = splitCsv(opts.getString("predictor"));
     if (cfg.predictors.empty())
         cfg.predictors = {"gshare"};
-    cfg.sliceRecords = static_cast<uint64_t>(opts.getInt("count"));
+    cfg.sliceRecords = optionInRange(opts, "count", 0, kMaxI64);
     cfg.killProb = opts.getDouble("kill-prob");
     cfg.seed = static_cast<uint64_t>(opts.getInt("seed"));
     cfg.verify = opts.getFlag("verify");
-    cfg.deadlineMs =
-        static_cast<uint32_t>(opts.getInt("deadline-ms"));
+    cfg.deadlineMs = static_cast<uint32_t>(
+        optionInRange(opts, "deadline-ms", 0, kMaxU32));
 
     LoadGenResult result;
     if (const Status st = runLoadGen(cfg, &result); !st.ok())

@@ -480,10 +480,11 @@ TEST(CoreModel, IssueWindowNeverClampsOnPaperConfigs)
     // IssueWindow::alloc clamps a request beyond its cycle window into
     // the window, which would time that instruction approximately.
     // Pin that it never happens on the paper's shapes: SPEC-like, LCF
-    // and the interpreter workload (with the default frontend), at the
-    // narrowest and widest scale, at fig1's default budget. mcf_like's
-    // long miss chains are the first to clamp when the window shrinks.
-    const CoreConfig base = CoreConfig::skylake();
+    // and the interpreter workload (with the default frontend), at
+    // every scale of the IPC studies, at fig1's default budget.
+    // mcf_like's long miss chains are the first to clamp when the
+    // window shrinks.
+    const std::vector<unsigned> scales{1, 2, 4, 8, 16, 32};
     for (const char *name :
          {"gcc_like", "mcf_like", "rdbms", "interp_like"}) {
         for (const char *predictor : {"perfect", "tage-sc-l-8KB"}) {
@@ -493,17 +494,18 @@ TEST(CoreModel, IssueWindowNeverClampsOnPaperConfigs)
             FrontendModel fe{FrontendConfig{}};
             const bool with_fe = std::string(name) == "interp_like";
             MemorySide memory(sim, with_fe ? &fe : nullptr);
-            CoreModel narrow(base.scaled(1), memory);
-            CoreModel wide(base.scaled(32), memory);
+            CoreModel core(CoreConfig::skylake(), scales, memory);
             std::vector<TraceSink *> sinks{&sim};
             if (with_fe)
                 sinks.push_back(&fe);
-            sinks.insert(sinks.end(), {&memory, &narrow, &wide});
+            sinks.insert(sinks.end(), {&memory, &core});
             runWorkloadTrace(findWorkload(name), 0, sinks, 2000000);
 
-            EXPECT_EQ(narrow.counters().instructions, 2000000u);
-            EXPECT_EQ(narrow.issueClamps(), 0u);
-            EXPECT_EQ(wide.issueClamps(), 0u);
+            for (size_t s = 0; s < scales.size(); ++s) {
+                SCOPED_TRACE(testing::Message() << scales[s] << "x");
+                EXPECT_EQ(core.counters(s).instructions, 2000000u);
+                EXPECT_EQ(core.issueClamps(s), 0u);
+            }
         }
     }
 }
@@ -588,9 +590,11 @@ expectSameCaches(const CacheHierarchy &a, const CacheHierarchy &b)
 
 TEST(MemorySide, SharedMatchesOwningAtEveryScale)
 {
-    // One shared memory side feeding six scales must time exactly like
-    // six cores that each own one, with and without a frontend; the
-    // indirect-heavy workloads exercise the target-flush refetch rule.
+    // One multi-scale core over a shared memory side must time exactly
+    // like six single-scale cores that each own one, with and without
+    // a frontend, on every counter; the indirect-heavy workloads
+    // exercise the target-flush refetch rule and the frontend's
+    // counters, which the IPC benches never wire in.
     const std::vector<unsigned> scales{1, 2, 4, 8, 16, 32};
     const CoreConfig base = CoreConfig::skylake();
     for (const char *name : {"vcall", "interp_like"}) {
@@ -603,17 +607,14 @@ TEST(MemorySide, SharedMatchesOwningAtEveryScale)
             const FrontendModel *wired = with_fe ? &fe : nullptr;
             MemorySide shared(sim, wired);
             ReferenceMemory reference(sim, wired, shared);
+            CoreModel sharing(base, scales, shared);
 
             std::vector<TraceSink *> sinks{&sim, &fe, &shared,
-                                           &reference};
-            std::vector<std::unique_ptr<CoreModel>> sharing;
+                                           &reference, &sharing};
             std::vector<std::unique_ptr<CoreModel>> owning;
             for (unsigned scale : scales) {
-                sharing.push_back(std::make_unique<CoreModel>(
-                    base.scaled(scale), shared));
                 owning.push_back(std::make_unique<CoreModel>(
                     base.scaled(scale), sim, wired));
-                sinks.push_back(sharing.back().get());
                 sinks.push_back(owning.back().get());
             }
             runWorkloadTrace(findWorkload(name), 0, sinks, 150000);
@@ -621,17 +622,21 @@ TEST(MemorySide, SharedMatchesOwningAtEveryScale)
             EXPECT_EQ(reference.mismatches, 0u);
             expectSameCaches(shared.caches(), reference.caches);
             EXPECT_GT(shared.caches().l1d.misses(), 0u);
+            EXPECT_EQ(&sharing.memory(), &shared);
+            EXPECT_EQ(sharing.scales(), scales);
             for (size_t s = 0; s < scales.size(); ++s) {
                 SCOPED_TRACE(testing::Message() << scales[s] << "x");
-                EXPECT_EQ(&sharing[s]->memory(), &shared);
                 EXPECT_NE(&owning[s]->memory(), &shared);
-                expectSameCounters(sharing[s]->counters(),
+                expectSameCounters(sharing.counters(s),
                                    owning[s]->counters());
                 expectSameCaches(owning[s]->memory().caches(),
                                  shared.caches());
             }
             if (with_fe) {
-                EXPECT_GT(sharing[0]->counters().targetMispredicts, 0u);
+                const PerfCounters c = sharing.counters(0);
+                EXPECT_GT(c.targetMispredicts, 0u);
+                EXPECT_GT(c.ftqStallCycles, 0u);
+                EXPECT_GT(c.targetFlushCycles, 0u);
             }
         }
     }
